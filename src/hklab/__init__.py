@@ -7,6 +7,8 @@ perverse filtrations, and the bigraded diamond decomposition, and verifies
 the expected operator identities with exact arithmetic (no floats anywhere).
 """
 
+# Unused by the package; perfbench/spans.py traces _modp.ModpReducer by name.
+from hklab import _modp  # noqa: F401
 from hklab.linalg import QQ, Mat, Subspace
 from hklab.quadforms import (
     QuadraticSpace,

@@ -1,17 +1,16 @@
 """Modular screening and rational reconstruction for big exact row reductions.
 
-The quotient construction in hklab.verbitsky has to row-reduce matrices with
-several hundred columns.  Doing that directly with rational arithmetic is
-slow because intermediate entries blow up, so the pipeline here is:
+No hklab module calls these routines; the module stays importable because
+perfbench/spans.py traces ModpReducer by name for its modp.* metrics.  The
+pipeline it implements is:
 
 1. reduce candidate rows incrementally modulo a fixed word-size prime with
    numpy int64 arithmetic to find the rank profile (pivot / free columns),
 2. read the reduced rows modulo p straight off the reducer state,
 3. lift to exact rationals by rational reconstruction (CRT over more primes
-   when a single prime is not enough),
-4. certify the lift with an exact integer identity on the original rows.
+   when a single prime is not enough).
 
-Step 4 makes the modular shortcut safe: a wrong lift cannot survive it.
+A reconstructed value is only a candidate: a caller must certify it exactly.
 """
 
 from __future__ import annotations

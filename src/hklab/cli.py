@@ -11,6 +11,7 @@ Subcommands
 
 All randomness is seeded (flag --seed, else HKLAB_SEED, else 0) and every
 output is canonical JSON, so identical invocations produce identical bytes.
+verify writes its per-phase timings to stderr, one JSON line per instance.
 Exit codes: 0 success / all asserted checks pass, 1 verification failure,
 2 usage or construction error.
 """
@@ -84,9 +85,16 @@ def _write(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
+def _write_timings(report) -> None:
+    """One JSON line of per-phase seconds on stderr, apart from the report."""
+    sys.stderr.write(canonical_json({
+        "n": report.config.n, "b2": report.config.b2,
+        "timings": {k: round(v, 3) for k, v in report.timings.items()}}))
+
+
 def _instance_config(args) -> InstanceConfig:
     return InstanceConfig(n=args.n, b2=args.b2, tail=_parse_tail(args.tail),
-                          seed=args.seed, budget=args.budget)
+                          seed=args.seed)
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, require: bool = True) -> None:
@@ -98,8 +106,6 @@ def _add_instance_flags(p: argparse.ArgumentParser, require: bool = True) -> Non
                    help="comma-separated diagonal tail entries (length b2-4)")
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="deterministic seed (default: HKLAB_SEED or 0)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="isotropic sampling budget per quotient degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,9 +204,9 @@ def _cmd_verify(args) -> int:
         grid = _parse_grid(args.grid)
         reports = []
         for n, b2 in grid:
-            cfg = InstanceConfig(n=n, b2=b2, seed=args.seed,
-                                 budget=args.budget)
+            cfg = InstanceConfig(n=n, b2=b2, seed=args.seed)
             reports.append(run_instance(cfg, derivation_trials=args.trials))
+            _write_timings(reports[-1])
         payload = [r.to_json() for r in reports]
         if args.format == "text":
             lines = []
@@ -217,6 +223,7 @@ def _cmd_verify(args) -> int:
         raise QuadFormError("verify needs --n/--b2, --grid, or --module")
     cfg = _instance_config(args)
     report = run_instance(cfg, derivation_trials=args.trials)
+    _write_timings(report)
     if args.format == "text":
         lines = [report.header]
         for v in report.verdicts:

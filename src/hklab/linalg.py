@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency
+except ImportError:  # gmpy2 is optional; Fraction gives the same values
     from fractions import Fraction as QQ
 
 _ZERO = QQ(0)

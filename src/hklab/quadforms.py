@@ -141,7 +141,7 @@ def hyperbolic_pair(space: QuadraticSpace) -> tuple:
 
     Fast path: recognise a literal hyperbolic block at coordinates (0, 1).
     Otherwise search for an isotropic vector over a small integer box and
-    complete it; raises if none exists in the budget (e.g. definite forms).
+    complete it; raises if the box holds none (e.g. definite forms).
     """
     g = space.gram
     n = space.dim
@@ -158,7 +158,7 @@ def hyperbolic_pair(space: QuadraticSpace) -> tuple:
             iso = _primitive(v)
             break
     if iso is None:
-        raise QuadFormError("no rational isotropic vector found within budget")
+        raise QuadFormError("no rational isotropic vector found in the search box")
     return iso, _dual_isotropic(space, iso, [])
 
 

@@ -7,26 +7,23 @@ dim Sym^min(k, 2n-k)(V) in cohomological degree 2k, it satisfies hard
 Lefschetz for anisotropic classes, and the top degree is one-dimensional
 with a Fujiki-type evaluation top(x^{2n}) = c * q(x)^n.
 
-The ideal in each degree is generated by sampled isotropic powers; sampling
-continues until the rank profile stabilises at the closed-form target
-dimension (a mismatch is a hard error, never silently accepted).  Row
-reduction runs modulo a word-size prime for speed, the reduced rows are
-lifted back to exact rationals by rational reconstruction, and the lift is
-certified against the original integer rows, so the result is exact.
+The algebra is Gorenstein: its socle functional is x^{2n} -> c q(x)^n, so
+SH = Sym(V) / Ann(Q^n) with Q(xi) = xi^T G xi acting by differentiation
+(Macaulay inverse system; Verbitsky, GAFA 6, 1996; Iarrobino-Kanev, LNM
+1721).  Each quotient degree is therefore read off one exact catalecticant
+matrix of Q^n.  Its rank is checked against the closed-form dimension, and
+a shortfall is a hard error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
-import numpy as np
-
-from hklab import _modp
-from hklab.linalg import QQ, LinalgError, qq
-from hklab.quadforms import QuadraticSpace, hyperbolic_pair, sample_isotropic
+from hklab.linalg import QQ, IncrementalRref, LinalgError, Mat, invert, qq
+from hklab.quadforms import QuadraticSpace
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -37,19 +34,6 @@ ALGEBRA_VERSION = 1
 
 class BuildError(RuntimeError):
     """Construction of the graded algebra failed."""
-
-
-class BudgetExhausted(BuildError):
-    """Isotropic sampling stalled before the quotient reached its target."""
-
-    def __init__(self, level: int, achieved: int, target: int, budget: int):
-        self.level = level
-        self.achieved = achieved
-        self.target = target
-        self.budget = budget
-        super().__init__(
-            f"degree {2 * level}: quotient dimension {achieved} has not reached "
-            f"the target {target} within the sampling budget {budget}")
 
 
 # -- monomial bookkeeping -----------------------------------------------------
@@ -87,8 +71,8 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return num
 
 
-def _power_coeffs(v: Sequence[int], m: int) -> dict:
-    """Integer coefficients of (sum v_s z_s)^m in the monomial basis."""
+def _power_coeffs(v: Sequence, m: int) -> dict:
+    """Coefficients of (sum v_s z_s)^m in the monomial basis."""
     nvars = len(v)
     out = {}
     for mono in monomials(nvars, m):
@@ -313,21 +297,17 @@ def canonical_json(obj: dict) -> str:
 # -- construction -------------------------------------------------------------
 
 def build_verbitsky(space: QuadraticSpace, n: int,
-                    sample_budget: Optional[int] = None,
                     seed: int = 0) -> GradedAlgebra:
     """Build the quotient algebra for (space, n).
 
-    sample_budget bounds the number of isotropic generator vectors tried per
-    quotient degree (None scales it with the number of rows the degree
-    needs); exhausting it before the rank profile reaches the closed-form
-    target raises BudgetExhausted with both dimensions.
+    The construction is deterministic; seed is only recorded in the build
+    metadata.  A quotient degree whose catalecticant falls short of the
+    closed-form dimension raises BuildError.
     """
     if n < 1:
         raise BuildError("n must be at least 1")
-    if sample_budget is not None and sample_budget < 1:
-        raise BuildError("sample_budget must be at least 1")
     b2 = space.dim
-    pair = hyperbolic_pair(space)
+    weights = _apolar_weights(space, n)
     levels = {}
     proj = {}
     for k in range(0, 2 * n + 1):
@@ -336,13 +316,10 @@ def build_verbitsky(space: QuadraticSpace, n: int,
             levels[k] = monos
             proj[k] = [{i: _ONE} for i in range(len(monos))]
         else:
-            basis, table = _ideal_projection(space, n, k, sample_budget,
-                                             seed, pair)
-            levels[k] = basis
-            proj[k] = table
+            levels[k], proj[k] = _ideal_projection(weights, b2, n, k)
     tensors = _build_tensors(levels, proj, b2, n)
-    meta = {"seed": seed, "sample_budget": sample_budget}
-    return GradedAlgebra(space, n, levels, tensors, proj=proj, build_meta=meta)
+    return GradedAlgebra(space, n, levels, tensors, proj=proj,
+                         build_meta={"seed": seed})
 
 
 def _build_tensors(levels: dict, proj: dict, b2: int, n: int) -> dict:
@@ -364,174 +341,73 @@ def _build_tensors(levels: dict, proj: dict, b2: int, n: int) -> dict:
     return tensors
 
 
-def _isotropic_stream(space: QuadraticSpace, pair, seed: int, level: int):
-    """Deterministic stream of primitive integer isotropic vectors."""
-    batch = 0
-    seen = set()
-    while True:
-        vs = sample_isotropic(space, 8, seed=seed * 100003 + level * 1009 + batch,
-                              pair=pair)
-        for v in vs:
-            key = tuple(int(x) for x in v)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield [int(x) for x in v]
-        batch += 1
+def _apolar_weights(space: QuadraticSpace, n: int) -> dict:
+    """alpha -> d^alpha Q^n (a constant) for |alpha| = 2n, Q = xi^T G xi.
 
-
-def _rows_for_generator(base: dict, k: int, n: int, b2: int, idx: dict) -> list:
-    """Integer rows spanning v^(n+1) * Sym^(k-n-1) inside Sym^k.
-
-    base holds the monomial coefficients of v^(n+1).
+    Q^n is expanded by treating the terms of Q as the variables of
+    _power_coeffs; d^alpha xi^alpha = alpha!.
     """
-    ncols = len(idx)
-    rows = []
-    for gamma in monomials(b2, k - n - 1):
-        row = np.zeros(ncols, dtype=np.int64)
-        for mono, c in base.items():
-            shifted = tuple(a + g for a, g in zip(mono, gamma))
-            row[idx[shifted]] = c
-        rows.append(row)
-    return rows
+    b2 = space.dim
+    g = space.gram.data
+    terms, coeffs = [], []
+    for i in range(b2):
+        for j in range(i, b2):
+            if g[i][j]:
+                mono = [0] * b2
+                mono[i] += 1
+                mono[j] += 1
+                terms.append(mono)
+                coeffs.append(g[i][j] if i == j else 2 * g[i][j])
+    qn = {}
+    for powers, c in _power_coeffs(coeffs, n).items():
+        alpha = tuple(sum(p * t[s] for p, t in zip(powers, terms))
+                      for s in range(b2))
+        qn[alpha] = qn.get(alpha, 0) + c
+    return {alpha: c * prod(factorial(a) for a in alpha)
+            for alpha, c in qn.items() if c}
 
 
-def _ideal_projection(space: QuadraticSpace, n: int, k: int,
-                      budget: Optional[int], seed: int, pair) -> tuple:
+def _ideal_projection(weights: dict, b2: int, n: int, k: int) -> tuple:
     """Quotient basis monomials and projection table for Sym^k -> SH^{2k}.
+
+    SH is Gorenstein with socle functional x^{2n} -> c q(x)^n, so the ideal
+    in degree k is the kernel of the catalecticant C_k[m][g] = d^(m+g) Q^n
+    (rows m in Sym^k, columns g in Sym^(2n-k)).  Monomial c is a basis
+    monomial iff row C_c is not in the span of the later rows, which
+    reproduces the non-pivot columns of the ideal's canonical RREF; the coset
+    of c is then table[c] = C_c C_F^{-1}.
 
     Returns (basis_monomials, table) where table[c] maps quotient basis
     indices to the coefficients of monomial c's coset.
     """
-    b2 = space.dim
     monos = monomials(b2, k)
-    idx = {m: i for i, m in enumerate(monos)}
-    ncols = len(monos)
-    target = monomial_count(b2, 2 * n - k)
-    cap = ncols - target
-    if budget is None:
-        rows_per_gen = monomial_count(b2, k - n - 1)
-        budget = 2 * ((cap + rows_per_gen - 1) // rows_per_gen) + 16
-
-    prime = _modp.PRIMES[0]
-    reducer = _modp.ModpReducer(ncols, prime)
-    accepted: list = []          # exact integer rows, in acceptance order
-    stalls = 0
-    used = 0
-    stream = _isotropic_stream(space, pair, seed, k)
-    while reducer.rank < cap:
-        if used >= budget:
-            raise BudgetExhausted(k, ncols - reducer.rank, target, budget)
-        v = next(stream)
-        base = _power_coeffs(v, n + 1)
-        if max(abs(c) for c in base.values()) >= _modp.MAX_ENTRY:
-            continue
-        used += 1
-        gained = 0
-        for row in _rows_for_generator(base, k, n, b2, idx):
-            if reducer.insert(row):
-                accepted.append([int(x) for x in row])
-                gained += 1
-            if reducer.rank == cap:
+    duals = monomials(b2, 2 * n - k)
+    rows = [[weights.get(tuple(a + b for a, b in zip(m, g)), 0)
+             for g in duals] for m in monos]
+    target = len(duals)
+    echelon = IncrementalRref(target)
+    free = []
+    for c in range(len(monos) - 1, -1, -1):
+        if echelon.insert(rows[c]):
+            free.append(c)
+            if echelon.rank == target:
                 break
-        if gained == 0:
-            stalls += 1
-            if stalls >= 4:
-                raise BudgetExhausted(k, ncols - reducer.rank, target, budget)
-        else:
-            stalls = 0
-
-    pivot_cols, reduced = reducer.sorted_state()
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
-    assert len(free_cols) == target
-
-    # The lift certifies itself against every accepted row.
-    x_exact = _lift_reduced_block(accepted, pivot_cols, free_cols,
-                                  reduced, prime, ncols)
-
-    # Holdout: rows from a fresh generator must lie in the certified row space.
-    holdout = next(stream)
-    hold_rows = _rows_for_generator(_power_coeffs(holdout, n + 1),
-                                    k, n, b2, idx)[:2]
-    _verify_lift([[int(x) for x in r] for r in hold_rows],
-                 pivot_cols, free_cols, x_exact)
-
-    basis = [monos[c] for c in free_cols]
+    if echelon.rank < target:
+        raise BuildError(f"degree {2 * k}: catalecticant rank {echelon.rank} "
+                         f"is below the target {target}")
+    free.reverse()
+    inv = invert(Mat.from_rows([rows[c] for c in free])).data
+    free_pos = {c: j for j, c in enumerate(free)}
     table = []
-    pivot_pos = {c: r for r, c in enumerate(pivot_cols)}
-    free_pos = {c: j for j, c in enumerate(free_cols)}
-    for c in range(ncols):
+    for c, row in enumerate(rows):
         if c in free_pos:
             table.append({free_pos[c]: _ONE})
-        else:
-            r = pivot_pos[c]
-            table.append({j: -x_exact[r][j]
-                          for j in range(target) if x_exact[r][j]})
-    return basis, table
-
-
-def _lift_reduced_block(accepted: list, pivot_cols: list, free_cols: list,
-                        reduced: np.ndarray, prime: int, ncols: int) -> list:
-    """Exact rational lift of the reduced rows restricted to free columns.
-
-    Starts from the single-prime residues already in the reducer and adds
-    primes (CRT) until a reconstruction passes the integer certification
-    against every accepted row; reconstruction alone is never trusted,
-    since a too-small modulus can yield a plausible wrong fraction.
-    """
-    residues = reduced[:, free_cols].astype(object)
-    modulus = prime
-    lifted = _modp.reconstruct_matrix(residues, modulus)
-    if lifted is not None and _lift_certified(accepted, pivot_cols,
-                                              free_cols, lifted):
-        return lifted
-    for p2 in _modp.PRIMES[1:]:
-        red2 = _modp.ModpReducer(ncols, p2)
-        for row in accepted:
-            red2.insert(np.array([x % p2 for x in row], dtype=np.int64))
-        piv2, rows2 = red2.sorted_state()
-        if piv2 != pivot_cols or red2.rank != len(pivot_cols):
-            continue  # unlucky prime for this row set
-        res2 = rows2[:, free_cols].astype(object)
-        residues = np.array(
-            [[_modp.crt_combine(int(a), modulus, int(b), p2)
-              for a, b in zip(ra, rb)]
-             for ra, rb in zip(residues, res2)], dtype=object)
-        modulus *= p2
-        lifted = _modp.reconstruct_matrix(residues, modulus)
-        if lifted is not None and _lift_certified(accepted, pivot_cols,
-                                                  free_cols, lifted):
-            return lifted
-    raise BuildError("rational reconstruction failed for all primes")
-
-
-def _lift_certified(rows: list, pivot_cols: list, free_cols: list,
-                    x_exact: list) -> bool:
-    try:
-        _verify_lift(rows, pivot_cols, free_cols, x_exact)
-    except BuildError:
-        return False
-    return True
-
-
-def _verify_lift(rows: list, pivot_cols: list, free_cols: list,
-                 x_exact: list) -> None:
-    """Certify row_F == row_P @ X over the integers for every given row."""
-    from math import lcm
-    nfree = len(free_cols)
-    npiv = len(pivot_cols)
-    col_den = []
-    col_num = []
-    for j in range(nfree):
-        den = 1
-        for r in range(npiv):
-            den = lcm(den, int(x_exact[r][j].denominator))
-        col_den.append(den)
-        col_num.append([int(x_exact[r][j] * den) for r in range(npiv)])
-    for row in rows:
-        rp = [(r, row[c]) for r, c in enumerate(pivot_cols) if row[c]]
-        for j in range(nfree):
-            nums = col_num[j]
-            lhs = sum(coef * nums[r] for r, coef in rp)
-            if lhs != row[free_cols[j]] * col_den[j]:
-                raise BuildError("modular lift failed integer certification")
+            continue
+        nz = [(g, x) for g, x in enumerate(row) if x]
+        entry = {}
+        for j in range(target):
+            t = sum((x * inv[g][j] for g, x in nz), _ZERO)
+            if t:
+                entry[j] = t
+        table.append(entry)
+    return [monos[c] for c in free], table

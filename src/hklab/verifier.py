@@ -63,7 +63,6 @@ class InstanceConfig:
     b2: int
     tail: tuple = ()
     seed: int = 0
-    budget: Optional[int] = None
 
     def resolved_tail(self) -> list:
         if self.tail:
@@ -506,6 +505,7 @@ class InstanceReport:
     m_scalar: str
     verdicts: list
     tables: list
+    # Seconds per phase, kept out of to_json() so reports are byte-identical.
     timings: dict
 
     @property
@@ -517,22 +517,19 @@ class InstanceReport:
             "header": self.header,
             "instance": {"n": self.config.n, "b2": self.config.b2,
                          "tail": [str(t) for t in self.config.resolved_tail()],
-                         "seed": self.config.seed,
-                         "budget": self.config.budget},
+                         "seed": self.config.seed},
             "dims": {str(d): v for d, v in sorted(self.dims.items())},
             "profile": self.profile.to_json(),
             "m_bracket_scalar": self.m_scalar,
             "verdicts": [v.to_json() for v in self.verdicts],
             "tables": self.tables,
-            "timings": {k: round(v, 3) for k, v in self.timings.items()},
             "all_asserted_passed": self.all_asserted_passed,
         }
 
 
 def build_instance(cfg: InstanceConfig) -> GradedAlgebra:
     space = make_standard_space(cfg.b2, cfg.resolved_tail())
-    return build_verbitsky(space, cfg.n, sample_budget=cfg.budget,
-                           seed=cfg.seed)
+    return build_verbitsky(space, cfg.n, seed=cfg.seed)
 
 
 def run_instance(cfg: InstanceConfig,
@@ -594,11 +591,10 @@ def run_instance(cfg: InstanceConfig,
         verdicts=verdicts, tables=tables, timings=timings)
 
 
-def run_grid(grid: Sequence = DEFAULT_GRID, seed: int = 0,
-             budget: Optional[int] = None) -> list:
+def run_grid(grid: Sequence = DEFAULT_GRID, seed: int = 0) -> list:
     reports = []
     for n, b2 in grid:
-        cfg = InstanceConfig(n=n, b2=b2, seed=seed, budget=budget)
+        cfg = InstanceConfig(n=n, b2=b2, seed=seed)
         reports.append(run_instance(cfg))
     return reports
 

@@ -28,11 +28,18 @@ def test_build_usage_error(capsys):
     assert "b2" in err
 
 
-def test_build_budget_error(capsys):
-    code, out, err = run(capsys, "build", "--n", "1", "--b2", "4",
-                         "--budget", "1")
-    assert code == 2
-    assert "target" in err
+def test_verify_deterministic(tmp_path, capsys):
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (p1, p2):
+        code, out, err = run(capsys, "verify", "--n", "1", "--b2", "5",
+                             "--out", str(path))
+        assert code == 0
+        timing = json.loads(err)
+        assert (timing["n"], timing["b2"]) == (1, 5)
+        assert set(timing["timings"]) == {"build", "operators",
+                                          "operator_checks", "filtrations"}
+    assert p1.read_bytes() == p2.read_bytes()
+    assert "timings" not in json.loads(p1.read_text())
 
 
 def test_verify_instance_exit_zero(tmp_path, capsys):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from hklab import _modp
-from hklab.linalg import QQ, Mat, rref
-from hklab.verbitsky import _lift_reduced_block, _verify_lift
-from hklab.verbitsky import BuildError
+from hklab.linalg import Mat, rref
 
 
 def test_rational_reconstruct_basics():
@@ -65,24 +63,3 @@ def test_reducer_rejects_dependent_and_overflow():
         red.insert(np.array([2 ** 62, 0], dtype=np.int64))
     with pytest.raises(ValueError):
         _modp.ModpReducer(_modp.MAX_COLS + 1, p)
-
-
-def test_lift_with_multi_prime_crt():
-    """A reduced entry whose height exceeds the single-prime bound must be
-    recovered through the CRT ladder and certified exactly."""
-    num, den = 123457, 40009
-    row = [den, num]
-    p = _modp.PRIMES[0]
-    red = _modp.ModpReducer(2, p)
-    assert red.insert(np.array(row, dtype=np.int64))
-    piv, state = red.sorted_state()
-    assert piv == [0]
-    x = _lift_reduced_block([row], piv, [1], state, p, 2)
-    assert x[0][0] == QQ(num, den)
-    _verify_lift([row], piv, [1], x)
-
-
-def test_verify_lift_catches_wrong_answer():
-    row = [2, 3]
-    with pytest.raises(BuildError):
-        _verify_lift([row], [0], [1], [[QQ(1)]])

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklab.linalg import QQ, LinalgError, Mat, rref
-from hklab.quadforms import make_standard_space, sample_isotropic
+from hklab.quadforms import (
+    QuadraticSpace,
+    make_standard_space,
+    sample_isotropic,
+    standard_tail,
+)
 from hklab.verbitsky import (
-    BudgetExhausted,
+    BuildError,
     GradedAlgebra,
     build_verbitsky,
     monomial_count,
@@ -43,37 +48,39 @@ def test_dimension_table(built, n, b2):
     assert list(alg.dims().values()) == expected_dims(n, b2)
 
 
-def test_brute_force_ideal_oracle(built):
-    """Independent route: assemble the quotient-degree ideal by brute
-    sampling and exact reduction, then compare the result of the modular
-    pipeline against it (same row space, same quotient dimension)."""
-    n, b2 = 1, 5
-    sp = make_standard_space(b2, [QQ(2)])
-    k = 2
-    monos = monomials(b2, k)
-    idx = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for v in sample_isotropic(sp, 40, seed=77):
-        row = [QQ(0)] * len(monos)
-        for mono, c in _power_coeffs([int(x) for x in v], n + 1).items():
-            row[idx[mono]] = QQ(c)
-        rows.append(row)
-    red, piv, rk = rref(Mat.from_rows(rows))
-    assert len(monos) - rk == monomial_count(b2, 2 * n - k) == 1
-
+@pytest.mark.parametrize("n,b2", [(1, 5), (2, 4), (2, 5), (3, 4)])
+def test_brute_force_ideal_oracle(built, n, b2):
+    """Independent route: in every quotient degree, assemble the ideal from
+    sampled isotropic powers v^(n+1) * Sym^(k-n-1), row-reduce it exactly,
+    and read off the basis (non-pivot monomials) and every coset; the
+    catalecticant build must give the same basis and the same table."""
     alg = built(n, b2)
-    # the built basis must consist of non-pivot monomials of the same ideal
-    basis = alg.levels[k]
-    assert len(basis) == 1
-    basis_idx = idx[basis[0]]
-    assert basis_idx not in piv
-    # projection must agree: every pivot monomial's coset against the
-    # brute-force reduced rows equals the built projection table
-    table = alg.proj[k]
-    for r, c in enumerate(piv):
-        expected = -red.data[r][basis_idx]
-        got = table[c].get(0, QQ(0))
-        assert got == expected
+    gens = [_power_coeffs([int(x) for x in v], n + 1)
+            for v in sample_isotropic(alg.space, 40, seed=77)]
+    for k in range(n + 1, 2 * n + 1):
+        monos = monomials(b2, k)
+        idx = {m: i for i, m in enumerate(monos)}
+        # enough generators to span the ideal, plus 4 spare
+        needed = -(-(len(monos) - monomial_count(b2, 2 * n - k))
+                   // monomial_count(b2, k - n - 1))
+        rows = []
+        for base in gens[:needed + 4]:
+            for gamma in monomials(b2, k - n - 1):
+                row = [QQ(0)] * len(monos)
+                for mono, c in base.items():
+                    row[idx[tuple(a + g for a, g in zip(mono, gamma))]] = QQ(c)
+                rows.append(row)
+        red, piv, rk = rref(Mat.from_rows(rows))
+        free = [c for c in range(len(monos)) if c not in piv]
+        assert len(free) == monomial_count(b2, 2 * n - k)
+        assert alg.levels[k] == [monos[c] for c in free]
+        expected = [None] * len(monos)
+        for j, c in enumerate(free):
+            expected[c] = {j: QQ(1)}
+        for r, c in enumerate(piv):
+            expected[c] = {j: -red.data[r][f]
+                           for j, f in enumerate(free) if red.data[r][f]}
+        assert alg.proj[k] == expected
 
 
 def test_unit_law(built):
@@ -176,21 +183,30 @@ def test_fresh_isotropic_relations_hold(built):
         assert y.is_zero()
 
 
-def test_budget_exhaustion_reports_dims():
-    sp = make_standard_space(4, [])
-    with pytest.raises(BudgetExhausted) as err:
-        build_verbitsky(sp, 1, sample_budget=1, seed=0)
-    assert err.value.target == 1
-    assert err.value.achieved > err.value.target
-    assert "target" in str(err.value)
+def test_rank_shortfall_names_degree_rank_and_target():
+    """A degenerate Gram (QuadraticSpace rejects it, so its check is
+    bypassed) leaves xi_3 out of Q, and the degree-6 catalecticant loses
+    rank; the build must fail and say where and by how much."""
+    space = object.__new__(QuadraticSpace)
+    object.__setattr__(space, "gram", Mat.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]))
+    with pytest.raises(BuildError) as err:
+        build_verbitsky(space, 2)
+    assert str(err.value) == \
+        "degree 6: catalecticant rank 3 is below the target 4"
 
 
 def test_invalid_parameters():
     sp = make_standard_space(4, [])
     with pytest.raises(Exception):
         build_verbitsky(sp, 0)
-    with pytest.raises(Exception):
-        build_verbitsky(sp, 1, sample_budget=0)
+
+
+@pytest.mark.parametrize("n,b2", [(2, 14), (2, 23)])
+def test_frontier_build_dims(n, b2):
+    """Sym^4 has 2380 and 14950 monomials here."""
+    alg = build_verbitsky(make_standard_space(b2, standard_tail(b2)), n)
+    assert list(alg.dims().values()) == expected_dims(n, b2)
 
 
 def test_build_determinism():
