@@ -9,8 +9,11 @@ eigenspace bigrading (p, q, i) refining every graded piece.
 Scalar conventions.  The sl2 completion Lambda_x of (L_x, h) scales like
 1/x, so the assignment x -> Lambda_x is not linear; what is linear is
 x -> (q(x)/2) * Lambda_x, which agrees with Lambda_x exactly on the quadric
-q(x) = 2.  lambda_linear implements that linear extension, verifying
-basis-independence on two independently chosen anisotropic bases.
+q(x) = 2.  lambda_linear implements that linear extension: it completes
+the vectors of one anisotropic basis and certifies every vector y of a
+second, differently chosen basis by the bracket identity
+[L_y, Lambda_lin(y)] = (q(y)/2) h, which holds exactly when the extension
+does not depend on the basis.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from typing import Callable, Optional, Sequence
 from hklab.linalg import (
     QQ,
     EigenDefectError,
-    LinalgError,
     Mat,
     Subspace,
     qq,
     rank,
+    rref,
     simultaneous_eigenspaces,
     solve,
     vec,
@@ -92,17 +95,20 @@ class GradedOperator:
         if self.degrees != other.degrees:
             raise OperatorError("operators live on different graded spaces")
 
-    def __add__(self, other: "GradedOperator") -> "GradedOperator":
+    def _blockwise(self, other: "GradedOperator", fn) -> "GradedOperator":
         self._same_grading(other)
         if self.offset != other.offset:
-            raise OperatorError("cannot add operators of different offsets")
+            raise OperatorError("cannot combine operators of different offsets")
         return GradedOperator(
             self.degrees, self.offset,
-            {d: self.block(d) + other.block(d) for d in self.degrees
+            {d: fn(self.block(d), other.block(d)) for d in self.degrees
              if self.dim(d) and self.dim(d + self.offset)})
 
+    def __add__(self, other: "GradedOperator") -> "GradedOperator":
+        return self._blockwise(other, Mat.__add__)
+
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self + other.scale(-1)
+        return self._blockwise(other, Mat.__sub__)
 
     def scale(self, c) -> "GradedOperator":
         return GradedOperator(self.degrees, self.offset,
@@ -182,6 +188,44 @@ def identity_operator(degrees: dict) -> GradedOperator:
 
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return a.compose(b) - b.compose(a)
+
+
+def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
+    """The linear combination sum_i coeffs[i] * ops[i], in one pass.
+
+    All operators must share grading and offset.  Zero coefficients are
+    skipped, and no block is stored for a degree whose source or target is
+    zero-dimensional; the zero combination is the zero operator.
+    """
+    first = ops[0]
+    terms = []
+    for c, op in zip(coeffs, ops):
+        first._same_grading(op)
+        if op.offset != first.offset:
+            raise OperatorError("cannot combine operators of different offsets")
+        if c:
+            terms.append((QQ(c), op))
+    off = first.offset
+    blocks = {}
+    for d in first.degrees:
+        rows, cols = first.dim(d + off), first.dim(d)
+        if not (rows and cols):
+            continue
+        acc = None
+        for c, op in terms:
+            m = op.blocks.get(d)
+            if m is None:
+                continue
+            if acc is None:
+                acc = [[c * e if e else _ZERO for e in r] for r in m.data]
+                continue
+            for arow, r in zip(acc, m.data):
+                for j, e in enumerate(r):
+                    if e:
+                        arow[j] += c * e
+        if acc is not None:
+            blocks[d] = Mat(rows, cols, acc)
+    return GradedOperator(first.degrees, off, blocks)
 
 
 def total_matrix(op: GradedOperator) -> tuple:
@@ -300,21 +344,23 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
                 images[e].append([coeff * c for c in steps[j - 1]])
 
     blocks = {}
-    from hklab.linalg import invert
-    for e, cols in adapted.items():
-        dim_e = degrees[e]
-        if len(cols) != dim_e:
+    for e, vecs in adapted.items():
+        dim_e, dim_t = degrees[e], degrees.get(e - 2, 0)
+        if len(vecs) != dim_e:
             raise NotLefschetzError(
-                f"ladders span {len(cols)} of {dim_e} dimensions in degree {e}")
-        basis = Mat.from_cols(cols)
-        try:
-            binv = invert(basis)
-        except LinalgError:
+                f"ladders span {len(vecs)} of {dim_e} dimensions in degree {e}")
+        # The block X solves X B = img for the ladder basis B (columns vecs),
+        # i.e. B^T X^T = img^T: one elimination of [B^T | img^T].
+        aug = Mat(dim_e, dim_e + dim_t,
+                  [v + w for v, w in zip(vecs, images[e])])
+        red, pivots, _ = rref(aug)
+        if pivots[:dim_e] != list(range(dim_e)):
             raise NotLefschetzError(
-                f"ladder vectors are dependent in degree {e}") from None
-        img = Mat.from_cols(images[e]) if degrees.get(e - 2, 0) else \
-            Mat.zeros(0, dim_e)
-        blocks[e] = img * binv
+                f"ladder vectors are dependent in degree {e}")
+        if dim_t:
+            blocks[e] = Mat(dim_t, dim_e,
+                            [[red.data[i][dim_e + t] for i in range(dim_e)]
+                             for t in range(dim_t)])
     return GradedOperator(degrees, -2, blocks)
 
 
@@ -347,7 +393,7 @@ def anisotropic_basis(space: QuadraticSpace, variant: int = 0) -> list:
     The two variants prefer different coefficient patterns (plain and
     positive combinations versus negative combinations first), so on any
     space of dimension at least two they produce genuinely different bases;
-    the linear-extension check compares the results.
+    the linear extension completes the first and is certified on the second.
     """
     n = space.dim
     chosen: list = []
@@ -382,44 +428,39 @@ def anisotropic_basis(space: QuadraticSpace, variant: int = 0) -> list:
     return chosen
 
 
-def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable,
-                      sl2_check: bool = True) -> list:
+def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
     """Linear dual-Lefschetz operators for the unit vectors of the space.
 
     l_of(x) must return the raising operator of a degree-2 vector x.  Each
-    anisotropic basis vector x contributes (q(x)/2) times its sl2
-    completion; the table is rebuilt from a second, differently chosen
-    anisotropic basis and must agree exactly (well-definedness of the
-    linear extension).
+    vector x of the variant-0 anisotropic basis contributes (q(x)/2) times
+    its sl2 completion, checked by [L_x, Lambda_x] = h, and the table is the
+    linear extension of these values.  Well-definedness is certified on the
+    variant-1 basis: for each y there, [L_y, Lambda_lin(y)] = (q(y)/2) h
+    must hold exactly.  Since [h, .] = -2 holds for every degree -2
+    operator, this makes (L_y, (2/q(y)) Lambda_lin(y), h) an sl2 triple,
+    and the lowering operator of a triple is unique given e and h; so the
+    check passes exactly when the table built from the second basis would
+    agree with this one.
     """
-    def build(variant: int) -> list:
-        basis = anisotropic_basis(space, variant=variant)
-        duals = []
-        for x in basis:
-            lop = l_of(x)
-            lam = sl2_complete(lop, n)
-            if sl2_check and commutator_op(lop, lam) != grading(lop.degrees, n):
-                raise NotLefschetzError(
-                    "sl2 completion failed the bracket identity")
-            duals.append(lam.scale(space.quad(x) / 2))
-        bmat = Mat.from_cols(basis)
-        out = []
-        for s in range(space.dim):
-            unit = [_ONE if j == s else _ZERO for j in range(space.dim)]
-            coeffs = solve(bmat, unit)
-            op = None
-            for c, dual in zip(coeffs, duals):
-                if c == 0:
-                    continue
-                term = dual.scale(c)
-                op = term if op is None else op + term
-            out.append(op)
-        return out
-
-    table = build(0)
-    check = build(1)
-    for a, b in zip(table, check):
-        if a != b:
+    basis = anisotropic_basis(space, variant=0)
+    lops = [l_of(x) for x in basis]
+    h = grading(lops[0].degrees, n)
+    duals = []
+    for lop in lops:
+        lam = sl2_complete(lop, n)
+        if commutator_op(lop, lam) != h:
+            raise NotLefschetzError("sl2 completion failed the bracket identity")
+        duals.append(lam)
+    half_q = [space.quad(x) / 2 for x in basis]
+    bmat = Mat.from_cols(basis)
+    table = []
+    for s in range(space.dim):
+        unit = [_ONE if j == s else _ZERO for j in range(space.dim)]
+        coeffs = solve(bmat, unit)
+        table.append(combine([c * w for c, w in zip(coeffs, half_q)], duals))
+    for y in anisotropic_basis(space, variant=1):
+        if commutator_op(l_of(y), combine(y, table)) != \
+                h.scale(space.quad(y) / 2):
             raise OperatorError(
                 "linear extension of the dual Lefschetz is basis-dependent")
     return table
@@ -439,19 +480,12 @@ def lambda_linear(alg: GradedAlgebra, y: Sequence) -> GradedOperator:
 
     For general anisotropic y the result is (q(y)/2) * dual_lefschetz(y);
     on isotropic y it is defined by linearity alone.  Basis independence is
-    verified once per algebra against a second anisotropic basis.
+    certified once per algebra on a second anisotropic basis.
     """
     y = vec(y)
-    table = _lambda_table(alg)
-    op = None
-    for c, lam_s in zip(y, table):
-        if c == 0:
-            continue
-        term = lam_s.scale(c)
-        op = term if op is None else op + term
-    if op is None:
+    if not any(y):
         raise OperatorError("lambda_linear of the zero vector")
-    return op
+    return combine(y, _lambda_table(alg))
 
 
 # -- frames -------------------------------------------------------------------

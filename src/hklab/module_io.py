@@ -18,6 +18,7 @@ subspace).
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from hklab.llv import (
     NotLefschetzError,
     OperatorError,
     anisotropic_basis,
+    combine,
     commutator_op,
     grading,
     linear_dual_table,
@@ -57,9 +59,13 @@ def _schema() -> dict:
 
 # -- data model ----------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class LLVModuleSpec:
-    """A validated-shape (not yet relation-checked) operator module."""
+    """A validated-shape (not yet relation-checked) operator module.
+
+    Specs are not mutated after construction and compare by identity, so a
+    spec can key the cache of its dual-Lefschetz table.
+    """
 
     space: QuadraticSpace
     n: int
@@ -71,16 +77,7 @@ class LLVModuleSpec:
     label: str = ""
 
     def l_of(self, x: Sequence) -> GradedOperator:
-        x = vec(x)
-        op = None
-        for c, l_s in zip(x, self.l_actions):
-            if c == 0:
-                continue
-            term = l_s.scale(c)
-            op = term if op is None else op + term
-        if op is None:
-            return GradedOperator(self.degrees, 2, {})
-        return op
+        return combine(vec(x), self.l_actions)
 
     def odd_degrees(self) -> list:
         return sorted(d for d, m in self.degrees.items() if d % 2 and m)
@@ -98,8 +95,9 @@ def _blocks_from_json(obj: dict, degrees: dict, offset: int,
     blocks = {}
     for dstr, rows in obj.items():
         d = int(dstr)
+        # An empty list is a block into a zero-dimensional target.
         m = Mat.from_rows([[qq(e) for e in row] for row in rows]) \
-            if rows else Mat.zeros(0, 0)
+            if rows else Mat.zeros(0, degrees.get(d, 0))
         exp = (degrees.get(d + offset, 0), degrees.get(d, 0))
         if m.shape != exp:
             raise SchemaError(
@@ -278,7 +276,7 @@ def validate(spec: LLVModuleSpec) -> ValidationReport:
     table = None
     ok, witness = True, ""
     try:
-        table = linear_dual_table(spec.space, n, spec.l_of)
+        table = module_lambda_table(spec)
     except (NotLefschetzError, OperatorError, LinalgError) as exc:
         ok, witness = False, str(exc)
     rep.checks.append(Check("dual-completions-and-linearity", ok, witness))
@@ -303,39 +301,31 @@ def validate(spec: LLVModuleSpec) -> ValidationReport:
         if table is not None:
             ok, witness = True, ""
             for x, lam in zip(spec.lambda_basis, spec.lambda_actions):
-                rebuilt = None
-                for c, lam_s in zip(x, table):
-                    if c == 0:
-                        continue
-                    term = lam_s.scale(c)
-                    rebuilt = term if rebuilt is None else rebuilt + term
-                if rebuilt != lam:
+                if combine(x, table) != lam:
                     ok, witness = False, "declared Lambda differs from recomputed"
                     break
             rep.checks.append(Check("declared-lambda-agreement", ok, witness))
     return rep
 
 
+_MODULE_LAMBDA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def module_lambda_table(spec: LLVModuleSpec) -> list:
-    return linear_dual_table(spec.space, spec.n, spec.l_of)
+    """The module's linear dual-Lefschetz table, computed once per spec."""
+    table = _MODULE_LAMBDA_CACHE.get(spec)
+    if table is None:
+        table = linear_dual_table(spec.space, spec.n, spec.l_of)
+        _MODULE_LAMBDA_CACHE[spec] = table
+    return table
 
 
 def module_frame_calculus(spec: LLVModuleSpec, frame):
     """FrameCalculus over an ingested module (validation should be all-pass)."""
     from hklab.llv import frame_calculus_generic
     table = module_lambda_table(spec)
-
-    def lam_of(y):
-        y = vec(y)
-        op = None
-        for c, lam_s in zip(y, table):
-            if c == 0:
-                continue
-            term = lam_s.scale(c)
-            op = term if op is None else op + term
-        return op
-
-    return frame_calculus_generic(frame, spec.n, spec.l_of, lam_of,
+    return frame_calculus_generic(frame, spec.n, spec.l_of,
+                                  lambda y: combine(vec(y), table),
                                   grading(spec.degrees, spec.n))
 
 

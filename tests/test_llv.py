@@ -10,6 +10,7 @@ from hklab.llv import (
     bigrading,
     build_M,
     build_frame,
+    combine,
     commutator_op,
     dual_lefschetz,
     frame_calculus,
@@ -301,3 +302,40 @@ def test_full_pipeline_on_permuted_gram():
     for (p, q, i), sub in big.degree_components(2).items():
         rows[i] = rows.get(i, 0) + sub.dim
     assert rows == {0: 1, 1: 3, 2: 1}
+
+
+def _fold(coeffs, ops):
+    """The scale-and-add fold that combine replaces."""
+    acc = None
+    for c, op in zip(coeffs, ops):
+        if c == 0:
+            continue
+        term = op.scale(c)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def test_combine_matches_scale_and_add_fold(built):
+    alg = built(2, 5)
+    lops = [lefschetz(alg, unit(5, s)) for s in range(5)]
+    lams = [lambda_linear(alg, unit(5, s)) for s in range(5)]
+    for ops in (lops, lams):
+        for coeffs in ([1, 0, 0, 0, 0], [QQ(1, 3), 0, -2, 5, QQ(-7, 2)],
+                       [0, 1, 1, 0, -1]):
+            got = combine(coeffs, ops)
+            assert got == _fold(coeffs, ops)
+            assert got.offset == ops[0].offset
+            assert all(got.dim(d) and got.dim(d + got.offset)
+                       for d in got.blocks)
+    assert combine([0] * 5, lams).is_zero()
+
+
+def test_sub_matches_add_of_negation(built):
+    alg = built(1, 5)
+    a = lefschetz(alg, [1, 2, 0, -1, 3])
+    b = lefschetz(alg, [0, 1, 1, 0, QQ(1, 2)])
+    diff = a - b
+    assert diff == a + b.scale(-1)
+    assert sorted(diff.blocks) == sorted((a + b.scale(-1)).blocks)
+    with pytest.raises(OperatorError):
+        a - lambda_linear(alg, [1, 1, 0, 0, 0])

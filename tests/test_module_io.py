@@ -1,7 +1,10 @@
 import json
 
+import jsonschema
 import pytest
 
+import hklab.module_io as module_io
+from hklab.linalg import qq
 from hklab.llv import build_frame
 from hklab.module_io import (
     SchemaError,
@@ -13,9 +16,11 @@ from hklab.module_io import (
     make_shifted_module,
     make_spin_module,
     module_frame_calculus,
+    module_lambda_table,
     module_to_json,
     validate,
 )
+from hklab.verifier import check_odd
 
 
 def test_export_round_trip_bit_exact(built):
@@ -124,3 +129,136 @@ def test_validation_report_render(built):
     assert "all-pass" in text
     js = report.to_json()
     assert js["all_passed"] is True
+
+
+def test_empty_lambda_block_round_trips(built):
+    """b2 >= 5 exports have a Lambda block from degree 0 into nothing."""
+    obj = export_module(built(2, 5))
+    text = dump_canonical(obj)
+    spec = load_module(text)
+    assert dump_canonical(module_to_json(spec)) == text
+    report = validate(spec)
+    assert report.all_passed, report.render_text()
+    # The earlier export format wrote that block as an empty list.
+    blocks = obj["Lambda_actions"]["blocks"]
+    assert all("0" not in blk for blk in blocks)
+    blocks[0]["0"] = []
+    spec = load_module(obj)
+    assert spec.lambda_actions[0].block(0).shape == (0, 1)
+    assert validate(spec).all_passed
+
+
+def test_empty_block_into_populated_degree_rejected(built):
+    obj = export_module(built(1, 4))
+    obj["L_actions"][0]["0"] = []
+    with pytest.raises(SchemaError, match=r"shape \(0, 1\), expected \(4, 1\)"):
+        load_module(obj)
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_scaled_raising_operator_fails_basis_certificate(built, s):
+    obj = export_module(built(1, 5))
+    obj.pop("Lambda_actions")
+    obj["L_actions"][s] = {d: [[str(2 * qq(e)) for e in row] for row in m]
+                           for d, m in obj["L_actions"][s].items()}
+    report = validate(load_module(obj))
+    failed = {c.name: c.witness for c in report.failed()}
+    assert "basis-dependent" in failed["dual-completions-and-linearity"]
+
+
+def test_one_lambda_table_per_module(monkeypatch):
+    calls = []
+    real = module_io.linear_dual_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module_io, "linear_dual_table", counting)
+    spec = load_module(make_spin_module(2))
+    frame = build_frame(spec.space, seed=0)
+    assert validate(spec).all_passed
+    check_odd(spec, frame)
+    module_frame_calculus(spec, frame)
+    assert module_lambda_table(spec) is module_lambda_table(spec)
+    assert len(calls) == 1
+
+
+# The module schema as it was with a "$ref" per rational cell; the inlined
+# pattern must reject the same documents with the same message.
+_REF_SCHEMA = json.loads(r"""
+{
+  "$schema": "http://json-schema.org/draft-07/schema#",
+  "$id": "hklab-llv-module.schema.json",
+  "type": "object",
+  "required": ["format", "version", "n", "space", "degrees", "h_action", "L_actions"],
+  "additionalProperties": false,
+  "properties": {
+    "format": {"const": "hklab-llv-module"},
+    "version": {"const": 1},
+    "label": {"type": "string"},
+    "n": {"type": "integer", "minimum": 1},
+    "space": {
+      "type": "object",
+      "required": ["dim", "gram"],
+      "additionalProperties": false,
+      "properties": {
+        "dim": {"type": "integer", "minimum": 1},
+        "gram": {"$ref": "#/$defs/matrix"}
+      }
+    },
+    "degrees": {
+      "type": "object",
+      "patternProperties": {"^-?[0-9]+$": {"type": "integer", "minimum": 0}},
+      "additionalProperties": false
+    },
+    "h_action": {"$ref": "#/$defs/blockmap"},
+    "L_actions": {
+      "type": "array",
+      "items": {"$ref": "#/$defs/blockmap"}
+    },
+    "Lambda_actions": {
+      "type": "object",
+      "required": ["basis", "blocks"],
+      "additionalProperties": false,
+      "properties": {
+        "basis": {"type": "array", "items": {"$ref": "#/$defs/vector"}},
+        "blocks": {"type": "array", "items": {"$ref": "#/$defs/blockmap"}}
+      }
+    }
+  },
+  "$defs": {
+    "rational": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
+    "vector": {"type": "array", "items": {"$ref": "#/$defs/rational"}},
+    "matrix": {"type": "array", "items": {"$ref": "#/$defs/vector"}},
+    "blockmap": {
+      "type": "object",
+      "patternProperties": {"^-?[0-9]+$": {"$ref": "#/$defs/matrix"}},
+      "additionalProperties": false
+    }
+  }
+}
+""")
+
+
+def _malformed(kind, obj):
+    if kind == "fractional-cell":
+        obj["L_actions"][1]["2"][0][0] = "1.5"
+    elif kind == "missing-n":
+        del obj["n"]
+    elif kind == "extra-key":
+        obj["comment"] = "not part of the format"
+    elif kind == "row-not-a-list":
+        obj["h_action"]["2"][0] = "0"
+    return obj
+
+
+@pytest.mark.parametrize("kind", ["fractional-cell", "missing-n", "extra-key",
+                                  "row-not-a-list"])
+def test_schema_errors_unchanged(built, kind):
+    obj = _malformed(kind, export_module(built(1, 4)))
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(obj, _REF_SCHEMA)
+    with pytest.raises(SchemaError) as got:
+        load_module(obj)
+    assert str(got.value) == f"schema violation: {ref.value.message}"
