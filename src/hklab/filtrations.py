@@ -348,23 +348,61 @@ def verify_graded_weight_filtration(op: GradedOperator,
 
 # -- the perverse filtration -----------------------------------------------------
 
-def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int) -> dict:
+class LefschetzPowers:
+    """Powers lop^e of a raising operator from each source degree, and their
+    kernels, each computed once on first use."""
+
+    def __init__(self, lop: GradedOperator):
+        self.lop = lop
+        self._powers: dict = {}
+        self._kernels: dict = {}
+
+    def power(self, src_degree: int, e: int) -> Mat:
+        """Matrix of lop^e starting at src_degree (zero map if targets vanish)."""
+        key = (src_degree, e)
+        m = self._powers.get(key)
+        if m is None:
+            if e == 0:
+                m = Mat.identity(self.lop.degrees.get(src_degree, 0))
+            else:
+                m = (self.lop.block(src_degree + 2 * (e - 1))
+                     * self.power(src_degree, e - 1))
+            self._powers[key] = m
+        return m
+
+    def kernel(self, src_degree: int, e: int) -> Subspace:
+        key = (src_degree, e)
+        ker = self._kernels.get(key)
+        if ker is None:
+            ker = kernel_basis(self.power(src_degree, e))
+            self._kernels[key] = ker
+        return ker
+
+
+def _require_isotropic(alg: GradedAlgebra, beta: Sequence) -> None:
+    if alg.space.quad(list(beta)) != 0:
+        raise FiltrationError("perverse filtration needs an isotropic class")
+
+
+def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
+                        powers: LefschetzPowers | None = None) -> dict:
     """Perverse chain P_i H^d for an isotropic degree-2 class, as {i: Subspace}.
 
     Implements the kernel-sum formula with Ker(beta^e) = 0 for e <= 0; the
-    weight-filtration cross-check pins down these edge conventions.
+    weight-filtration cross-check pins down these edge conventions.  The
+    powers of L_beta and their kernels come from `powers`, which callers
+    computing several degrees share; by default they are built here.
     """
-    if alg.space.quad(list(beta)) != 0:
-        raise FiltrationError("perverse filtration needs an isotropic class")
+    _require_isotropic(alg, beta)
     n = alg.n
     dims = alg.dims()
     if d not in dims:
         raise FiltrationError(f"no graded piece in degree {d}")
-    lop = lefschetz(alg, beta)
-    dim_d = dims[d]
+    if powers is None:
+        powers = LefschetzPowers(lefschetz(alg, beta))
     out = {}
     for i in range(-1, 2 * n + 2):
-        acc = Subspace.zero(dim_d)
+        vecs = []
         for j in range(0, d // 2 + 1):
             src = d - 2 * j
             if src not in dims:
@@ -372,35 +410,30 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int) -> dict:
             e = n - (d - 2 * j) + i + 1
             if e <= 0:
                 continue
-            ker = kernel_basis(_power_block(lop, src, e))
+            ker = powers.kernel(src, e)
             if ker.dim == 0:
                 continue
-            shift = _power_block(lop, src, j)
-            vecs = [shift.times_vec(v) for v in ker.vectors()]
-            acc = subspace_sum(acc, Subspace.from_vectors(dim_d, vecs))
-        out[i] = acc
+            shift = powers.power(src, j)
+            vecs.extend(shift.times_vec(v) for v in ker.vectors())
+        out[i] = Subspace.from_vectors(dims[d], vecs)
     return out
 
 
-def _power_block(lop: GradedOperator, src_degree: int, e: int) -> Mat:
-    """Matrix of lop^e starting at src_degree (zero map if targets vanish)."""
-    dims = lop.degrees
-    m = Mat.identity(dims.get(src_degree, 0))
-    d = src_degree
-    for _ in range(e):
-        m = lop.block(d) * m
-        d += 2
-    return m
-
-
 def crosscheck_perverse_weight(alg: GradedAlgebra, beta: Sequence) -> bool:
-    """W^{L_beta}_i restricted to degree d equals P_{d+i-2n} H^d, exactly."""
+    """W^{L_beta}_i restricted to degree d equals P_{d+i-2n} H^d, exactly.
+
+    Both routes start from the operator L_beta; the kernel-sum route
+    computes its own powers and kernels, shared across degrees, and never
+    reads the Jordan chains of the weight route.
+    """
+    _require_isotropic(alg, beta)
     n = alg.n
     dims = alg.dims()
     lop = lefschetz(alg, beta)
     wf = graded_weight_filtration(lop, n)
+    powers = LefschetzPowers(lop)
     for d in sorted(dims):
-        chain = perverse_filtration(alg, beta, d)
+        chain = perverse_filtration(alg, beta, d, powers)
         pmax = max(chain)
         for i in range(0, 2 * n + 1):
             left = wf.step(d, i)

@@ -5,11 +5,20 @@ entries are exact rationals (gmpy2.mpq, with a fractions.Fraction fallback),
 pivoting is deterministic (first nonzero), so every basis produced anywhere
 in the package is reproducible across runs.  All values are immutable by
 convention and all operations are pure.
+
+Every elimination (rref, kernels, images, solves, inverses, determinants,
+subspaces and IncrementalRref) runs on integer rows: each row is scaled by
+the lcm of its denominators, rows are combined as p*row - f*lead and kept
+primitive (divided by the gcd of their entries), and the rational result is
+formed once at the end by dividing each row by its pivot.  Since the reduced
+row echelon form of a matrix is unique, this gives the same values as
+elimination in the rationals, with no rational arithmetic per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 try:
@@ -204,31 +213,25 @@ class Mat:
         return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     def det(self) -> QQ:
-        """Determinant by fraction Gaussian elimination with row swaps."""
+        """Determinant by fraction-free (Bareiss) elimination: the last pivot.
+
+        Row i is scaled by the lcm d_i of its denominators, so the result is
+        sign * last_pivot / prod(d_i).
+        """
         if self.rows != self.cols:
             raise LinalgError("determinant of a non-square matrix")
-        a = [list(r) for r in self.data]
         n = self.rows
-        sign = 1
-        acc = _ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c]), None)
-            if piv is None:
-                return _ZERO
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                sign = -sign
-            acc *= a[c][c]
-            inv = 1 / a[c][c]
-            prow = a[c]
-            for r in range(c + 1, n):
-                f = a[r][c]
-                if f:
-                    f *= inv
-                    arow = a[r]
-                    for j in range(c, n):
-                        arow[j] -= f * prow[j]
-        return acc if sign == 1 else -acc
+        if n == 0:
+            return _ONE
+        scaled = [_int_row(r) for r in self.data]
+        a = [row for row, _ in scaled]
+        pivots, sign = _echelon(a, n, bareiss=True)
+        if len(pivots) < n:
+            return _ZERO
+        denom = 1
+        for _, d in scaled:
+            denom *= d
+        return QQ(sign * a[n - 1][n - 1], denom)
 
     def _same_shape(self, other: "Mat") -> None:
         if self.shape != other.shape:
@@ -241,6 +244,87 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 # -- row reduction ----------------------------------------------------------
 
+def _int_row(v: Sequence) -> tuple:
+    """(row, d): the entries of v times d, as ints, for d the lcm of their
+    denominators.  Accepts ints, QQ values and whatever QQ() parses."""
+    qs = [e if type(e) is QQ else QQ(e) for e in v]
+    d = lcm(*[int(e.denominator) for e in qs])
+    if d == 1:
+        return [int(e.numerator) for e in qs], 1
+    return [int(e.numerator) * (d // int(e.denominator)) for e in qs], d
+
+
+def _combine(row: list, lead: list, c: int) -> list:
+    """lead[c]*row - row[c]*lead: row with column c cleared by the pivot row."""
+    p, f = lead[c], row[c]
+    return [p * x - f * y for x, y in zip(row, lead)]
+
+
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _qq_row(row: list, p: int) -> list:
+    """The integer row divided by p, as QQ entries."""
+    return [QQ(x, p) if x else _ZERO for x in row]
+
+
+def _echelon(a: list, ncols: int, bareiss: bool = False) -> tuple:
+    """Gauss-Jordan elimination of the integer rows `a`, in place.
+
+    The one elimination loop here; IncrementalRref and Subspace.contains
+    apply its row step to one row at a time.  Pivots are the first nonzero
+    entry in each column scan, with the same row swaps as elimination in the
+    rationals, so row i of the result is a nonzero multiple of row i of the
+    reduced row echelon form and rows past the rank are zero.  Updated rows
+    are made primitive; with `bareiss` they are instead divided exactly by
+    the previous pivot (Bareiss, Math. Comp. 22, 1968), every row is updated
+    at every step, and the last pivot of a nonsingular square matrix is its
+    determinant times the sign of the row permutation.
+
+    Returns (pivot_cols, sign of the row permutation).
+    """
+    nr = len(a)
+    pivots = []
+    sign = 1
+    prev = 1
+    prow = 0
+    for c in range(ncols):
+        piv = next((r for r in range(prow, nr) if a[r][c]), None)
+        if piv is None:
+            continue
+        if piv != prow:
+            a[prow], a[piv] = a[piv], a[prow]
+            sign = -sign
+        lead = a[prow]
+        p = lead[c]
+        for r in range(nr):
+            row = a[r]
+            if r == prow:
+                continue
+            if row[c]:
+                row = _combine(row, lead, c)
+                a[r] = [x // prev for x in row] if bareiss else _primitive(row)
+            elif bareiss:
+                a[r] = [p * x // prev for x in row]
+        if bareiss:
+            prev = p
+        pivots.append(c)
+        prow += 1
+        if prow == nr:
+            break
+    return pivots, sign
+
+
+def _reduced(m: Mat) -> tuple:
+    """(integer rows, pivot_cols) of the elimination of m."""
+    a = [_int_row(r)[0] for r in m.data]
+    pivots, _ = _echelon(a, m.cols)
+    return a, pivots
+
+
 def rref(m: Mat) -> tuple:
     """Reduced row echelon form.
 
@@ -248,64 +332,37 @@ def rref(m: Mat) -> tuple:
     entry in each column scan, so the output is canonical for a given row
     space.
     """
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    prow = 0
-    for c in range(nc):
-        piv = next((r for r in range(prow, nr) if a[r][c]), None)
-        if piv is None:
-            continue
-        a[prow], a[piv] = a[piv], a[prow]
-        inv = 1 / a[prow][c]
-        a[prow] = [e * inv for e in a[prow]]
-        lead = a[prow]
-        for r in range(nr):
-            if r != prow and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], lead)]
-        pivots.append(c)
-        prow += 1
-        if prow == nr:
-            break
-    return Mat(nr, nc, a), pivots, len(pivots)
+    a, pivots = _reduced(m)
+    rk = len(pivots)
+    data = [_qq_row(a[i], a[i][c]) for i, c in enumerate(pivots)]
+    data += [[_ZERO] * m.cols for _ in range(rk, m.rows)]
+    return Mat(m.rows, m.cols, data), pivots, rk
 
 
 def rank(m: Mat) -> int:
-    return rref(m)[2]
+    return len(_reduced(m)[1])
 
 
 def solve(a: Mat, b: Sequence) -> Optional[list]:
     """One solution of a*x = b, or None if the system is inconsistent."""
     if len(b) != a.rows:
         raise LinalgError("right-hand side length does not match row count")
-    aug = Mat(a.rows, a.cols + 1,
-              [list(r) + [QQ(x)] for r, x in zip(a.data, b)])
-    red, pivots, _ = rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [_ZERO] * a.cols
-    for i, c in enumerate(pivots):
-        x[c] = red.data[i][a.cols]
-    return x
+    x = solve_matrix(a, Mat(a.rows, 1, [[QQ(e)] for e in b]))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(a: Mat, b: Mat) -> Optional[Mat]:
     """Solve a*X = b column by column; None if any column is inconsistent."""
     if b.rows != a.rows:
         raise LinalgError("shape mismatch in solve_matrix")
-    cols = []
-    aug = Mat(a.rows, a.cols + b.cols,
-              [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)])
-    red, pivots, _ = rref(aug)
-    if any(p >= a.cols for p in pivots):
+    red, pivots = _reduced(Mat(a.rows, a.cols + b.cols,
+                               [ra + rb for ra, rb in zip(a.data, b.data)]))
+    if pivots and pivots[-1] >= a.cols:
         return None
-    for j in range(b.cols):
-        x = [_ZERO] * a.cols
-        for i, c in enumerate(pivots):
-            x[c] = red.data[i][a.cols + j]
-        cols.append(x)
-    return Mat.from_cols(cols)
+    data = [[_ZERO] * b.cols for _ in range(a.cols)]
+    for row, c in zip(red, pivots):
+        data[c] = _qq_row(row[a.cols:], row[c])
+    return Mat(a.cols, b.cols, data)
 
 
 def invert(m: Mat) -> Mat:
@@ -317,12 +374,23 @@ def invert(m: Mat) -> Mat:
     return out
 
 
-class IncrementalRref:
-    """Reduced row echelon state accepting one row at a time.
+def _reduce_against(c: list, rows: list, pivots: list) -> list:
+    """Integer row c with every pivot column cleared, given rows that are
+    each zero in the pivot columns of the rows before them."""
+    for row, piv in zip(rows, pivots):
+        if c[piv]:
+            c = _primitive(_combine(c, row, piv))
+    return c
 
-    Rows dependent on the current state are rejected; accepted state keeps
-    unit pivots with zeros above and below, so insertion and membership
-    both cost one reduction pass.
+
+class IncrementalRref:
+    """Row echelon state accepting one row at a time.
+
+    Rows dependent on the current state are rejected.  Each accepted row is
+    kept as a primitive integer row reduced against the rows accepted before
+    it, so it is zero in their pivot columns; reducing a vector against the
+    rows in order of acceptance then clears every pivot column, and
+    insertion and membership both cost one reduction pass in integers.
     """
 
     def __init__(self, ncols: int):
@@ -335,27 +403,22 @@ class IncrementalRref:
         return len(self.rows)
 
     def reduce(self, v: Sequence) -> list:
-        c = [QQ(x) for x in v]
+        """v minus its part in the span, with zeros in every pivot column."""
+        c, scale = _int_row(v)
         for row, piv in zip(self.rows, self.pivots):
-            f = c[piv]
-            if f:
-                c = [a - f * b for a, b in zip(c, row)]
-        return c
+            if c[piv]:
+                scale *= row[piv]
+                c = _combine(c, row, piv)
+        return _qq_row(c, scale)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return not any(_reduce_against(_int_row(v)[0], self.rows, self.pivots))
 
     def insert(self, v: Sequence) -> bool:
-        c = self.reduce(v)
+        c = _reduce_against(_int_row(v)[0], self.rows, self.pivots)
         piv = next((j for j, x in enumerate(c) if x), None)
         if piv is None:
             return False
-        inv = 1 / c[piv]
-        c = [x * inv for x in c]
-        for i, row in enumerate(self.rows):
-            f = row[piv]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(row, c)]
         self.rows.append(c)
         self.pivots.append(piv)
         return True
@@ -369,7 +432,9 @@ class Subspace:
 
     The basis matrix holds basis vectors as *columns* and is canonicalised on
     construction (columns are the transposed nonzero rows of the row-reduced
-    span), so equality of subspaces is plain equality of bases.
+    span), so equality of subspaces is plain equality of bases.  The same
+    rows are kept as integer rows with their pivot columns, built once per
+    subspace, for membership tests.
     """
 
     ambient_dim: int
@@ -377,15 +442,24 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vecs = [v for v in vectors]
-        for v in vecs:
+        rows = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise LinalgError("vector length does not match ambient dimension")
-        if not vecs:
-            return Subspace(ambient_dim, Mat.zeros(ambient_dim, 0))
-        red, _, rk = rref(Mat.from_rows(vecs))
-        rows = [red.row(i) for i in range(rk)]
-        return Subspace(ambient_dim, Mat.from_cols(rows))
+            rows.append(_int_row(v)[0])
+        return Subspace._from_int_rows(ambient_dim, rows)
+
+    @staticmethod
+    def _from_int_rows(ambient_dim: int, rows: list) -> "Subspace":
+        """The span of integer rows of length ambient_dim (consumes rows)."""
+        pivots, _ = _echelon(rows, ambient_dim)
+        reduced = rows[:len(pivots)]
+        qrows = [_qq_row(row, row[c]) for row, c in zip(reduced, pivots)]
+        data = ([list(col) for col in zip(*qrows)] if qrows
+                else [[] for _ in range(ambient_dim)])
+        sub = Subspace(ambient_dim, Mat(ambient_dim, len(qrows), data))
+        object.__setattr__(sub, "_int_basis", (reduced, pivots))
+        return sub
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -405,6 +479,16 @@ class Subspace:
     def vectors(self) -> list:
         return self.basis.columns()
 
+    def _echelon_rows(self) -> tuple:
+        """(integer rows, pivot columns) of the canonical basis."""
+        cached = self.__dict__.get("_int_basis")
+        if cached is None:
+            rows = [_int_row(v)[0] for v in self.vectors()]
+            cached = (rows, [next(i for i, x in enumerate(r) if x)
+                             for r in rows])
+            object.__setattr__(self, "_int_basis", cached)
+        return cached
+
     def pivot_rows(self) -> list:
         """Per basis column, the row index of its leading one.
 
@@ -412,25 +496,13 @@ class Subspace:
         column j has a unit entry at its pivot row and zeros there in all
         other columns; membership tests reduce against these directly.
         """
-        out = []
-        for j in range(self.basis.cols):
-            piv = next(i for i in range(self.ambient_dim)
-                       if self.basis.data[i][j])
-            out.append(piv)
-        return out
+        return list(self._echelon_rows()[1])
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise LinalgError("vector length does not match ambient dimension")
-        if self.dim == 0:
-            return not any(QQ(x) for x in v)
-        c = [QQ(x) for x in v]
-        for j, piv in enumerate(self.pivot_rows()):
-            f = c[piv]
-            if f:
-                col = self.basis.col(j)
-                c = [a - f * b for a, b in zip(c, col)]
-        return not any(c)
+        rows, pivots = self._echelon_rows()
+        return not any(_reduce_against(_int_row(v)[0], rows, pivots))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.vectors())
@@ -464,22 +536,26 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 def kernel_basis(m: Mat) -> Subspace:
     """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
-    red, pivots, rk = rref(m)
+    red, pivots = _reduced(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
     vecs = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for i, c in enumerate(pivots):
-            v[c] = -red.data[i][f]
+    for f in range(m.cols):
+        if f in pivset:
+            continue
+        # e_f - sum_i (red[i][f] / p_i) e_{pivots[i]}, scaled to integers
+        terms = [(row[f], row[c], c) for row, c in zip(red, pivots) if row[f]]
+        scale = lcm(*[p for _, p, _ in terms])
+        v = [0] * m.cols
+        v[f] = scale
+        for x, p, c in terms:
+            v[c] = -x * (scale // p)
         vecs.append(v)
-    return Subspace.from_vectors(m.cols, vecs)
+    return Subspace._from_int_rows(m.cols, vecs)
 
 
 def image_basis(m: Mat) -> Subspace:
     """Column space of m as a Subspace of QQ^rows."""
-    _, pivots, _ = rref(m)
+    pivots = _reduced(m)[1]
     return Subspace.from_vectors(m.rows, [m.col(c) for c in pivots])
 
 

@@ -239,8 +239,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+_REPORT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def validation_report(spec: LLVModuleSpec) -> ValidationReport:
+    """The report of the last validate(spec), validating first if none."""
+    rep = _REPORT_CACHE.get(spec)
+    return rep if rep is not None else validate(spec)
+
+
 def validate(spec: LLVModuleSpec) -> ValidationReport:
-    """Run the structural relation checks; failures land in the report."""
+    """Run the structural relation checks; failures land in the report.
+
+    The report is also kept per spec (specs are never mutated), so that
+    later analyses of the same spec read it through validation_report.
+    """
     rep = ValidationReport()
     n = spec.n
     dims = spec.degrees
@@ -305,6 +318,7 @@ def validate(spec: LLVModuleSpec) -> ValidationReport:
                     ok, witness = False, "declared Lambda differs from recomputed"
                     break
             rep.checks.append(Check("declared-lambda-agreement", ok, witness))
+    _REPORT_CACHE[spec] = rep
     return rep
 
 

@@ -46,7 +46,11 @@ from hklab.filtrations import (
     conjugate_hodge_check,
     crosscheck_perverse_weight,
 )
-from hklab.module_io import LLVModuleSpec, module_frame_calculus, validate
+from hklab.module_io import (
+    LLVModuleSpec,
+    module_frame_calculus,
+    validation_report,
+)
 from hklab.quadforms import make_standard_space, standard_tail
 from hklab.verbitsky import GradedAlgebra, build_verbitsky
 
@@ -304,13 +308,13 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
         verdicts.append(Verdict(
             claim=claim, expected="sl2 identities hold",
             observed="hold" if ok else "fail", passed=ok))
+    bracket_ok = commutator_op(
+        fc.M, commutator_op(fc.Lam_s, fc.L_eta)) == fc.H_M
     verdicts.append(Verdict(
         claim="[M, [Lam_s, L_eta]] = H_beta - H_s",
         expected="exact equality",
-        observed="holds" if commutator_op(
-            fc.M, commutator_op(fc.Lam_s, fc.L_eta)) == fc.H_M else "fails",
-        passed=commutator_op(
-            fc.M, commutator_op(fc.Lam_s, fc.L_eta)) == fc.H_M))
+        observed="holds" if bracket_ok else "fails",
+        passed=bracket_ok))
     verdicts.append(Verdict(
         claim="bracket scalar kappa with [2M, 2[Lam_s,L_eta]] = kappa (H_beta - H_s)",
         expected="4 under the linear dual normalisation",
@@ -340,7 +344,7 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     nilp(M_(2n-1)) = n-1.  Geometric expectations are recorded, not
     asserted, since ingested modules need not come from geometry.
     """
-    rep = validate(spec)
+    rep = validation_report(spec)
     if not rep.all_passed:
         raise ValueError("refusing to analyse a module that failed validation: "
                          + "; ".join(c.name for c in rep.failed()))

@@ -2,6 +2,7 @@ import pytest
 
 from hklab.filtrations import (
     FiltrationError,
+    LefschetzPowers,
     WeightFiltration,
     compare_gr_dims,
     conjugate_hodge_check,
@@ -132,6 +133,20 @@ def test_perverse_needs_isotropic(calculus):
     alg, frame, fc, big = calculus(1, 4)
     with pytest.raises(FiltrationError):
         perverse_filtration(alg, [1, 1, 0, 0], 2)
+
+
+def test_crosscheck_needs_isotropic(calculus):
+    alg, frame, fc, big = calculus(1, 4)
+    with pytest.raises(FiltrationError, match="isotropic class"):
+        crosscheck_perverse_weight(alg, [1, 1, 0, 0])
+
+
+def test_perverse_chain_shared_powers_match_fresh(calculus):
+    alg, frame, fc, big = calculus(2, 5)
+    powers = LefschetzPowers(lefschetz(alg, frame.beta))
+    for d in sorted(alg.dims()):
+        shared = perverse_filtration(alg, frame.beta, d, powers)
+        assert shared == perverse_filtration(alg, frame.beta, d)
 
 
 def test_crosscheck_perverse_weight(calculus):

@@ -187,3 +187,18 @@ def test_matrix_arithmetic_shapes():
         Mat.identity(2) * Mat.identity(3)
     with pytest.raises(LinalgError):
         Mat.identity(2) + Mat.zeros(2, 3)
+
+
+def test_from_vectors_accepts_ints_qq_and_strings():
+    ref = Subspace.from_vectors(3, [[QQ(1, 2), QQ(1), QQ(0)],
+                                    [QQ(2), QQ(4), QQ(-3, 4)]])
+    assert Subspace.from_vectors(3, [["1/2", 1, 0], [2, "4", "-3/4"]]) == ref
+    assert Subspace.from_vectors(3, [(1, 2, 0), (8, 16, -3)]) == ref
+    assert all(type(e) is QQ for row in ref.basis.data for e in row)
+    assert ref.pivot_rows() == [0, 2]
+    assert ref.contains(["5/2", 5, 1]) and not ref.contains([0, 1, 0])
+
+
+def test_zero_span_has_the_ambient_shape():
+    sub = Subspace.from_vectors(3, [[0, 0, 0]])
+    assert sub == Subspace.zero(3) and sub.basis.shape == (3, 0)

@@ -184,6 +184,33 @@ def test_one_lambda_table_per_module(monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_odd_reuses_the_validation_report(monkeypatch):
+    spec = load_module(make_spin_module(2))
+    frame = build_frame(spec.space, seed=0)
+    assert validate(spec).all_passed
+    calls = []
+    real = module_io.validate
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(module_io, "validate", counting)
+    check_odd(spec, frame)
+    assert calls == []
+    # a spec nobody validated yet is validated once, by check_odd itself
+    fresh = load_module(make_spin_module(2))
+    check_odd(fresh, build_frame(fresh.space, seed=0))
+    assert calls == [fresh]
+
+
+def test_check_odd_refuses_a_validated_invalid_module(built):
+    bad = load_module(corrupt_module(export_module(built(1, 4))))
+    assert not validate(bad).all_passed
+    with pytest.raises(ValueError, match="refusing"):
+        check_odd(bad, build_frame(bad.space, seed=0))
+
+
 # The module schema as it was with a "$ref" per rational cell; the inlined
 # pattern must reject the same documents with the same message.
 _REF_SCHEMA = json.loads(r"""
