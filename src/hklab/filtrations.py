@@ -7,6 +7,12 @@ Jordan chains (every chain of length l contributes the standard ladder of
 weights k+l-1, k+l-3, ..., k-l+1) and then re-verified against both
 defining properties, so the construction is self-certifying.
 
+Every operator is graded: N maps degree d to d + offset, with offset 0 for
+the monodromy M and 2 for multiplication L_x by a degree-2 class.  One
+routine each builds the Jordan chains, the filtration and its verification
+for any offset; a single square matrix is the graded operator with one
+degree and offset 0.
+
 The perverse chain of an isotropic degree-2 class beta on degree d is
 computed by the kernel-sum formula
 
@@ -25,10 +31,10 @@ from typing import Sequence
 from hklab.linalg import (
     IncrementalRref,
     Mat,
+    NotNilpotentError,
     Subspace,
     kernel_basis,
     subspace_sum,
-    nilpotence_index,
 )
 from hklab.llv import Bigrading, GradedOperator, lefschetz
 from hklab.verbitsky import GradedAlgebra
@@ -38,45 +44,7 @@ class FiltrationError(ValueError):
     """Violated precondition in a filtration computation."""
 
 
-# -- Jordan chains ------------------------------------------------------------
-
-def jordan_chains(n_mat: Mat) -> list:
-    """Jordan chains of a nilpotent matrix as lists [v, Nv, N^2 v, ...].
-
-    Chains are extracted longest first.  At each length l the new chain
-    heads complete ker N^{l-1} plus the descended tails of longer chains
-    inside ker N^l, which makes the union of all chain vectors a basis.
-    """
-    dim = n_mat.rows
-    if dim == 0:
-        return []
-    s = nilpotence_index(n_mat)
-    kernels = {0: Subspace.zero(dim)}
-    power = Mat.identity(dim)
-    for i in range(1, s + 2):
-        power = power * n_mat
-        kernels[i] = kernel_basis(power)
-
-    chains = []
-    carried: list = []  # descended elements of longer chains, at this level
-    for length in range(s + 1, 0, -1):
-        avoid = subspace_sum(kernels[length - 1],
-                             Subspace.from_vectors(dim, carried))
-        heads = _complement_in(avoid, kernels[length])
-        for h in heads:
-            chain = [h]
-            cur = h
-            for _ in range(length - 1):
-                cur = n_mat.times_vec(cur)
-                chain.append(cur)
-            chains.append(chain)
-        carried = [n_mat.times_vec(v) for v in carried + heads]
-        carried = [v for v in carried if any(v)]
-    total = sum(len(c) for c in chains)
-    if total != dim:
-        raise FiltrationError("Jordan chain extraction failed to span")
-    return chains
-
+# -- weight filtrations ---------------------------------------------------------
 
 def _complement_in(sub: Subspace, within: Subspace) -> list:
     """Vectors of `within` completing a basis of `sub` inside `within`."""
@@ -90,102 +58,14 @@ def _complement_in(sub: Subspace, within: Subspace) -> list:
     return out
 
 
-# -- weight filtrations ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightFiltration:
-    """Increasing chain W_0 <= ... <= W_{2k} of subspaces, centred at k."""
-
-    centre: int
-    steps: tuple  # length 2k+1, Subspace entries
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.steps[0].ambient_dim
-
-    def step(self, i: int) -> Subspace:
-        if i < 0:
-            return Subspace.zero(self.ambient_dim)
-        if i >= len(self.steps):
-            return self.steps[-1]
-        return self.steps[i]
-
-    def graded_dim(self, i: int) -> int:
-        return self.step(i).dim - self.step(i - 1).dim
-
-    def graded_dims(self) -> dict:
-        return {i: self.graded_dim(i) for i in range(2 * self.centre + 1)
-                if self.graded_dim(i)}
-
-
-def weight_filtration(n_mat: Mat, centre: int) -> WeightFiltration:
-    """The unique weight filtration of a nilpotent matrix centred at `centre`.
-
-    Requires nilpotence index <= centre (otherwise the chain would need
-    negative indices).  Each Jordan chain of length l contributes its
-    vectors at weights centre+l-1-2j for j = 0..l-1.
-    """
-    dim = n_mat.rows
-    idx = nilpotence_index(n_mat)
-    if idx > centre:
-        raise FiltrationError(
-            f"nilpotence index {idx} exceeds the centre {centre}")
-    by_weight = {}
-    for chain in jordan_chains(n_mat):
-        l = len(chain)
-        for j, v in enumerate(chain):
-            w = centre + (l - 1) - 2 * j
-            by_weight.setdefault(w, []).append(v)
-    steps = []
-    acc: list = []
-    for i in range(0, 2 * centre + 1):
-        acc = acc + by_weight.get(i, [])
-        steps.append(Subspace.from_vectors(dim, acc))
-    wf = WeightFiltration(centre, tuple(steps))
-    if not verify_weight_filtration(n_mat, wf):
-        raise FiltrationError("constructed filtration failed its own axioms")
-    return wf
-
-
-def verify_weight_filtration(n_mat: Mat, wf: WeightFiltration) -> bool:
-    """Exact check of both defining properties."""
-    k = wf.centre
-    dim = n_mat.rows
-    if wf.step(2 * k).dim != dim:
-        return False
-    for i in range(0, 2 * k + 1):
-        lo, hi = wf.step(i - 1), wf.step(i)
-        if not hi.contains_subspace(lo):
-            return False
-        img = [n_mat.times_vec(v) for v in hi.vectors()]
-        tgt = wf.step(i - 2)
-        if any(not tgt.contains(v) for v in img):
-            return False
-    # N^i : Gr_{k+i} -> Gr_{k-i} bijective, checked by rank accounting.
-    power = Mat.identity(dim)
-    for i in range(1, k + 1):
-        power = power * n_mat
-        hi, hi_prev = wf.step(k + i), wf.step(k + i - 1)
-        lo, lo_prev = wf.step(k - i), wf.step(k - i - 1)
-        if hi.dim - hi_prev.dim != lo.dim - lo_prev.dim:
-            return False
-        reps = _complement_in(hi_prev, hi)
-        imgs = [power.times_vec(v) for v in reps]
-        span = subspace_sum(lo_prev, Subspace.from_vectors(dim, imgs))
-        if span.dim - lo_prev.dim != hi.dim - hi_prev.dim:
-            return False
-        if any(not lo.contains(v) for v in imgs):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class GradedWeightFiltration:
-    """Weight filtration of a raising graded operator, stored per degree.
+    """Weight filtration of a graded nilpotent operator, stored per degree.
 
-    A raising operator maps degrees up by 2, so its kernels are graded and
-    the whole filtration can be computed and stored degreewise; step(d, i)
-    is the degree-d slice of W_i.
+    The operator maps degree d to d + offset (offset 0 for the monodromy M,
+    2 for a Lefschetz operator L_x), so its kernels are graded and the whole
+    filtration can be computed and stored degreewise; step(d, i) is the
+    degree-d slice of W_i.
     """
 
     centre: int
@@ -193,12 +73,9 @@ class GradedWeightFiltration:
     slices: dict  # degree -> tuple of Subspaces, indices 0..2*centre
 
     def step(self, d: int, i: int) -> Subspace:
-        dim_d = self.degrees.get(d, 0)
-        if d not in self.slices:
-            return Subspace.zero(dim_d)
+        if d not in self.slices or i < 0:
+            return Subspace.zero(self.degrees.get(d, 0))
         chain = self.slices[d]
-        if i < 0:
-            return Subspace.zero(dim_d)
         if i >= len(chain):
             return chain[-1]
         return chain[i]
@@ -213,7 +90,12 @@ class GradedWeightFiltration:
 
 
 def graded_nilpotence_index(op: GradedOperator) -> int:
-    """Largest i with op^i nonzero, for a raising graded operator."""
+    """Largest i with op^i nonzero, for a graded operator of any offset.
+
+    Raises NotNilpotentError if op^i is still nonzero once i exceeds the
+    total dimension.
+    """
+    total = sum(op.degrees.values())
     best = 0
     for d in sorted(op.degrees):
         if op.degrees[d] == 0:
@@ -221,21 +103,28 @@ def graded_nilpotence_index(op: GradedOperator) -> int:
         i = 0
         m = Mat.identity(op.degrees[d])
         while True:
-            m = op.block(d + 2 * i) * m
+            m = op.block(d + op.offset * i) * m
             if m.rows == 0 or m.is_zero():
                 break
             i += 1
+            if i > total:
+                raise NotNilpotentError(
+                    "operator is not nilpotent within the dimension bound")
         best = max(best, i)
     return best
 
 
 def graded_jordan_chains(op: GradedOperator) -> list:
-    """Homogeneous Jordan chains of a raising graded operator.
+    """Homogeneous Jordan chains of a graded nilpotent operator.
 
     Returns triples (start_degree, length, vectors); vector j lives in
-    degree start_degree + 2j.  Kernels of powers are graded, so heads can
-    be chosen inside single degrees and every chain is homogeneous.
+    degree start_degree + j * op.offset.  Chains are extracted longest
+    first: at each length l the new heads complete ker op^{l-1} plus the
+    descended tails of longer chains inside ker op^l.  Kernels of powers
+    are graded, so heads can be chosen inside single degrees and every
+    chain is homogeneous.
     """
+    off = op.offset
     degrees = {d: m for d, m in op.degrees.items() if m}
     s = graded_nilpotence_index(op)
     kernels = {}
@@ -243,7 +132,7 @@ def graded_jordan_chains(op: GradedOperator) -> list:
         power = Mat.identity(degrees[d])
         kernels[(0, d)] = Subspace.zero(degrees[d])
         for i in range(1, s + 2):
-            power = op.block(d + 2 * (i - 1)) * power
+            power = op.block(d + off * (i - 1)) * power
             kernels[(i, d)] = kernel_basis(power)
 
     chains = []
@@ -259,21 +148,21 @@ def graded_jordan_chains(op: GradedOperator) -> list:
                 chain = [h]
                 cur = h
                 for j in range(length - 1):
-                    cur = op.block(d + 2 * j).times_vec(cur)
+                    cur = op.block(d + off * j).times_vec(cur)
                     chain.append(cur)
                 chains.append((d, length, chain))
         nxt = {d: [] for d in degrees}
         for d in sorted(degrees):
             for v in carried[d] + new_heads[d]:
                 img = op.block(d).times_vec(v)
-                tgt = d + 2
+                tgt = d + off
                 if tgt in degrees and any(img):
                     nxt[tgt].append(img)
         carried = nxt
     per_degree = {d: 0 for d in degrees}
     for d0, length, chain in chains:
         for j in range(length):
-            per_degree[d0 + 2 * j] += 1
+            per_degree[d0 + off * j] += 1
     if per_degree != degrees:
         raise FiltrationError("graded Jordan chains failed to span")
     return chains
@@ -281,7 +170,12 @@ def graded_jordan_chains(op: GradedOperator) -> list:
 
 def graded_weight_filtration(op: GradedOperator,
                              centre: int) -> GradedWeightFiltration:
-    """Weight filtration of a raising graded operator, centred as given."""
+    """The unique weight filtration of a graded nilpotent operator.
+
+    Requires nilpotence index <= centre (otherwise the chain would need
+    negative indices).  Each Jordan chain of length l contributes its
+    vectors at weights centre+l-1-2j for j = 0..l-1.
+    """
     s = graded_nilpotence_index(op)
     if s > centre:
         raise FiltrationError(
@@ -291,7 +185,7 @@ def graded_weight_filtration(op: GradedOperator,
     for d0, length, chain in graded_jordan_chains(op):
         for j, v in enumerate(chain):
             w = centre + (length - 1) - 2 * j
-            by_weight[d0 + 2 * j].setdefault(w, []).append(v)
+            by_weight[d0 + op.offset * j].setdefault(w, []).append(v)
     slices = {}
     for d in degrees:
         acc: list = []
@@ -306,36 +200,46 @@ def graded_weight_filtration(op: GradedOperator,
     return wf
 
 
+def weight_filtration(n_mat: Mat, centre: int) -> GradedWeightFiltration:
+    """Weight filtration of a square nilpotent matrix, as the degree-0 slice
+    of a graded operator with one degree and offset 0."""
+    return graded_weight_filtration(
+        GradedOperator({0: n_mat.rows}, 0, {0: n_mat}), centre)
+
+
 def verify_graded_weight_filtration(op: GradedOperator,
                                     wf: GradedWeightFiltration) -> bool:
-    """Both defining properties, checked degreewise."""
+    """Exact check of both defining properties, degreewise."""
     k = wf.centre
+    off = op.offset
     degrees = wf.degrees
+    if degrees != {d: m for d, m in op.degrees.items() if m}:
+        return False
     for d in degrees:
         if wf.step(d, 2 * k).dim != degrees[d]:
             return False
         for i in range(0, 2 * k + 1):
             if not wf.step(d, i).contains_subspace(wf.step(d, i - 1)):
                 return False
-            tgt = wf.step(d + 2, i - 2)
+            tgt = wf.step(d + off, i - 2)
             for v in wf.step(d, i).vectors():
                 img = op.block(d).times_vec(v)
                 if any(img) and not tgt.contains(img):
                     return False
+    # op^i : Gr_{k+i} -> Gr_{k-i} bijective, checked by rank accounting.
     for i in range(1, k + 1):
         for d in degrees:
             hi, hi_prev = wf.step(d, k + i), wf.step(d, k + i - 1)
-            d2 = d + 2 * i
+            d2 = d + off * i
             lo, lo_prev = wf.step(d2, k - i), wf.step(d2, k - i - 1)
             if hi.dim - hi_prev.dim != lo.dim - lo_prev.dim:
                 return False
             reps = _complement_in(hi_prev, hi)
             imgs = []
             for v in reps:
-                cur = v
                 for step in range(i):
-                    cur = op.block(d + 2 * step).times_vec(cur)
-                imgs.append(cur)
+                    v = op.block(d + off * step).times_vec(v)
+                imgs.append(v)
             dim_d2 = degrees.get(d2, 0)
             span = subspace_sum(lo_prev,
                                 Subspace.from_vectors(dim_d2, imgs))
@@ -365,7 +269,7 @@ class LefschetzPowers:
             if e == 0:
                 m = Mat.identity(self.lop.degrees.get(src_degree, 0))
             else:
-                m = (self.lop.block(src_degree + 2 * (e - 1))
+                m = (self.lop.block(src_degree + self.lop.offset * (e - 1))
                      * self.power(src_degree, e - 1))
             self._powers[key] = m
         return m
@@ -514,7 +418,7 @@ def monodromy_weight_table(alg: GradedAlgebra, m_op: GradedOperator) -> GradedDi
         if dim_d == 0:
             continue
         wf = weight_filtration(m_op.block(d), n)
-        for i, v in wf.graded_dims().items():
+        for i, v in wf.graded_dims(0).items():
             entries[(d, i - n)] = v
     return GradedDimTable("monodromy weight graded dims (degree, j)", entries)
 

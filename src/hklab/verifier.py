@@ -183,6 +183,12 @@ def check_even_nagai(profile: NilpotenceProfile, n: int,
     return verdicts
 
 
+def _joint_kernel(fc: FrameCalculus, d: int, dim: int) -> Subspace:
+    """Joint kernel of L_beta and L_sbar on degree d (of dimension dim)."""
+    rows = fc.L_beta.block(d).data + fc.L_sbar.block(d).data
+    return kernel_basis(Mat.from_rows(rows)) if rows else Subspace.full(dim)
+
+
 def check_condition_26(fc: FrameCalculus, big: Bigrading, n: int) -> list:
     """Joint-kernel condition per (p, q): recorded, never asserted.
 
@@ -195,9 +201,7 @@ def check_condition_26(fc: FrameCalculus, big: Bigrading, n: int) -> list:
     for d in sorted(fc.M.degrees):
         if d % 2 or d > 2 * n - 2 or fc.M.degrees[d] == 0:
             continue
-        stacked_rows = fc.L_beta.block(d).data + fc.L_sbar.block(d).data
-        joint = kernel_basis(Mat.from_rows(stacked_rows)) if stacked_rows \
-            else Subspace.full(fc.M.degrees[d])
+        joint = _joint_kernel(fc, d, fc.M.degrees[d])
         for p in range(0, d + 1):
             q = d - p
             piece = big.hodge_piece(p, q)
@@ -360,7 +364,7 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     from hklab.llv import bigrading_from_operators
     big = bigrading_from_operators(spec.degrees, n, fc.H_s, fc.H_sbar,
                                    fc.H_beta)
-    cond26 = _module_condition_26(spec, fc, big)
+    cond26 = _module_condition_26(spec, fc)
     for d in odd:
         k = (d + 1) // 2
         nil = nilpotence_index(fc.M.block(d))
@@ -404,15 +408,12 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     return verdicts
 
 
-def _module_condition_26(spec: LLVModuleSpec, fc: FrameCalculus,
-                         big: Bigrading) -> bool:
+def _module_condition_26(spec: LLVModuleSpec, fc: FrameCalculus) -> bool:
     n = spec.n
     for d, m in sorted(spec.degrees.items()):
         if m == 0 or d > 2 * n - 2:
             continue
-        rows = fc.L_beta.block(d).data + fc.L_sbar.block(d).data
-        joint = kernel_basis(Mat.from_rows(rows)) if rows else Subspace.full(m)
-        if joint.dim:
+        if _joint_kernel(fc, d, m).dim:
             return False
     return True
 

@@ -10,17 +10,17 @@ from math import comb
 import pytest
 
 from hklab.filtrations import (
-    WeightFiltration,
+    GradedWeightFiltration,
     compare_gr_dims,
     conjugate_hodge_check,
     crosscheck_perverse_weight,
     graded_weight_filtration,
     verify_graded_weight_filtration,
-    verify_weight_filtration,
     weight_filtration,
 )
 from hklab.linalg import Mat, QQ, Subspace, image_basis
 from hklab.llv import (
+    GradedOperator,
     SL2Triple,
     build_frame,
     commutator_op,
@@ -204,8 +204,9 @@ def test_c11_weight_filtration_axioms(calculus):
         for d, m in alg.dims().items():
             if m == 0:
                 continue
+            block = GradedOperator({0: m}, 0, {0: fc.M.block(d)})
             wf = weight_filtration(fc.M.block(d), n)
-            assert verify_weight_filtration(fc.M.block(d), wf), (n, b2, d)
+            assert verify_graded_weight_filtration(block, wf), (n, b2, d)
         lop = lefschetz(alg, frame.beta)
         gwf = graded_weight_filtration(lop, n)
         assert verify_graded_weight_filtration(lop, gwf), (n, b2)
@@ -224,8 +225,10 @@ def test_c11_weight_filtration_axioms(calculus):
         Subspace.full(5),
     )
     wf = weight_filtration(mat, 2)
-    assert tuple(wf.steps) == hand
-    assert verify_weight_filtration(mat, WeightFiltration(2, hand))
+    assert wf.slices[0] == hand
+    assert verify_graded_weight_filtration(
+        GradedOperator({0: 5}, 0, {0: mat}),
+        GradedWeightFiltration(2, {0: 5}, {0: hand}))
     report(11, "weight filtration axioms verified; unique against a "
                "hand-built two-block chain")
 

@@ -2,24 +2,22 @@ import pytest
 
 from hklab.filtrations import (
     FiltrationError,
+    GradedWeightFiltration,
     LefschetzPowers,
-    WeightFiltration,
     compare_gr_dims,
     conjugate_hodge_check,
     crosscheck_perverse_weight,
     graded_jordan_chains,
     graded_nilpotence_index,
     graded_weight_filtration,
-    jordan_chains,
     monodromy_weight_table,
     perverse_filtration,
     perverse_hodge_table,
     verify_graded_weight_filtration,
-    verify_weight_filtration,
     weight_filtration,
 )
-from hklab.linalg import QQ, Mat, Subspace
-from hklab.llv import lefschetz
+from hklab.linalg import QQ, Mat, NotNilpotentError, Subspace
+from hklab.llv import GradedOperator, lefschetz
 from hklab.quadforms import sample_isotropic
 
 
@@ -35,17 +33,31 @@ def nilpotent_blocks(*sizes):
     return m
 
 
+def one_degree(m: Mat) -> GradedOperator:
+    """A square matrix as the graded operator with one degree and offset 0."""
+    return GradedOperator({0: m.rows}, 0, {0: m})
+
+
 def test_weight_filtration_zero_map():
+    zero = one_degree(Mat.zeros(3, 3))
     wf = weight_filtration(Mat.zeros(3, 3), 2)
-    assert wf.graded_dims() == {2: 3}
-    assert verify_weight_filtration(Mat.zeros(3, 3), wf)
+    assert wf.graded_dims(0) == {2: 3}
+    assert verify_graded_weight_filtration(zero, wf)
+    # graded dims 1, 1, 1 at weights 0, 2, 4 are symmetric and the zero map
+    # sends every W_i into W_{i-2}, but it is no bijection Gr_4 -> Gr_0
+    w0 = Subspace.from_vectors(3, [[1, 0, 0]])
+    w2 = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    ladder = GradedWeightFiltration(
+        2, {0: 3}, {0: (w0, w0, w2, w2, Subspace.full(3))})
+    assert ladder.graded_dims(0) == {0: 1, 2: 1, 4: 1}
+    assert not verify_graded_weight_filtration(zero, ladder)
 
 
 def test_weight_filtration_single_block():
     j3 = nilpotent_blocks(3)
     wf = weight_filtration(j3, 2)
-    assert wf.graded_dims() == {0: 1, 2: 1, 4: 1}
-    assert verify_weight_filtration(j3, wf)
+    assert wf.graded_dims(0) == {0: 1, 2: 1, 4: 1}
+    assert verify_graded_weight_filtration(one_degree(j3), wf)
 
 
 def test_weight_filtration_centre_too_small():
@@ -54,12 +66,20 @@ def test_weight_filtration_centre_too_small():
         weight_filtration(j3, 1)
 
 
+def test_weight_filtration_not_nilpotent():
+    with pytest.raises(NotNilpotentError):
+        weight_filtration(Mat.identity(2), 2)
+
+
 def test_jordan_chains_shapes():
     m = nilpotent_blocks(3, 2)
-    lengths = sorted(len(c) for c in jordan_chains(m))
-    assert lengths == [2, 3]
+    chains = graded_jordan_chains(one_degree(m))
+    assert sorted(length for _, length, _ in chains) == [2, 3]
+    assert all(d0 == 0 and len(chain) == length
+               for d0, length, chain in chains)
     m2 = nilpotent_blocks(2, 2, 1)
-    assert sorted(len(c) for c in jordan_chains(m2)) == [1, 2, 2]
+    assert sorted(length for _, length, _
+                  in graded_jordan_chains(one_degree(m2))) == [1, 2, 2]
 
 
 def test_weight_filtration_uniqueness_against_hand_built():
@@ -78,13 +98,21 @@ def test_weight_filtration_uniqueness_against_hand_built():
     ]
     wf = weight_filtration(m, 2)
     for i in range(5):
-        assert wf.step(i) == hand[i]
-    assert verify_weight_filtration(m, WeightFiltration(2, tuple(hand)))
-    shifted = WeightFiltration(2, tuple(hand[1:] + [hand[-1]]))
-    assert not verify_weight_filtration(m, shifted)
+        assert wf.step(0, i) == hand[i]
+    op = one_degree(m)
+    assert verify_graded_weight_filtration(
+        op, GradedWeightFiltration(2, {0: 5}, {0: tuple(hand)}))
+    shifted = GradedWeightFiltration(2, {0: 5},
+                                     {0: tuple(hand[1:] + [hand[-1]])})
+    assert not verify_graded_weight_filtration(op, shifted)
+    assert not verify_graded_weight_filtration(
+        op, GradedWeightFiltration(2, {}, {}))
 
 
 def test_graded_weight_filtration_matches_dense(calculus):
+    """L_beta (offset 2) gets a verified filtration and spanning chains; one
+    call over the whole offset-0 monodromy M slices, degree by degree, into
+    the filtrations of its separate blocks."""
     alg, frame, fc, big = calculus(1, 5)
     lop = lefschetz(alg, frame.beta)
     assert graded_nilpotence_index(lop) == alg.n
@@ -92,6 +120,18 @@ def test_graded_weight_filtration_matches_dense(calculus):
     assert verify_graded_weight_filtration(lop, wf)
     chains = graded_jordan_chains(lop)
     assert sum(length for _, length, _ in chains) == sum(alg.dims().values())
+    for key in [(1, 5), (2, 4), (2, 5)]:
+        alg, frame, fc, big = calculus(*key)
+        n = alg.n
+        wf = graded_weight_filtration(fc.M, n)
+        assert verify_graded_weight_filtration(fc.M, wf)
+        for d, dim_d in alg.dims().items():
+            if dim_d == 0:
+                continue
+            dense = weight_filtration(fc.M.block(d), n)
+            assert wf.graded_dims(d) == dense.graded_dims(0), (key, d)
+            for i in range(-1, 2 * n + 2):
+                assert wf.step(d, i) == dense.step(0, i), (key, d, i)
 
 
 def test_monodromy_degree2_graded_dims(calculus):
@@ -104,10 +144,10 @@ def test_monodromy_degree2_graded_dims(calculus):
         expected = {n - 1: 2, n + 1: 2}
         if b2 > 4:
             expected[n] = b2 - 4
-        assert wf.graded_dims() == expected
+        assert wf.graded_dims(0) == expected
     alg, frame, fc, big = calculus(2, 5)
     wf = weight_filtration(fc.M.block(2), 2)
-    assert wf.graded_dims() == {1: 2, 2: 1, 3: 2}
+    assert wf.graded_dims(0) == {1: 2, 2: 1, 3: 2}
 
 
 def test_perverse_exhaustion_and_degree0(calculus):

@@ -3,15 +3,19 @@
 sympy is a test-only oracle: random small rational matrices of low rank,
 with zero rows, zero columns and empty shapes, go through rref, rank,
 kernel_basis, invert, Mat.det and IncrementalRref and are compared with
-sympy's exact results.
+sympy's exact results.  Random conjugated nilpotent matrices go through the
+Jordan chains and the weight filtration and are compared with sympy's
+Jordan form.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklab.filtrations import graded_jordan_chains, weight_filtration
 from hklab.linalg import (
     QQ,
     IncrementalRref,
@@ -23,6 +27,7 @@ from hklab.linalg import (
     rank,
     rref,
 )
+from hklab.llv import GradedOperator
 
 sympy = pytest.importorskip("sympy")
 
@@ -135,3 +140,46 @@ def test_incremental_rref_accepts_exactly_the_rank_increases(case):
     assert all(type(x) is QQ for x in residual)
     assert all(residual[p] == 0 for p in state.pivots)
     assert state.contains([a - b for a, b in zip(w, residual)])
+
+
+@st.composite
+def conjugated_nilpotent(draw, max_dim=7):
+    """P J P^-1 for a nilpotent Jordan matrix J with random block sizes and
+    an integer P = L U, L and U unit triangular, so P is invertible."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                 .filter(lambda ls: sum(ls) <= max_dim))
+    dim = sum(sizes)
+    jordan = [[0] * dim for _ in range(dim)]
+    pos = 0
+    for size in sizes:
+        for i in range(size - 1):
+            jordan[pos + i][pos + i + 1] = 1
+        pos += size
+    below = draw(st.lists(st.integers(-2, 2), min_size=dim * dim,
+                          max_size=dim * dim))
+    above = draw(st.lists(st.integers(-2, 2), min_size=dim * dim,
+                          max_size=dim * dim))
+    lower = sympy.Matrix(dim, dim, lambda i, j: 1 if i == j else
+                         below[i * dim + j] if i > j else 0)
+    upper = sympy.Matrix(dim, dim, lambda i, j: 1 if i == j else
+                         above[i * dim + j] if i < j else 0)
+    p = lower * upper
+    m = p * sympy.Matrix(jordan) * p.inv()
+    return sorted(sizes), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_nilpotent(), st.integers(0, 2))
+def test_jordan_chains_and_weights_match_sympy_jordan_form(case, extra):
+    sizes, ref = case
+    dim = ref.rows
+    _, jordan = ref.jordan_form()
+    blocks = sorted(b.rows for b in jordan.get_diag_blocks())
+    assert blocks == sizes
+    m = Mat(dim, dim, [[from_sympy(ref[i, j]) for j in range(dim)]
+                       for i in range(dim)])
+    chains = graded_jordan_chains(GradedOperator({0: dim}, 0, {0: m}))
+    assert sorted(length for _, length, _ in chains) == blocks
+    k = max(blocks) - 1 + extra
+    ladder = Counter(k + l - 1 - 2 * j for l in blocks for j in range(l))
+    assert weight_filtration(m, k).graded_dims(0) == dict(ladder)
