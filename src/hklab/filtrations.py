@@ -89,32 +89,72 @@ class GradedWeightFiltration:
         return out
 
 
-def graded_nilpotence_index(op: GradedOperator) -> int:
+class GradedPowers:
+    """Powers op^e of a graded operator from each source degree, their
+    kernels and the nilpotence index per degree, each computed once on
+    first use."""
+
+    def __init__(self, op: GradedOperator):
+        self.op = op
+        self._powers: dict = {}
+        self._kernels: dict = {}
+        self._indices: dict = {}
+
+    def power(self, src_degree: int, e: int) -> Mat:
+        """Matrix of op^e starting at src_degree (zero map if targets vanish)."""
+        key = (src_degree, e)
+        m = self._powers.get(key)
+        if m is None:
+            if e == 0:
+                m = Mat.identity(self.op.dim(src_degree))
+            else:
+                m = (self.op.block(src_degree + self.op.offset * (e - 1))
+                     * self.power(src_degree, e - 1))
+            self._powers[key] = m
+        return m
+
+    def kernel(self, src_degree: int, e: int) -> Subspace:
+        key = (src_degree, e)
+        ker = self._kernels.get(key)
+        if ker is None:
+            ker = (kernel_basis(self.power(src_degree, e)) if e
+                   else Subspace.zero(self.op.dim(src_degree)))
+            self._kernels[key] = ker
+        return ker
+
+    def index(self, src_degree: int) -> int:
+        """Largest i with op^i nonzero on src_degree.
+
+        Raises NotNilpotentError if op^i is still nonzero once i exceeds
+        the total dimension.
+        """
+        s = self._indices.get(src_degree)
+        if s is None:
+            total = sum(self.op.degrees.values())
+            s = 0
+            while not self.power(src_degree, s + 1).is_zero():
+                s += 1
+                if s > total:
+                    raise NotNilpotentError(
+                        "operator is not nilpotent within the dimension bound")
+            self._indices[src_degree] = s
+        return s
+
+
+def graded_nilpotence_index(op: GradedOperator,
+                            powers: GradedPowers | None = None) -> int:
     """Largest i with op^i nonzero, for a graded operator of any offset.
 
     Raises NotNilpotentError if op^i is still nonzero once i exceeds the
-    total dimension.
+    total dimension.  The powers come from `powers` when given.
     """
-    total = sum(op.degrees.values())
-    best = 0
-    for d in sorted(op.degrees):
-        if op.degrees[d] == 0:
-            continue
-        i = 0
-        m = Mat.identity(op.degrees[d])
-        while True:
-            m = op.block(d + op.offset * i) * m
-            if m.rows == 0 or m.is_zero():
-                break
-            i += 1
-            if i > total:
-                raise NotNilpotentError(
-                    "operator is not nilpotent within the dimension bound")
-        best = max(best, i)
-    return best
+    powers = powers or GradedPowers(op)
+    return max((powers.index(d) for d, m in op.degrees.items() if m),
+               default=0)
 
 
-def graded_jordan_chains(op: GradedOperator) -> list:
+def graded_jordan_chains(op: GradedOperator,
+                         powers: GradedPowers | None = None) -> list:
     """Homogeneous Jordan chains of a graded nilpotent operator.
 
     Returns triples (start_degree, length, vectors); vector j lives in
@@ -122,18 +162,15 @@ def graded_jordan_chains(op: GradedOperator) -> list:
     first: at each length l the new heads complete ker op^{l-1} plus the
     descended tails of longer chains inside ker op^l.  Kernels of powers
     are graded, so heads can be chosen inside single degrees and every
-    chain is homogeneous.
+    chain is homogeneous.  The powers and their kernels come from `powers`
+    when given.
     """
     off = op.offset
     degrees = {d: m for d, m in op.degrees.items() if m}
-    s = graded_nilpotence_index(op)
-    kernels = {}
-    for d in degrees:
-        power = Mat.identity(degrees[d])
-        kernels[(0, d)] = Subspace.zero(degrees[d])
-        for i in range(1, s + 2):
-            power = op.block(d + off * (i - 1)) * power
-            kernels[(i, d)] = kernel_basis(power)
+    powers = powers or GradedPowers(op)
+    s = graded_nilpotence_index(op, powers)
+    kernels = {(i, d): powers.kernel(d, i)
+               for d in degrees for i in range(s + 2)}
 
     chains = []
     carried = {d: [] for d in degrees}
@@ -168,21 +205,24 @@ def graded_jordan_chains(op: GradedOperator) -> list:
     return chains
 
 
-def graded_weight_filtration(op: GradedOperator,
-                             centre: int) -> GradedWeightFiltration:
+def graded_weight_filtration(op: GradedOperator, centre: int,
+                             powers: GradedPowers | None = None
+                             ) -> GradedWeightFiltration:
     """The unique weight filtration of a graded nilpotent operator.
 
     Requires nilpotence index <= centre (otherwise the chain would need
     negative indices).  Each Jordan chain of length l contributes its
-    vectors at weights centre+l-1-2j for j = 0..l-1.
+    vectors at weights centre+l-1-2j for j = 0..l-1.  Each power of op is
+    built once, in `powers` (a fresh GradedPowers by default).
     """
-    s = graded_nilpotence_index(op)
+    powers = powers or GradedPowers(op)
+    s = graded_nilpotence_index(op, powers)
     if s > centre:
         raise FiltrationError(
             f"nilpotence index {s} exceeds the centre {centre}")
     degrees = {d: m for d, m in op.degrees.items() if m}
     by_weight = {d: {} for d in degrees}
-    for d0, length, chain in graded_jordan_chains(op):
+    for d0, length, chain in graded_jordan_chains(op, powers):
         for j, v in enumerate(chain):
             w = centre + (length - 1) - 2 * j
             by_weight[d0 + op.offset * j].setdefault(w, []).append(v)
@@ -252,44 +292,13 @@ def verify_graded_weight_filtration(op: GradedOperator,
 
 # -- the perverse filtration -----------------------------------------------------
 
-class LefschetzPowers:
-    """Powers lop^e of a raising operator from each source degree, and their
-    kernels, each computed once on first use."""
-
-    def __init__(self, lop: GradedOperator):
-        self.lop = lop
-        self._powers: dict = {}
-        self._kernels: dict = {}
-
-    def power(self, src_degree: int, e: int) -> Mat:
-        """Matrix of lop^e starting at src_degree (zero map if targets vanish)."""
-        key = (src_degree, e)
-        m = self._powers.get(key)
-        if m is None:
-            if e == 0:
-                m = Mat.identity(self.lop.degrees.get(src_degree, 0))
-            else:
-                m = (self.lop.block(src_degree + self.lop.offset * (e - 1))
-                     * self.power(src_degree, e - 1))
-            self._powers[key] = m
-        return m
-
-    def kernel(self, src_degree: int, e: int) -> Subspace:
-        key = (src_degree, e)
-        ker = self._kernels.get(key)
-        if ker is None:
-            ker = kernel_basis(self.power(src_degree, e))
-            self._kernels[key] = ker
-        return ker
-
-
 def _require_isotropic(alg: GradedAlgebra, beta: Sequence) -> None:
     if alg.space.quad(list(beta)) != 0:
         raise FiltrationError("perverse filtration needs an isotropic class")
 
 
 def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
-                        powers: LefschetzPowers | None = None) -> dict:
+                        powers: GradedPowers | None = None) -> dict:
     """Perverse chain P_i H^d for an isotropic degree-2 class, as {i: Subspace}.
 
     Implements the kernel-sum formula with Ker(beta^e) = 0 for e <= 0; the
@@ -303,7 +312,7 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
     if d not in dims:
         raise FiltrationError(f"no graded piece in degree {d}")
     if powers is None:
-        powers = LefschetzPowers(lefschetz(alg, beta))
+        powers = GradedPowers(lefschetz(alg, beta))
     out = {}
     for i in range(-1, 2 * n + 2):
         vecs = []
@@ -326,16 +335,16 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
 def crosscheck_perverse_weight(alg: GradedAlgebra, beta: Sequence) -> bool:
     """W^{L_beta}_i restricted to degree d equals P_{d+i-2n} H^d, exactly.
 
-    Both routes start from the operator L_beta; the kernel-sum route
-    computes its own powers and kernels, shared across degrees, and never
-    reads the Jordan chains of the weight route.
+    Both routes start from the operator L_beta and read its powers and
+    their kernels from one GradedPowers, built once; the kernel-sum route
+    never reads the Jordan chains of the weight route.
     """
     _require_isotropic(alg, beta)
     n = alg.n
     dims = alg.dims()
     lop = lefschetz(alg, beta)
-    wf = graded_weight_filtration(lop, n)
-    powers = LefschetzPowers(lop)
+    powers = GradedPowers(lop)
+    wf = graded_weight_filtration(lop, n, powers)
     for d in sorted(dims):
         chain = perverse_filtration(alg, beta, d, powers)
         pmax = max(chain)

@@ -1,10 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything downstream computes on these primitives.  Matrices are dense,
-entries are exact rationals (gmpy2.mpq, with a fractions.Fraction fallback),
-pivoting is deterministic (first nonzero), so every basis produced anywhere
-in the package is reproducible across runs.  All values are immutable by
-convention and all operations are pure.
+Everything downstream computes on these primitives.  Entries are exact
+rationals (gmpy2.mpq, with a fractions.Fraction fallback) and pivoting is
+deterministic (first nonzero), so every basis produced anywhere in the
+package is reproducible across runs.  A matrix keeps its dense rows and,
+built on first use, a per-row index of its nonzero entries; the operator
+blocks this package computes on are mostly zeros, so products, sums,
+scaling and comparisons run over the index only.  Matrices are immutable
+(rows are tuples and attributes cannot be rebound), so the index never goes
+stale, and all operations are pure.
 
 Every elimination (rref, kernels, images, solves, inverses, determinants,
 subspaces and IncrementalRref) runs on integer rows: each row is scaled by
@@ -48,26 +52,38 @@ def qq(x) -> QQ:
 
 
 def vec(entries: Iterable) -> list:
-    return [QQ(e) for e in entries]
+    return [e if type(e) is QQ else QQ(e) for e in entries]
 
 
 class Mat:
-    """Immutable-by-convention dense rational matrix (row-major)."""
+    """Exact rational matrix, immutable.
 
-    __slots__ = ("rows", "cols", "data")
+    The entries are stored twice, both as tuples: `data`, the dense rows,
+    and `nonzeros`, per row the (column, value) pairs of its nonzero
+    entries in ascending column order, built on first use.  Products,
+    sums, scaling, comparison and hashing visit only the nonzeros; the
+    dense rows serve elimination and entry access.  Rows are tuples and
+    attributes cannot be rebound, so the index can never go stale.
+    """
 
-    def __init__(self, rows: int, cols: int, data: list):
+    __slots__ = ("rows", "cols", "data", "_nz")
+
+    def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
+        data = tuple(map(tuple, data))
         if len(data) != rows or any(len(r) != cols for r in data):
             raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        _init(self, rows, cols, data, None)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Mat is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Mat":
-        data = [[QQ(e) for e in r] for r in rows]
+        data = [vec(r) for r in rows]
         ncols = len(data[0]) if data else 0
         return Mat(len(data), ncols, data)
 
@@ -76,33 +92,51 @@ class Mat:
         if not cols:
             return Mat(0, 0, [])
         n = len(cols[0])
-        data = [[QQ(c[i]) for c in cols] for i in range(n)]
+        data = [vec(c[i] for c in cols) for i in range(n)]
         return Mat(n, len(cols), data)
 
     @staticmethod
+    def from_sparse(rows: int, cols: int, entries: Sequence[dict]) -> "Mat":
+        """The matrix whose row i holds the entries {column: value} of
+        entries[i]; values must be scalars, zero values are dropped and
+        missing entries are zero."""
+        if len(entries) != rows:
+            raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
+        return _from_index(rows, cols, [_row_index(e) for e in entries])
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        return _from_index(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        data = [[_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = _ONE
-        return Mat(n, n, data)
+        return _from_index(n, n, [((i, _ONE),) for i in range(n)])
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Mat":
-        n = len(entries)
-        m = Mat.zeros(n, n)
-        for i, e in enumerate(entries):
-            m.data[i][i] = QQ(e)
-        return m
+        entries = vec(entries)
+        return _from_index(len(entries), len(entries),
+                           [((i, e),) if e else ()
+                            for i, e in enumerate(entries)])
 
     # -- basics ------------------------------------------------------------
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
+
+    @property
+    def nonzeros(self) -> tuple:
+        """Per row, the (column, value) pairs of its nonzero entries."""
+        nz = self._nz
+        if nz is None:
+            # Most zeros are the shared _ZERO; the identity test skips
+            # their (slow) truth test.
+            nz = tuple(tuple((j, e) for j, e in enumerate(r)
+                             if e is not _ZERO and e)
+                       for r in self.data)
+            object.__setattr__(self, "_nz", nz)
+        return nz
 
     def __getitem__(self, ij) -> QQ:
         i, j = ij
@@ -112,32 +146,28 @@ class Mat:
         return list(self.data[i])
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [r[j] for r in self.data]
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
 
-    def copy(self) -> "Mat":
-        return Mat(self.rows, self.cols, [list(r) for r in self.data])
-
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)])
+        out = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, e in r:
+                out[j].append((i, e))
+        return _from_index(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for r in self.data for e in r)
+        return not any(self.nonzeros)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.shape == other.shape
-                and all(self.data[i][j] == other.data[i][j]
-                        for i in range(self.rows) for j in range(self.cols)))
+        return self.shape == other.shape and self.nonzeros == other.nonzeros
 
     def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, self.nonzeros))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in r) for r in self.data)
@@ -146,53 +176,62 @@ class Mat:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)])
+        return self._plus(other, False)
 
     def __sub__(self, other: "Mat") -> "Mat":
+        return self._plus(other, True)
+
+    def _plus(self, other: "Mat", negate: bool) -> "Mat":
+        """self + other, or self - other when negate is set."""
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)])
+        out = []
+        for ra, rb in zip(self.nonzeros, other.nonzeros):
+            if negate:
+                rb = [(j, -b) for j, b in rb]
+            if not (ra and rb):
+                out.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for j, b in rb:
+                acc[j] = acc[j] + b if j in acc else b
+            out.append(_row_index(acc))
+        return _from_index(self.rows, self.cols, out)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = QQ(c)
-        return Mat(self.rows, self.cols,
-                   [[c * e for e in r] for r in self.data])
+        if not c:
+            return Mat.zeros(self.rows, self.cols)
+        return _from_index(self.rows, self.cols,
+                           [tuple((j, c * e) for j, e in r)
+                            for r in self.nonzeros])
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise LinalgError(f"cannot multiply {self.shape} by {other.shape}")
-        bt = other.transpose().data
+        bnz = other.nonzeros
         out = []
-        for arow in self.data:
-            nz = [(j, a) for j, a in enumerate(arow) if a]
-            orow = []
-            for bcol in bt:
-                s = _ZERO
-                for j, a in nz:
-                    b = bcol[j]
-                    if b:
-                        s += a * b
-                orow.append(s)
-            out.append(orow)
-        return Mat(self.rows, other.cols, out)
+        for ra in self.nonzeros:
+            acc = {}
+            for k, a in ra:
+                for j, b in bnz[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(_row_index(acc))
+        return _from_index(self.rows, other.cols, out)
 
     def times_vec(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise LinalgError("vector length does not match column count")
         out = []
-        for r in self.data:
+        for r in self.nonzeros:
             s = _ZERO
-            for a, x in zip(r, v):
-                if a and x:
+            for j, a in r:
+                x = v[j]
+                if x:
                     s += a * x
             out.append(s)
         return out
@@ -238,6 +277,37 @@ class Mat:
             raise LinalgError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
+def _init(m: Mat, rows: int, cols: int, data: tuple, nz) -> None:
+    set_ = object.__setattr__
+    set_(m, "rows", rows)
+    set_(m, "cols", cols)
+    set_(m, "data", data)
+    set_(m, "_nz", nz)
+
+
+def _row_index(entries: dict) -> tuple:
+    """The nonzero (column, value) pairs of a row, columns ascending."""
+    return tuple(sorted((j, v) for j, v in entries.items() if v))
+
+
+def _from_index(rows: int, cols: int, nz: Sequence) -> Mat:
+    """The matrix with the given nonzero index (valid rows, no checks)."""
+    nz = tuple(map(tuple, nz))
+    zero_row = (_ZERO,) * cols
+    data = []
+    for r in nz:
+        if r:
+            row = list(zero_row)
+            for j, v in r:
+                row[j] = v
+            data.append(tuple(row))
+        else:
+            data.append(zero_row)
+    m = object.__new__(Mat)
+    _init(m, rows, cols, tuple(data), nz)
+    return m
+
+
 def commutator(a: Mat, b: Mat) -> Mat:
     return a * b - b * a
 
@@ -247,11 +317,13 @@ def commutator(a: Mat, b: Mat) -> Mat:
 def _int_row(v: Sequence) -> tuple:
     """(row, d): the entries of v times d, as ints, for d the lcm of their
     denominators.  Accepts ints, QQ values and whatever QQ() parses."""
-    qs = [e if type(e) is QQ else QQ(e) for e in v]
-    d = lcm(*[int(e.denominator) for e in qs])
+    qs = vec(v)
+    # Most zeros are the shared _ZERO: skip their (slow) attribute reads.
+    d = lcm(*[int(e.denominator) for e in qs if e is not _ZERO])
     if d == 1:
-        return [int(e.numerator) for e in qs], 1
-    return [int(e.numerator) * (d // int(e.denominator)) for e in qs], d
+        return [0 if e is _ZERO else int(e.numerator) for e in qs], 1
+    return [0 if e is _ZERO else int(e.numerator) * (d // int(e.denominator))
+            for e in qs], d
 
 
 def _combine(row: list, lead: list, c: int) -> list:
@@ -455,8 +527,7 @@ class Subspace:
         pivots, _ = _echelon(rows, ambient_dim)
         reduced = rows[:len(pivots)]
         qrows = [_qq_row(row, row[c]) for row, c in zip(reduced, pivots)]
-        data = ([list(col) for col in zip(*qrows)] if qrows
-                else [[] for _ in range(ambient_dim)])
+        data = list(zip(*qrows)) if qrows else [()] * ambient_dim
         sub = Subspace(ambient_dim, Mat(ambient_dim, len(qrows), data))
         object.__setattr__(sub, "_int_basis", (reduced, pivots))
         return sub
@@ -524,7 +595,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return Subspace.zero(a.ambient_dim)
     stacked = Mat(a.ambient_dim, a.dim + b.dim,
-                  [ra + [-x for x in rb]
+                  [ra + tuple(-x for x in rb)
                    for ra, rb in zip(a.basis.data, b.basis.data)])
     ker = kernel_basis(stacked)
     vecs = []
@@ -562,12 +633,7 @@ def image_basis(m: Mat) -> Subspace:
 def eigenspace(op: Mat, lam) -> Subspace:
     if op.rows != op.cols:
         raise LinalgError("eigenspace of a non-square matrix")
-    lam = QQ(lam)
-    shifted = Mat(op.rows, op.cols,
-                  [[op.data[i][j] - (lam if i == j else _ZERO)
-                    for j in range(op.cols)]
-                   for i in range(op.rows)])
-    return kernel_basis(shifted)
+    return kernel_basis(op - Mat.identity(op.rows).scale(lam))
 
 
 def restrict_operator(op: Mat, sub: Subspace) -> Mat:
@@ -631,20 +697,3 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
             f"joint eigenspaces span {total} of {n} dimensions; "
             "operator is defective or the value grid is incomplete")
     return out
-
-
-def nilpotence_index(m: Mat) -> int:
-    """Largest i with m^i != 0; 0 for the zero map.
-
-    Raises NotNilpotentError if m^(dim+1) is still nonzero.
-    """
-    if m.rows != m.cols:
-        raise LinalgError("nilpotence index of a non-square matrix")
-    if m.rows == 0 or m.is_zero():
-        return 0
-    acc = m.copy()
-    for i in range(1, m.rows + 2):
-        if acc.is_zero():
-            return i - 1
-        acc = acc * m
-    raise NotNilpotentError("operator is not nilpotent within the dimension bound")

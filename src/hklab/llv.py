@@ -150,19 +150,16 @@ class GradedOperator:
             return None
         c = None
         for d in sorted(self.degrees):
-            a, b = self.block(d), other.block(d)
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    x, y = a.data[i][j], b.data[i][j]
-                    if y == 0:
-                        if x != 0:
-                            return None
-                        continue
-                    r = x / y
+            for ra, rb in zip(self.block(d).nonzeros, other.block(d).nonzeros):
+                xs = dict(ra)
+                for j, y in rb:
+                    r = xs.pop(j, _ZERO) / y
                     if c is None:
                         c = r
                     elif c != r:
                         return None
+                if xs:  # nonzero where other is zero
+                    return None
         return c
 
     def to_json(self) -> dict:
@@ -211,20 +208,15 @@ def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
         rows, cols = first.dim(d + off), first.dim(d)
         if not (rows and cols):
             continue
-        acc = None
-        for c, op in terms:
-            m = op.blocks.get(d)
-            if m is None:
-                continue
-            if acc is None:
-                acc = [[c * e if e else _ZERO for e in r] for r in m.data]
-                continue
-            for arow, r in zip(acc, m.data):
-                for j, e in enumerate(r):
-                    if e:
-                        arow[j] += c * e
-        if acc is not None:
-            blocks[d] = Mat(rows, cols, acc)
+        mats = [(c, op.blocks[d]) for c, op in terms if d in op.blocks]
+        if not mats:
+            continue
+        acc = [{} for _ in range(rows)]
+        for c, m in mats:
+            for arow, r in zip(acc, m.nonzeros):
+                for j, e in r:
+                    arow[j] = arow[j] + c * e if j in arow else c * e
+        blocks[d] = Mat.from_sparse(rows, cols, acc)
     return GradedOperator(first.degrees, off, blocks)
 
 
@@ -241,17 +233,15 @@ def total_matrix(op: GradedOperator) -> tuple:
         offsets[d] = pos
         pos += op.degrees[d]
     total = pos
-    m = Mat.zeros(total, total)
+    rows = [{} for _ in range(total)]
     for d in degs:
         tgt = d + op.offset
         if op.degrees.get(tgt, 0) == 0:
             continue
-        blk = op.block(d)
         r0, c0 = offsets[tgt], offsets[d]
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                m.data[r0 + i][c0 + j] = blk.data[i][j]
-    return m, offsets
+        for i, r in enumerate(op.block(d).nonzeros):
+            rows[r0 + i].update((c0 + j, e) for j, e in r)
+    return Mat.from_sparse(total, total, rows), offsets
 
 
 # -- basic operators ----------------------------------------------------------
@@ -264,12 +254,11 @@ def lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
     for k in range(0, 2 * alg.n):
         tensor = alg.tensors[(1, k)] if k >= 1 else None
         src, tgt = alg.level_dim(k), alg.level_dim(k + 1)
-        m = Mat.zeros(tgt, src)
+        rows = [{} for _ in range(tgt)]
         for j in range(src):
             if k == 0:
-                col = x
-                for t, val in enumerate(col):
-                    m.data[t][j] = val
+                for t, val in enumerate(x):
+                    rows[t][j] = val
                 continue
             for s, xs in enumerate(x):
                 if not xs:
@@ -278,8 +267,9 @@ def lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
                 if not entry:
                     continue
                 for t, val in entry.items():
-                    m.data[t][j] += xs * val
-        blocks[2 * k] = m
+                    row = rows[t]
+                    row[j] = row[j] + xs * val if j in row else xs * val
+        blocks[2 * k] = Mat.from_sparse(tgt, src, rows)
     return GradedOperator(degrees, 2, blocks)
 
 

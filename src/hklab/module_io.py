@@ -410,22 +410,22 @@ def make_spin_module(n: int = 2) -> dict:
     dim_s = 8
 
     def cliff(t: int) -> Mat:
-        m = Mat.zeros(dim_s, dim_s)
+        rows = [{} for _ in range(dim_s)]
         if t in creators:
             s = creators[t]
             for a in range(dim_s):
                 if a & (1 << s):
                     continue
                 sign = -1 if bin(a & ((1 << s) - 1)).count("1") % 2 else 1
-                m.data[a | (1 << s)][a] = QQ(sign)
+                rows[a | (1 << s)][a] = QQ(sign)
         else:
             s = annihilators[t]
             for a in range(dim_s):
                 if not (a & (1 << s)):
                     continue
                 sign = -1 if bin(a & ((1 << s) - 1)).count("1") % 2 else 1
-                m.data[a ^ (1 << s)][a] = QQ(2 * sign)
-        return m
+                rows[a ^ (1 << s)][a] = QQ(2 * sign)
+        return Mat.from_sparse(dim_s, dim_s, rows)
 
     def cliff_vec(v) -> Mat:
         acc = Mat.zeros(dim_s, dim_s)

@@ -92,13 +92,13 @@ def make_standard_space(b2: int, tail: Sequence = ()) -> QuadraticSpace:
         raise QuadFormError(f"tail must have length b2-4 = {b2 - 4}")
     if any(t == 0 for t in tail):
         raise QuadFormError("tail entries must be nonzero")
-    g = Mat.zeros(b2, b2)
+    g = [[_ZERO] * b2 for _ in range(b2)]
     for k in (0, 2):
-        g.data[k][k + 1] = _ONE
-        g.data[k + 1][k] = _ONE
+        g[k][k + 1] = _ONE
+        g[k + 1][k] = _ONE
     for i, t in enumerate(tail):
-        g.data[4 + i][4 + i] = t
-    return QuadraticSpace(g)
+        g[4 + i][4 + i] = t
+    return QuadraticSpace(Mat(b2, b2, g))
 
 
 def standard_tail(b2: int) -> list:
@@ -109,13 +109,10 @@ def standard_tail(b2: int) -> list:
 def mukai_extension(space: QuadraticSpace) -> QuadraticSpace:
     """Orthogonal direct sum with one extra hyperbolic plane."""
     n = space.dim
-    g = Mat.zeros(n + 2, n + 2)
-    for i in range(n):
-        for j in range(n):
-            g.data[i][j] = space.gram.data[i][j]
-    g.data[n][n + 1] = _ONE
-    g.data[n + 1][n] = _ONE
-    return QuadraticSpace(g)
+    g = [list(r) + [_ZERO, _ZERO] for r in space.gram.data]
+    g.append([_ZERO] * (n + 1) + [_ONE])
+    g.append([_ZERO] * n + [_ONE, _ZERO])
+    return QuadraticSpace(Mat(n + 2, n + 2, g))
 
 
 # -- isotropic vectors --------------------------------------------------------
@@ -273,11 +270,8 @@ def reflection(space: QuadraticSpace, u: Sequence) -> Mat:
         raise QuadFormError("cannot reflect in an isotropic vector")
     n = space.dim
     gu = space.gram.times_vec(u)
-    m = Mat.identity(n).copy()
-    for i in range(n):
-        for j in range(n):
-            m.data[i][j] -= 2 * u[i] * gu[j] / qu
-    return m
+    return Mat(n, n, [[(_ONE if i == j else _ZERO) - 2 * u[i] * gu[j] / qu
+                       for j in range(n)] for i in range(n)])
 
 
 def _move_vector(space: QuadraticSpace, x: list, y: list) -> list:

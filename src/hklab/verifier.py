@@ -24,7 +24,6 @@ from hklab.linalg import (
     Subspace,
     kernel_basis,
     image_basis,
-    nilpotence_index,
     subspace_intersection,
 )
 from hklab.llv import (
@@ -42,6 +41,7 @@ from hklab.llv import (
     verify_sl2,
 )
 from hklab.filtrations import (
+    GradedPowers,
     compare_gr_dims,
     conjugate_hodge_check,
     crosscheck_perverse_weight,
@@ -112,12 +112,9 @@ def nilpotence_profile(op: GradedOperator) -> NilpotenceProfile:
     """Per-degree nilpotence indices of a degree-0 operator."""
     if op.offset != 0:
         raise ValueError("nilpotence profile needs a degree-0 operator")
-    out = {}
-    for d, m in sorted(op.degrees.items()):
-        if m == 0:
-            continue
-        out[d] = nilpotence_index(op.block(d))
-    return NilpotenceProfile(out)
+    powers = GradedPowers(op)
+    return NilpotenceProfile({d: powers.index(d)
+                              for d, m in sorted(op.degrees.items()) if m})
 
 
 # -- even-degree checks ---------------------------------------------------------
@@ -253,13 +250,14 @@ def check_m_degree2(fc: FrameCalculus) -> list:
     verdicts = []
     sp = fc.frame.space
     b2 = sp.dim
-    model = Mat.zeros(b2, b2)
+    cols = []
     for j in range(b2):
         unit = [QQ(1) if t == j else QQ(0) for t in range(b2)]
         qb = sp.bilinear(fc.frame.beta, unit)
         qs = sp.bilinear(fc.frame.sbar, unit)
-        for t in range(b2):
-            model.data[t][j] = qb * fc.frame.sbar[t] - qs * fc.frame.beta[t]
+        cols.append([qb * fc.frame.sbar[t] - qs * fc.frame.beta[t]
+                     for t in range(b2)])
+    model = Mat.from_cols(cols)
     m2 = fc.M.block(2)
     scal = None
     gm = GradedOperator({2: b2}, 0, {2: m2})
@@ -365,9 +363,10 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     big = bigrading_from_operators(spec.degrees, n, fc.H_s, fc.H_sbar,
                                    fc.H_beta)
     cond26 = _module_condition_26(spec, fc)
+    powers = GradedPowers(fc.M)
     for d in odd:
         k = (d + 1) // 2
-        nil = nilpotence_index(fc.M.block(d))
+        nil = powers.index(d)
         upper = min(2 * k - 3, n - 1)
         verdicts.append(Verdict(
             claim=f"nilp(M_{d}) <= min(2k-3, n-1) = {upper}",
@@ -393,14 +392,14 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
                 expected=f"<= {k - 1}", observed=str(nil),
                 passed=nil <= k - 1, asserted=False))
     if spec.degrees.get(3, 0) > 0:
-        nil3 = nilpotence_index(fc.M.block(3))
+        nil3 = powers.index(3)
         verdicts.append(Verdict(
             claim="degree 3 populated: nilp(M_3) = 1",
             expected="1", observed=str(nil3),
             passed=nil3 == 1, asserted=False))
         d_top = 2 * n - 1
         if spec.degrees.get(d_top, 0) > 0:
-            nil_top = nilpotence_index(fc.M.block(d_top))
+            nil_top = powers.index(d_top)
             verdicts.append(Verdict(
                 claim=f"degree 3 populated: nilp(M_{d_top}) = n-1",
                 expected=str(n - 1), observed=str(nil_top),

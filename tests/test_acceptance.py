@@ -111,13 +111,14 @@ def test_c05_rank_two_shape(calculus):
         alg, frame, fc, big = calculus(n, b2)
         sp = alg.space
         m2 = fc.M.block(2)
-        model = Mat.zeros(b2, b2)
+        rows = [[QQ(0)] * b2 for _ in range(b2)]
         for j in range(b2):
             unit = [QQ(1) if t == j else QQ(0) for t in range(b2)]
             qb = sp.bilinear(frame.beta, unit)
             qs = sp.bilinear(frame.sbar, unit)
             for t in range(b2):
-                model.data[t][j] = qb * frame.sbar[t] - qs * frame.beta[t]
+                rows[t][j] = qb * frame.sbar[t] - qs * frame.beta[t]
+        model = Mat(b2, b2, rows)
         ratio = None
         for i in range(b2):
             for j in range(b2):
@@ -211,10 +212,11 @@ def test_c11_weight_filtration_axioms(calculus):
         gwf = graded_weight_filtration(lop, n)
         assert verify_graded_weight_filtration(lop, gwf), (n, b2)
     # uniqueness: agreement with the hand-built two-block chain
-    mat = Mat.zeros(5, 5)
-    mat.data[1][0] = QQ(1)
-    mat.data[2][1] = QQ(1)
-    mat.data[4][3] = QQ(1)
+    rows = [[QQ(0)] * 5 for _ in range(5)]
+    rows[1][0] = QQ(1)
+    rows[2][1] = QQ(1)
+    rows[4][3] = QQ(1)
+    mat = Mat(5, 5, rows)
     hand = (
         Subspace.from_vectors(5, [[0, 0, 1, 0, 0]]),
         Subspace.from_vectors(5, [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]),

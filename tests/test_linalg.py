@@ -14,7 +14,6 @@ from hklab.linalg import (
     image_basis,
     invert,
     kernel_basis,
-    nilpotence_index,
     rank,
     rref,
     simultaneous_eigenspaces,
@@ -22,6 +21,9 @@ from hklab.linalg import (
     subspace_intersection,
     subspace_sum,
 )
+
+from hklab.filtrations import graded_nilpotence_index
+from hklab.llv import GradedOperator, combine
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -175,11 +177,13 @@ def test_eigenspace():
 
 
 def test_nilpotence_index():
-    assert nilpotence_index(Mat.zeros(3, 3)) == 0
+    def index(m):
+        return graded_nilpotence_index(GradedOperator({0: m.rows}, 0, {0: m}))
+    assert index(Mat.zeros(3, 3)) == 0
     j3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert nilpotence_index(j3) == 2
+    assert index(j3) == 2
     with pytest.raises(NotNilpotentError):
-        nilpotence_index(Mat.identity(2))
+        index(Mat.identity(2))
 
 
 def test_matrix_arithmetic_shapes():
@@ -202,3 +206,261 @@ def test_from_vectors_accepts_ints_qq_and_strings():
 def test_zero_span_has_the_ambient_shape():
     sub = Subspace.from_vectors(3, [[0, 0, 0]])
     assert sub == Subspace.zero(3) and sub.basis.shape == (3, 0)
+
+
+# -- sparse kernels against the dense loops they replaced ----------------------
+#
+# Each reference below is the dense loop Mat (or llv.combine) ran before the
+# nonzero index; the sparse kernels must agree with it entry by entry, and
+# with sympy when it is installed.
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional, test-only oracle
+    sympy = None
+
+_Z = QQ(0)
+
+
+def dense(m: Mat) -> list:
+    return [list(r) for r in m.data]
+
+
+def dense_mul(a: list, b: list, ncols: int) -> list:
+    bt = [[row[j] for row in b] for j in range(ncols)]
+    out = []
+    for arow in a:
+        nz = [(j, x) for j, x in enumerate(arow) if x]
+        orow = []
+        for bcol in bt:
+            s = _Z
+            for j, x in nz:
+                y = bcol[j]
+                if y:
+                    s += x * y
+            orow.append(s)
+        out.append(orow)
+    return out
+
+
+def dense_times_vec(a: list, v: list) -> list:
+    out = []
+    for r in a:
+        s = _Z
+        for x, y in zip(r, v):
+            if x and y:
+                s += x * y
+        out.append(s)
+    return out
+
+
+def dense_add(a: list, b: list) -> list:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(a: list, b: list) -> list:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(c, a: list) -> list:
+    return [[c * x for x in r] for r in a]
+
+
+def dense_eq(a: list, b: list) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def dense_is_zero(a: list) -> bool:
+    return all(x == 0 for r in a for x in r)
+
+
+def dense_power(a: list, k: int) -> list:
+    n = len(a)
+    acc = [[QQ(1) if i == j else _Z for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        acc = dense_mul(acc, a, n)
+    return acc
+
+
+def dense_combine(coeffs: list, mats: list):
+    acc = None
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        if acc is None:
+            acc = [[c * e if e else _Z for e in r] for r in m]
+            continue
+        for arow, r in zip(acc, m):
+            for j, e in enumerate(r):
+                if e:
+                    arow[j] += c * e
+    return acc
+
+
+def check_sympy(got: Mat, ref) -> None:
+    """got equals the sympy matrix ref."""
+    assert ref.shape == got.shape
+    assert all(sympy.Rational(int(x.numerator), int(x.denominator))
+               == ref[i, j] for i, r in enumerate(got.data)
+               for j, x in enumerate(r))
+
+
+def to_sympy(rows: list, ncols: int):
+    return sympy.Matrix(len(rows), ncols,
+                        [sympy.Rational(int(x.numerator), int(x.denominator))
+                         for r in rows for x in r])
+
+
+scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(QQ)
+shape_dims = st.integers(0, 12)
+
+
+@st.composite
+def sparse_rows(draw, rows: int, cols: int) -> list:
+    """rows x cols entries with nonzero density 0, about 0.05 or 1."""
+    density = draw(st.sampled_from([0, 0.05, 1]))
+    rng = draw(st.randoms(use_true_random=False))
+    return [[QQ(rng.randint(-5, 5), rng.randint(1, 4))
+             if rng.random() < density else _Z for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def assert_matches(got: Mat, ref: list, rows: int, cols: int) -> None:
+    assert got.shape == (rows, cols)
+    assert dense(got) == ref
+    assert all(type(x) is QQ for r in got.data for x in r)
+    assert got.nonzeros == tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                                 for r in ref)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(shape_dims, shape_dims, shape_dims).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_rows(s[0], s[1]),
+                        sparse_rows(s[0], s[1]), sparse_rows(s[1], s[2]),
+                        sparse_rows(1, s[1]), scalars)))
+def test_sparse_kernels_match_dense_loops(case):
+    (r, k, c), a, a2, b, (v,), x = case
+    ma, ma2, mb = Mat(r, k, a), Mat(r, k, a2), Mat(k, c, b)
+    assert_matches(ma * mb, dense_mul(a, b, c), r, c)
+    assert ma.times_vec(v) == dense_times_vec(a, v)
+    assert all(type(e) is QQ for e in ma.times_vec(v))
+    assert_matches(ma + ma2, dense_add(a, a2), r, k)
+    assert_matches(ma - ma2, dense_sub(a, a2), r, k)
+    assert_matches(ma.scale(x), dense_scale(x, a), r, k)
+    assert_matches(-ma, dense_scale(QQ(-1), a), r, k)
+    assert_matches(ma.transpose(), [list(col) for col in zip(*a)] if r
+                   else [[] for _ in range(k)], k, r)
+    assert (ma == ma2) == dense_eq(a, a2)
+    assert ma == Mat(r, k, dense(ma)) and ma == ma.transpose().transpose()
+    assert ma.is_zero() == dense_is_zero(a)
+    if sympy is not None:
+        sa, sa2, sb = to_sympy(a, k), to_sympy(a2, k), to_sympy(b, c)
+        check_sympy(ma * mb, sa * sb)
+        check_sympy(ma + ma2, sa + sa2)
+        check_sympy(ma - ma2, sa - sa2)
+        check_sympy(ma.scale(x), sa * to_sympy([[x]], 1)[0, 0])
+        assert ma.times_vec(v) == [
+            QQ(int(e.p), int(e.q)) for e in sa * to_sympy([[e] for e in v], 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), sparse_rows(n, n), st.integers(0, 4))))
+def test_sparse_power_matches_dense_loop(case):
+    n, a, k = case
+    got = Mat(n, n, a).power(k)
+    assert_matches(got, dense_power(a, k), n, n)
+    if sympy is not None and n:
+        check_sympy(got, to_sympy(a, n) ** k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 10), st.integers(1, 10),
+                 st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(st.just(s),
+                        st.lists(sparse_rows(s[0], s[1]), min_size=s[2],
+                                 max_size=s[2]),
+                        st.lists(st.one_of(st.just(QQ(0)), scalars),
+                                 min_size=s[2], max_size=s[2]))))
+def test_sparse_combine_matches_dense_loop(case):
+    (r, c, count), mats, coeffs = case
+    # One operator from degree 0 to degree 2, so blocks are r x c.
+    ops = [GradedOperator({0: c, 2: r}, 2, {0: Mat(r, c, m)}) for m in mats]
+    got = combine(coeffs, ops)
+    ref = dense_combine(coeffs, mats)
+    if ref is None:
+        assert got.blocks == {} and got.is_zero()
+    else:
+        assert_matches(got.blocks[0], ref, r, c)
+        if sympy is not None:
+            check_sympy(got.blocks[0], sum(
+                (to_sympy(m, c) * to_sympy([[x]], 1)[0, 0]
+                 for x, m in zip(coeffs, mats)), sympy.zeros(r, c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(shape_dims, shape_dims, shape_dims).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_rows(s[0], s[1]),
+                        sparse_rows(s[1], s[2]), sparse_rows(s[0], s[1]))))
+def test_cancellations_give_the_exact_zero(case):
+    (r, k, c), x, y, w = case
+    # [x | -x] times [y ; y] is x y - x y: every partial sum may be nonzero.
+    left = Mat(r, 2 * k, [row + [-e for e in row] for row in x])
+    right = Mat(2 * k, c, y + y)
+    mx, mw = Mat(r, k, x), Mat(r, k, w)
+    zero_rc, zero_rk = Mat.zeros(r, c), Mat.zeros(r, k)
+    for got, zero in ((left * right, zero_rc), (mx - mx, zero_rk),
+                      ((mx + mw) - mw - mx, zero_rk),
+                      (mx.scale(2) - mx - mx, zero_rk),
+                      (mx * Mat.zeros(k, c), zero_rc)):
+        assert got == zero and zero == got
+        assert got.is_zero()
+        assert hash(got) == hash(zero)
+        assert dense(got) == dense(zero)
+
+
+def test_shapes_with_a_zero_dimension():
+    for r, c in ((0, 3), (3, 0), (0, 0)):
+        z = Mat.zeros(r, c)
+        assert z.shape == (r, c) and z.is_zero()
+        assert z == Mat(r, c, [[_Z] * c for _ in range(r)])
+        assert z.transpose().shape == (c, r)
+        assert z.times_vec([_Z] * c) == [_Z] * r
+    # 3x0 times 0x4 is the 3x4 zero; 0x3 times 3x2 is 0x2.
+    assert Mat.zeros(3, 0) * Mat.zeros(0, 4) == Mat.zeros(3, 4)
+    assert Mat.zeros(0, 3) * Mat.identity(3) == Mat.zeros(0, 3)
+    assert (Mat.zeros(0, 3) * Mat.zeros(3, 2)).shape == (0, 2)
+
+
+# -- immutability ------------------------------------------------------------
+
+def test_mat_is_immutable():
+    m = Mat.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        m.data[0][1] = QQ(5)
+    with pytest.raises(AttributeError):
+        m.data = ((QQ(1),),)
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    with pytest.raises(AttributeError):
+        del m.cols
+    # The constructor copies its input: later writes to it do not leak in.
+    rows = [[QQ(1), QQ(0)], [QQ(0), QQ(2)]]
+    built = Mat(2, 2, rows)
+    rows[0][1] = QQ(7)
+    assert built == m and built[0, 1] == 0
+
+
+def test_equal_matrices_from_different_routes_hash_alike():
+    x = Mat.from_rows([[1, 2], [3, 4]])
+    cancelled = (Mat.from_rows([[1, -1], [2, -2]])
+                 * Mat.from_rows([[1, 2], [1, 2]]))
+    assert cancelled == Mat.zeros(2, 2)
+    assert hash(cancelled) == hash(Mat.zeros(2, 2))
+    diag = Mat.diagonal([1, QQ(1, 2), 0])
+    hand = Mat.from_rows([[1, 0, 0], [0, "1/2", 0], [0, 0, 0]])
+    assert diag == hand and hash(diag) == hash(hand)
+    assert x - x == Mat.zeros(2, 2) and hash(x - x) == hash(Mat.zeros(2, 2))
+    assert Mat.identity(2) == Mat.diagonal([1, 1])
+    assert hash(Mat.identity(2)) == hash(Mat.diagonal([1, 1]))
+    assert len({diag, hand, Mat.zeros(2, 2), cancelled}) == 2

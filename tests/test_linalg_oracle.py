@@ -81,8 +81,8 @@ def test_rref_rank_and_pivots_match_sympy(case):
     assert pivots == list(ref_pivots)
     assert rk == rank(as_mat(rows, ncols)) == as_sympy(rows, ncols).rank()
     assert red.data == \
-        [[from_sympy(ref[i, j]) for j in range(ncols)]
-         for i in range(len(rows))]
+        tuple(tuple(from_sympy(ref[i, j]) for j in range(ncols))
+              for i in range(len(rows)))
     assert all_qq(red)
 
 
@@ -117,7 +117,8 @@ def test_invert_and_det_match_sympy(case):
     inv = invert(m)
     ref_inv = ref.inv()
     assert inv.data == \
-        [[from_sympy(ref_inv[i, j]) for j in range(n)] for i in range(n)]
+        tuple(tuple(from_sympy(ref_inv[i, j]) for j in range(n))
+              for i in range(n))
     assert all_qq(inv)
 
 

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 import hklab.module_io as module_io
+from hklab.filtrations import GradedPowers
 from hklab.linalg import qq
 from hklab.llv import build_frame
 from hklab.module_io import (
@@ -102,9 +103,9 @@ def test_spin_module_operator_analysis():
     frame = build_frame(spec.space, seed=0)
     fc = module_frame_calculus(spec, frame)
     assert fc.m_bracket_scalar == 4
-    from hklab.linalg import nilpotence_index
-    assert nilpotence_index(fc.M.block(3)) == 1
-    assert nilpotence_index(fc.M.block(5)) == 1
+    powers = GradedPowers(fc.M)
+    assert powers.index(3) == 1
+    assert powers.index(5) == 1
 
 
 def test_fixture_files_are_reproducible(fixture_dir, built):

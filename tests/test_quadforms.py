@@ -110,11 +110,12 @@ def test_isotropic_plane_validation():
 def test_isometry_validation():
     sp = make_standard_space(4, [])
     Isometry(sp, Mat.identity(4))
-    swap = Mat.zeros(4, 4)
-    swap.data[0][1] = QQ(1)
-    swap.data[1][0] = QQ(1)
-    swap.data[2][2] = QQ(1)
-    swap.data[3][3] = QQ(1)
+    rows = [[QQ(0)] * 4 for _ in range(4)]
+    rows[0][1] = QQ(1)
+    rows[1][0] = QQ(1)
+    rows[2][2] = QQ(1)
+    rows[3][3] = QQ(1)
+    swap = Mat(4, 4, rows)
     # swapping e and f preserves the form but has determinant -1
     with pytest.raises(QuadFormError):
         Isometry(sp, swap)
