@@ -383,7 +383,7 @@ def test_sparse_power_matches_dense_loop(case):
                         st.lists(st.one_of(st.just(QQ(0)), scalars),
                                  min_size=s[2], max_size=s[2]))))
 def test_sparse_combine_matches_dense_loop(case):
-    (r, c, count), mats, coeffs = case
+    (r, c, _), mats, coeffs = case
     # One operator from degree 0 to degree 2, so blocks are r x c.
     ops = [GradedOperator({0: c, 2: r}, 2, {0: Mat(r, c, m)}) for m in mats]
     got = combine(coeffs, ops)
