@@ -10,8 +10,10 @@ defining properties, so the construction is self-certifying.
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
 the monodromy M and 2 for multiplication L_x by a degree-2 class.  One
 routine each builds the Jordan chains, the filtration and its verification
-for any offset; a single square matrix is the graded operator with one
-degree and offset 0.
+for any offset; the powers of the operator and their kernels come from one
+llv.GradedPowers per operator, shared by the nilpotence index, the Jordan
+chains and the perverse chain.  A single square matrix is the graded
+operator with one degree and offset 0 (weight_filtration).
 
 The perverse chain of an isotropic degree-2 class beta on degree d is
 computed by the kernel-sum formula
@@ -28,15 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from hklab.linalg import (
-    IncrementalRref,
-    Mat,
-    NotNilpotentError,
-    Subspace,
-    kernel_basis,
-    subspace_sum,
-)
-from hklab.llv import Bigrading, GradedOperator, lefschetz
+from hklab.linalg import IncrementalRref, Mat, Subspace, subspace_sum
+from hklab.llv import Bigrading, GradedOperator, GradedPowers, lefschetz
 from hklab.verbitsky import GradedAlgebra
 
 
@@ -87,58 +82,6 @@ class GradedWeightFiltration:
             if v:
                 out[i] = v
         return out
-
-
-class GradedPowers:
-    """Powers op^e of a graded operator from each source degree, their
-    kernels and the nilpotence index per degree, each computed once on
-    first use."""
-
-    def __init__(self, op: GradedOperator):
-        self.op = op
-        self._powers: dict = {}
-        self._kernels: dict = {}
-        self._indices: dict = {}
-
-    def power(self, src_degree: int, e: int) -> Mat:
-        """Matrix of op^e starting at src_degree (zero map if targets vanish)."""
-        key = (src_degree, e)
-        m = self._powers.get(key)
-        if m is None:
-            if e == 0:
-                m = Mat.identity(self.op.dim(src_degree))
-            else:
-                m = (self.op.block(src_degree + self.op.offset * (e - 1))
-                     * self.power(src_degree, e - 1))
-            self._powers[key] = m
-        return m
-
-    def kernel(self, src_degree: int, e: int) -> Subspace:
-        key = (src_degree, e)
-        ker = self._kernels.get(key)
-        if ker is None:
-            ker = (kernel_basis(self.power(src_degree, e)) if e
-                   else Subspace.zero(self.op.dim(src_degree)))
-            self._kernels[key] = ker
-        return ker
-
-    def index(self, src_degree: int) -> int:
-        """Largest i with op^i nonzero on src_degree.
-
-        Raises NotNilpotentError if op^i is still nonzero once i exceeds
-        the total dimension.
-        """
-        s = self._indices.get(src_degree)
-        if s is None:
-            total = sum(self.op.degrees.values())
-            s = 0
-            while not self.power(src_degree, s + 1).is_zero():
-                s += 1
-                if s > total:
-                    raise NotNilpotentError(
-                        "operator is not nilpotent within the dimension bound")
-            self._indices[src_degree] = s
-        return s
 
 
 def graded_nilpotence_index(op: GradedOperator,
@@ -420,15 +363,12 @@ class GradedDimTable:
 
 
 def monodromy_weight_table(alg: GradedAlgebra, m_op: GradedOperator) -> GradedDimTable:
-    """dim Gr^M_{n+j} per degree, from per-degree weight filtrations."""
+    """dim Gr^M_{n+j} per degree, from the weight filtration of the degree-0
+    operator M, which is computed degree by degree."""
     n = alg.n
-    entries = {}
-    for d, dim_d in sorted(alg.dims().items()):
-        if dim_d == 0:
-            continue
-        wf = weight_filtration(m_op.block(d), n)
-        for i, v in wf.graded_dims(0).items():
-            entries[(d, i - n)] = v
+    wf = graded_weight_filtration(m_op, n)
+    entries = {(d, i - n): v for d in sorted(wf.degrees)
+               for i, v in wf.graded_dims(d).items()}
     return GradedDimTable("monodromy weight graded dims (degree, j)", entries)
 
 

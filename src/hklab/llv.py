@@ -6,6 +6,12 @@ extension to the whole degree-2 space, the model monodromy commutator
 M = [L_beta, Lambda_sbar] attached to a hyperbolic frame, and the joint
 eigenspace bigrading (p, q, i) refining every graded piece.
 
+Graded operators are stored blockwise.  GradedPowers holds the powers of
+one operator from each source degree, their kernels and the per-degree
+nilpotence index, and is the only code that multiplies out powers of a
+graded operator: the sl2 completion reads its primitive spaces from it,
+as do the weight and perverse filtrations and the nilpotence profile of M.
+
 Scalar conventions.  The sl2 completion Lambda_x of (L_x, h) scales like
 1/x, so the assignment x -> Lambda_x is not linear; what is linear is
 x -> (q(x)/2) * Lambda_x, which agrees with Lambda_x exactly on the quadric
@@ -26,13 +32,15 @@ from typing import Callable, Optional, Sequence
 from hklab.linalg import (
     QQ,
     EigenDefectError,
+    IncrementalRref,
     Mat,
+    NotNilpotentError,
     Subspace,
+    invert,
+    kernel_basis,
     qq,
-    rank,
     rref,
     simultaneous_eigenspaces,
-    solve,
     vec,
 )
 from hklab.quadforms import QuadraticSpace, hyperbolic_pair, reflection
@@ -137,12 +145,6 @@ class GradedOperator:
     def __hash__(self):
         return hash((self.offset, tuple(sorted(self.degrees.items()))))
 
-    def power(self, k: int) -> "GradedOperator":
-        acc = identity_operator(self.degrees)
-        for _ in range(k):
-            acc = acc.compose(self)
-        return acc
-
     def proportionality(self, other: "GradedOperator"):
         """Scalar c with self == c * other, or None."""
         self._same_grading(other)
@@ -178,9 +180,57 @@ class GradedOperator:
         return GradedOperator(degrees, int(obj["offset"]), blocks)
 
 
-def identity_operator(degrees: dict) -> GradedOperator:
-    return GradedOperator(degrees, 0,
-                          {d: Mat.identity(n) for d, n in degrees.items() if n})
+class GradedPowers:
+    """Powers op^e of a graded operator from each source degree, their
+    kernels and the nilpotence index per degree, each computed once on
+    first use.  This is the only place where powers of a graded operator
+    are multiplied out."""
+
+    def __init__(self, op: GradedOperator):
+        self.op = op
+        self._powers: dict = {}
+        self._kernels: dict = {}
+        self._indices: dict = {}
+
+    def power(self, src_degree: int, e: int) -> Mat:
+        """Matrix of op^e starting at src_degree (zero map if targets vanish)."""
+        key = (src_degree, e)
+        m = self._powers.get(key)
+        if m is None:
+            if e == 0:
+                m = Mat.identity(self.op.dim(src_degree))
+            else:
+                m = (self.op.block(src_degree + self.op.offset * (e - 1))
+                     * self.power(src_degree, e - 1))
+            self._powers[key] = m
+        return m
+
+    def kernel(self, src_degree: int, e: int) -> Subspace:
+        key = (src_degree, e)
+        ker = self._kernels.get(key)
+        if ker is None:
+            ker = (kernel_basis(self.power(src_degree, e)) if e
+                   else Subspace.zero(self.op.dim(src_degree)))
+            self._kernels[key] = ker
+        return ker
+
+    def index(self, src_degree: int) -> int:
+        """Largest i with op^i nonzero on src_degree.
+
+        Raises NotNilpotentError if op^i is still nonzero once i exceeds
+        the total dimension.
+        """
+        s = self._indices.get(src_degree)
+        if s is None:
+            total = sum(self.op.degrees.values())
+            s = 0
+            while not self.power(src_degree, s + 1).is_zero():
+                s += 1
+                if s > total:
+                    raise NotNilpotentError(
+                        "operator is not nilpotent within the dimension bound")
+            self._indices[src_degree] = s
+        return s
 
 
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -293,17 +343,14 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
     """The unique degree -2 operator F with (lop, F, h) an sl2 triple.
 
     Decomposes the module into ladders generated by primitive vectors
-    (kernels of the appropriate power of lop at or below the middle weight)
-    and applies the standard lowering formula F(L^j p) = j(lam - j + 1)
-    L^{j-1} p on a ladder of lowest weight -lam.  Raises NotLefschetzError
+    (the kernels ker lop^(lam+1) on each degree of weight -lam <= 0, read
+    from a GradedPowers of lop) and applies the standard lowering formula
+    F(L^j p) = j(lam - j + 1) L^{j-1} p on a ladder of lowest weight -lam.  Raises NotLefschetzError
     when the ladders fail to span, i.e. when lop is not a Lefschetz-type
     raising operator.
     """
     degrees = lop.degrees
-    max_lam = max((2 * n - d for d, m in degrees.items() if m), default=0)
-    powers = {0: identity_operator(degrees)}
-    for i in range(1, max_lam + 2):
-        powers[i] = lop.compose(powers[i - 1])
+    powers = GradedPowers(lop)
     chains = []  # (start_degree, lam, [vectors per step])
     for d in sorted(degrees):
         if degrees[d] == 0:
@@ -312,8 +359,7 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
         if w > 0:
             continue
         lam = -w
-        ker = _kernel_of_block(powers[lam + 1], d)
-        for pvec in ker.vectors():
+        for pvec in powers.kernel(d, lam + 1).vectors():
             steps = [pvec]
             cur = pvec
             for _ in range(lam):
@@ -354,11 +400,6 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
     return GradedOperator(degrees, -2, blocks)
 
 
-def _kernel_of_block(op: GradedOperator, d: int) -> Subspace:
-    from hklab.linalg import kernel_basis
-    return kernel_basis(op.block(d))
-
-
 def dual_lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
     """sl2 dual of multiplication by x; requires q(x) != 0 and hard Lefschetz."""
     x = vec(x)
@@ -386,32 +427,26 @@ def anisotropic_basis(space: QuadraticSpace, variant: int = 0) -> list:
     the linear extension completes the first and is certified on the second.
     """
     n = space.dim
-    chosen: list = []
-
-    def unit(i):
-        return [_ONE if j == i else _ZERO for j in range(n)]
-
-    def combo(i, j, c):
-        e_i, e_j = unit(i), unit(j)
-        return [a + c * b for a, b in zip(e_i, e_j)]
+    coeff_order = (1, 2, -1, -2, 3) if variant == 0 else (-1, -2, 1, 2, 3)
 
     def candidates(i):
-        coeff_order = (1, 2, -1, -2, 3) if variant == 0 else (-1, -2, 1, 2, 3)
-        outs = [] if variant else [unit(i)]
+        unit = [_ONE if j == i else _ZERO for j in range(n)]
+        if not variant:
+            yield unit
         for c in coeff_order:
             for shift in range(1, n):
-                outs.append(combo(i, (i + shift) % n, c))
-        outs.append(unit(i))
-        return outs
+                cand = list(unit)
+                cand[(i + shift) % n] = QQ(c)
+                yield cand
+        yield unit
 
+    # insert accepts a candidate exactly when it is independent of the
+    # vectors chosen so far.
+    state = IncrementalRref(n)
+    chosen: list = []
     for i in range(n):
-        picked = None
-        for cand in candidates(i):
-            if space.quad(cand) == 0:
-                continue
-            if rank(Mat.from_cols(chosen + [cand])) == len(chosen) + 1:
-                picked = cand
-                break
+        picked = next((cand for cand in candidates(i)
+                       if space.quad(cand) != 0 and state.insert(cand)), None)
         if picked is None:
             raise OperatorError("could not assemble an anisotropic basis")
         chosen.append(picked)
@@ -442,12 +477,10 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
             raise NotLefschetzError("sl2 completion failed the bracket identity")
         duals.append(lam)
     half_q = [space.quad(x) / 2 for x in basis]
-    bmat = Mat.from_cols(basis)
-    table = []
-    for s in range(space.dim):
-        unit = [_ONE if j == s else _ZERO for j in range(space.dim)]
-        coeffs = solve(bmat, unit)
-        table.append(combine([c * w for c, w in zip(coeffs, half_q)], duals))
+    # Column s of B^-1 holds the coordinates of the unit vector e_s.
+    binv = invert(Mat.from_cols(basis))
+    table = [combine([c * w for c, w in zip(binv.col(s), half_q)], duals)
+             for s in range(space.dim)]
     for y in anisotropic_basis(space, variant=1):
         if commutator_op(l_of(y), combine(y, table)) != \
                 h.scale(space.quad(y) / 2):
@@ -522,7 +555,6 @@ class HodgeFrame:
 
 
 def _frame_complement(space: QuadraticSpace, vectors: list) -> Subspace:
-    from hklab.linalg import kernel_basis
     rows = [space.gram.times_vec(v) for v in vectors]
     return kernel_basis(Mat.from_rows(rows))
 

@@ -75,10 +75,6 @@ class QuadraticSpace:
         return QuadraticSpace(g)
 
 
-def bilinear(space: QuadraticSpace, v: Sequence, w: Sequence) -> QQ:
-    return space.bilinear(v, w)
-
-
 def make_standard_space(b2: int, tail: Sequence = ()) -> QuadraticSpace:
     """Gram = U + U + diag(tail): two orthogonal hyperbolic planes up front.
 

@@ -162,9 +162,6 @@ class GradedAlgebra:
         """Cohomological degree -> dimension."""
         return {2 * k: len(ms) for k, ms in sorted(self.levels.items())}
 
-    def degrees(self) -> dict:
-        return self.dims()
-
     # -- elements --------------------------------------------------------------
 
     def zero(self, degree: int) -> AlgebraElement:

@@ -100,7 +100,7 @@ def test_c03_power_vanishing(calculus):
 def test_c04_full_even_pattern(calculus):
     for n, b2 in GRID:
         alg, frame, fc, big = calculus(n, b2)
-        verdicts = check_even_nagai(nilpotence_profile(fc.M), n, fc.M)
+        verdicts = check_even_nagai(nilpotence_profile(fc.M), n)
         bad = [v.claim for v in verdicts if not v.passed]
         assert not bad, (n, b2, bad)
     report(4, "index equals k on every even degree 2k up to the middle")

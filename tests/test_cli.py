@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hklab.cli import main
@@ -57,6 +58,16 @@ def test_verify_grid_text(tmp_path, capsys):
                          "--trials", "10", "--format", "text")
     assert code == 0
     assert out.count("pass") == 2
+
+
+def test_verify_grid_report_bytes(capsys):
+    """The whole grid report is pinned, expected, observed and witness text
+    included, not only the claims and verdicts."""
+    code, out, err = run(capsys, "verify", "--grid",
+                         "1x4,1x5,1x6,2x4,2x5,3x4", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "9ceafd715e743a6d05e091d56105849fd1c3ae61410fb532125401f425f42c8c"
 
 
 def test_verify_module_fixtures(fixture_dir, capsys):

@@ -3,7 +3,6 @@ import pytest
 from hklab.filtrations import (
     FiltrationError,
     GradedWeightFiltration,
-    GradedPowers,
     compare_gr_dims,
     conjugate_hodge_check,
     crosscheck_perverse_weight,
@@ -17,7 +16,7 @@ from hklab.filtrations import (
     weight_filtration,
 )
 from hklab.linalg import QQ, Mat, NotNilpotentError, Subspace
-from hklab.llv import GradedOperator, lefschetz
+from hklab.llv import GradedOperator, GradedPowers, lefschetz
 from hklab.quadforms import sample_isotropic
 
 

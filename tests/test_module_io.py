@@ -4,9 +4,8 @@ import jsonschema
 import pytest
 
 import hklab.module_io as module_io
-from hklab.filtrations import GradedPowers
 from hklab.linalg import qq
-from hklab.llv import build_frame
+from hklab.llv import GradedPowers, build_frame
 from hklab.module_io import (
     SchemaError,
     corrupt_module,

@@ -1,12 +1,12 @@
 import json
 import random
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab.linalg import QQ, LinalgError, Mat, rref
+from hklab.linalg import QQ, LinalgError, Mat, qq, rank, rref
 from hklab.quadforms import (
     QuadraticSpace,
     make_standard_space,
@@ -107,7 +107,7 @@ def test_isotropic_powers(built):
     sp = alg.space
     for v in sample_isotropic(sp, 5, seed=123):
         x = alg.degree2(v)
-        assert alg.power(x, 2 * alg.n).is_zero() or True  # powers defined
+        assert alg.power(x, 2 * alg.n).is_zero()
         assert alg.power(x, alg.n + 1).is_zero()
         assert not alg.power(x, alg.n).is_zero()
 
@@ -116,6 +116,63 @@ def test_anisotropic_top_power_nonzero(built):
     alg = built(2, 4)
     x = alg.degree2([1, 1, 0, 0])
     assert not alg.power(x, 2 * alg.n).is_zero()
+
+
+def _unit(dim, i):
+    return [1 if j == i else 0 for j in range(dim)]
+
+
+def _monomial(alg, alpha):
+    """xi^alpha in SH, as a product of degree-2 unit classes."""
+    acc = alg.unit()
+    for i, a in enumerate(alpha):
+        e = alg.degree2(_unit(alg.b2, i))
+        for _ in range(a):
+            acc = alg.multiply(acc, e)
+    return acc
+
+
+def _rational(sympy, x):
+    return sympy.Rational(int(x.numerator), int(x.denominator))
+
+
+@pytest.mark.parametrize("n,b2,tail", [
+    (1, 4, None), (2, 4, None), (2, 5, None), (3, 4, None),
+    (2, 6, ("1/3", "-5"))], ids=["1x4", "2x4", "2x5", "3x4", "2x6-tail"])
+def test_gorenstein_pairing(built, n, b2, tail):
+    """Inverse-system route: SH = Sym(V) / Ann(Q^n) for the polynomial
+    Q = xi^T G xi acting by differentiation, so the top functional is
+    proportional to alpha -> d^alpha Q^n, normalised at the top basis
+    monomial m0; and the top pairing SH^(2k) x SH^(4n-2k) is perfect."""
+    sympy = pytest.importorskip("sympy")
+    if tail is None:
+        alg = built(n, b2)
+    else:
+        alg = build_verbitsky(make_standard_space(b2, [qq(t) for t in tail]),
+                              n)
+    xs = sympy.symbols(f"x0:{b2}")
+    gram = alg.space.gram
+    q = sum(_rational(sympy, gram[i, j]) * xs[i] * xs[j]
+            for i in range(b2) for j in range(b2))
+    qn = sympy.Poly(sympy.expand(q ** n), *xs)
+
+    def d_alpha(alpha):
+        # Q^n is homogeneous of degree 2n = |alpha|: d^alpha leaves a constant.
+        return qn.coeff_monomial(alpha) * prod(factorial(a) for a in alpha)
+
+    m0 = alg.levels[2 * n][0]
+    scale = d_alpha(m0)
+    assert scale != 0
+    for alpha in monomials(b2, 2 * n):
+        top = alg.top_functional(_monomial(alg, alpha))
+        assert _rational(sympy, top) * scale == d_alpha(alpha), alpha
+    for k in range(2 * n + 1):
+        lo, hi = alg.level_dim(k), alg.level_dim(2 * n - k)
+        pairing = [[alg.top_functional(alg.multiply(
+                        alg.element(2 * k, _unit(lo, i)),
+                        alg.element(4 * n - 2 * k, _unit(hi, j))))
+                    for j in range(hi)] for i in range(lo)]
+        assert lo == hi and rank(Mat.from_rows(pairing)) == lo, k
 
 
 @settings(max_examples=25, deadline=None)

@@ -36,7 +36,7 @@ def test_profile_examples(calculus):
 def test_even_nagai_passes(calculus):
     for key in [(1, 5), (2, 4), (2, 5)]:
         alg, frame, fc, big = calculus(*key)
-        verdicts = check_even_nagai(nilpotence_profile(fc.M), alg.n, fc.M)
+        verdicts = check_even_nagai(nilpotence_profile(fc.M), alg.n)
         assert all(v.passed for v in verdicts), \
             [v.claim for v in verdicts if not v.passed]
 
@@ -46,9 +46,98 @@ def test_even_nagai_detects_corruption(calculus):
     blocks = dict(fc.M.blocks)
     blocks[2] = Mat.zeros(5, 5)
     broken = GradedOperator(fc.M.degrees, 0, blocks)
-    verdicts = check_even_nagai(nilpotence_profile(broken), alg.n, broken)
+    verdicts = check_even_nagai(nilpotence_profile(broken), alg.n)
     bad = [v for v in verdicts if not v.passed]
     assert bad and all(v.witness for v in bad)
+
+
+def _shift(k):
+    """The k x k nilpotent shift e_j -> e_(j+1), of index k - 1."""
+    return Mat.from_rows([[1 if i == j + 1 else 0 for j in range(k)]
+                          for i in range(k)])
+
+
+_VERDICT_KEYS = ("claim", "expected", "observed", "passed", "witness",
+                 "asserted")
+
+# (n, b2), degrees given a shift block, and every verdict of
+# check_even_nagai on that copy of M, as (claim, expected, observed,
+# passed, witness, asserted).  Recorded from the implementation that took
+# matrix powers of each block directly, so the profile-based verdicts are
+# pinned to the same text.
+_PLANTED = [
+    ((2, 4), (2,), [
+        ("nilp(M_0) = 0", "0", "0", True, "", True),
+        ("nilp(M_2) = 1", "1", "3", False, "observed 3, expected 1", True),
+        ("nilp(M_4) = 2", "2", "2", True, "", True),
+        ("nilp(M_4) = n", "2", "2", True, "", True),
+        ("nilp(M_0) <= n-1", "<= 1", "0", True, "", True),
+        ("nilp(M_2) <= n-1", "<= 1", "3", False,
+         "observed 3, expected <= 1", True),
+        ("M^(n+1) = 0 on every even degree", "zero matrices", "nonzero",
+         False, "M^3 != 0 on degree 2", True),
+        ("M^n = 0 strictly below the middle degree", "zero matrices",
+         "nonzero", False, "M^2 != 0 on degree 2", True),
+        ("profile duality nilp(M_d) = nilp(M_(4n-d))", "symmetric",
+         "asymmetric", False, "nilp(M_2) = 3 != nilp(M_6)", True),
+    ]),
+    ((2, 4), (4,), [
+        ("nilp(M_0) = 0", "0", "0", True, "", True),
+        ("nilp(M_2) = 1", "1", "1", True, "", True),
+        ("nilp(M_4) = 2", "2", "9", False, "observed 9, expected 2", True),
+        ("nilp(M_4) = n", "2", "9", False, "observed 9, expected 2", True),
+        ("nilp(M_0) <= n-1", "<= 1", "0", True, "", True),
+        ("nilp(M_2) <= n-1", "<= 1", "1", True, "", True),
+        ("M^(n+1) = 0 on every even degree", "zero matrices", "nonzero",
+         False, "M^3 != 0 on degree 4", True),
+        ("M^n = 0 strictly below the middle degree", "zero matrices",
+         "zero", True, "", True),
+        ("profile duality nilp(M_d) = nilp(M_(4n-d))", "symmetric",
+         "symmetric", True, "", True),
+    ]),
+    ((2, 5), (0, 2, 6), [
+        ("nilp(M_0) = 0", "0", "0", True, "", True),
+        ("nilp(M_2) = 1", "1", "4", False, "observed 4, expected 1", True),
+        ("nilp(M_4) = 2", "2", "2", True, "", True),
+        ("nilp(M_4) = n", "2", "2", True, "", True),
+        ("nilp(M_0) <= n-1", "<= 1", "0", True, "", True),
+        ("nilp(M_2) <= n-1", "<= 1", "4", False,
+         "observed 4, expected <= 1", True),
+        ("M^(n+1) = 0 on every even degree", "zero matrices", "nonzero",
+         False, "M^3 != 0 on degree 2", True),
+        ("M^n = 0 strictly below the middle degree", "zero matrices",
+         "nonzero", False, "M^2 != 0 on degree 2", True),
+        ("profile duality nilp(M_d) = nilp(M_(4n-d))", "symmetric",
+         "symmetric", True, "", True),
+    ]),
+    ((1, 5), (2,), [
+        ("nilp(M_0) = 0", "0", "0", True, "", True),
+        ("nilp(M_2) = 1", "1", "4", False, "observed 4, expected 1", True),
+        ("nilp(M_2) = n", "1", "4", False, "observed 4, expected 1", True),
+        ("nilp(M_0) <= n-1", "<= 0", "0", True, "", True),
+        ("M^(n+1) = 0 on every even degree", "zero matrices", "nonzero",
+         False, "M^2 != 0 on degree 2", True),
+        ("M^n = 0 strictly below the middle degree", "zero matrices",
+         "zero", True, "", True),
+        ("profile duality nilp(M_d) = nilp(M_(4n-d))", "symmetric",
+         "symmetric", True, "", True),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "key,degrees,expected", _PLANTED,
+    ids=[f"n{n}b{b2}-d" + "_".join(map(str, degs))
+         for (n, b2), degs, _ in _PLANTED])
+def test_even_nagai_planted_shift_json(calculus, key, degrees, expected):
+    alg, frame, fc, big = calculus(*key)
+    blocks = dict(fc.M.blocks)
+    for d in degrees:
+        blocks[d] = _shift(fc.M.dim(d))
+    planted = GradedOperator(fc.M.degrees, 0, blocks)
+    verdicts = check_even_nagai(nilpotence_profile(planted), alg.n)
+    assert [v.to_json() for v in verdicts] == \
+        [dict(zip(_VERDICT_KEYS, row)) for row in expected]
 
 
 def test_condition_26_recorded(calculus):
