@@ -26,12 +26,10 @@ from hklab.llv import (
     SL2Triple,
     Bigrading,
     build_frame,
-    build_M,
     bigrading,
     lefschetz,
     grading,
     dual_lefschetz,
-    lambda_linear,
     verify_sl2,
 )
 

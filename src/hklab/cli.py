@@ -27,6 +27,7 @@ from hklab.linalg import qq
 from hklab.llv import bigrading, build_frame
 from hklab.module_io import (
     SchemaError,
+    algebra_module,
     dump_canonical,
     export_module,
     load_module,
@@ -179,12 +180,7 @@ def _cmd_verify(args) -> int:
         if report.all_passed and spec.odd_degrees():
             frame = build_frame(spec.space, seed=args.seed)
             odd = check_odd(spec, frame)
-            from hklab.module_io import module_frame_calculus
-            from hklab.llv import bigrading_from_operators
-            fc = module_frame_calculus(spec, frame)
-            big = bigrading_from_operators(spec.degrees, spec.n,
-                                           fc.H_s, fc.H_sbar, fc.H_beta)
-            betti = check_betti_mod4(big, spec.degrees)
+            betti = check_betti_mod4(bigrading(spec, frame), spec.degrees)
             payload["odd_verdicts"] = [v.to_json() for v in odd]
             payload["betti_verdicts"] = [v.to_json() for v in betti]
             if any(not v.passed for v in odd + betti if v.asserted):
@@ -239,7 +235,7 @@ def _cmd_verify(args) -> int:
 def _cmd_diamond(args) -> int:
     alg = _load_algebra(args)
     frame = build_frame(alg.space, seed=args.seed)
-    big = bigrading(alg, frame)
+    big = bigrading(algebra_module(alg), frame)
     table = diamond_report(big, args.degree)
     if args.format == "json":
         _write(canonical_json(table.to_json()), args.out)

@@ -15,19 +15,23 @@ as do the weight and perverse filtrations and the nilpotence profile of M.
 Scalar conventions.  The sl2 completion Lambda_x of (L_x, h) scales like
 1/x, so the assignment x -> Lambda_x is not linear; what is linear is
 x -> (q(x)/2) * Lambda_x, which agrees with Lambda_x exactly on the quadric
-q(x) = 2.  lambda_linear implements that linear extension: it completes
+q(x) = 2.  linear_dual_table implements that linear extension: it completes
 the vectors of one anisotropic basis and certifies every vector y of a
 second, differently chosen basis by the bracket identity
 [L_y, Lambda_lin(y)] = (q(y)/2) h, which holds exactly when the extension
 does not depend on the basis.
+
+The frame calculus and the bigrading take an operator module (see
+module_io.LLVModuleSpec): a built algebra is analysed as the module
+module_io.algebra_module exports, so built and ingested inputs share one
+code path and one cached Lambda table per module.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from hklab.linalg import (
     QQ,
@@ -38,13 +42,15 @@ from hklab.linalg import (
     Subspace,
     invert,
     kernel_basis,
-    qq,
     rref,
     simultaneous_eigenspaces,
     vec,
 )
 from hklab.quadforms import QuadraticSpace, hyperbolic_pair, reflection
 from hklab.verbitsky import AlgebraElement, GradedAlgebra
+
+if TYPE_CHECKING:
+    from hklab.module_io import LLVModuleSpec
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -163,21 +169,6 @@ class GradedOperator:
                 if xs:  # nonzero where other is zero
                     return None
         return c
-
-    def to_json(self) -> dict:
-        return {
-            "offset": self.offset,
-            "degrees": {str(d): n for d, n in sorted(self.degrees.items())},
-            "blocks": {str(d): [[str(e) for e in row] for row in m.data]
-                       for d, m in sorted(self.blocks.items())},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GradedOperator":
-        degrees = {int(d): int(n) for d, n in obj["degrees"].items()}
-        blocks = {int(d): Mat.from_rows([[qq(e) for e in row] for row in m])
-                  for d, m in obj["blocks"].items()}
-        return GradedOperator(degrees, int(obj["offset"]), blocks)
 
 
 class GradedPowers:
@@ -415,9 +406,6 @@ def dual_lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
 
 # -- linear extension of the dual Lefschetz -----------------------------------
 
-_LAMBDA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def anisotropic_basis(space: QuadraticSpace, variant: int = 0) -> list:
     """Deterministic basis of anisotropic vectors.
 
@@ -487,28 +475,6 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
             raise OperatorError(
                 "linear extension of the dual Lefschetz is basis-dependent")
     return table
-
-
-def _lambda_table(alg: GradedAlgebra) -> list:
-    table = _LAMBDA_CACHE.get(alg)
-    if table is None:
-        table = linear_dual_table(alg.space, alg.n,
-                                  lambda x: lefschetz(alg, x))
-        _LAMBDA_CACHE[alg] = table
-    return table
-
-
-def lambda_linear(alg: GradedAlgebra, y: Sequence) -> GradedOperator:
-    """Linear-in-y dual Lefschetz: agrees with dual_lefschetz on q(y) = 2.
-
-    For general anisotropic y the result is (q(y)/2) * dual_lefschetz(y);
-    on isotropic y it is defined by linearity alone.  Basis independence is
-    certified once per algebra on a second anisotropic basis.
-    """
-    y = vec(y)
-    if not any(y):
-        raise OperatorError("lambda_linear of the zero vector")
-    return combine(y, _lambda_table(alg))
 
 
 # -- frames -------------------------------------------------------------------
@@ -607,12 +573,6 @@ def transport_frame(frame: HodgeFrame, isometry) -> HodgeFrame:
 
 # -- the model monodromy operator and its sl2 ---------------------------------
 
-def build_M(alg: GradedAlgebra, frame: HodgeFrame) -> GradedOperator:
-    """M = [L_beta, Lambda_sbar]: the degree-0 model monodromy operator."""
-    return commutator_op(lefschetz(alg, frame.beta),
-                         lambda_linear(alg, frame.sbar))
-
-
 @dataclass(frozen=True)
 class SL2Triple:
     e: GradedOperator
@@ -629,13 +589,8 @@ def verify_sl2(t: SL2Triple) -> bool:
 
 @dataclass(frozen=True)
 class FrameCalculus:
-    """All frame operators of one graded module, computed exactly.
+    """All frame operators of one operator module, computed exactly."""
 
-    alg is the source algebra when the operators come from a built
-    instance, None when they come from an ingested operator module.
-    """
-
-    alg: Optional[GradedAlgebra]
     frame: HodgeFrame
     L_s: GradedOperator
     L_sbar: GradedOperator
@@ -656,18 +611,19 @@ class FrameCalculus:
     m_bracket_scalar: QQ
 
 
-def frame_calculus_generic(frame: HodgeFrame, n: int, l_of: Callable,
-                           lam_of: Callable, h: GradedOperator,
-                           alg: Optional[GradedAlgebra] = None) -> FrameCalculus:
-    """Assemble L, Lambda, the Cartan operators and the M triple.
+def frame_calculus(module: "LLVModuleSpec", frame: HodgeFrame) -> FrameCalculus:
+    """Assemble L, Lambda, the Cartan operators and the M triple of a module.
 
-    E_M = 2M and F_M = 2[Lam_s, L_eta] follow the conventional doubling;
-    with the linear Lambda normalisation their bracket is a *multiple* of
+    The module supplies n, degrees, l_of and lambda_of; a built algebra
+    enters as module_io.algebra_module(alg).  E_M = 2M and
+    F_M = 2[Lam_s, L_eta] follow the conventional doubling; with the linear
+    Lambda normalisation their bracket is a *multiple* of
     H_M = H_beta - H_s, and the realised scalar (4 with these conventions)
     is recorded in m_bracket_scalar rather than silently rescaled.
     """
-    L = {v: l_of(getattr(frame, v)) for v in ("s", "sbar", "beta", "eta")}
-    Lam = {v: lam_of(getattr(frame, v)) for v in ("s", "sbar", "beta", "eta")}
+    names = ("s", "sbar", "beta", "eta")
+    L = {v: module.l_of(getattr(frame, v)) for v in names}
+    Lam = {v: module.lambda_of(getattr(frame, v)) for v in names}
     H_s = commutator_op(L["s"], Lam["sbar"])
     H_sbar = commutator_op(L["sbar"], Lam["s"])
     H_beta = commutator_op(L["beta"], Lam["eta"])
@@ -678,17 +634,10 @@ def frame_calculus_generic(frame: HodgeFrame, n: int, l_of: Callable,
     kappa = commutator_op(E_M, F_M).proportionality(H_M)
     if kappa is None:
         raise OperatorError("[E_M, F_M] is not proportional to H_beta - H_s")
-    return FrameCalculus(alg, frame, L["s"], L["sbar"], L["beta"], L["eta"],
+    return FrameCalculus(frame, L["s"], L["sbar"], L["beta"], L["eta"],
                          Lam["s"], Lam["sbar"], Lam["beta"], Lam["eta"],
-                         h, H_s, H_sbar, H_beta, M, E_M, F_M, H_M, kappa)
-
-
-def frame_calculus(alg: GradedAlgebra, frame: HodgeFrame) -> FrameCalculus:
-    return frame_calculus_generic(
-        frame, alg.n,
-        lambda x: lefschetz(alg, x),
-        lambda x: lambda_linear(alg, x),
-        grading(alg), alg=alg)
+                         grading(module.degrees, module.n),
+                         H_s, H_sbar, H_beta, M, E_M, F_M, H_M, kappa)
 
 
 def frame_triples(fc: FrameCalculus) -> dict:
@@ -829,9 +778,10 @@ def bigrading_from_operators(degrees: dict, n: int, H_s: GradedOperator,
     return Bigrading(n, dict(degrees), components)
 
 
-def bigrading(alg: GradedAlgebra, frame: HodgeFrame,
+def bigrading(module: "LLVModuleSpec", frame: HodgeFrame,
               fc: Optional[FrameCalculus] = None) -> Bigrading:
+    """The (p, q, i) bigrading of a module; fc, if given, is its calculus."""
     if fc is None:
-        fc = frame_calculus(alg, frame)
-    return bigrading_from_operators(alg.dims(), alg.n,
+        fc = frame_calculus(module, frame)
+    return bigrading_from_operators(module.degrees, module.n,
                                     fc.H_s, fc.H_sbar, fc.H_beta)

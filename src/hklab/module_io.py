@@ -2,10 +2,12 @@
 
 An operator module is a graded rational vector space with one degree +2
 operator per basis vector of an attached quadratic space, plus the counting
-operator.  Built algebras export to this format losslessly; externally
-produced modules (in particular odd-degree ones, which the built algebras
-do not contain) are ingested, validated against the structural relations,
-and only then passed to the analysis layer.
+operator.  It is what the analysis layer reads: a built algebra is analysed
+as its module (algebra_module), which also exports to JSON losslessly, and
+externally produced modules (in particular odd-degree ones, which the built
+algebras do not contain) are ingested, validated against the structural
+relations, and only then analysed.  A spec computes its linear
+dual-Lefschetz table and its validation report once, on first use.
 
 Shipped fixture generators: a faithful export, a corrupted variant, an
 elementary one-variable ladder, a deliberately mis-graded shift, and a
@@ -17,9 +19,9 @@ subspace).
 
 from __future__ import annotations
 
+import functools
 import json
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,7 +35,9 @@ from hklab.llv import (
     anisotropic_basis,
     combine,
     commutator_op,
+    frame_calculus,
     grading,
+    lefschetz,
     linear_dual_table,
 )
 from hklab.quadforms import QuadraticSpace, make_standard_space, mukai_extension
@@ -63,8 +67,8 @@ def _schema() -> dict:
 class LLVModuleSpec:
     """A validated-shape (not yet relation-checked) operator module.
 
-    Specs are not mutated after construction and compare by identity, so a
-    spec can key the cache of its dual-Lefschetz table.
+    Specs are not mutated after construction, so each caches its
+    dual-Lefschetz table and its validation report on first use.
     """
 
     space: QuadraticSpace
@@ -78,6 +82,20 @@ class LLVModuleSpec:
 
     def l_of(self, x: Sequence) -> GradedOperator:
         return combine(vec(x), self.l_actions)
+
+    @functools.cached_property
+    def lambda_table(self) -> list:
+        """Linear dual-Lefschetz operator of each unit vector of the space."""
+        return linear_dual_table(self.space, self.n, self.l_of)
+
+    def lambda_of(self, y: Sequence) -> GradedOperator:
+        """Linear-in-y dual Lefschetz: (q(y)/2) Lambda_y for anisotropic y."""
+        return combine(vec(y), self.lambda_table)
+
+    @functools.cached_property
+    def validation(self) -> "ValidationReport":
+        """The report of the structural relation checks, run once."""
+        return _run_checks(self)
 
     def odd_degrees(self) -> list:
         return sorted(d for d, m in self.degrees.items() if d % 2 and m)
@@ -181,27 +199,29 @@ def dump_canonical(obj: dict) -> str:
     return canonical_json(obj)
 
 
+def algebra_module(alg: GradedAlgebra, label: str = "") -> LLVModuleSpec:
+    """A built algebra as an operator module: its grading and the
+    multiplication operator of each unit vector of its degree-2 space."""
+    dim = alg.space.dim
+    l_actions = [lefschetz(alg, [_ONE if j == s else _ZERO for j in range(dim)])
+                 for s in range(dim)]
+    return LLVModuleSpec(space=alg.space, n=alg.n, degrees=alg.dims(),
+                         h_action=grading(alg), l_actions=l_actions,
+                         label=label)
+
+
 def export_module(alg: GradedAlgebra, label: str = "") -> dict:
-    """Lossless export of a built algebra's operator data.
+    """Lossless export of a built algebra's operator module.
 
     Includes the linear dual operators for the canonical anisotropic basis,
     so a re-validation exercises the declared-Lambda checks.
     """
-    from hklab.llv import lambda_linear, lefschetz
-    space = alg.space
-    degrees = alg.dims()
-    unit = lambda s: [_ONE if j == s else _ZERO for j in range(space.dim)]
-    l_actions = [lefschetz(alg, unit(s)) for s in range(space.dim)]
-    basis = anisotropic_basis(space, variant=0)
-    lam_actions = [lambda_linear(alg, x) for x in basis]
-    spec = LLVModuleSpec(
-        space=space, n=alg.n, degrees=degrees,
-        h_action=grading(alg),
-        l_actions=l_actions,
-        lambda_basis=[vec(x) for x in basis],
-        lambda_actions=lam_actions,
-        label=label or f"graded algebra export (n={alg.n}, b2={space.dim})")
-    return module_to_json(spec)
+    spec = algebra_module(alg, label or f"graded algebra export "
+                                        f"(n={alg.n}, b2={alg.space.dim})")
+    basis = [vec(x) for x in anisotropic_basis(spec.space, variant=0)]
+    return module_to_json(replace(
+        spec, lambda_basis=basis,
+        lambda_actions=[spec.lambda_of(x) for x in basis]))
 
 
 # -- validation ------------------------------------------------------------------
@@ -239,21 +259,16 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-_REPORT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def validation_report(spec: LLVModuleSpec) -> ValidationReport:
-    """The report of the last validate(spec), validating first if none."""
-    rep = _REPORT_CACHE.get(spec)
-    return rep if rep is not None else validate(spec)
-
-
 def validate(spec: LLVModuleSpec) -> ValidationReport:
     """Run the structural relation checks; failures land in the report.
 
-    The report is also kept per spec (specs are never mutated), so that
-    later analyses of the same spec read it through validation_report.
+    The checks run once per spec (specs are never mutated); later calls,
+    and later analyses of the same spec, read the report spec.validation.
     """
+    return spec.validation
+
+
+def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     rep = ValidationReport()
     n = spec.n
     dims = spec.degrees
@@ -289,7 +304,7 @@ def validate(spec: LLVModuleSpec) -> ValidationReport:
     table = None
     ok, witness = True, ""
     try:
-        table = module_lambda_table(spec)
+        table = spec.lambda_table
     except (NotLefschetzError, OperatorError, LinalgError) as exc:
         ok, witness = False, str(exc)
     rep.checks.append(Check("dual-completions-and-linearity", ok, witness))
@@ -318,29 +333,13 @@ def validate(spec: LLVModuleSpec) -> ValidationReport:
                     ok, witness = False, "declared Lambda differs from recomputed"
                     break
             rep.checks.append(Check("declared-lambda-agreement", ok, witness))
-    _REPORT_CACHE[spec] = rep
     return rep
 
 
-_MODULE_LAMBDA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def module_lambda_table(spec: LLVModuleSpec) -> list:
-    """The module's linear dual-Lefschetz table, computed once per spec."""
-    table = _MODULE_LAMBDA_CACHE.get(spec)
-    if table is None:
-        table = linear_dual_table(spec.space, spec.n, spec.l_of)
-        _MODULE_LAMBDA_CACHE[spec] = table
-    return table
-
-
 def module_frame_calculus(spec: LLVModuleSpec, frame):
-    """FrameCalculus over an ingested module (validation should be all-pass)."""
-    from hklab.llv import frame_calculus_generic
-    table = module_lambda_table(spec)
-    return frame_calculus_generic(frame, spec.n, spec.l_of,
-                                  lambda y: combine(vec(y), table),
-                                  grading(spec.degrees, spec.n))
+    """frame_calculus(spec, frame); the name stays because the ingest
+    workload of perfbench calls it."""
+    return frame_calculus(spec, frame)
 
 
 # -- fixtures ---------------------------------------------------------------------

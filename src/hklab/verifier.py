@@ -46,11 +46,7 @@ from hklab.filtrations import (
     conjugate_hodge_check,
     crosscheck_perverse_weight,
 )
-from hklab.module_io import (
-    LLVModuleSpec,
-    module_frame_calculus,
-    validation_report,
-)
+from hklab.module_io import LLVModuleSpec, algebra_module
 from hklab.quadforms import make_standard_space, standard_tail
 from hklab.verbitsky import GradedAlgebra, build_verbitsky
 
@@ -339,7 +335,7 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     nilp(M_(2n-1)) = n-1.  Geometric expectations are recorded, not
     asserted, since ingested modules need not come from geometry.
     """
-    rep = validation_report(spec)
+    rep = spec.validation
     if not rep.all_passed:
         raise ValueError("refusing to analyse a module that failed validation: "
                          + "; ".join(c.name for c in rep.failed()))
@@ -351,10 +347,8 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
                         expected="odd degrees present",
                         observed="module has no odd part",
                         passed=True, witness="vacuous")]
-    fc = module_frame_calculus(spec, frame)
-    from hklab.llv import bigrading_from_operators
-    big = bigrading_from_operators(spec.degrees, n, fc.H_s, fc.H_sbar,
-                                   fc.H_beta)
+    fc = frame_calculus(spec, frame)
+    big = bigrading(spec, frame, fc)
     cond26 = _module_condition_26(spec, fc)
     powers = GradedPowers(fc.M)
     for d in odd:
@@ -540,8 +534,10 @@ def run_instance(cfg: InstanceConfig,
 
     t0 = time.time()
     frame = build_frame(alg.space, seed=cfg.seed)
-    fc = frame_calculus(alg, frame)
-    big = bigrading(alg, frame, fc)
+    module = algebra_module(alg)
+    fc = frame_calculus(module, frame)
+    big = bigrading(module, frame, fc)
+    del module  # the checks read only fc: free the module's L and Lambda tables
     timings["operators"] = time.time() - t0
 
     verdicts = []

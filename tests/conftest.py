@@ -4,6 +4,7 @@ import time
 import pytest
 
 from hklab.llv import bigrading, build_frame, frame_calculus
+from hklab.module_io import algebra_module
 from hklab.quadforms import make_standard_space, standard_tail
 from hklab.verbitsky import build_verbitsky
 
@@ -44,8 +45,9 @@ def calculus(built):
         if key not in _CALC:
             alg = built(n, b2, seed)
             frame = build_frame(alg.space, seed=frame_seed)
-            fc = frame_calculus(alg, frame)
-            big = bigrading(alg, frame, fc)
+            module = algebra_module(alg)
+            fc = frame_calculus(module, frame)
+            big = bigrading(module, frame, fc)
             _CALC[key] = (alg, frame, fc, big)
         return _CALC[key]
     return get

@@ -22,6 +22,7 @@ from hklab.linalg import Mat, QQ, Subspace, image_basis
 from hklab.llv import (
     GradedOperator,
     SL2Triple,
+    bigrading,
     build_frame,
     commutator_op,
     frame_triples,
@@ -291,12 +292,7 @@ def test_c13_module_ingestion(built, fixture_dir):
     assert uppers and all(v.passed for v in uppers)
     formulas = [v for c, v in claims.items() if "index formula" in c]
     assert formulas and all(v.passed for v in formulas)
-    from hklab.llv import bigrading_from_operators
-    from hklab.module_io import module_frame_calculus
-    fc = module_frame_calculus(spin, frame)
-    big = bigrading_from_operators(spin.degrees, spin.n, fc.H_s, fc.H_sbar,
-                                   fc.H_beta)
-    betti = check_betti_mod4(big, spin.degrees)
+    betti = check_betti_mod4(bigrading(spin, frame), spin.degrees)
     assert all(v.passed for v in betti)
     report(13, "module export validates and round-trips; corruption is "
                "witnessed; odd fixtures exercise the bound checks")

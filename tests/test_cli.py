@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from hklab.cli import main
 from hklab.linalg import Mat, qq
 from hklab.quadforms import QuadraticSpace
@@ -68,6 +70,22 @@ def test_verify_grid_report_bytes(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "9ceafd715e743a6d05e091d56105849fd1c3ae61410fb532125401f425f42c8c"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # frame vectors that are not unit vectors: L and Lambda combinations
+    (("verify", "--grid", "1x5,2x5", "--seed", "2"),
+     "777fd6f1798467035063e47340202285ebe1cf38ec002e5e6994d6611eb79dab"),
+    # an export with b2 >= 5; the fixtures pin only (1,4)
+    (("export", "--n", "2", "--b2", "5"),
+     "fbe868a0cb594ae5a54fb4ce851e13be4f947b6baf0ea374986f93803b347bf2"),
+    (("diamond", "--n", "2", "--b2", "6", "--degree", "4", "--seed", "2"),
+     "09fa336f6a96f41ea00e6365a7e786a40e2840d302eff8db63faf582d6cdab52"),
+], ids=["verify-grid", "export", "diamond"])
+def test_stdout_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_module_fixtures(fixture_dir, capsys):

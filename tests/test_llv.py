@@ -9,7 +9,6 @@ from hklab.llv import (
     SL2Triple,
     anisotropic_basis,
     bigrading,
-    build_M,
     build_frame,
     combine,
     commutator_op,
@@ -17,13 +16,13 @@ from hklab.llv import (
     frame_calculus,
     frame_triples,
     grading,
-    lambda_linear,
     lefschetz,
     total_matrix,
     transport_frame,
     verify_derivation,
     verify_sl2,
 )
+from hklab.module_io import algebra_module
 from hklab.quadforms import IsotropicPlane, make_standard_space, witt_transport
 
 
@@ -76,13 +75,13 @@ def test_dual_lefschetz_rejects_isotropic(built):
 
 def test_lambda_linear_consistency(built):
     alg = built(1, 5)
+    lambda_of = algebra_module(alg).lambda_of
     x = [1, 1, 0, 0, 0]            # q(x) = 2: exact agreement
-    assert lambda_linear(alg, x) == dual_lefschetz(alg, x)
+    assert lambda_of(x) == dual_lefschetz(alg, x)
     y = [1, 2, 0, 0, 0]            # q(y) = 4: scaled agreement
-    assert lambda_linear(alg, y) == dual_lefschetz(alg, y).scale(
+    assert lambda_of(y) == dual_lefschetz(alg, y).scale(
         alg.space.quad(y) / 2)
-    assert lambda_linear(alg, [2 * c for c in x]) == \
-        lambda_linear(alg, x).scale(2)
+    assert lambda_of([2 * c for c in x]) == lambda_of(x).scale(2)
 
 
 def test_lambda_linear_well_defined_second_basis(built):
@@ -93,6 +92,7 @@ def test_lambda_linear_well_defined_second_basis(built):
     other = anisotropic_basis(sp, variant=1)
     assert basis != other
     from hklab.linalg import solve
+    lambda_of = algebra_module(alg).lambda_of
     bmat = Mat.from_cols(other)
     for s in range(sp.dim):
         coeffs = solve(bmat, unit(sp.dim, s))
@@ -102,7 +102,7 @@ def test_lambda_linear_well_defined_second_basis(built):
                 continue
             term = dual_lefschetz(alg, x).scale(c * sp.quad(x) / 2)
             rebuilt = term if rebuilt is None else rebuilt + term
-        assert rebuilt == lambda_linear(alg, unit(sp.dim, s))
+        assert rebuilt == lambda_of(unit(sp.dim, s))
 
 
 def test_anisotropic_basis_properties():
@@ -144,18 +144,17 @@ def test_transported_frame_gives_same_bigrading_dims(built, calculus):
     p2 = IsotropicPlane(sp, frame0.sbar, frame0.eta)
     g = witt_transport(sp, p1, p2)
     moved = transport_frame(frame0, g)
-    fc1 = frame_calculus(alg, moved)
-    big1 = bigrading(alg, moved, fc1)
+    module = algebra_module(alg)
+    fc1 = frame_calculus(module, moved)
+    big1 = bigrading(module, moved, fc1)
     assert big0.dims_table() == big1.dims_table()
 
 
 def test_build_M_basics(calculus):
     alg, frame, fc, big = calculus(1, 4)
-    m = build_M(alg, frame)
-    assert m == fc.M
-    assert m.offset == 0
-    assert m.apply(0, [1]) == [QQ(0)]
-    ms = m.apply(2, frame.s)
+    assert fc.M.offset == 0
+    assert fc.M.apply(0, [1]) == [QQ(0)]
+    ms = fc.M.apply(2, frame.s)
     beta_line = image_basis(Mat.from_cols([frame.beta]))
     assert any(ms) and beta_line.contains(ms)
 
@@ -236,16 +235,10 @@ def test_joint_eigenspace_dims_on_degree2(calculus):
 def test_frame_independence_of_bigrading_dims(built, calculus):
     alg, frame0, fc0, big0 = calculus(1, 5)
     frame1 = build_frame(alg.space, seed=9)
-    fc1 = frame_calculus(alg, frame1)
-    big1 = bigrading(alg, frame1, fc1)
+    module = algebra_module(alg)
+    fc1 = frame_calculus(module, frame1)
+    big1 = bigrading(module, frame1, fc1)
     assert big0.dims_table() == big1.dims_table()
-
-
-def test_graded_operator_json_round_trip(calculus):
-    alg, frame, fc, big = calculus(1, 4)
-    obj = fc.M.to_json()
-    again = GradedOperator.from_json(obj)
-    assert again == fc.M
 
 
 def test_graded_operator_shape_validation():
@@ -287,9 +280,10 @@ def test_full_pipeline_on_permuted_gram():
     alg = build_verbitsky(shuffled, 1, seed=3)
     assert list(alg.dims().values()) == [1, 5, 1]
     frame = build_frame(shuffled, seed=0)
-    fc = frame_calculus(alg, frame)
+    module = algebra_module(alg)
+    fc = frame_calculus(module, frame)
     assert fc.m_bracket_scalar == 4
-    big = bigrading(alg, frame, fc)
+    big = bigrading(module, frame, fc)
     rows = {}
     for (p, q, i), sub in big.degree_components(2).items():
         rows[i] = rows.get(i, 0) + sub.dim
@@ -310,7 +304,8 @@ def _fold(coeffs, ops):
 def test_combine_matches_scale_and_add_fold(built):
     alg = built(2, 5)
     lops = [lefschetz(alg, unit(5, s)) for s in range(5)]
-    lams = [lambda_linear(alg, unit(5, s)) for s in range(5)]
+    lambda_of = algebra_module(alg).lambda_of
+    lams = [lambda_of(unit(5, s)) for s in range(5)]
     for ops in (lops, lams):
         for coeffs in ([1, 0, 0, 0, 0], [QQ(1, 3), 0, -2, 5, QQ(-7, 2)],
                        [0, 1, 1, 0, -1]):
@@ -330,4 +325,4 @@ def test_sub_matches_add_of_negation(built):
     assert diff == a + b.scale(-1)
     assert sorted(diff.blocks) == sorted((a + b.scale(-1)).blocks)
     with pytest.raises(OperatorError):
-        a - lambda_linear(alg, [1, 1, 0, 0, 0])
+        a - algebra_module(alg).lambda_of([1, 1, 0, 0, 0])

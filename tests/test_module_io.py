@@ -1,13 +1,15 @@
 import json
+from dataclasses import fields
 
 import jsonschema
 import pytest
 
 import hklab.module_io as module_io
 from hklab.linalg import qq
-from hklab.llv import GradedPowers, build_frame
+from hklab.llv import FrameCalculus, GradedPowers, build_frame, frame_calculus
 from hklab.module_io import (
     SchemaError,
+    algebra_module,
     corrupt_module,
     dump_canonical,
     export_module,
@@ -16,7 +18,6 @@ from hklab.module_io import (
     make_shifted_module,
     make_spin_module,
     module_frame_calculus,
-    module_lambda_table,
     module_to_json,
     validate,
 )
@@ -180,7 +181,7 @@ def test_one_lambda_table_per_module(monkeypatch):
     assert validate(spec).all_passed
     check_odd(spec, frame)
     module_frame_calculus(spec, frame)
-    assert module_lambda_table(spec) is module_lambda_table(spec)
+    assert spec.lambda_table is spec.lambda_table
     assert len(calls) == 1
 
 
@@ -188,20 +189,34 @@ def test_check_odd_reuses_the_validation_report(monkeypatch):
     spec = load_module(make_spin_module(2))
     frame = build_frame(spec.space, seed=0)
     assert validate(spec).all_passed
-    calls = []
-    real = module_io.validate
+    runs = []
+    real = module_io._run_checks
 
     def counting(s):
-        calls.append(s)
+        runs.append(s)
         return real(s)
 
-    monkeypatch.setattr(module_io, "validate", counting)
+    monkeypatch.setattr(module_io, "_run_checks", counting)
     check_odd(spec, frame)
-    assert calls == []
-    # a spec nobody validated yet is validated once, by check_odd itself
+    assert validate(spec) is spec.validation
+    assert runs == []
+    # a spec nobody validated yet is checked once, by check_odd itself
     fresh = load_module(make_spin_module(2))
     check_odd(fresh, build_frame(fresh.space, seed=0))
-    assert calls == [fresh]
+    assert runs == [fresh]
+
+
+@pytest.mark.parametrize("frame_seed", [0, 3])
+def test_built_and_reloaded_export_share_the_calculus(built, frame_seed):
+    """A built algebra's module and its reloaded export give the same
+    frame calculus, field by field."""
+    alg = built(2, 5)
+    frame = build_frame(alg.space, seed=frame_seed)
+    direct = frame_calculus(algebra_module(alg), frame)
+    reloaded = frame_calculus(
+        load_module(dump_canonical(export_module(alg))), frame)
+    for f in fields(FrameCalculus):
+        assert getattr(direct, f.name) == getattr(reloaded, f.name), f.name
 
 
 def test_check_odd_refuses_a_validated_invalid_module(built):

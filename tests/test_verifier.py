@@ -1,7 +1,7 @@
 import pytest
 
 from hklab.linalg import Mat, Subspace
-from hklab.llv import Bigrading, GradedOperator, build_frame
+from hklab.llv import Bigrading, GradedOperator, bigrading, build_frame
 from hklab.module_io import load_module, make_ladder_module, make_spin_module
 from hklab.verifier import (
     DEFAULT_GRID,
@@ -217,12 +217,7 @@ def test_check_odd_refuses_invalid(built):
 def test_betti_mod4_spin():
     spec = load_module(make_spin_module(2))
     frame = build_frame(spec.space, seed=0)
-    from hklab.module_io import module_frame_calculus
-    from hklab.llv import bigrading_from_operators
-    fc = module_frame_calculus(spec, frame)
-    big = bigrading_from_operators(spec.degrees, spec.n, fc.H_s, fc.H_sbar,
-                                   fc.H_beta)
-    verdicts = check_betti_mod4(big, spec.degrees)
+    verdicts = check_betti_mod4(bigrading(spec, frame), spec.degrees)
     assert all(v.passed for v in verdicts)
     assert any("symmetry" in v.claim for v in verdicts)
     assert any("divisible by 4" in v.claim for v in verdicts)
