@@ -29,7 +29,7 @@ def main() -> int:
     outdir.mkdir(exist_ok=True)
     reports = []
     for n, b2 in DEFAULT_GRID:
-        t0 = time.time()
+        t0 = time.perf_counter()
         cfg = InstanceConfig(n=n, b2=b2, seed=args.seed)
         rep = run_instance(cfg)
         reports.append(rep)
@@ -37,7 +37,7 @@ def main() -> int:
         path.write_text(canonical_json(rep.to_json()), encoding="utf-8")
         status = "pass" if rep.all_asserted_passed else "FAIL"
         print(f"{status}  n={n} b2={b2} dims={list(rep.dims.values())} "
-              f"({time.time() - t0:.1f}s) -> {path}")
+              f"({time.perf_counter() - t0:.1f}s) -> {path}")
     return exit_code(reports)
 
 

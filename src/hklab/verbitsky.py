@@ -12,13 +12,17 @@ SH = Sym(V) / Ann(Q^n) with Q(xi) = xi^T G xi acting by differentiation
 (Macaulay inverse system; Verbitsky, GAFA 6, 1996; Iarrobino-Kanev, LNM
 1721).  Each quotient degree is therefore read off one exact catalecticant
 matrix of Q^n.  Its rank is checked against the closed-form dimension, and
-a shortfall is a hard error.
+a shortfall is a hard error.  Each monomial m is listed once per build with
+the integer code sum_s m_s (2n+1)^s; no exponent exceeds 2n, so a product's
+code is the sum of the codes, and a catalecticant cell or a structure
+constant is one lookup at a code sum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
@@ -40,21 +44,29 @@ class BuildError(RuntimeError):
 
 def monomials(nvars: int, degree: int) -> list:
     """Exponent tuples of the given total degree, descending grevlex order."""
+    return [m for m, _ in _coded_monomials(nvars, degree, degree + 1)]
+
+
+def _coded_monomials(nvars: int, degree: int, radix: int) -> list:
+    """Pairs (m, code(m)), code(m) = sum_s m_s radix^s, for the monomials
+    of the given degree in the order of monomials(): ascending in the
+    reversed tuple.  Drawn from the variables last first, the multisets of
+    combinations_with_replacement come in exactly the reverse order, so no
+    sort is needed.  With every exponent below the radix, the code of a
+    product is the sum of the codes.
+    """
     if degree < 0:
         return []
+    place = [radix ** s for s in range(nvars)]
+    zero = [0] * nvars
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec((), degree, nvars)
-    out.sort(key=lambda mono: tuple(reversed(mono)))
+    for multiset in reversed(list(combinations_with_replacement(
+            range(nvars - 1, -1, -1), degree))):
+        m, code = zero[:], 0
+        for s in multiset:
+            m[s] += 1
+            code += place[s]
+        out.append((tuple(m), code))
     return out
 
 
@@ -132,7 +144,8 @@ class GradedAlgebra:
     labelling the basis; tensors maps an ordered level pair (k, l), k <= l,
     to {(i, j): {t: value}} structure constants; proj (present on freshly
     built instances, absent after a JSON round trip) maps each full
-    symmetric-power monomial to its coset coordinates.
+    symmetric-power monomial to its coset coordinates.  A build shares the
+    coset dicts between tensors and proj, so both are read-only.
     """
 
     def __init__(self, space: QuadraticSpace, n: int, levels: dict,
@@ -303,39 +316,34 @@ def build_verbitsky(space: QuadraticSpace, n: int,
     """
     if n < 1:
         raise BuildError("n must be at least 1")
-    b2 = space.dim
-    weights = _apolar_weights(space, n)
-    levels = {}
-    proj = {}
-    for k in range(0, 2 * n + 1):
-        monos = monomials(b2, k)
+    graded = [_coded_monomials(space.dim, k, 2 * n + 1)
+              for k in range(2 * n + 1)]
+    codes = [[c for _, c in ms] for ms in graded]
+    top = dict(graded[2 * n])
+    weights = {top[alpha]: w
+               for alpha, w in _apolar_weights(space, n).items()}
+    levels, proj, basis_codes = {}, {}, {}
+    for k, ms in enumerate(graded):
         if k <= n:
-            levels[k] = monos
-            proj[k] = [{i: _ONE} for i in range(len(monos))]
+            free = range(len(ms))
+            proj[k] = [{i: _ONE} for i in free]
         else:
-            levels[k], proj[k] = _ideal_projection(weights, b2, n, k)
-    tensors = _build_tensors(levels, proj, b2, n)
-    return GradedAlgebra(space, n, levels, tensors, proj=proj,
-                         build_meta={"seed": seed})
-
-
-def _build_tensors(levels: dict, proj: dict, b2: int, n: int) -> dict:
-    index_maps = {k: {m: i for i, m in enumerate(monomials(b2, k))}
-                  for k in range(0, 2 * n + 1)}
+            free, proj[k] = _ideal_projection(weights, codes[k],
+                                              codes[2 * n - k], k)
+        levels[k] = [ms[c][0] for c in free]
+        basis_codes[k] = [codes[k][c] for c in free]
     tensors = {}
     for k in range(0, 2 * n + 1):
         for l in range(k, 2 * n + 1 - k):
-            idx = index_maps[k + l]
-            table = proj[k + l]
-            entries = {}
-            for i, mi in enumerate(levels[k]):
-                for j, mj in enumerate(levels[l]):
-                    prod = tuple(a + b for a, b in zip(mi, mj))
-                    entry = table[idx[prod]]
-                    if entry:
-                        entries[(i, j)] = dict(entry)
-            tensors[(k, l)] = entries
-    return tensors
+            # the coset of the product xi^m xi^m' is read at code(m) + code(m')
+            coset = dict(zip(codes[k + l], proj[k + l]))
+            tensors[(k, l)] = {
+                (i, j): entry
+                for i, ci in enumerate(basis_codes[k])
+                for j, cj in enumerate(basis_codes[l])
+                if (entry := coset[ci + cj])}
+    return GradedAlgebra(space, n, levels, tensors, proj=proj,
+                         build_meta={"seed": seed})
 
 
 def _apolar_weights(space: QuadraticSpace, n: int) -> dict:
@@ -346,46 +354,42 @@ def _apolar_weights(space: QuadraticSpace, n: int) -> dict:
     """
     b2 = space.dim
     g = space.gram.data
-    terms, coeffs = [], []
-    for i in range(b2):
-        for j in range(i, b2):
-            if g[i][j]:
-                mono = [0] * b2
-                mono[i] += 1
-                mono[j] += 1
-                terms.append(mono)
-                coeffs.append(g[i][j] if i == j else 2 * g[i][j])
+    pairs = [(i, j) for i in range(b2) for j in range(i, b2) if g[i][j]]
+    coeffs = [g[i][j] if i == j else 2 * g[i][j] for i, j in pairs]
     qn = {}
     for powers, c in _power_coeffs(coeffs, n).items():
-        alpha = tuple(sum(p * t[s] for p, t in zip(powers, terms))
-                      for s in range(b2))
+        alpha = [0] * b2
+        for p, (i, j) in zip(powers, pairs):
+            alpha[i] += p
+            alpha[j] += p
+        alpha = tuple(alpha)
         qn[alpha] = qn.get(alpha, 0) + c
     return {alpha: c * prod(factorial(a) for a in alpha)
             for alpha, c in qn.items() if c}
 
 
-def _ideal_projection(weights: dict, b2: int, n: int, k: int) -> tuple:
-    """Quotient basis monomials and projection table for Sym^k -> SH^{2k}.
+def _ideal_projection(weights: dict, codes: list, duals: list,
+                      k: int) -> tuple:
+    """Quotient basis and projection table for Sym^k -> SH^{2k}.
 
     SH is Gorenstein with socle functional x^{2n} -> c q(x)^n, so the ideal
     in degree k is the kernel of the catalecticant C_k[m][g] = d^(m+g) Q^n
-    (rows m in Sym^k, columns g in Sym^(2n-k)).  Monomial c is a basis
-    monomial iff row C_c is not in the span of the later rows, which
-    reproduces the non-pivot columns of the ideal's canonical RREF; the coset
-    of c is then table[c] = C_c C_F^{-1}.
+    (rows m in Sym^k, columns g in Sym^(2n-k), both given by their codes,
+    so that a cell is the weight at code(m) + code(g)).  Monomial c is a
+    basis monomial iff row C_c is not in the span of the later rows, which
+    reproduces the non-pivot columns of the ideal's canonical RREF; a zero
+    row never is.  The coset of c is then table[c] = C_c C_F^{-1}; the
+    cosets of the nonzero non-basis rows are one sparse product.
 
-    Returns (basis_monomials, table) where table[c] maps quotient basis
-    indices to the coefficients of monomial c's coset.
+    Returns (free, table): the positions in Sym^k of the quotient basis
+    monomials, and per monomial of Sym^k its coset coefficients.
     """
-    monos = monomials(b2, k)
-    duals = monomials(b2, 2 * n - k)
-    rows = [[weights.get(tuple(a + b for a, b in zip(m, g)), 0)
-             for g in duals] for m in monos]
+    rows = [[weights.get(cm + cg, 0) for cg in duals] for cm in codes]
     target = len(duals)
     echelon = IncrementalRref(target)
     free = []
-    for c in range(len(monos) - 1, -1, -1):
-        if echelon.insert(rows[c]):
+    for c in range(len(rows) - 1, -1, -1):
+        if any(rows[c]) and echelon.insert(rows[c]):
             free.append(c)
             if echelon.rank == target:
                 break
@@ -393,18 +397,13 @@ def _ideal_projection(weights: dict, b2: int, n: int, k: int) -> tuple:
         raise BuildError(f"degree {2 * k}: catalecticant rank {echelon.rank} "
                          f"is below the target {target}")
     free.reverse()
-    inv = invert(Mat.from_rows([rows[c] for c in free])).data
-    free_pos = {c: j for j, c in enumerate(free)}
-    table = []
-    for c, row in enumerate(rows):
-        if c in free_pos:
-            table.append({free_pos[c]: _ONE})
-            continue
-        nz = [(g, x) for g, x in enumerate(row) if x]
-        entry = {}
-        for j in range(target):
-            t = sum((x * inv[g][j] for g, x in nz), _ZERO)
-            if t:
-                entry[j] = t
-        table.append(entry)
-    return [monos[c] for c in free], table
+    table = [{} for _ in rows]
+    for j, c in enumerate(free):
+        table[c] = {j: _ONE}
+    rest = [c for c, row in enumerate(rows) if any(row) and not table[c]]
+    c_rest = Mat.from_sparse(len(rest), target,
+                             [dict(enumerate(rows[c])) for c in rest])
+    cosets = c_rest * invert(Mat.from_rows([rows[c] for c in free]))
+    for c, entry in zip(rest, cosets.nonzeros):
+        table[c] = dict(entry)
+    return free, table

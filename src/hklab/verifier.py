@@ -32,6 +32,7 @@ from hklab.llv import (
     GradedOperator,
     GradedPowers,
     HodgeFrame,
+    OperatorError,
     SL2Triple,
     bigrading,
     build_frame,
@@ -98,7 +99,7 @@ class NilpotenceProfile:
 
     def __post_init__(self):
         if any(v < 0 for v in self.per_degree.values()):
-            raise ValueError("nilpotence indices cannot be negative")
+            raise OperatorError("nilpotence indices cannot be negative")
 
     def to_json(self) -> dict:
         return {str(d): v for d, v in sorted(self.per_degree.items())}
@@ -107,7 +108,7 @@ class NilpotenceProfile:
 def nilpotence_profile(op: GradedOperator) -> NilpotenceProfile:
     """Per-degree nilpotence indices of a degree-0 operator."""
     if op.offset != 0:
-        raise ValueError("nilpotence profile needs a degree-0 operator")
+        raise OperatorError("nilpotence profile needs a degree-0 operator")
     powers = GradedPowers(op)
     return NilpotenceProfile({d: powers.index(d)
                               for d, m in sorted(op.degrees.items()) if m})
@@ -337,8 +338,8 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     """
     rep = spec.validation
     if not rep.all_passed:
-        raise ValueError("refusing to analyse a module that failed validation: "
-                         + "; ".join(c.name for c in rep.failed()))
+        raise OperatorError("refusing to analyse a module that failed validation: "
+                            + "; ".join(c.name for c in rep.failed()))
     n = spec.n
     verdicts = []
     odd = spec.odd_degrees()
@@ -527,21 +528,21 @@ def run_instance(cfg: InstanceConfig,
                  alg: Optional[GradedAlgebra] = None,
                  derivation_trials: int = 100) -> InstanceReport:
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     if alg is None:
         alg = build_instance(cfg)
-    timings["build"] = time.time() - t0
+    timings["build"] = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     frame = build_frame(alg.space, seed=cfg.seed)
     module = algebra_module(alg)
     fc = frame_calculus(module, frame)
     big = bigrading(module, frame, fc)
     del module  # the checks read only fc: free the module's L and Lambda tables
-    timings["operators"] = time.time() - t0
+    timings["operators"] = time.perf_counter() - t0
 
     verdicts = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     profile = nilpotence_profile(fc.M)
     verdicts += check_even_nagai(profile, alg.n)
     verdicts += check_m_degree2(fc)
@@ -555,9 +556,9 @@ def run_instance(cfg: InstanceConfig,
     verdicts += check_sl2_suite(fc)
     verdicts += check_level_reformulation(big, alg.n)
     verdicts += check_condition_26(fc, big, alg.n)
-    timings["operator_checks"] = time.time() - t0
+    timings["operator_checks"] = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     left, right, cmp_ok = compare_gr_dims(alg, fc.M, big)
     verdicts.append(Verdict(
         claim="graded weight dims of M match the bigraded perverse sums",
@@ -573,7 +574,7 @@ def run_instance(cfg: InstanceConfig,
         claim="weight chain of L_sbar is the conjugate Hodge chain",
         expected="exact subspace equality",
         observed="equal" if ch else "differ", passed=ch))
-    timings["filtrations"] = time.time() - t0
+    timings["filtrations"] = time.perf_counter() - t0
 
     tables = [diamond_report(big, 2).to_json(),
               diamond_report(big, 2 * alg.n).to_json(),

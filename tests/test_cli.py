@@ -81,7 +81,13 @@ def test_verify_grid_report_bytes(capsys):
      "fbe868a0cb594ae5a54fb4ce851e13be4f947b6baf0ea374986f93803b347bf2"),
     (("diamond", "--n", "2", "--b2", "6", "--degree", "4", "--seed", "2"),
      "09fa336f6a96f41ea00e6365a7e786a40e2840d302eff8db63faf582d6cdab52"),
-], ids=["verify-grid", "export", "diamond"])
+    # the K3^[2]-type frontier and a wide space, pinned before the build
+    # moved to integer monomial codes
+    (("build", "--n", "2", "--b2", "23", "--seed", "1"),
+     "7d31a7d495e98493dbc07494c003726dc881e8c808b11966aab13c3697493e55"),
+    (("build", "--n", "2", "--b2", "14", "--seed", "0"),
+     "aa3e644c23bc80bb37697f93847c30625f8dd6950f838919bd20b0e4a943c74d"),
+], ids=["verify-grid", "export", "diamond", "build-2x23", "build-2x14"])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab.linalg import QQ, LinalgError, Mat, qq, rank, rref
+from hklab.linalg import (
+    QQ,
+    IncrementalRref,
+    LinalgError,
+    Mat,
+    invert,
+    qq,
+    rank,
+    rref,
+)
 from hklab.quadforms import (
     QuadraticSpace,
     make_standard_space,
@@ -20,6 +29,7 @@ from hklab.verbitsky import (
     monomial_count,
     monomials,
     multinomial,
+    _apolar_weights,
     _power_coeffs,
 )
 
@@ -34,6 +44,33 @@ def test_monomials_grevlex_order():
                   (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     assert monomial_count(3, 2) == 6
     assert monomials(4, 0) == [(0, 0, 0, 0)]
+
+
+def _sorted_monomials(nvars, degree):
+    """Reference order: every exponent tuple, then sorted ascending in the
+    reversed tuple."""
+    if degree < 0:
+        return []
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for a in range(remaining, -1, -1):
+            rec(prefix + (a,), remaining - a, slots - 1)
+
+    rec((), degree, nvars)
+    out.sort(key=lambda mono: tuple(reversed(mono)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 5))
+def test_monomials_match_sorted_reference(nvars, degree):
+    assert monomials(nvars, degree) == _sorted_monomials(nvars, degree)
 
 
 def test_multinomial_and_power_coeffs():
@@ -81,6 +118,102 @@ def test_brute_force_ideal_oracle(built, n, b2):
             expected[c] = {j: -red.data[r][f]
                            for j, f in enumerate(free) if red.data[r][f]}
         assert alg.proj[k] == expected
+
+
+def _reference_projection(weights, b2, n, k):
+    """Dense reference for degree k > n: every catalecticant cell from the
+    exponent tuple m + g, every row through IncrementalRref, and every coset
+    as its own sums over C_F^(-1)."""
+    monos = monomials(b2, k)
+    duals = monomials(b2, 2 * n - k)
+    rows = [[weights.get(tuple(a + b for a, b in zip(m, g)), 0)
+             for g in duals] for m in monos]
+    target = len(duals)
+    echelon = IncrementalRref(target)
+    free = []
+    for c in range(len(monos) - 1, -1, -1):
+        if echelon.insert(rows[c]):
+            free.append(c)
+            if echelon.rank == target:
+                break
+    assert echelon.rank == target
+    free.reverse()
+    inv = invert(Mat.from_rows([rows[c] for c in free])).data
+    free_pos = {c: j for j, c in enumerate(free)}
+    table = []
+    for c, row in enumerate(rows):
+        if c in free_pos:
+            table.append({free_pos[c]: QQ(1)})
+            continue
+        nz = [(g, x) for g, x in enumerate(row) if x]
+        entry = {}
+        for j in range(target):
+            t = sum((x * inv[g][j] for g, x in nz), QQ(0))
+            if t:
+                entry[j] = t
+        table.append(entry)
+    return [monos[c] for c in free], table
+
+
+def _reference_build(space, n, seed):
+    """Dense reference build: structure constants from exponent-tuple
+    products looked up monomial by monomial."""
+    b2 = space.dim
+    weights = _apolar_weights(space, n)
+    levels, proj = {}, {}
+    for k in range(2 * n + 1):
+        if k <= n:
+            levels[k] = monomials(b2, k)
+            proj[k] = [{i: QQ(1)} for i in range(len(levels[k]))]
+        else:
+            levels[k], proj[k] = _reference_projection(weights, b2, n, k)
+    tensors = {}
+    for k in range(2 * n + 1):
+        for l in range(k, 2 * n + 1 - k):
+            idx = {m: i for i, m in enumerate(monomials(b2, k + l))}
+            entries = {}
+            for i, mi in enumerate(levels[k]):
+                for j, mj in enumerate(levels[l]):
+                    entry = proj[k + l][idx[tuple(a + b
+                                                  for a, b in zip(mi, mj))]]
+                    if entry:
+                        entries[(i, j)] = dict(entry)
+            tensors[(k, l)] = entries
+    return GradedAlgebra(space, n, levels, tensors, proj=proj,
+                         build_meta={"seed": seed})
+
+
+# Gram matrices with every off-diagonal entry nonzero: every monomial of
+# Q^n is nonzero, so no catalecticant row is zero.
+_DENSE_GRAMS = {
+    "dense5-a": [[2, 1, -1, 1, 3], [1, -1, 2, 1, 1], [-1, 2, 1, -2, 1],
+                 [1, 1, -2, 3, -1], [3, 1, 1, -1, 1]],
+    "dense5-b": [[1, 2, 1, -1, 1], [2, 0, -3, 1, 2], [1, -3, 2, 1, -1],
+                 [-1, 1, 1, -2, 2], [1, 2, -1, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("n,b2,space_name", [
+    *[(n, b2, "standard") for n in (1, 2, 3) for b2 in (4, 5, 6, 7)],
+    (4, 4, "standard"), (2, 8, "standard"), (2, 14, "standard"),
+    (2, 6, "tail"), (2, 5, "dense5-a"), (3, 5, "dense5-b")])
+def test_build_matches_dense_reference(built, n, b2, space_name):
+    """The coded build gives the levels, projection tables, structure
+    constants and canonical bytes of the dense per-cell build."""
+    if space_name == "standard":
+        alg = built(n, b2)
+    elif space_name == "tail":
+        alg = build_verbitsky(make_standard_space(b2, [qq("1/3"), qq(-5)]),
+                              n, seed=1)
+    else:
+        grid = _DENSE_GRAMS[space_name]
+        assert all(grid[i][j] for i in range(b2) for j in range(b2) if i != j)
+        alg = build_verbitsky(QuadraticSpace(Mat.from_rows(grid)), n, seed=1)
+    ref = _reference_build(alg.space, n, seed=1)
+    assert alg.levels == ref.levels
+    assert alg.proj == ref.proj
+    assert alg.tensors == ref.tensors
+    assert alg.dump_canonical() == ref.dump_canonical()
 
 
 def test_unit_law(built):

@@ -1,8 +1,20 @@
 import pytest
 
 from hklab.linalg import Mat, Subspace
-from hklab.llv import Bigrading, GradedOperator, bigrading, build_frame
-from hklab.module_io import load_module, make_ladder_module, make_spin_module
+from hklab.llv import (
+    Bigrading,
+    GradedOperator,
+    OperatorError,
+    bigrading,
+    build_frame,
+)
+from hklab.module_io import (
+    corrupt_module,
+    export_module,
+    load_module,
+    make_ladder_module,
+    make_spin_module,
+)
 from hklab.verifier import (
     DEFAULT_GRID,
     InstanceConfig,
@@ -277,6 +289,23 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         nilpotence_profile(GradedOperator({0: 1, 2: 1}, 2,
                                           {0: Mat.zeros(1, 1)}))
+
+
+def test_negative_nilpotence_index_is_an_operator_error():
+    with pytest.raises(OperatorError, match="cannot be negative"):
+        NilpotenceProfile({2: -1})
+
+
+def test_profile_of_a_shifting_operator_is_an_operator_error():
+    with pytest.raises(OperatorError, match="degree-0 operator"):
+        nilpotence_profile(GradedOperator({0: 1, 2: 1}, 2,
+                                          {0: Mat.zeros(1, 1)}))
+
+
+def test_odd_analysis_of_an_invalid_module_is_an_operator_error(built):
+    bad = load_module(corrupt_module(export_module(built(1, 4))))
+    with pytest.raises(OperatorError, match="refusing"):
+        check_odd(bad, build_frame(bad.space, seed=0))
 
 
 def test_default_grid_contents():
