@@ -15,8 +15,6 @@ A reconstructed value is only a candidate: a caller must certify it exactly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from hklab.linalg import QQ
 
 # Primes just below 2**26: dot products of up to 2048 residue pairs then fit
@@ -49,6 +47,7 @@ class ModpReducer:
     def __init__(self, ncols: int, p: int):
         if ncols > MAX_COLS:
             raise ValueError(f"reducer supports at most {MAX_COLS} columns")
+        import numpy as np  # here, so that `import hklab` skips numpy
         self.p = p
         self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int64)
@@ -59,6 +58,7 @@ class ModpReducer:
         return len(self.pivot_cols)
 
     def _reduce(self, row: np.ndarray) -> np.ndarray:
+        import numpy as np
         c = np.mod(row, self.p)
         if self.rank:
             coeffs = c[self.pivot_cols]
@@ -68,6 +68,7 @@ class ModpReducer:
 
     def insert(self, row: np.ndarray) -> bool:
         """Insert a row; True if it increased the rank."""
+        import numpy as np
         if row.shape != (self.ncols,):
             raise ValueError("row length mismatch")
         if np.abs(row).max(initial=0) >= MAX_ENTRY:
@@ -92,7 +93,7 @@ class ModpReducer:
 
     def sorted_state(self) -> tuple:
         """(pivot_cols sorted, reduced rows in pivot order)."""
-        order = np.argsort(self.pivot_cols, kind="stable")
+        order = sorted(range(self.rank), key=self.pivot_cols.__getitem__)
         return ([self.pivot_cols[i] for i in order], self.rows[order])
 
 

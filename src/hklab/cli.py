@@ -24,7 +24,7 @@ import os
 import sys
 
 from hklab.linalg import qq
-from hklab.llv import bigrading, build_frame
+from hklab.llv import bigrading, build_frame, frame_calculus
 from hklab.module_io import (
     SchemaError,
     algebra_module,
@@ -179,8 +179,10 @@ def _cmd_verify(args) -> int:
         code = 0 if report.all_passed else 1
         if report.all_passed and spec.odd_degrees():
             frame = build_frame(spec.space, seed=args.seed)
-            odd = check_odd(spec, frame)
-            betti = check_betti_mod4(bigrading(spec, frame), spec.degrees)
+            fc = frame_calculus(spec, frame)
+            big = bigrading(spec, frame, fc)
+            odd = check_odd(spec, frame, fc, big)
+            betti = check_betti_mod4(big, spec.degrees)
             payload["odd_verdicts"] = [v.to_json() for v in odd]
             payload["betti_verdicts"] = [v.to_json() for v in betti]
             if any(not v.passed for v in odd + betti if v.asserted):

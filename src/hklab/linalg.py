@@ -3,12 +3,12 @@
 Everything downstream computes on these primitives.  Entries are exact
 rationals (gmpy2.mpq, with a fractions.Fraction fallback) and pivoting is
 deterministic (first nonzero), so every basis produced anywhere in the
-package is reproducible across runs.  A matrix keeps its dense rows and,
-built on first use, a per-row index of its nonzero entries; the operator
-blocks this package computes on are mostly zeros, so products, sums,
-scaling and comparisons run over the index only.  Matrices are immutable
-(rows are tuples and attributes cannot be rebound), so the index never goes
-stale, and all operations are pure.
+package is reproducible across runs.  A matrix stores only a per-row index
+of its nonzero entries; the operator blocks this package computes on are
+mostly zeros, so products, sums, scaling, comparisons and elimination input
+run over the index only, and dense rows are built only when asked for.
+Matrices are immutable (the index is tuples and attributes cannot be
+rebound), and all operations are pure.
 
 Every elimination (rref, kernels, images, solves, inverses, determinants,
 subspaces and IncrementalRref) runs on integer rows: each row is scaled by
@@ -58,21 +58,23 @@ def vec(entries: Iterable) -> list:
 class Mat:
     """Exact rational matrix, immutable.
 
-    The entries are stored twice, both as tuples: `data`, the dense rows,
-    and `nonzeros`, per row the (column, value) pairs of its nonzero
-    entries in ascending column order, built on first use.  Products,
-    sums, scaling, comparison and hashing visit only the nonzeros; the
-    dense rows serve elimination and entry access.  Rows are tuples and
-    attributes cannot be rebound, so the index can never go stale.
+    The one stored form is `nonzeros`: per row, a tuple of the (column,
+    value) pairs of its nonzero entries in ascending column order.
+    Products, sums, scaling, comparison, hashing and elimination visit only
+    these; `data`, `row`, `col`, `columns`, `m[i, j]` and `repr` build
+    dense values from them when called.  Attributes cannot be rebound.
     """
 
-    __slots__ = ("rows", "cols", "data", "_nz")
+    __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
-        data = tuple(map(tuple, data))
         if len(data) != rows or any(len(r) != cols for r in data):
             raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
-        _init(self, rows, cols, data, None)
+        # Most zeros are the shared _ZERO; the identity test skips their
+        # (slow) truth test.
+        _init(self, rows, cols,
+              tuple(tuple((j, e) for j, e in enumerate(r)
+                          if e is not _ZERO and e) for r in data))
 
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
@@ -126,30 +128,22 @@ class Mat:
         return (self.rows, self.cols)
 
     @property
-    def nonzeros(self) -> tuple:
-        """Per row, the (column, value) pairs of its nonzero entries."""
-        nz = self._nz
-        if nz is None:
-            # Most zeros are the shared _ZERO; the identity test skips
-            # their (slow) truth test.
-            nz = tuple(tuple((j, e) for j, e in enumerate(r)
-                             if e is not _ZERO and e)
-                       for r in self.data)
-            object.__setattr__(self, "_nz", nz)
-        return nz
+    def data(self) -> tuple:
+        """The dense rows, as tuples."""
+        return tuple(tuple(_dense(r, self.cols)) for r in self.nonzeros)
 
     def __getitem__(self, ij) -> QQ:
         i, j = ij
-        return self.data[i][j]
+        return dict(self.nonzeros[i]).get(range(self.cols)[j], _ZERO)
 
     def row(self, i: int) -> list:
-        return list(self.data[i])
+        return _dense(self.nonzeros[i], self.cols)
 
     def col(self, j: int) -> list:
-        return [r[j] for r in self.data]
+        return _dense(self.transpose().nonzeros[j], self.rows)
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        return [_dense(r, self.rows) for r in self.transpose().nonzeros]
 
     def transpose(self) -> "Mat":
         out = [[] for _ in range(self.cols)]
@@ -183,7 +177,8 @@ class Mat:
 
     def _plus(self, other: "Mat", negate: bool) -> "Mat":
         """self + other, or self - other when negate is set."""
-        self._same_shape(other)
+        if self.shape != other.shape:
+            raise LinalgError(f"shape mismatch {self.shape} vs {other.shape}")
         out = []
         for ra, rb in zip(self.nonzeros, other.nonzeros):
             if negate:
@@ -249,7 +244,7 @@ class Mat:
     def trace(self) -> QQ:
         if self.rows != self.cols:
             raise LinalgError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
+        return sum((self[i, i] for i in range(self.rows)), _ZERO)
 
     def det(self) -> QQ:
         """Determinant by fraction-free (Bareiss) elimination: the last pivot.
@@ -262,7 +257,7 @@ class Mat:
         n = self.rows
         if n == 0:
             return _ONE
-        scaled = [_int_row(r) for r in self.data]
+        scaled = [_int_row_of(r, n) for r in self.nonzeros]
         a = [row for row, _ in scaled]
         pivots, sign = _echelon(a, n, bareiss=True)
         if len(pivots) < n:
@@ -272,17 +267,12 @@ class Mat:
             denom *= d
         return QQ(sign * a[n - 1][n - 1], denom)
 
-    def _same_shape(self, other: "Mat") -> None:
-        if self.shape != other.shape:
-            raise LinalgError(f"shape mismatch {self.shape} vs {other.shape}")
 
-
-def _init(m: Mat, rows: int, cols: int, data: tuple, nz) -> None:
+def _init(m: Mat, rows: int, cols: int, nz: tuple) -> None:
     set_ = object.__setattr__
     set_(m, "rows", rows)
     set_(m, "cols", cols)
-    set_(m, "data", data)
-    set_(m, "_nz", nz)
+    set_(m, "nonzeros", nz)
 
 
 def _row_index(entries: dict) -> tuple:
@@ -292,20 +282,17 @@ def _row_index(entries: dict) -> tuple:
 
 def _from_index(rows: int, cols: int, nz: Sequence) -> Mat:
     """The matrix with the given nonzero index (valid rows, no checks)."""
-    nz = tuple(map(tuple, nz))
-    zero_row = (_ZERO,) * cols
-    data = []
-    for r in nz:
-        if r:
-            row = list(zero_row)
-            for j, v in r:
-                row[j] = v
-            data.append(tuple(row))
-        else:
-            data.append(zero_row)
     m = object.__new__(Mat)
-    _init(m, rows, cols, tuple(data), nz)
+    _init(m, rows, cols, tuple(map(tuple, nz)))
     return m
+
+
+def _dense(pairs: Sequence, n: int) -> list:
+    """The length-n vector with the given nonzero (index, value) pairs."""
+    out = [_ZERO] * n
+    for j, e in pairs:
+        out[j] = e
+    return out
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -314,16 +301,21 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 # -- row reduction ----------------------------------------------------------
 
+def _int_row_of(pairs: Sequence, ncols: int) -> tuple:
+    """(row, d): the length-ncols row with the nonzero (column, value)
+    pairs given, times d, as ints, for d the lcm of the denominators."""
+    d = lcm(*[int(e.denominator) for _, e in pairs])
+    row = [0] * ncols
+    for j, e in pairs:
+        row[j] = int(e.numerator) * (d // int(e.denominator))
+    return row, d
+
+
 def _int_row(v: Sequence) -> tuple:
-    """(row, d): the entries of v times d, as ints, for d the lcm of their
-    denominators.  Accepts ints, QQ values and whatever QQ() parses."""
-    qs = vec(v)
-    # Most zeros are the shared _ZERO: skip their (slow) attribute reads.
-    d = lcm(*[int(e.denominator) for e in qs if e is not _ZERO])
-    if d == 1:
-        return [0 if e is _ZERO else int(e.numerator) for e in qs], 1
-    return [0 if e is _ZERO else int(e.numerator) * (d // int(e.denominator))
-            for e in qs], d
+    """_int_row_of for a dense vector of ints, QQ values or whatever QQ()
+    parses."""
+    return _int_row_of([(j, e) for j, e in enumerate(vec(v))
+                        if e is not _ZERO and e], len(v))
 
 
 def _combine(row: list, lead: list, c: int) -> list:
@@ -338,9 +330,16 @@ def _primitive(row: list) -> list:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _qq_row(row: list, p: int) -> list:
-    """The integer row divided by p, as QQ entries."""
-    return [QQ(x, p) if x else _ZERO for x in row]
+def primitive_vector(v: Sequence) -> list:
+    """v times the positive rational that makes it a primitive integer
+    vector, as QQ entries; the zero vector stays zero."""
+    return [QQ(x) for x in _primitive(_int_row(v)[0])]
+
+
+def _qq_pairs(row: list, p: int) -> tuple:
+    """The nonzero entries of the integer row divided by p, as (column, QQ)
+    pairs."""
+    return tuple((j, QQ(x, p)) for j, x in enumerate(row) if x)
 
 
 def _echelon(a: list, ncols: int, bareiss: bool = False) -> tuple:
@@ -390,10 +389,11 @@ def _echelon(a: list, ncols: int, bareiss: bool = False) -> tuple:
     return pivots, sign
 
 
-def _reduced(m: Mat) -> tuple:
-    """(integer rows, pivot_cols) of the elimination of m."""
-    a = [_int_row(r)[0] for r in m.data]
-    pivots, _ = _echelon(a, m.cols)
+def _reduced(nz: Sequence, ncols: int) -> tuple:
+    """(integer rows, pivot_cols) of the elimination of the rows with
+    nonzero index nz."""
+    a = [_int_row_of(r, ncols)[0] for r in nz]
+    pivots, _ = _echelon(a, ncols)
     return a, pivots
 
 
@@ -404,15 +404,15 @@ def rref(m: Mat) -> tuple:
     entry in each column scan, so the output is canonical for a given row
     space.
     """
-    a, pivots = _reduced(m)
+    a, pivots = _reduced(m.nonzeros, m.cols)
     rk = len(pivots)
-    data = [_qq_row(a[i], a[i][c]) for i, c in enumerate(pivots)]
-    data += [[_ZERO] * m.cols for _ in range(rk, m.rows)]
-    return Mat(m.rows, m.cols, data), pivots, rk
+    nz = [_qq_pairs(a[i], a[i][c]) for i, c in enumerate(pivots)]
+    nz += [()] * (m.rows - rk)
+    return _from_index(m.rows, m.cols, nz), pivots, rk
 
 
 def rank(m: Mat) -> int:
-    return len(_reduced(m)[1])
+    return len(_reduced(m.nonzeros, m.cols)[1])
 
 
 def solve(a: Mat, b: Sequence) -> Optional[list]:
@@ -427,14 +427,16 @@ def solve_matrix(a: Mat, b: Mat) -> Optional[Mat]:
     """Solve a*X = b column by column; None if any column is inconsistent."""
     if b.rows != a.rows:
         raise LinalgError("shape mismatch in solve_matrix")
-    red, pivots = _reduced(Mat(a.rows, a.cols + b.cols,
-                               [ra + rb for ra, rb in zip(a.data, b.data)]))
-    if pivots and pivots[-1] >= a.cols:
+    k = a.cols
+    red, pivots = _reduced([ra + tuple((k + j, e) for j, e in rb)
+                            for ra, rb in zip(a.nonzeros, b.nonzeros)],
+                           k + b.cols)
+    if pivots and pivots[-1] >= k:
         return None
-    data = [[_ZERO] * b.cols for _ in range(a.cols)]
+    nz = [()] * k
     for row, c in zip(red, pivots):
-        data[c] = _qq_row(row[a.cols:], row[c])
-    return Mat(a.cols, b.cols, data)
+        nz[c] = _qq_pairs(row[k:], row[c])
+    return _from_index(k, b.cols, nz)
 
 
 def invert(m: Mat) -> Mat:
@@ -481,7 +483,7 @@ class IncrementalRref:
             if c[piv]:
                 scale *= row[piv]
                 c = _combine(c, row, piv)
-        return _qq_row(c, scale)
+        return _dense(_qq_pairs(c, scale), self.ncols)
 
     def contains(self, v: Sequence) -> bool:
         return not any(_reduce_against(_int_row(v)[0], self.rows, self.pivots))
@@ -504,9 +506,9 @@ class Subspace:
 
     The basis matrix holds basis vectors as *columns* and is canonicalised on
     construction (columns are the transposed nonzero rows of the row-reduced
-    span), so equality of subspaces is plain equality of bases.  The same
-    rows are kept as integer rows with their pivot columns, built once per
-    subspace, for membership tests.
+    span), so equality of subspaces is plain equality of bases.  Every
+    constructor also keeps the same rows as integer rows with their pivot
+    columns, for membership tests.
     """
 
     ambient_dim: int
@@ -523,12 +525,18 @@ class Subspace:
 
     @staticmethod
     def _from_int_rows(ambient_dim: int, rows: list) -> "Subspace":
-        """The span of integer rows of length ambient_dim (consumes rows)."""
+        """The span of integer rows of length ambient_dim (reorders the list
+        rows but changes no row in it)."""
         pivots, _ = _echelon(rows, ambient_dim)
         reduced = rows[:len(pivots)]
-        qrows = [_qq_row(row, row[c]) for row, c in zip(reduced, pivots)]
-        data = list(zip(*qrows)) if qrows else [()] * ambient_dim
-        sub = Subspace(ambient_dim, Mat(ambient_dim, len(qrows), data))
+        # Basis column t is reduced row t over its pivot entry.
+        nz = [[] for _ in range(ambient_dim)]
+        for t, (row, c) in enumerate(zip(reduced, pivots)):
+            p = row[c]
+            for i, x in enumerate(row):
+                if x:
+                    nz[i].append((t, QQ(x, p)))
+        sub = Subspace(ambient_dim, _from_index(ambient_dim, len(pivots), nz))
         object.__setattr__(sub, "_int_basis", (reduced, pivots))
         return sub
 
@@ -538,7 +546,9 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.identity(ambient_dim))
+        return Subspace._from_int_rows(
+            ambient_dim, [[int(i == j) for j in range(ambient_dim)]
+                          for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -550,16 +560,6 @@ class Subspace:
     def vectors(self) -> list:
         return self.basis.columns()
 
-    def _echelon_rows(self) -> tuple:
-        """(integer rows, pivot columns) of the canonical basis."""
-        cached = self.__dict__.get("_int_basis")
-        if cached is None:
-            rows = [_int_row(v)[0] for v in self.vectors()]
-            cached = (rows, [next(i for i, x in enumerate(r) if x)
-                             for r in rows])
-            object.__setattr__(self, "_int_basis", cached)
-        return cached
-
     def pivot_rows(self) -> list:
         """Per basis column, the row index of its leading one.
 
@@ -567,16 +567,22 @@ class Subspace:
         column j has a unit entry at its pivot row and zeros there in all
         other columns; membership tests reduce against these directly.
         """
-        return list(self._echelon_rows()[1])
+        return list(self._int_basis[1])
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise LinalgError("vector length does not match ambient dimension")
-        rows, pivots = self._echelon_rows()
-        return not any(_reduce_against(_int_row(v)[0], rows, pivots))
+        return self._holds(_int_row(v)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.vectors())
+        if other.ambient_dim != self.ambient_dim:
+            raise LinalgError("ambient dimension mismatch")
+        return all(self._holds(r) for r in other._int_basis[0])
+
+    def _holds(self, row: list) -> bool:
+        """Whether the integer row lies in the subspace."""
+        rows, pivots = self._int_basis
+        return not any(_reduce_against(row, rows, pivots))
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_subspace(self)
@@ -585,7 +591,8 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.ambient_dim, a.vectors() + b.vectors())
+    return Subspace._from_int_rows(a.ambient_dim,
+                                   a._int_basis[0] + b._int_basis[0])
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -594,20 +601,18 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         raise LinalgError("ambient dimension mismatch")
     if a.is_zero() or b.is_zero():
         return Subspace.zero(a.ambient_dim)
-    stacked = Mat(a.ambient_dim, a.dim + b.dim,
-                  [ra + tuple(-x for x in rb)
-                   for ra, rb in zip(a.basis.data, b.basis.data)])
-    ker = kernel_basis(stacked)
-    vecs = []
-    for w in ker.vectors():
-        coeffs = w[:a.dim]
-        vecs.append(a.basis.times_vec(coeffs))
-    return Subspace.from_vectors(a.ambient_dim, vecs)
+    k = a.dim
+    ker = kernel_basis(_from_index(
+        a.ambient_dim, k + b.dim,
+        [ra + tuple((k + j, -e) for j, e in rb)
+         for ra, rb in zip(a.basis.nonzeros, b.basis.nonzeros)]))
+    return Subspace.from_vectors(
+        a.ambient_dim, [a.basis.times_vec(w[:k]) for w in ker.vectors()])
 
 
 def kernel_basis(m: Mat) -> Subspace:
     """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
-    red, pivots = _reduced(m)
+    red, pivots = _reduced(m.nonzeros, m.cols)
     pivset = set(pivots)
     vecs = []
     for f in range(m.cols):
@@ -626,8 +631,10 @@ def kernel_basis(m: Mat) -> Subspace:
 
 def image_basis(m: Mat) -> Subspace:
     """Column space of m as a Subspace of QQ^rows."""
-    pivots = _reduced(m)[1]
-    return Subspace.from_vectors(m.rows, [m.col(c) for c in pivots])
+    pivots = _reduced(m.nonzeros, m.cols)[1]
+    cols = m.transpose().nonzeros
+    return Subspace._from_int_rows(
+        m.rows, [_int_row_of(cols[c], m.rows)[0] for c in pivots])
 
 
 def eigenspace(op: Mat, lam) -> Subspace:

@@ -385,9 +385,9 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
             raise NotLefschetzError(
                 f"ladder vectors are dependent in degree {e}")
         if dim_t:
-            blocks[e] = Mat(dim_t, dim_e,
-                            [[red.data[i][dim_e + t] for i in range(dim_e)]
-                             for t in range(dim_t)])
+            blocks[e] = Mat.from_sparse(
+                dim_e, dim_t, [{j - dim_e: x for j, x in r if j >= dim_e}
+                               for r in red.nonzeros]).transpose()
     return GradedOperator(degrees, -2, blocks)
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import jsonschema
 
-from hklab.linalg import QQ, LinalgError, Mat, qq, vec
+from hklab.linalg import QQ, LinalgError, Mat, vec
 from hklab.llv import (
     GradedOperator,
     NotLefschetzError,
@@ -114,8 +114,7 @@ def _blocks_from_json(obj: dict, degrees: dict, offset: int,
     for dstr, rows in obj.items():
         d = int(dstr)
         # An empty list is a block into a zero-dimensional target.
-        m = Mat.from_rows([[qq(e) for e in row] for row in rows]) \
-            if rows else Mat.zeros(0, degrees.get(d, 0))
+        m = Mat.from_rows(rows) if rows else Mat.zeros(0, degrees.get(d, 0))
         exp = (degrees.get(d + offset, 0), degrees.get(d, 0))
         if m.shape != exp:
             raise SchemaError(
@@ -443,18 +442,16 @@ def make_spin_module(n: int = 2) -> dict:
     f0[5] = _ONE
     h_mat = spin_rotation(e0, f0).scale(2)
 
-    eigs = [h_mat.data[i][i] for i in range(dim_s)]
+    eigs = [h_mat[i, i] for i in range(dim_s)]
     lo = [i for i, e in enumerate(eigs) if e == -1]
     hi = [i for i, e in enumerate(eigs) if e == 1]
-    assert len(lo) == len(hi) == 4 and not any(
-        h_mat.data[i][j] != 0 for i in range(8) for j in range(8) if i != j)
-    order = lo + hi
-    pos = {orig: new for new, orig in enumerate(order)}
+    assert len(lo) == len(hi) == 4 and h_mat == Mat.diagonal(eigs)
     d_lo, d_hi = 2 * n - 1, 2 * n + 1
     degrees = {d_lo: 4, d_hi: 4}
 
     def reorder_block(m: Mat, rows_idx, cols_idx) -> Mat:
-        return Mat.from_rows([[m.data[i][j] for j in cols_idx]
+        data = m.data
+        return Mat.from_rows([[data[i][j] for j in cols_idx]
                               for i in rows_idx])
 
     l_actions = []

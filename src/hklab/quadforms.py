@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Sequence
 
-from hklab.linalg import QQ, Mat, Subspace, qq, rank, solve, vec
+from hklab.linalg import (
+    QQ, Mat, Subspace, primitive_vector, qq, rank, solve, vec)
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -69,7 +69,7 @@ class QuadraticSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadraticSpace":
-        g = Mat.from_rows([[qq(e) for e in row] for row in obj["gram"]])
+        g = Mat.from_rows(obj["gram"])
         if g.rows != obj.get("dim", g.rows):
             raise QuadFormError("dim field does not match Gram size")
         return QuadraticSpace(g)
@@ -113,22 +113,6 @@ def mukai_extension(space: QuadraticSpace) -> QuadraticSpace:
 
 # -- isotropic vectors --------------------------------------------------------
 
-def _primitive(v: list) -> list:
-    """Scale a rational vector to a primitive integer vector."""
-    from math import lcm
-    dens = [x.denominator for x in v]
-    m = 1
-    for d in dens:
-        m = lcm(m, int(d))
-    ints = [int(x * m) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return [QQ(x) for x in ints]
-
-
 def hyperbolic_pair(space: QuadraticSpace) -> tuple:
     """Some (e, f) with q(e)=q(f)=0 and q(e,f)=1.
 
@@ -148,7 +132,7 @@ def hyperbolic_pair(space: QuadraticSpace) -> tuple:
     for trial in range(4000):
         v = [QQ(rng.randint(-4, 4)) for _ in range(n)]
         if any(v) and space.quad(v) == 0:
-            iso = _primitive(v)
+            iso = primitive_vector(v)
             break
     if iso is None:
         raise QuadFormError("no rational isotropic vector found in the search box")
@@ -198,7 +182,7 @@ def sample_isotropic(space: QuadraticSpace, count: int, seed: int = 0,
         v = [zi + lam * ei + mu * fi for zi, ei, fi in zip(z, e, f)]
         if not any(v):
             continue
-        v = _primitive(v)
+        v = primitive_vector(v)
         assert space.quad(v) == 0
         out.append(v)
     if len(out) < count:

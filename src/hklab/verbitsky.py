@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
-from hklab.linalg import QQ, IncrementalRref, LinalgError, Mat, invert, qq
+from hklab.linalg import QQ, IncrementalRref, LinalgError, Mat, invert, qq, vec
 from hklab.quadforms import QuadraticSpace
 
 _ZERO = QQ(0)
@@ -113,7 +113,7 @@ class AlgebraElement:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(qq(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(vec(self.coords)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -172,8 +172,10 @@ def check_even_nagai(profile: NilpotenceProfile, n: int) -> list:
 
 def _joint_kernel(fc: FrameCalculus, d: int, dim: int) -> Subspace:
     """Joint kernel of L_beta and L_sbar on degree d (of dimension dim)."""
-    rows = fc.L_beta.block(d).data + fc.L_sbar.block(d).data
-    return kernel_basis(Mat.from_rows(rows)) if rows else Subspace.full(dim)
+    rows = [dict(r) for r in fc.L_beta.block(d).nonzeros
+            + fc.L_sbar.block(d).nonzeros]
+    return (kernel_basis(Mat.from_sparse(len(rows), dim, rows)) if rows
+            else Subspace.full(dim))
 
 
 def check_condition_26(fc: FrameCalculus, big: Bigrading, n: int) -> list:
@@ -325,7 +327,9 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
 
 # -- odd-degree checks -----------------------------------------------------------
 
-def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
+def check_odd(spec: LLVModuleSpec, frame: HodgeFrame,
+              fc: Optional[FrameCalculus] = None,
+              big: Optional[Bigrading] = None) -> list:
     """Odd-degree nilpotence bounds on a validated module.
 
     Upper bound min(2k-3, n-1) per odd degree 2k-1; the level-based lower
@@ -334,7 +338,8 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
     (vacuously true when the module has no low even degrees); and, when
     degree 3 is populated, the expected exact values nilp(M_3) = 1 and
     nilp(M_(2n-1)) = n-1.  Geometric expectations are recorded, not
-    asserted, since ingested modules need not come from geometry.
+    asserted, since ingested modules need not come from geometry.  fc and
+    big, if given, are the module's frame calculus and bigrading.
     """
     rep = spec.validation
     if not rep.all_passed:
@@ -348,8 +353,10 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame) -> list:
                         expected="odd degrees present",
                         observed="module has no odd part",
                         passed=True, witness="vacuous")]
-    fc = frame_calculus(spec, frame)
-    big = bigrading(spec, frame, fc)
+    if fc is None:
+        fc = frame_calculus(spec, frame)
+    if big is None:
+        big = bigrading(spec, frame, fc)
     cond26 = _module_condition_26(spec, fc)
     powers = GradedPowers(fc.M)
     for d in odd:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hklab
 from hklab.cli import main
 from hklab.linalg import Mat, qq
 from hklab.quadforms import QuadraticSpace
@@ -104,6 +109,46 @@ def test_verify_module_fixtures(fixture_dir, capsys):
     payload = json.loads(out)
     failures = [c for c in payload["validation"]["checks"] if not c["passed"]]
     assert failures and failures[0]["witness"]
+
+
+@pytest.mark.slow
+def test_verify_default_grid_bytes(capsys):
+    """Every default-grid instance is pinned byte for byte."""
+    code, out, err = run(capsys, "verify", "--grid", "default", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "f24dc80a6428e0cf8984a81642c987ccd15ee2bc00bf25af56858accc0dae14c"
+
+
+def test_verify_module_builds_the_calculus_once(fixture_dir, capsys,
+                                                monkeypatch):
+    """One frame calculus and one bigrading serve the odd-degree and the
+    Betti checks of `verify --module`."""
+    from hklab import cli, llv, module_io, verifier
+    calls = {"frame_calculus": 0, "bigrading_from_operators": 0}
+    for name in calls:
+        real = getattr(llv, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (llv, cli, module_io, verifier):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    code, out, err = run(capsys, "verify", "--module",
+                         str(fixture_dir / "spin_module.json"))
+    assert code == 0 and json.loads(out)["odd_verdicts"]
+    assert calls == {"frame_calculus": 1, "bigrading_from_operators": 1}
+
+
+def test_import_does_not_load_numpy():
+    """Only the uncalled hklab._modp uses numpy, inside its methods."""
+    probe = ("import sys, hklab, hklab.cli; "
+             "assert 'numpy' not in sys.modules, 'numpy imported'")
+    src = str(pathlib.Path(hklab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_verify_spin_module_runs_odd_checks(fixture_dir, capsys):

@@ -432,6 +432,77 @@ def test_shapes_with_a_zero_dimension():
     assert (Mat.zeros(0, 3) * Mat.zeros(3, 2)).shape == (0, 2)
 
 
+# -- the one stored form: dense views against a dense reference ------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(shape_dims, shape_dims).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_rows(s[0], s[1]),
+                        sparse_rows(s[0], s[1]),
+                        st.lists(st.booleans(), min_size=s[0],
+                                 max_size=s[0]))))
+def test_dense_views_match_a_dense_reference(case):
+    (r, c), a, b, shared = case
+    # Rows flagged `shared` cancel to zero in a - b.
+    b = [ra if same else rb for ra, rb, same in zip(a, b, shared)]
+    ref = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    for m in (Mat(r, c, a) - Mat(r, c, b), Mat(r, c, ref)):
+        assert m.data == tuple(map(tuple, ref))
+        assert [m.row(i) for i in range(r)] == ref
+        assert [m.col(j) for j in range(c)] == [[row[j] for row in ref]
+                                                for j in range(c)]
+        assert m.columns() == [[row[j] for row in ref] for j in range(c)]
+        assert all(m[i, j] == ref[i][j] and type(m[i, j]) is QQ
+                   for i in range(r) for j in range(c))
+        assert all(type(x) is QQ for row in m.data for x in row)
+        assert repr(m) == f"Mat({r}x{c}: " + "; ".join(
+            " ".join(str(x) for x in row) for row in ref) + ")"
+        if r == c:
+            assert m.trace() == sum((ref[i][i] for i in range(r)), _Z)
+        else:
+            with pytest.raises(LinalgError):
+                m.trace()
+
+
+def reference_subspace(ambient: int, rows: list) -> tuple:
+    """(basis columns, pivot rows) of the span of rows, read off rref."""
+    if not rows:
+        return [], []
+    red, pivots, rk = rref(Mat(len(rows), ambient, rows))
+    return [red.row(i) for i in range(rk)], pivots
+
+
+def check_subspace(sub: Subspace, ambient: int, rows: list) -> None:
+    vectors, pivots = reference_subspace(ambient, rows)
+    assert sub.vectors() == vectors
+    assert sub.pivot_rows() == pivots
+    assert sub.basis == (Mat.from_cols(vectors) if vectors
+                         else Mat.zeros(ambient, 0))
+    assert sub.basis.shape == (ambient, len(vectors))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 8), shape_dims).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_rows(s[0], s[1]))))
+def test_subspaces_match_their_rref_reference(case):
+    (r, c), rows = case
+    check_subspace(Subspace.from_vectors(c, rows), c, rows)
+    # The kernel is spanned by e_f - sum_i red[i][f] e_(pivots[i]) over
+    # the free columns f.
+    red, pivots, _ = rref(Mat(r, c, rows))
+    spanning = []
+    for f in sorted(set(range(c)) - set(pivots)):
+        v = [_Z] * c
+        v[f] = QQ(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i, f]
+        spanning.append(v)
+    check_subspace(kernel_basis(Mat(r, c, rows)), c, spanning)
+    full = Subspace.full(c)
+    check_subspace(full, c, [[QQ(int(i == j)) for j in range(c)]
+                             for i in range(c)])
+    assert full == Subspace.from_vectors(c, Mat.identity(c).columns())
+
+
 # -- immutability ------------------------------------------------------------
 
 def test_mat_is_immutable():

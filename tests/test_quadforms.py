@@ -1,6 +1,11 @@
-import pytest
+from math import gcd, lcm
 
-from hklab.linalg import QQ, Mat
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hklab import quadforms
+from hklab.linalg import QQ, Mat, primitive_vector
 from hklab.quadforms import (
     IsotropicPlane,
     Isometry,
@@ -82,6 +87,45 @@ def test_sample_isotropic_exact_and_deterministic():
         assert all(x.denominator == 1 for x in v)
     assert vs == sample_isotropic(sp, 10, seed=3)
     assert vs != sample_isotropic(sp, 10, seed=4)
+
+
+def reference_primitive(v: list) -> list:
+    """The per-module routine linalg.primitive_vector replaced."""
+    dens = [x.denominator for x in v]
+    m = 1
+    for d in dens:
+        m = lcm(m, int(d))
+    ints = [int(x * m) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    return [QQ(x) for x in ints]
+
+
+@given(st.one_of(
+    st.integers(0, 8).map(lambda n: [QQ(0)] * n),
+    st.lists(st.fractions(min_value=-50, max_value=50,
+                          max_denominator=30).map(QQ), max_size=8)))
+def test_primitive_vector_matches_the_reference(v):
+    got = primitive_vector(v)
+    assert got == reference_primitive(v)
+    assert all(type(x) is QQ for x in got)
+
+
+def test_sampling_seeds_keep_their_vectors(monkeypatch):
+    spaces = [make_standard_space(6, [2, QQ(-1, 2)]),
+              make_standard_space(5, [QQ(3, 7)])]
+    perm = [4, 0, 3, 1, 2]
+    spaces.append(QuadraticSpace(Mat.from_rows(
+        [[spaces[1].gram[perm[i], perm[j]] for j in range(5)]
+         for i in range(5)])))
+    got = [(hyperbolic_pair(sp), sample_isotropic(sp, 6, seed=seed))
+           for sp in spaces for seed in (0, 3, 11)]
+    monkeypatch.setattr(quadforms, "primitive_vector", reference_primitive)
+    assert got == [(hyperbolic_pair(sp), sample_isotropic(sp, 6, seed=seed))
+                   for sp in spaces for seed in (0, 3, 11)]
 
 
 def test_hyperbolic_pair_standard_and_shuffled():
