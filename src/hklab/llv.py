@@ -363,6 +363,10 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
     for d, lam, steps in chains:
         for j, v in enumerate(steps):
             e = d + 2 * j
+            if e not in adapted:
+                raise NotLefschetzError(
+                    f"a ladder from degree {d} leaves the module's degrees "
+                    f"at {e}")
             adapted[e].append(v)
             coeff = QQ(j * (lam - j + 1))
             if j == 0:

@@ -9,6 +9,13 @@ algebras do not contain) are ingested, validated against the structural
 relations, and only then analysed.  A spec computes its linear
 dual-Lefschetz table and its validation report once, on first use.
 
+load_module reads a document in one walk that checks all the published
+schema (llv_module.schema.json) does, its patterns matched whole, and
+more: integers given as floats, zero denominators, a degree named twice
+and ragged or misshapen blocks are errors too.  Each block's nonzero index
+is built as its cells are read.  jsonschema runs only on a rejected
+document, to phrase the message of the schema rule it breaks.
+
 Shipped fixture generators: a faithful export, a corrupted variant, an
 elementary one-variable ladder, a deliberately mis-graded shift, and a
 spinor module over the hyperbolic extension of a 4-dimensional space (the
@@ -21,13 +28,12 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import jsonschema
-
-from hklab.linalg import QQ, LinalgError, Mat, vec
+from hklab.linalg import QQ, LinalgError, Mat, _from_index, vec
 from hklab.llv import (
     GradedOperator,
     NotLefschetzError,
@@ -40,7 +46,8 @@ from hklab.llv import (
     lefschetz,
     linear_dual_table,
 )
-from hklab.quadforms import QuadraticSpace, make_standard_space, mukai_extension
+from hklab.quadforms import (QuadFormError, QuadraticSpace,
+                              make_standard_space, mukai_extension)
 from hklab.verbitsky import GradedAlgebra, canonical_json
 
 MODULE_FORMAT = "hklab-llv-module"
@@ -56,7 +63,13 @@ class SchemaError(ValueError):
 
 SCHEMA_PATH = Path(__file__).with_name("llv_module.schema.json")
 
+# The schema's patterns, matched whole: under re.search its "$" also
+# matches before a final newline.
+_DEGREE = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
+
+@functools.cache
 def _schema() -> dict:
     return json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
 
@@ -108,29 +121,130 @@ def _blocks_to_json(op: GradedOperator) -> dict:
             for d, m in sorted(op.blocks.items())}
 
 
-def _blocks_from_json(obj: dict, degrees: dict, offset: int,
-                      what: str) -> GradedOperator:
-    blocks = {}
-    for dstr, rows in obj.items():
-        d = int(dstr)
-        # An empty list is a block into a zero-dimensional target.
-        m = Mat.from_rows(rows) if rows else Mat.zeros(0, degrees.get(d, 0))
-        exp = (degrees.get(d + offset, 0), degrees.get(d, 0))
-        if m.shape != exp:
-            raise SchemaError(
-                f"{what}: block at degree {d} has shape {m.shape}, "
-                f"expected {exp}")
-        blocks[d] = m
+class _Cells(dict):
+    """Memo of rational cells: each distinct string is matched once."""
+
+    def __missing__(self, cell):
+        m = _RATIONAL.fullmatch(cell) if type(cell) is str else None
+        if m is None:
+            raise SchemaError(f"{cell!r} is not a rational 'p' or 'p/q'")
+        p, q = int(m[1]), int(m[2] or 1)
+        if not q:
+            raise SchemaError(f"{cell!r} has denominator zero")
+        value = self[cell] = QQ(p, q)
+        return value
+
+
+def _typed(x, kind: type, what: str):
+    if type(x) is not kind:
+        raise SchemaError(f"{what} must be of type {kind.__name__}")
+    return x
+
+
+def _fields(x, what: str, required: tuple, optional: tuple = ()) -> dict:
+    keys = _typed(x, dict, what).keys()
+    if not {*required} <= keys <= {*required, *optional}:
+        raise SchemaError(f"{what} must have the keys {list(required)}, "
+                          f"optionally {list(optional)}")
+    return x
+
+
+def _int(x, what: str, minimum: int) -> int:
+    if type(x) is not int or x < minimum:    # type() rejects bools, floats
+        raise SchemaError(f"{what} must be an integer >= {minimum}")
+    return x
+
+
+def _by_degree(x, what: str, value) -> dict:
+    """{degree: value(degree, v)} of an object keyed by degree strings."""
+    out = {}
+    for key, v in _typed(x, dict, what).items():
+        if type(key) is not str or not _DEGREE.fullmatch(key):
+            raise SchemaError(f"{what}: {key!r} is not a degree")
+        d = int(key)
+        if d in out:
+            raise SchemaError(f"{what}: degree {d} is named twice")
+        out[d] = value(d, v)
+    return out
+
+
+def _matrix(rows, what: str, empty_cols: int, cells: _Cells) -> Mat:
+    """The rectangular matrix of rows of rational strings; an empty list is
+    the 0 x empty_cols matrix."""
+    ncols = len(rows[0]) if _typed(rows, list, what) and \
+        type(rows[0]) is list else empty_cols
+    if any(type(r) is not list or len(r) != ncols for r in rows):
+        raise SchemaError(f"{what}: rows are not lists of one length")
+    try:
+        nz = [[(j, v) for j, v in enumerate(map(cells.__getitem__, r)) if v]
+              for r in rows]
+    except TypeError:    # an unhashable cell
+        raise SchemaError(f"{what}: a cell is not a string") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
+    return _from_index(len(rows), ncols, nz)
+
+
+def _blockmap(x, degrees: dict, offset: int, what: str,
+              cells: _Cells) -> GradedOperator:
+    blocks = _by_degree(x, what, lambda d, rows: _matrix(
+        rows, f"{what}[{d}]", degrees.get(d, 0), cells))
     try:
         return GradedOperator(degrees, offset, blocks)
     except OperatorError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
+def _read(obj) -> LLVModuleSpec:
+    """The spec of a module document, checked in the one walk that the
+    module docstring describes."""
+    _fields(obj, "module", ("format", "version", "n", "space", "degrees",
+                            "h_action", "L_actions"),
+            ("label", "Lambda_actions"))
+    if obj["format"] != MODULE_FORMAT or \
+            _typed(obj["version"], int, "version") != MODULE_VERSION:
+        raise SchemaError(f"not a {MODULE_FORMAT} version {MODULE_VERSION} "
+                          "document")
+    _typed(obj.get("label", ""), str, "label")
+    n = _int(obj["n"], "n", 1)
+    cells = _Cells()
+    space = _fields(obj["space"], "space", ("dim", "gram"))
+    gram = _matrix(space["gram"], "space.gram", 0, cells)
+    if gram.rows != _int(space["dim"], "space.dim", 1):
+        raise QuadFormError("dim field does not match Gram size")
+    qspace = QuadraticSpace(gram)
+    degrees = _by_degree(obj["degrees"], "degrees",
+                         lambda d, m: _int(m, f"degrees[{d}]", 0))
+    l_docs = _typed(obj["L_actions"], list, "L_actions")
+    if len(l_docs) != qspace.dim:
+        raise SchemaError("L_actions must have one entry per basis vector")
+    h_action = _blockmap(obj["h_action"], degrees, 0, "h_action", cells)
+    l_actions = [_blockmap(blk, degrees, 2, f"L_actions[{s}]", cells)
+                 for s, blk in enumerate(l_docs)]
+    lam_basis = lam_actions = None
+    if "Lambda_actions" in obj:
+        lam = _fields(obj["Lambda_actions"], "Lambda_actions",
+                      ("basis", "blocks"))
+        basis = _matrix(lam["basis"], "Lambda basis", qspace.dim, cells)
+        if basis.cols != qspace.dim:
+            raise SchemaError("Lambda basis vectors have wrong length")
+        lam_basis = [list(v) for v in basis.data]
+        lam_docs = _typed(lam["blocks"], list, "Lambda blocks")
+        if len(lam_docs) != len(lam_basis):
+            raise SchemaError("Lambda blocks do not match basis length")
+        lam_actions = [_blockmap(blk, degrees, -2, f"Lambda[{s}]", cells)
+                       for s, blk in enumerate(lam_docs)]
+    return LLVModuleSpec(space=qspace, n=n, degrees=degrees,
+                         h_action=h_action, l_actions=l_actions,
+                         lambda_basis=lam_basis, lambda_actions=lam_actions,
+                         label=obj.get("label", ""))
+
+
 def load_module(source) -> LLVModuleSpec:
     """Parse a module document (dict, JSON text, or path) with exact rationals.
 
-    Raises SchemaError on any schema or shape violation.
+    Raises SchemaError on any schema or shape violation, with jsonschema's
+    message when the published schema rejects the document too.
     """
     if isinstance(source, dict):
         obj = source
@@ -146,32 +260,14 @@ def load_module(source) -> LLVModuleSpec:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     try:
-        jsonschema.validate(obj, _schema())
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"schema violation: {exc.message}") from exc
-
-    space = QuadraticSpace.from_json(obj["space"])
-    n = obj["n"]
-    degrees = {int(d): m for d, m in obj["degrees"].items()}
-    if len(obj["L_actions"]) != space.dim:
-        raise SchemaError("L_actions must have one entry per basis vector")
-    h_action = _blocks_from_json(obj["h_action"], degrees, 0, "h_action")
-    l_actions = [_blocks_from_json(blk, degrees, 2, f"L_actions[{s}]")
-                 for s, blk in enumerate(obj["L_actions"])]
-    lam_basis = lam_actions = None
-    if "Lambda_actions" in obj:
-        lam = obj["Lambda_actions"]
-        lam_basis = [vec(v) for v in lam["basis"]]
-        if any(len(v) != space.dim for v in lam_basis):
-            raise SchemaError("Lambda basis vectors have wrong length")
-        if len(lam["blocks"]) != len(lam_basis):
-            raise SchemaError("Lambda blocks do not match basis length")
-        lam_actions = [_blocks_from_json(blk, degrees, -2, f"Lambda[{s}]")
-                       for s, blk in enumerate(lam["blocks"])]
-    return LLVModuleSpec(space=space, n=n, degrees=degrees,
-                         h_action=h_action, l_actions=l_actions,
-                         lambda_basis=lam_basis, lambda_actions=lam_actions,
-                         label=obj.get("label", ""))
+        return _read(obj)
+    except (SchemaError, QuadFormError):
+        import jsonschema
+        try:
+            jsonschema.validate(obj, _schema())
+        except jsonschema.ValidationError as exc:
+            raise SchemaError(f"schema violation: {exc.message}") from exc
+        raise
 
 
 def module_to_json(spec: LLVModuleSpec) -> dict:

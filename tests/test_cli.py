@@ -151,6 +151,69 @@ def test_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
+def test_accepting_a_module_does_not_load_jsonschema(fixture_dir):
+    """jsonschema only phrases the message of a rejected document."""
+    probe = ("import sys, hklab.cli; "
+             "from hklab.module_io import load_module; "
+             "load_module(sys.argv[1]); "
+             "assert 'jsonschema' not in sys.modules, 'jsonschema imported'")
+    src = str(pathlib.Path(hklab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", probe,
+                    str(fixture_dir / "sh_module.json")], env=env, check=True)
+
+
+def _edited_fixture(fixture_dir, tmp_path, edit):
+    obj = json.loads((fixture_dir / "sh_module.json").read_text())
+    edit(obj)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _zero_denominator(obj):
+    obj["h_action"]["0"][0][0] = "1/0"
+
+
+def _float_n(obj):
+    obj["n"] = 1.0
+
+
+def _ragged_gram(obj):
+    obj["space"]["gram"][1].pop()
+
+
+def _degree_2_twice(obj):
+    obj["degrees"]["02"] = obj["degrees"]["2"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_zero_denominator, "h_action[0]: '1/0' has denominator zero"),
+    (_float_n, "n must be an integer >= 1"),
+    (_ragged_gram, "space.gram: rows are not lists of one length"),
+    (_degree_2_twice, "degrees: degree 2 is named twice"),
+])
+def test_validate_unreadable_module_exits_2(fixture_dir, tmp_path, capsys,
+                                            edit, message):
+    """Documents the schema passes but the reader cannot read are usage
+    errors (exit 2), not tracebacks (exit 1) or silent acceptance."""
+    path = _edited_fixture(fixture_dir, tmp_path, edit)
+    code, out, err = run(capsys, "validate", "--in", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_validate_degrees_disagreeing_with_n(fixture_dir, tmp_path, capsys):
+    """n = 2 on the n = 1 export: the report prints with the failed dual
+    completion, and validation fails (exit 1)."""
+    path = _edited_fixture(fixture_dir, tmp_path,
+                           lambda obj: obj.update(n=2))
+    code, out, err = run(capsys, "validate", "--in", path)
+    assert code == 1 and err == ""
+    assert "FAIL  dual-completions-and-linearity  [a ladder from degree 0 " \
+        "leaves the module's degrees at 6]" in out
+    assert out.endswith("result: FAILED\n")
+
+
 def test_verify_spin_module_runs_odd_checks(fixture_dir, capsys):
     code, out, err = run(capsys, "verify", "--module",
                          str(fixture_dir / "spin_module.json"))

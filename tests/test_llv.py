@@ -17,6 +17,7 @@ from hklab.llv import (
     frame_triples,
     grading,
     lefschetz,
+    sl2_complete,
     total_matrix,
     transport_frame,
     verify_derivation,
@@ -326,3 +327,12 @@ def test_sub_matches_add_of_negation(built):
     assert sorted(diff.blocks) == sorted((a + b.scale(-1)).blocks)
     with pytest.raises(OperatorError):
         a - algebra_module(alg).lambda_of([1, 1, 0, 0, 0])
+
+
+def test_sl2_complete_ladder_leaving_the_degrees():
+    """With n = 2 a class in degree 0 has weight -4, so its ladder would
+    reach degree 8 of a module that stops at degree 2."""
+    one = Mat.from_rows([[1]])
+    lop = GradedOperator({0: 1, 2: 1}, 2, {0: one})
+    with pytest.raises(NotLefschetzError, match="leaves the module's degrees"):
+        sl2_complete(lop, 2)

@@ -1,13 +1,25 @@
 import json
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hklab.module_io as module_io
-from hklab.linalg import qq
-from hklab.llv import FrameCalculus, GradedPowers, build_frame, frame_calculus
+from hklab.linalg import Mat, qq, vec
+from hklab.llv import (
+    FrameCalculus,
+    GradedOperator,
+    GradedPowers,
+    OperatorError,
+    anisotropic_basis,
+    build_frame,
+    frame_calculus,
+)
 from hklab.module_io import (
+    MODULE_FORMAT,
     SchemaError,
     algebra_module,
     corrupt_module,
@@ -21,6 +33,7 @@ from hklab.module_io import (
     module_to_json,
     validate,
 )
+from hklab.quadforms import QuadraticSpace
 from hklab.verifier import check_odd
 
 
@@ -304,3 +317,230 @@ def test_schema_errors_unchanged(built, kind):
     with pytest.raises(SchemaError) as got:
         load_module(obj)
     assert str(got.value) == f"schema violation: {ref.value.message}"
+
+
+# -- the one-pass reader ------------------------------------------------------
+
+_SCHEMA = json.loads(module_io.SCHEMA_PATH.read_text(encoding="utf-8"))
+
+
+def _reference_load(obj):
+    """The loader before the one-pass reader: jsonschema.validate, then
+    Mat.from_rows on every block."""
+    jsonschema.validate(obj, _SCHEMA)
+    space = QuadraticSpace.from_json(obj["space"])
+    degrees = {int(d): m for d, m in obj["degrees"].items()}
+    if len(obj["L_actions"]) != space.dim:
+        raise SchemaError("L_actions must have one entry per basis vector")
+
+    def blocks(blockmap, offset, what):
+        out = {}
+        for dstr, rows in blockmap.items():
+            d = int(dstr)
+            out[d] = Mat.from_rows(rows) if rows else \
+                Mat.zeros(0, degrees.get(d, 0))
+        try:
+            return GradedOperator(degrees, offset, out)
+        except OperatorError as exc:
+            raise SchemaError(f"{what}: {exc}") from exc
+
+    h_action = blocks(obj["h_action"], 0, "h_action")
+    l_actions = [blocks(b, 2, f"L_actions[{s}]")
+                 for s, b in enumerate(obj["L_actions"])]
+    lam_basis = lam_actions = None
+    if "Lambda_actions" in obj:
+        lam = obj["Lambda_actions"]
+        lam_basis = [vec(v) for v in lam["basis"]]
+        if any(len(v) != space.dim for v in lam_basis):
+            raise SchemaError("Lambda basis vectors have wrong length")
+        if len(lam["blocks"]) != len(lam_basis):
+            raise SchemaError("Lambda blocks do not match basis length")
+        lam_actions = [blocks(b, -2, f"Lambda[{s}]")
+                       for s, b in enumerate(lam["blocks"])]
+    return module_io.LLVModuleSpec(
+        space=space, n=obj["n"], degrees=degrees, h_action=h_action,
+        l_actions=l_actions, lambda_basis=lam_basis,
+        lambda_actions=lam_actions, label=obj.get("label", ""))
+
+
+def _outcome(load, obj):
+    """("ok", canonical bytes) or (exception type, message)."""
+    try:
+        return ("ok", dump_canonical(module_to_json(load(obj))))
+    except Exception as exc:  # the outcomes are compared, whatever they are
+        if isinstance(exc, jsonschema.ValidationError):
+            return ("ValidationError", exc.message)
+        return (type(exc).__name__, str(exc))
+
+
+def _reader_only(obj) -> bool:
+    """Whether obj is in a class the schema passes and the reader rejects:
+    an integral float, a zero denominator, a string ending in a newline, a
+    degree named twice, or rows of different lengths."""
+    if isinstance(obj, float):
+        return True
+    if isinstance(obj, str):
+        return obj.endswith("\n") or re.fullmatch(r"-?[0-9]+/0+", obj)
+    if isinstance(obj, dict):
+        named = [int(k) for k in obj if re.fullmatch(r"-?[0-9]+\n?", k)]
+        return len(set(named)) < len(named) or \
+            any(_reader_only(k) or _reader_only(v) for k, v in obj.items())
+    if isinstance(obj, list):
+        lengths = {len(r) for r in obj if isinstance(r, list)}
+        return len(lengths) > 1 or any(_reader_only(v) for v in obj)
+    return False
+
+
+def _nodes(obj, path=()):
+    """(path, value) of every node under obj, obj itself first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from _nodes(v, path + (k,))
+
+
+_VALUES = [None, True, False, 0, 1, 2, -1, 1.0, 4.0, 2.5, "x", "1", "1/0",
+           [], {}, [["1"]], [[1]], {"0": []}]
+_CELLS = ["1.5", "1/0", "0/00", "-0", "007", "1/2\n", "2\n", " 1", "+1",
+          "3/4", "-2/6", "", "1e3", "١"]
+_KEYS = ["02", "2\n", "+2", "a", "-0", " 2", "00", "4", "-2", "3", "comment",
+         "label", "Lambda_actions"]
+
+
+def _mutate(doc, data):
+    def draw(pool):    # a fresh copy: the pools are shared between examples
+        return json.loads(json.dumps(data.draw(st.sampled_from(pool))))
+
+    nodes = list(_nodes(doc))
+    kind = data.draw(st.sampled_from(
+        ["drop", "add", "retype", "int", "cell", "key", "row", "ragged"]))
+    pick = {
+        "drop": lambda v: isinstance(v, dict) and v,
+        "add": lambda v: isinstance(v, dict),
+        "retype": lambda v: True,
+        "int": lambda v: type(v) is int,
+        "cell": lambda v: isinstance(v, str),
+        "key": lambda v: isinstance(v, dict) and v,
+        "row": lambda v: isinstance(v, list) and v,
+        "ragged": lambda v: isinstance(v, list) and v
+        and all(isinstance(r, list) for r in v),
+    }[kind]
+    path, node = data.draw(st.sampled_from(
+        [(p, v) for p, v in nodes if pick(v)] or nodes[:1]))
+
+    def put(value):
+        if not path:
+            return value
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+        return doc
+
+    if kind in ("drop", "key") and isinstance(node, dict) and node:
+        key = data.draw(st.sampled_from(sorted(node)))
+        value = node.pop(key)
+        if kind == "key":
+            node[draw(_KEYS)] = value
+    elif kind == "add" and isinstance(node, dict):
+        node[draw(_KEYS)] = draw(_VALUES)
+    elif kind == "int" and type(node) is int:
+        doc = put(data.draw(st.sampled_from([float(node), True, False,
+                                             node - 1, str(node)])))
+    elif kind == "cell" and isinstance(node, str):
+        doc = put(draw(_CELLS))
+    elif kind == "row" and isinstance(node, list) and node:
+        node[data.draw(st.integers(0, len(node) - 1))] = \
+            draw(["0", 0, {"0": "1"}, None])
+    elif kind == "ragged" and isinstance(node, list) and node:
+        row = node[data.draw(st.integers(0, len(node) - 1))]
+        if row and data.draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("0")
+    else:
+        doc = put(draw(_VALUES))
+    return doc
+
+
+def _spin_with_lambda():
+    """The spin fixture with declared dual operators: odd degrees and a
+    Lambda_actions section in one document."""
+    spec = load_module(make_spin_module(2))
+    basis = [vec(x) for x in anisotropic_basis(spec.space, variant=0)]
+    return module_to_json(replace(
+        spec, lambda_basis=basis,
+        lambda_actions=[spec.lambda_of(x) for x in basis]))
+
+
+@pytest.mark.parametrize("base", ["export-1x4", "spin-with-lambda"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_reader_agrees_with_the_schema(built, base, data):
+    """The reader rejects what jsonschema rejects, with jsonschema's message,
+    and reads what it accepts as the old two-pass loader did, outside the
+    classes the reader alone rejects."""
+    doc = json.loads(json.dumps(
+        export_module(built(1, 4)) if base == "export-1x4"
+        else _spin_with_lambda()))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    got = _outcome(load_module, json.dumps(doc))
+    try:
+        jsonschema.validate(doc, _SCHEMA)
+    except jsonschema.ValidationError as exc:
+        assert got == ("SchemaError", f"schema violation: {exc.message}")
+        return
+    ref = _outcome(_reference_load, doc)
+    if _reader_only(doc):
+        assert got[0] == "SchemaError" or got == ref
+    else:
+        assert got == ref
+
+
+@pytest.mark.parametrize("change", ["zero-denominator", "float-n",
+                                    "float-dim", "ragged-block"])
+def test_reader_rejects_what_the_schema_passes(built, change):
+    obj = export_module(built(1, 4))
+    if change == "zero-denominator":
+        obj["L_actions"][0]["0"][0][0] = "1/0"
+    elif change == "float-n":
+        obj["n"] = 1.0
+    elif change == "float-dim":
+        obj["space"]["dim"] = 4.0
+    else:
+        obj["h_action"]["2"][1].pop()
+    jsonschema.validate(obj, _SCHEMA)
+    with pytest.raises(SchemaError) as got:
+        load_module(obj)
+    assert "schema violation" not in str(got.value)
+
+
+@pytest.mark.parametrize("where", ["degrees", "h_action", "L_actions"])
+@pytest.mark.parametrize("alias, message", [
+    ("02", "degree 2 is named twice"),
+    ("2\n", r"'2\\n' is not a degree"),
+])
+def test_degree_named_twice_rejected(built, where, alias, message):
+    """Keys that collapse to one degree under int() are an error, not a
+    silent last-one-wins; the schema's "$" lets "2\\n" through under
+    re.search."""
+    obj = export_module(built(1, 4))
+    target = obj["L_actions"][0] if where == "L_actions" else obj[where]
+    target[alias] = target["2"]
+    jsonschema.validate(obj, _SCHEMA)
+    with pytest.raises(SchemaError, match=message):
+        load_module(obj)
+
+
+def test_schema_read_once_and_only_for_rejected_documents(built):
+    module_io._schema.cache_clear()
+    load_module(export_module(built(1, 4)))
+    assert module_io._schema.cache_info().misses == 0
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="schema violation"):
+            load_module({"format": MODULE_FORMAT})
+    info = module_io._schema.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
