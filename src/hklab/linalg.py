@@ -17,6 +17,11 @@ primitive (divided by the gcd of their entries), and the rational result is
 formed once at the end by dividing each row by its pivot.  Since the reduced
 row echelon form of a matrix is unique, this gives the same values as
 elimination in the rationals, with no rational arithmetic per entry.
+integer_index scales a whole matrix (or tensor) to integers over one common
+denominator, for integer products outside elimination.
+
+Joint eigenspaces of diagonal operators are read off their diagonals;
+other commuting operators are refined eigenspace by eigenspace.
 """
 
 from __future__ import annotations
@@ -316,6 +321,16 @@ def _int_row(v: Sequence) -> tuple:
     parses."""
     return _int_row_of([(j, e) for j, e in enumerate(vec(v))
                         if e is not _ZERO and e], len(v))
+
+
+def integer_index(nz: Iterable) -> tuple:
+    """(rows, d): rows of (column, value) pairs times d, the lcm of the
+    denominators of all their values, as rows of (column, int) pairs, so a
+    whole matrix or tensor shares one denominator."""
+    nz = [tuple(r) for r in nz]
+    d = lcm(*[int(e.denominator) for r in nz for _, e in r])
+    return [tuple((j, int(e.numerator) * (d // int(e.denominator)))
+                  for j, e in r) for r in nz], d
 
 
 def _combine(row: list, lead: list, c: int) -> list:
@@ -655,10 +670,13 @@ def restrict_operator(op: Mat, sub: Subspace) -> Mat:
 def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> list:
     """Joint eigenspaces of commuting operators for the given value tuples.
 
-    Refines eigenspaces operator by operator, verifies that the inputs
-    commute, and checks that the joint pieces fill the ambient space;
-    a defect means some operator is not semisimple with integer spectrum
-    over the candidate values and raises EigenDefectError.
+    When every operator is diagonal, the joint eigenspace of a tuple is the
+    span of the coordinate vectors whose diagonal entries match it; no
+    product is formed, since diagonal matrices commute.  Otherwise the
+    inputs are checked to commute and eigenspaces are refined operator by
+    operator.  Either way the joint pieces must fill the ambient space; a
+    defect means some operator is not semisimple with integer spectrum over
+    the candidate values and raises EigenDefectError.
     """
     if not ops:
         raise LinalgError("need at least one operator")
@@ -666,37 +684,25 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
     for op in ops:
         if op.shape != (n, n):
             raise LinalgError("operators must share a square shape")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutator(ops[i], ops[j]).is_zero():
-                raise LinalgError("operators do not commute")
     for t in values:
         if len(t) != len(ops):
             raise LinalgError("value tuple length does not match operator count")
-
-    # Refine level by level; distinct prefixes index disjoint invariant pieces.
-    pieces = {(): Subspace.full(n)}
-    for level, op in enumerate(ops):
-        nxt = {}
-        lams = sorted({t[level] for t in values})
-        for prefix, sub in pieces.items():
-            if sub.is_zero():
-                continue
-            rest = restrict_operator(op, sub)
-            for lam in lams:
-                es = eigenspace(rest, lam)
-                if es.is_zero():
-                    continue
-                vecs = [sub.basis.times_vec(w) for w in es.vectors()]
-                nxt[prefix + (lam,)] = Subspace.from_vectors(n, vecs)
-        pieces = nxt
+    if all(_is_diagonal(op) for op in ops):
+        pieces = _diagonal_pieces(ops)
+    else:
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                if not commutator(ops[i], ops[j]).is_zero():
+                    raise LinalgError("operators do not commute")
+        pieces = _refined_pieces(ops, values)
 
     out = []
     total = 0
+    zero = Subspace.zero(n)
     for t in values:
-        sub = pieces.get(tuple(QQ(x) for x in t), Subspace.zero(n))
+        sub = pieces.get(tuple(QQ(x) for x in t), zero)
         if sub.is_zero():
-            sub = pieces.get(tuple(t), Subspace.zero(n))
+            sub = pieces.get(tuple(t), zero)
         out.append(sub)
         total += sub.dim
     if total != n:
@@ -704,3 +710,48 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
             f"joint eigenspaces span {total} of {n} dimensions; "
             "operator is defective or the value grid is incomplete")
     return out
+
+
+def _is_diagonal(m: Mat) -> bool:
+    return all(not r or (len(r) == 1 and r[0][0] == i)
+               for i, r in enumerate(m.nonzeros))
+
+
+def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
+    """Diagonal tuple -> span of the coordinate vectors that carry it."""
+    n = ops[0].rows
+    coords: dict = {}
+    for k in range(n):
+        key = tuple(op.nonzeros[k][0][1] if op.nonzeros[k] else _ZERO
+                    for op in ops)
+        coords.setdefault(key, []).append(k)
+    return {key: Subspace._from_int_rows(
+                n, [[int(i == k) for i in range(n)] for k in ks])
+            for key, ks in coords.items()}
+
+
+def _refined_pieces(ops: Sequence[Mat], values: Sequence[tuple]) -> dict:
+    """Value prefix -> joint eigenspace, refined level by level; distinct
+    prefixes index disjoint invariant pieces.  A piece stops trying
+    eigenvalues once its eigenspaces fill it."""
+    pieces = {(): Subspace.full(ops[0].rows)}
+    for level, op in enumerate(ops):
+        nxt = {}
+        lams = sorted({t[level] for t in values})
+        for prefix, sub in pieces.items():
+            if sub.is_zero():
+                continue
+            rest = restrict_operator(op, sub)
+            filled = 0
+            for lam in lams:
+                es = eigenspace(rest, lam)
+                if es.is_zero():
+                    continue
+                vecs = [sub.basis.times_vec(w) for w in es.vectors()]
+                nxt[prefix + (lam,)] = Subspace.from_vectors(sub.ambient_dim,
+                                                             vecs)
+                filled += es.dim
+                if filled == sub.dim:
+                    break
+        pieces = nxt
+    return pieces

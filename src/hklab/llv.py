@@ -21,6 +21,14 @@ second, differently chosen basis by the bracket identity
 [L_y, Lambda_lin(y)] = (q(y)/2) h, which holds exactly when the extension
 does not depend on the basis.
 
+The derivation check verify_derivation samples pairs as before and
+computes both sides as integer vectors over one denominator each (the
+structure tensors and the operator's blocks are scaled to integers once per
+call); only a failing pair is rebuilt as rational AlgebraElements.  The
+bigrading splits a degree by the diagonal of the Cartan blocks when they are
+diagonal (the canonical frame) and refines eigenspaces otherwise (see
+linalg.simultaneous_eigenspaces).
+
 The frame calculus and the bigrading take an operator module (see
 module_io.LLVModuleSpec): a built algebra is analysed as the module
 module_io.algebra_module exports, so built and ingested inputs share one
@@ -40,6 +48,7 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
+    integer_index,
     invert,
     kernel_basis,
     rref,
@@ -47,7 +56,7 @@ from hklab.linalg import (
     vec,
 )
 from hklab.quadforms import QuadraticSpace, hyperbolic_pair, reflection
-from hklab.verbitsky import AlgebraElement, GradedAlgebra
+from hklab.verbitsky import AlgebraElement, GradedAlgebra, contract
 
 if TYPE_CHECKING:
     from hklab.module_io import LLVModuleSpec
@@ -672,11 +681,44 @@ class DerivationReport:
 
 def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
                       trials: int = 100, seed: int = 0) -> DerivationReport:
-    """Exact test of op(ab) = op(a) b + a op(b) on random homogeneous pairs."""
+    """Exact test of op(ab) = op(a) b + a op(b) on random homogeneous pairs.
+
+    Each side is an integer coordinate vector over one denominator: the
+    structure tensors and the blocks of op are scaled to integers on first
+    use within the call, and the sides are compared by cross-multiplying.
+    A failing pair is reported as the AlgebraElements a, b, lhs and rhs,
+    computed with multiply and apply_element.
+    """
     rng = random.Random(seed)
     failures = []
     n = alg.n
     dims = alg.dims()
+    half = op.offset // 2
+    tensors: dict = {}   # (k, l) -> alg.scaled_tensor(k, l)
+    blocks: dict = {}    # level k -> integer index of op.block(2k)
+
+    def product(k: int, a: list, l: int, b: list) -> tuple:
+        """(ints, denominator) of the product of a in level k, b in level l."""
+        if k > l:
+            a, b, k, l = b, a, l, k
+        if (k, l) not in tensors:
+            tensors[(k, l)] = alg.scaled_tensor(k, l)
+        rows, d = tensors[(k, l)]
+        return contract(rows, a, b, alg.level_dim(k + l)), d
+
+    def apply(k: int, v: list) -> tuple:
+        """(ints, denominator) of op applied to v in level k."""
+        if k not in blocks:
+            blocks[k] = integer_index(op.block(2 * k).nonzeros)
+        rows, d = blocks[k]
+        out = []
+        for r in rows:
+            acc = 0
+            for j, c in r:
+                acc += c * v[j]
+            out.append(acc)
+        return out, d
+
     count = 0
     while count < trials:
         ka = rng.randint(0, 2 * n)
@@ -684,25 +726,44 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
         da, db = 2 * ka, 2 * kb
         if (da + db + op.offset) not in dims:
             continue
-        a = alg.element(da, [rng.randint(-3, 3)
-                             for _ in range(alg.level_dim(ka))])
-        b = alg.element(db, [rng.randint(-3, 3)
-                             for _ in range(alg.level_dim(kb))])
+        a = [rng.randint(-3, 3) for _ in range(alg.level_dim(ka))]
+        b = [rng.randint(-3, 3) for _ in range(alg.level_dim(kb))]
         count += 1
-        lhs = op.apply_element(alg.multiply(a, b))
-        rhs = alg.zero(lhs.degree)
-        oa = op.apply_element(a)
-        ob = op.apply_element(b)
-        if oa.degree in dims:
-            rhs = rhs + alg.multiply(oa, b)
-        if ob.degree in dims:
-            rhs = rhs + alg.multiply(a, ob)
-        if lhs != rhs:
-            failures.append({"a": a, "b": b, "lhs": lhs, "rhs": rhs})
+        ab, d_ab = product(ka, a, kb, b)
+        lhs, d_lhs = apply(ka + kb, ab)
+        d_lhs *= d_ab
+        rhs, d_rhs = [0] * len(lhs), 1
+        for k, v, l, w in ((ka, a, kb, b), (kb, b, ka, a)):
+            if 2 * k + op.offset in dims:
+                ov, d_ov = apply(k, v)
+                # op(b) a is a op(b): the algebra is commutative
+                term, d_t = product(k + half, ov, l, w)
+                d_t *= d_ov
+                rhs = [x * d_t + y * d_rhs for x, y in zip(rhs, term)]
+                d_rhs *= d_t
+        if any(x * d_rhs != y * d_lhs for x, y in zip(lhs, rhs)):
+            failures.append(_derivation_witness(
+                alg, op, alg.element(da, a), alg.element(db, b)))
             if len(failures) >= 3:
                 break
     return DerivationReport(trials=count, passed=not failures,
                             failures=failures)
+
+
+def _derivation_witness(alg: GradedAlgebra, op: GradedOperator,
+                        a: AlgebraElement, b: AlgebraElement) -> dict:
+    """The failure record of a pair: a, b, lhs = op(ab), rhs = op(a) b +
+    a op(b)."""
+    dims = alg.dims()
+    lhs = op.apply_element(alg.multiply(a, b))
+    rhs = alg.zero(lhs.degree)
+    oa = op.apply_element(a)
+    ob = op.apply_element(b)
+    if oa.degree in dims:
+        rhs = rhs + alg.multiply(oa, b)
+    if ob.degree in dims:
+        rhs = rhs + alg.multiply(a, ob)
+    return {"a": a, "b": b, "lhs": lhs, "rhs": rhs}
 
 
 # -- the bigrading ------------------------------------------------------------

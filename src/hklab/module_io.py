@@ -128,7 +128,11 @@ class _Cells(dict):
         m = _RATIONAL.fullmatch(cell) if type(cell) is str else None
         if m is None:
             raise SchemaError(f"{cell!r} is not a rational 'p' or 'p/q'")
-        p, q = int(m[1]), int(m[2] or 1)
+        try:
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:    # past the interpreter's integer string limit
+            raise SchemaError(f"a cell of {len(cell)} characters exceeds the "
+                              "digit limit for integer strings") from None
         if not q:
             raise SchemaError(f"{cell!r} has denominator zero")
         value = self[cell] = QQ(p, q)
@@ -257,7 +261,8 @@ def load_module(source) -> LLVModuleSpec:
                 text = fh.read()
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer literal past the digit limit
             raise SchemaError(f"not valid JSON: {exc}") from exc
     try:
         return _read(obj)

@@ -26,7 +26,8 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
-from hklab.linalg import QQ, IncrementalRref, LinalgError, Mat, invert, qq, vec
+from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _int_row,
+                          integer_index, invert, qq, vec)
 from hklab.quadforms import QuadraticSpace
 
 _ZERO = QQ(0)
@@ -196,8 +197,17 @@ class GradedAlgebra:
 
     # -- multiplication ---------------------------------------------------------
 
-    def _tensor(self, k: int, l: int) -> dict:
-        return self.tensors[(k, l) if k <= l else (l, k)]
+    def scaled_tensor(self, k: int, l: int) -> tuple:
+        """(rows, d) for the structure constants of levels k <= l: rows[i]
+        lists the pairs (j, ((t, c), ...)) for the nonzero products of basis
+        elements i of level k and j of level l, with c the constant times
+        d, the lcm of all their denominators, as an int."""
+        tensor = self.tensors[(k, l)]
+        scaled, d = integer_index(entry.items() for entry in tensor.values())
+        rows = [[] for _ in range(self.level_dim(k))]
+        for (i, j), entry in zip(tensor, scaled):
+            rows[i].append((j, entry))
+        return rows, d
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         ka, kb = a.degree // 2, b.degree // 2
@@ -206,21 +216,12 @@ class GradedAlgebra:
                 f"degree overflow: {a.degree} + {b.degree} exceeds {self.top_degree}")
         if ka > kb:
             a, b, ka, kb = b, a, kb, ka
-        tensor = self._tensor(ka, kb)
-        out = [_ZERO] * self.level_dim(ka + kb)
-        for i, ca in enumerate(a.coords):
-            if not ca:
-                continue
-            for j, cb in enumerate(b.coords):
-                if not cb:
-                    continue
-                entry = tensor.get((i, j))
-                if not entry:
-                    continue
-                c = ca * cb
-                for t, val in entry.items():
-                    out[t] += c * val
-        return AlgebraElement(2 * (ka + kb), tuple(out))
+        rows, d = self.scaled_tensor(ka, kb)
+        va, da = _int_row(a.coords)
+        vb, db = _int_row(b.coords)
+        d *= da * db
+        out = contract(rows, va, vb, self.level_dim(ka + kb))
+        return AlgebraElement(2 * (ka + kb), tuple(QQ(x, d) for x in out))
 
     def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
         if x.degree != 2:
@@ -298,6 +299,24 @@ class GradedAlgebra:
 
     def dump_canonical(self) -> str:
         return canonical_json(self.to_json())
+
+
+def contract(rows: list, a: Sequence, b: Sequence, dim: int) -> list:
+    """The integer vector sum_(i,j) a_i b_j c_ij of length dim, for the rows
+    of a scaled tensor (GradedAlgebra.scaled_tensor) and integer coordinate
+    vectors a of its first level and b of its second."""
+    out = [0] * dim
+    for ca, row in zip(a, rows):
+        if not ca:
+            continue
+        for j, entry in row:
+            cb = b[j]
+            if not cb:
+                continue
+            c = ca * cb
+            for t, val in entry:
+                out[t] += c * val
+    return out
 
 
 def canonical_json(obj: dict) -> str:

@@ -10,6 +10,7 @@ import pytest
 import hklab
 from hklab.cli import main
 from hklab.linalg import Mat, qq
+from hklab.module_io import SchemaError, load_module
 from hklab.quadforms import QuadraticSpace
 
 
@@ -92,7 +93,15 @@ def test_verify_grid_report_bytes(capsys):
      "7d31a7d495e98493dbc07494c003726dc881e8c808b11966aab13c3697493e55"),
     (("build", "--n", "2", "--b2", "14", "--seed", "0"),
      "aa3e644c23bc80bb37697f93847c30625f8dd6950f838919bd20b0e4a943c74d"),
-], ids=["verify-grid", "export", "diamond", "build-2x23", "build-2x14"])
+    # one instance whose Cartan blocks are diagonal (frame seed 0) and one
+    # whose blocks are dense (seed 1), pinned before the derivation check
+    # moved to integer vectors and the bigrading to the diagonal split
+    (("verify", "--n", "3", "--b2", "4", "--seed", "0"),
+     "44ef6088e37047f1790df87c713aed1526b2cf26b4b6c96e7d6ed2043e6bc13c"),
+    (("verify", "--n", "3", "--b2", "4", "--seed", "1"),
+     "d76e45b8fbb12a4b7b2f2555886bac28a4d7f48184665f8d44218806e2472418"),
+], ids=["verify-grid", "export", "diamond", "build-2x23", "build-2x14",
+        "verify-3x4-s0", "verify-3x4-s1"])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0
@@ -175,6 +184,12 @@ def _zero_denominator(obj):
     obj["h_action"]["0"][0][0] = "1/0"
 
 
+def _huge_cell(obj):
+    # valid under the schema's pattern, but past the interpreter's default
+    # limit of 4300 digits for int()
+    obj["h_action"]["0"][0][0] = "-" + "2" * 5000
+
+
 def _float_n(obj):
     obj["n"] = 1.0
 
@@ -192,6 +207,8 @@ def _degree_2_twice(obj):
     (_float_n, "n must be an integer >= 1"),
     (_ragged_gram, "space.gram: rows are not lists of one length"),
     (_degree_2_twice, "degrees: degree 2 is named twice"),
+    (_huge_cell, "h_action[0]: a cell of 5001 characters exceeds the digit "
+                 "limit for integer strings"),
 ])
 def test_validate_unreadable_module_exits_2(fixture_dir, tmp_path, capsys,
                                             edit, message):
@@ -200,6 +217,12 @@ def test_validate_unreadable_module_exits_2(fixture_dir, tmp_path, capsys,
     path = _edited_fixture(fixture_dir, tmp_path, edit)
     code, out, err = run(capsys, "validate", "--in", path)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_load_module_names_a_huge_cell(fixture_dir, tmp_path):
+    path = _edited_fixture(fixture_dir, tmp_path, _huge_cell)
+    with pytest.raises(SchemaError, match=r"^h_action\[0\]: a cell of 5001 "):
+        load_module(path)
 
 
 def test_validate_degrees_disagreeing_with_n(fixture_dir, tmp_path, capsys):

@@ -535,6 +535,11 @@ def test_degree_named_twice_rejected(built, where, alias, message):
         load_module(obj)
 
 
+def test_integer_literal_past_the_digit_limit_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^not valid JSON: "):
+        load_module('{"n": ' + "3" * 5000 + "}")
+
+
 def test_schema_read_once_and_only_for_rejected_documents(built):
     module_io._schema.cache_clear()
     load_module(export_module(built(1, 4)))
