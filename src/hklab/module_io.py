@@ -165,7 +165,12 @@ def _by_degree(x, what: str, value) -> dict:
     for key, v in _typed(x, dict, what).items():
         if type(key) is not str or not _DEGREE.fullmatch(key):
             raise SchemaError(f"{what}: {key!r} is not a degree")
-        d = int(key)
+        try:
+            d = int(key)
+        except ValueError:   # past the interpreter's integer string limit
+            raise SchemaError(f"{what}: a degree key of {len(key)} characters "
+                              "exceeds the digit limit for integer strings") \
+                from None
         if d in out:
             raise SchemaError(f"{what}: degree {d} is named twice")
         out[d] = value(d, v)

@@ -190,6 +190,10 @@ def _huge_cell(obj):
     obj["h_action"]["0"][0][0] = "-" + "2" * 5000
 
 
+def _huge_degree_key(obj):
+    obj["degrees"]["2" * 5000] = obj["degrees"]["2"]
+
+
 def _float_n(obj):
     obj["n"] = 1.0
 
@@ -209,6 +213,8 @@ def _degree_2_twice(obj):
     (_degree_2_twice, "degrees: degree 2 is named twice"),
     (_huge_cell, "h_action[0]: a cell of 5001 characters exceeds the digit "
                  "limit for integer strings"),
+    (_huge_degree_key, "degrees: a degree key of 5000 characters exceeds the "
+                       "digit limit for integer strings"),
 ])
 def test_validate_unreadable_module_exits_2(fixture_dir, tmp_path, capsys,
                                             edit, message):

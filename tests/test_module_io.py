@@ -535,6 +535,27 @@ def test_degree_named_twice_rejected(built, where, alias, message):
         load_module(obj)
 
 
+@pytest.mark.parametrize("where, what", [
+    ("degrees", "degrees"),
+    ("h_action", "h_action"),
+    ("L_actions", "L_actions[0]"),
+    ("Lambda_actions", "Lambda[0]"),
+])
+def test_degree_key_past_the_digit_limit_is_a_schema_error(built, where,
+                                                           what):
+    """A degree key the schema passes but int() refuses (over 4300 digits)
+    is named, not a bare ValueError."""
+    obj = export_module(built(1, 4))
+    target = {"L_actions": lambda: obj["L_actions"][0],
+              "Lambda_actions": lambda: obj["Lambda_actions"]["blocks"][0]}
+    target = target.get(where, lambda: obj[where])()
+    target["2" * 5000] = target["2"]
+    jsonschema.validate(obj, _SCHEMA)
+    with pytest.raises(SchemaError, match=rf"^{re.escape(what)}: a degree key "
+                       "of 5000 characters exceeds the digit limit"):
+        load_module(obj)
+
+
 def test_integer_literal_past_the_digit_limit_is_a_schema_error():
     with pytest.raises(SchemaError, match="^not valid JSON: "):
         load_module('{"n": ' + "3" * 5000 + "}")
