@@ -38,6 +38,7 @@ from hklab.quadforms import (
     QuadFormError,
     QuadraticSpace,
     TwoOrbitObstruction,
+    json_fields,
     witt_transport,
 )
 from hklab.verbitsky import BuildError, GradedAlgebra, canonical_json
@@ -53,11 +54,14 @@ from hklab.verifier import (
 )
 
 
-def _default_seed() -> int:
+def _default_seed(ap: argparse.ArgumentParser) -> int:
+    """HKLAB_SEED as an integer, 0 when unset; any other value is a usage
+    error (exit 2)."""
+    text = os.environ.get("HKLAB_SEED", "0")
     try:
-        return int(os.environ.get("HKLAB_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        ap.error(f"HKLAB_SEED must be an integer, got {text!r}")
 
 
 def _parse_tail(text):
@@ -98,14 +102,15 @@ def _instance_config(args) -> InstanceConfig:
                           seed=args.seed)
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, require: bool = True) -> None:
+def _add_instance_flags(p: argparse.ArgumentParser, seed: int,
+                        require: bool = True) -> None:
     p.add_argument("--n", type=int, required=require,
                    help="half complex dimension (manifold dimension 2n)")
     p.add_argument("--b2", type=int, required=require,
                    help="dimension of the degree-2 space (at least 4)")
     p.add_argument("--tail", default="",
                    help="comma-separated diagonal tail entries (length b2-4)")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=seed,
                    help="deterministic seed (default: HKLAB_SEED or 0)")
 
 
@@ -114,14 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hklab",
         description="exact-arithmetic engine for Lefschetz-type operator "
                     "algebra on hyperkahler-style graded algebras")
+    seed = _default_seed(ap)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build an instance, write algebra JSON")
-    _add_instance_flags(p)
+    _add_instance_flags(p, seed)
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("verify", help="run the verification suite")
-    _add_instance_flags(p, require=False)
+    _add_instance_flags(p, seed, require=False)
     p.add_argument("--grid", default=None,
                    help="'default' or explicit list like '1x4,2x5'")
     p.add_argument("--module", default=None,
@@ -132,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("diamond", help="print a (q, i) diamond table")
-    _add_instance_flags(p, require=False)
+    _add_instance_flags(p, seed, require=False)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--in", dest="in_path", default=None,
                    help="algebra JSON produced by 'build'")
@@ -146,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("export", help="export a built instance as a module")
-    _add_instance_flags(p)
+    _add_instance_flags(p, seed)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("validate", help="validate an operator-module JSON")
@@ -249,12 +255,18 @@ def _cmd_diamond(args) -> int:
 def _cmd_transport(args) -> int:
     with open(args.in_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    json_fields(obj, "transport document", ("space", "p1", "p2"))
     space = QuadraticSpace.from_json(obj["space"])
-    p1 = IsotropicPlane(space, [qq(c) for c in obj["p1"][0]],
-                        [qq(c) for c in obj["p1"][1]])
-    p2 = IsotropicPlane(space, [qq(c) for c in obj["p2"][0]],
-                        [qq(c) for c in obj["p2"][1]])
-    iso = witt_transport(space, p1, p2)
+    planes = []
+    for name in ("p1", "p2"):
+        pair = obj[name]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, list) for v in pair)):
+            raise QuadFormError(f"transport document: {name} must be a "
+                                "pair of vectors")
+        planes.append(IsotropicPlane(space, *([qq(c) for c in v]
+                                              for v in pair)))
+    iso = witt_transport(space, *planes)
     _write(canonical_json(iso.to_json()), args.out)
     return 0
 

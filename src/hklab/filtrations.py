@@ -43,14 +43,9 @@ class FiltrationError(ValueError):
 
 def _complement_in(sub: Subspace, within: Subspace) -> list:
     """Vectors of `within` completing a basis of `sub` inside `within`."""
-    state = IncrementalRref(sub.ambient_dim)
-    for v in sub.vectors():
-        state.insert(v)
-    out = []
-    for v in within.vectors():
-        if state.insert(v):
-            out.append(v)
-    return out
+    state = IncrementalRref(sub.ambient_dim, sub.rows, sub.pivots)
+    return [v for row, v in zip(within.rows, within.vectors())
+            if state.insert_row(row)]
 
 
 @dataclass(frozen=True)
@@ -317,13 +312,10 @@ def conjugate_hodge_check(alg: GradedAlgebra, big: Bigrading,
     for d in sorted(dims):
         comps = big.degree_components(d)
         for i in range(0, 2 * n + 1):
-            left = wf.step(d, i)
-            vecs = []
-            for (p, q, _i), sub in comps.items():
-                if q >= 2 * n - i:
-                    vecs.extend(sub.vectors())
-            right = Subspace.from_vectors(dims[d], vecs)
-            if left != right:
+            right = Subspace.from_rows(
+                dims[d], [r for (p, q, _i), sub in comps.items()
+                          if q >= 2 * n - i for r in sub.rows])
+            if wf.step(d, i) != right:
                 return False
     return True
 

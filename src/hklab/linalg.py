@@ -16,9 +16,11 @@ the lcm of its denominators, rows are combined as p*row - f*lead and kept
 primitive (divided by the gcd of their entries), and the rational result is
 formed once at the end by dividing each row by its pivot.  Since the reduced
 row echelon form of a matrix is unique, this gives the same values as
-elimination in the rationals, with no rational arithmetic per entry.
-integer_index scales a whole matrix (or tensor) to integers over one common
-denominator, for integer products outside elimination.
+elimination in the rationals, with no rational arithmetic per entry.  A
+Subspace stores only the primitive reduced rows, pivots positive, and forms
+its rational basis when vectors() is called.  integer_index scales a whole
+matrix (or tensor) to integers over one common denominator, for integer
+products outside elimination.
 
 Joint eigenspaces of diagonal operators are read off their diagonals;
 other commuting operators are refined eigenspace by eigenspace.
@@ -479,13 +481,14 @@ class IncrementalRref:
     kept as a primitive integer row reduced against the rows accepted before
     it, so it is zero in their pivot columns; reducing a vector against the
     rows in order of acceptance then clears every pivot column, and
-    insertion and membership both cost one reduction pass in integers.
+    insertion and membership both cost one reduction pass in integers.  The
+    rows and pivots of a Subspace are such a state.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows: Sequence = (), pivots: Sequence = ()):
         self.ncols = ncols
-        self.rows: list = []
-        self.pivots: list = []
+        self.rows: list = list(rows)
+        self.pivots: list = list(pivots)
 
     @property
     def rank(self) -> int:
@@ -504,7 +507,11 @@ class IncrementalRref:
         return not any(_reduce_against(_int_row(v)[0], self.rows, self.pivots))
 
     def insert(self, v: Sequence) -> bool:
-        c = _reduce_against(_int_row(v)[0], self.rows, self.pivots)
+        return self.insert_row(_int_row(v)[0])
+
+    def insert_row(self, row: Sequence) -> bool:
+        """insert for an integer row of length ncols."""
+        c = _reduce_against(row, self.rows, self.pivots)
         piv = next((j for j, x in enumerate(c) if x), None)
         if piv is None:
             return False
@@ -517,72 +524,61 @@ class IncrementalRref:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of QQ^ambient, stored by a canonical basis.
+    """A subspace of QQ^ambient, stored as its reduced row echelon form.
 
-    The basis matrix holds basis vectors as *columns* and is canonicalised on
-    construction (columns are the transposed nonzero rows of the row-reduced
-    span), so equality of subspaces is plain equality of bases.  Every
-    constructor also keeps the same rows as integer rows with their pivot
-    columns, for membership tests.
+    The one stored form is `rows`, the nonzero rows of the reduced row
+    echelon form of the span, each as the primitive integer tuple with a
+    positive pivot entry, and their pivot columns `pivots`.  The form is
+    canonical, so equality and hashing of subspaces are those of the
+    fields.  `vectors()` builds the rational basis (each row over its pivot
+    entry) when called; membership, sums and intersections run on the
+    integer rows.
     """
 
     ambient_dim: int
-    basis: Mat
+    rows: tuple
+    pivots: tuple
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise LinalgError("vector length does not match ambient dimension")
-            rows.append(_int_row(v)[0])
-        return Subspace._from_int_rows(ambient_dim, rows)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise LinalgError("vector length does not match ambient dimension")
+        return Subspace.from_rows(ambient_dim, [_int_row(v)[0] for v in vectors])
 
     @staticmethod
-    def _from_int_rows(ambient_dim: int, rows: list) -> "Subspace":
-        """The span of integer rows of length ambient_dim (reorders the list
-        rows but changes no row in it)."""
+    def from_rows(ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
+        """The span of integer rows of length ambient_dim."""
+        rows = list(rows)
         pivots, _ = _echelon(rows, ambient_dim)
-        reduced = rows[:len(pivots)]
-        # Basis column t is reduced row t over its pivot entry.
-        nz = [[] for _ in range(ambient_dim)]
-        for t, (row, c) in enumerate(zip(reduced, pivots)):
-            p = row[c]
-            for i, x in enumerate(row):
-                if x:
-                    nz[i].append((t, QQ(x, p)))
-        sub = Subspace(ambient_dim, _from_index(ambient_dim, len(pivots), nz))
-        object.__setattr__(sub, "_int_basis", (reduced, pivots))
-        return sub
+        # _echelon leaves a row it never combined as it was given, so each
+        # row is made primitive with a positive pivot here.
+        reduced = []
+        for row, c in zip(rows, pivots):
+            g = gcd(*row) if row[c] > 0 else -gcd(*row)
+            reduced.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+        return Subspace(ambient_dim, tuple(reduced), tuple(pivots))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(ambient_dim, [])
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace._from_int_rows(
+        return Subspace.from_rows(
             ambient_dim, [[int(i == j) for j in range(ambient_dim)]
                           for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.pivots
 
     def vectors(self) -> list:
-        return self.basis.columns()
-
-    def pivot_rows(self) -> list:
-        """Per basis column, the row index of its leading one.
-
-        The canonical basis columns are transposed reduced rows, so each
-        column j has a unit entry at its pivot row and zeros there in all
-        other columns; membership tests reduce against these directly.
-        """
-        return list(self._int_basis[1])
+        """The canonical basis: each row divided by its pivot entry."""
+        return [[QQ(x, row[c]) if x else _ZERO for x in row]
+                for row, c in zip(self.rows, self.pivots)]
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
@@ -592,63 +588,60 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise LinalgError("ambient dimension mismatch")
-        return all(self._holds(r) for r in other._int_basis[0])
+        return all(self._holds(r) for r in other.rows)
 
-    def _holds(self, row: list) -> bool:
+    def _holds(self, row: Sequence) -> bool:
         """Whether the integer row lies in the subspace."""
-        rows, pivots = self._int_basis
-        return not any(_reduce_against(row, rows, pivots))
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
+        return not any(_reduce_against(row, self.rows, self.pivots))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError("ambient dimension mismatch")
-    return Subspace._from_int_rows(a.ambient_dim,
-                                   a._int_basis[0] + b._int_basis[0])
+    return Subspace.from_rows(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of [A | -B]."""
+    """The common kernel of the rows orthogonal to a and to b."""
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError("ambient dimension mismatch")
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(a.ambient_dim)
-    k = a.dim
-    ker = kernel_basis(_from_index(
-        a.ambient_dim, k + b.dim,
-        [ra + tuple((k + j, -e) for j, e in rb)
-         for ra, rb in zip(a.basis.nonzeros, b.basis.nonzeros)]))
-    return Subspace.from_vectors(
-        a.ambient_dim, [a.basis.times_vec(w[:k]) for w in ker.vectors()])
+    n = a.ambient_dim
+    # A subspace's rows are reduced, so they give its orthogonal directly.
+    rows = _kernel_rows(a.rows, a.pivots, n) + _kernel_rows(b.rows, b.pivots, n)
+    pivots, _ = _echelon(rows, n)
+    return Subspace.from_rows(n, _kernel_rows(rows, pivots, n))
 
 
-def kernel_basis(m: Mat) -> Subspace:
-    """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
-    red, pivots = _reduced(m.nonzeros, m.cols)
+def _kernel_rows(red: Sequence, pivots: Sequence, ncols: int) -> list:
+    """Integer rows spanning the kernel of integer rows in the reduced
+    form _echelon leaves (rows past the rank are zero)."""
     pivset = set(pivots)
     vecs = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivset:
             continue
         # e_f - sum_i (red[i][f] / p_i) e_{pivots[i]}, scaled to integers
         terms = [(row[f], row[c], c) for row, c in zip(red, pivots) if row[f]]
         scale = lcm(*[p for _, p, _ in terms])
-        v = [0] * m.cols
+        v = [0] * ncols
         v[f] = scale
         for x, p, c in terms:
             v[c] = -x * (scale // p)
         vecs.append(v)
-    return Subspace._from_int_rows(m.cols, vecs)
+    return vecs
+
+
+def kernel_basis(m: Mat) -> Subspace:
+    """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
+    red, pivots = _reduced(m.nonzeros, m.cols)
+    return Subspace.from_rows(m.cols, _kernel_rows(red, pivots, m.cols))
 
 
 def image_basis(m: Mat) -> Subspace:
     """Column space of m as a Subspace of QQ^rows."""
     pivots = _reduced(m.nonzeros, m.cols)[1]
     cols = m.transpose().nonzeros
-    return Subspace._from_int_rows(
+    return Subspace.from_rows(
         m.rows, [_int_row_of(cols[c], m.rows)[0] for c in pivots])
 
 
@@ -659,12 +652,13 @@ def eigenspace(op: Mat, lam) -> Subspace:
 
 
 def restrict_operator(op: Mat, sub: Subspace) -> Mat:
-    """Matrix of op on an invariant subspace, in the subspace basis."""
-    img = Mat.from_cols([op.times_vec(v) for v in sub.vectors()])
-    coeffs = solve_matrix(sub.basis, img)
-    if coeffs is None:
+    """Matrix of op on an invariant subspace, in the basis sub.vectors()."""
+    img = [op.times_vec(v) for v in sub.vectors()]
+    if not all(sub.contains(w) for w in img):
         raise LinalgError("subspace is not invariant under the operator")
-    return coeffs
+    # Basis vector t is 1 at pivot t and 0 at the other pivots, so the
+    # coordinates of a vector in the span are its pivot entries.
+    return Mat.from_cols([[w[c] for c in sub.pivots] for w in img])
 
 
 def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> list:
@@ -725,8 +719,9 @@ def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
         key = tuple(op.nonzeros[k][0][1] if op.nonzeros[k] else _ZERO
                     for op in ops)
         coords.setdefault(key, []).append(k)
-    return {key: Subspace._from_int_rows(
-                n, [[int(i == k) for i in range(n)] for k in ks])
+    # Unit rows in ascending order are already the reduced form.
+    return {key: Subspace(n, tuple(tuple(int(i == k) for i in range(n))
+                                   for k in ks), tuple(ks))
             for key, ks in coords.items()}
 
 
@@ -741,13 +736,14 @@ def _refined_pieces(ops: Sequence[Mat], values: Sequence[tuple]) -> dict:
         for prefix, sub in pieces.items():
             if sub.is_zero():
                 continue
+            basis = Mat.from_cols(sub.vectors())
             rest = restrict_operator(op, sub)
             filled = 0
             for lam in lams:
                 es = eigenspace(rest, lam)
                 if es.is_zero():
                     continue
-                vecs = [sub.basis.times_vec(w) for w in es.vectors()]
+                vecs = [basis.times_vec(w) for w in es.vectors()]
                 nxt[prefix + (lam,)] = Subspace.from_vectors(sub.ambient_dim,
                                                              vecs)
                 filled += es.dim

@@ -55,7 +55,8 @@ from hklab.linalg import (
     simultaneous_eigenspaces,
     vec,
 )
-from hklab.quadforms import QuadraticSpace, hyperbolic_pair, reflection
+from hklab.quadforms import (
+    QuadraticSpace, hyperbolic_pair, orthogonal_complement, reflection)
 from hklab.verbitsky import AlgebraElement, GradedAlgebra, contract
 
 if TYPE_CHECKING:
@@ -521,7 +522,7 @@ class HodgeFrame:
             for b in (self.beta, self.eta):
                 if sp.bilinear(a, b) != 0:
                     raise OperatorError("frame planes must be orthogonal")
-        expected = _frame_complement(sp, vs)
+        expected = orthogonal_complement(sp, vs)
         if self.u_complement != expected:
             raise OperatorError("u_complement is not the orthogonal complement")
 
@@ -533,18 +534,13 @@ class HodgeFrame:
                 for name in ("s", "sbar", "beta", "eta")}
 
 
-def _frame_complement(space: QuadraticSpace, vectors: list) -> Subspace:
-    rows = [space.gram.times_vec(v) for v in vectors]
-    return kernel_basis(Mat.from_rows(rows))
-
-
 def build_frame(space: QuadraticSpace, seed: int = 0) -> HodgeFrame:
     """Deterministic frame; seed 0 is the canonical one, other seeds shuffle
     it by a product of two reflections (a special isometry), so every seed
     yields a valid frame and different seeds yield genuinely different ones.
     """
     s, sbar = hyperbolic_pair(space)
-    comp = _frame_complement(space, [s, sbar]).vectors()
+    comp = orthogonal_complement(space, [s, sbar]).vectors()
     sub = _restricted_space(space, comp)
     e2, f2 = hyperbolic_pair(sub)
     beta = _unrestrict(comp, e2)
@@ -560,7 +556,7 @@ def build_frame(space: QuadraticSpace, seed: int = 0) -> HodgeFrame:
         s, sbar = g.times_vec(s), g.times_vec(sbar)
         beta, eta = g.times_vec(beta), g.times_vec(eta)
     return HodgeFrame(space, s, sbar, beta, eta,
-                      _frame_complement(space, [s, sbar, beta, eta]))
+                      orthogonal_complement(space, [s, sbar, beta, eta]))
 
 
 def _restricted_space(space: QuadraticSpace, basis: list) -> QuadraticSpace:
@@ -581,7 +577,7 @@ def transport_frame(frame: HodgeFrame, isometry) -> HodgeFrame:
     sp = frame.space
     vs = [isometry.apply(v) for v in frame.vectors()]
     return HodgeFrame(sp, vs[0], vs[1], vs[2], vs[3],
-                      _frame_complement(sp, vs))
+                      orthogonal_complement(sp, vs))
 
 
 # -- the model monodromy operator and its sl2 ---------------------------------
@@ -778,15 +774,10 @@ class Bigrading:
                    if pp == p and qq_ == q)
 
     def hodge_piece(self, p: int, q: int) -> Subspace:
-        subs = [s for (pp, qq_, _), s in self.components.items()
-                if pp == p and qq_ == q]
-        if not subs:
-            return Subspace.zero(self.degrees.get(p + q, 0))
-        from hklab.linalg import subspace_sum
-        acc = subs[0]
-        for s in subs[1:]:
-            acc = subspace_sum(acc, s)
-        return acc
+        return Subspace.from_rows(
+            self.degrees.get(p + q, 0),
+            [r for (pp, qq_, _), s in self.components.items()
+             if pp == p and qq_ == q for r in s.rows])
 
     def level(self, d: int) -> int:
         """Largest |p - q| over nonzero components in degree d (-1 if empty)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hklab.linalg import (
-    QQ, Mat, Subspace, primitive_vector, qq, rank, solve, vec)
+    QQ, Mat, Subspace, kernel_basis, primitive_vector, qq, rank, solve, vec)
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -23,6 +23,16 @@ _ONE = QQ(1)
 
 class QuadFormError(ValueError):
     """Violated quadratic-space precondition."""
+
+
+def json_fields(obj, what: str, names: Sequence, error=QuadFormError) -> None:
+    """Raise `error`, naming `what`, unless obj (read from outside) is a
+    JSON object with the named fields."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise error(f"{what}: missing field {missing[0]!r}")
 
 
 class TwoOrbitObstruction(QuadFormError):
@@ -69,6 +79,10 @@ class QuadraticSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadraticSpace":
+        json_fields(obj, "space", ("gram",))
+        if not (isinstance(obj["gram"], list)
+                and all(isinstance(r, list) for r in obj["gram"])):
+            raise QuadFormError("space: gram must be a list of rows")
         g = Mat.from_rows(obj["gram"])
         if g.rows != obj.get("dim", g.rows):
             raise QuadFormError("dim field does not match Gram size")
@@ -166,7 +180,7 @@ def sample_isotropic(space: QuadraticSpace, count: int, seed: int = 0,
         pair = hyperbolic_pair(space)
     e, f = pair
     n = space.dim
-    comp = _orthogonal_complement_basis(space, [e, f])
+    comp = orthogonal_complement(space, [e, f]).vectors()
     rng = random.Random(seed)
     out = []
     guard = 0
@@ -190,10 +204,10 @@ def sample_isotropic(space: QuadraticSpace, count: int, seed: int = 0,
     return out
 
 
-def _orthogonal_complement_basis(space: QuadraticSpace, vectors: list) -> list:
-    rows = [space.gram.times_vec(v) for v in vectors]
-    from hklab.linalg import kernel_basis
-    return kernel_basis(Mat.from_rows(rows)).vectors()
+def orthogonal_complement(space: QuadraticSpace, vectors: list) -> Subspace:
+    """The vectors orthogonal to every given vector under the pairing."""
+    return kernel_basis(Mat.from_rows([space.gram.times_vec(v)
+                                       for v in vectors]))
 
 
 # -- isometries ---------------------------------------------------------------
@@ -361,7 +375,7 @@ def witt_transport(space: QuadraticSpace, p1: IsotropicPlane,
 def _plane_fixing_reflection(space: QuadraticSpace,
                              plane: IsotropicPlane) -> Optional[Mat]:
     """Reflection fixing the plane pointwise, if one exists (needs dim >= 5)."""
-    comp = _orthogonal_complement_basis(space, [plane.v1, plane.v2])
+    comp = orthogonal_complement(space, [plane.v1, plane.v2]).vectors()
     for b in comp:
         if space.quad(b) != 0:
             return reflection(space, b)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _int_row,
                           integer_index, invert, qq, vec)
-from hklab.quadforms import QuadraticSpace
+from hklab.quadforms import QuadraticSpace, json_fields
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -278,8 +278,10 @@ class GradedAlgebra:
 
     @staticmethod
     def from_json(obj: dict) -> "GradedAlgebra":
-        if obj.get("format") != ALGEBRA_FORMAT:
+        if not isinstance(obj, dict) or obj.get("format") != ALGEBRA_FORMAT:
             raise BuildError("not a graded-algebra JSON document")
+        json_fields(obj, "graded-algebra document",
+                    ("space", "n", "levels", "tensors"), BuildError)
         space = QuadraticSpace.from_json(obj["space"])
         n = int(obj["n"])
         levels = {int(k): [tuple(m) for m in v["monomials"]]

@@ -353,3 +353,60 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert p1.read_bytes() == p2.read_bytes()
     obj = json.loads(p1.read_text())
     assert obj["build"]["seed"] == 6
+
+
+@pytest.mark.parametrize("value, argv", [
+    ("abc", ["build", "--n", "1", "--b2", "4"]),
+    ("1.5", ["verify", "--n", "1", "--b2", "4"]),
+    ("", ["build", "--n", "1", "--b2", "4", "--seed", "3"]),
+])
+def test_non_integer_env_seed_exits_2(monkeypatch, capsys, value, argv):
+    """A set HKLAB_SEED that is not an integer is a usage error, whether
+    or not --seed is given."""
+    monkeypatch.setenv("HKLAB_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"HKLAB_SEED must be an integer, got {value!r}" in out.err
+
+
+_SPACE4 = {"dim": 4, "gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                              ["0", "0", "0", "1"], ["0", "0", "1", "0"]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "transport document: missing field 'space'"),
+    ([], "transport document must be a JSON object"),
+    ({"space": _SPACE4, "p1": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]},
+     "transport document: missing field 'p2'"),
+    ({"space": {"dim": 4}, "p1": [], "p2": []}, "space: missing field 'gram'"),
+    ({"space": "x", "p1": [], "p2": []}, "space must be a JSON object"),
+    ({"space": {"gram": 4}, "p1": [], "p2": []},
+     "space: gram must be a list of rows"),
+    ({"space": _SPACE4, "p1": [["1", "0", "0", "0"]], "p2": []},
+     "transport document: p1 must be a pair of vectors"),
+])
+def test_transport_rejects_a_malformed_document(tmp_path, capsys, doc,
+                                                message):
+    path = tmp_path / "planes.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "transport", "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format": "hklab-graded-algebra"},
+     "graded-algebra document: missing field 'space'"),
+    ({"format": "hklab-graded-algebra", "space": _SPACE4, "n": 1,
+      "levels": {}}, "graded-algebra document: missing field 'tensors'"),
+    ([1, 2], "not a graded-algebra JSON document"),
+    ({"format": "hklab-graded-algebra", "space": [], "n": 1, "levels": {},
+      "tensors": {}}, "space must be a JSON object"),
+])
+def test_diamond_rejects_a_malformed_document(tmp_path, capsys, doc, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "diamond", "--in", str(path),
+                         "--degree", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")

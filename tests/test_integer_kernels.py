@@ -120,11 +120,12 @@ def _reference_eigenspaces(ops, values):
             if sub.is_zero():
                 continue
             rest = restrict_operator(op, sub)
+            basis = Mat.from_cols(sub.vectors())
             for lam in lams:
                 es = eigenspace(rest, lam)
                 if es.is_zero():
                     continue
-                vecs = [sub.basis.times_vec(w) for w in es.vectors()]
+                vecs = [basis.times_vec(w) for w in es.vectors()]
                 nxt[prefix + (lam,)] = Subspace.from_vectors(n, vecs)
         pieces = nxt
     out = []
@@ -170,7 +171,9 @@ def is_diagonal(m):
 
 def assert_same_subspaces(got, ref):
     assert got == ref
-    assert [s.pivot_rows() for s in got] == [s.pivot_rows() for s in ref]
+    assert [(s.rows, s.pivots) for s in got] == \
+        [(s.rows, s.pivots) for s in ref]
+    assert [s.vectors() for s in got] == [s.vectors() for s in ref]
 
 
 # -- the derivation check -----------------------------------------------------------

@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,11 @@ from hklab.linalg import (
     invert,
     kernel_basis,
     rank,
+    restrict_operator,
     rref,
     simultaneous_eigenspaces,
     solve,
+    solve_matrix,
     subspace_intersection,
     subspace_sum,
 )
@@ -125,8 +130,9 @@ def test_subspace_complementary_lines():
 def test_sum_intersection_dimension_identity(vs, ws):
     a = Subspace.from_vectors(4, vs)
     b = Subspace.from_vectors(4, ws)
-    assert (subspace_sum(a, b).dim + subspace_intersection(a, b).dim
-            == a.dim + b.dim)
+    inter = subspace_intersection(a, b)
+    assert subspace_sum(a, b).dim + inter.dim == a.dim + b.dim
+    assert a.contains_subspace(inter) and b.contains_subspace(inter)
 
 
 def test_subspace_contains_matches_solve():
@@ -171,6 +177,32 @@ def test_simultaneous_eigenspaces_defect():
         simultaneous_eigenspaces([jordan], [(1,)])
 
 
+def test_restrict_operator_matches_the_solve_route():
+    """Coordinates read off the pivot entries equal the solution of
+    basis * X = op * basis, the route the restriction used to take."""
+    rng = random.Random(11)
+    for _ in range(30):
+        n, k = rng.randint(1, 5), rng.randint(0, 3)
+        k = min(k, n)
+        p = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                           for _ in range(n)])
+        if p.det() == 0:
+            continue
+        # op = p * blockdiag(a, b) * p^-1 keeps the first k columns' span
+        a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        b = [[rng.randint(-2, 2) for _ in range(n - k)] for _ in range(n - k)]
+        block = Mat.from_rows([ra + [0] * (n - k) for ra in a]
+                              + [[0] * k + rb for rb in b])
+        op = p * block * invert(p)
+        sub = Subspace.from_vectors(n, p.columns()[:k])
+        basis = Mat.from_cols(sub.vectors()) if k else Mat.zeros(n, 0)
+        img = op * basis
+        assert restrict_operator(op, sub) == solve_matrix(basis, img)
+    op = Mat.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+    with pytest.raises(LinalgError, match="not invariant"):
+        restrict_operator(op, Subspace.from_vectors(3, [[0, 1, 0]]))
+
+
 def test_eigenspace():
     e = eigenspace(Mat.diagonal([2, 2, 5]), 2)
     assert e.dim == 2
@@ -198,14 +230,16 @@ def test_from_vectors_accepts_ints_qq_and_strings():
                                     [QQ(2), QQ(4), QQ(-3, 4)]])
     assert Subspace.from_vectors(3, [["1/2", 1, 0], [2, "4", "-3/4"]]) == ref
     assert Subspace.from_vectors(3, [(1, 2, 0), (8, 16, -3)]) == ref
-    assert all(type(e) is QQ for row in ref.basis.data for e in row)
-    assert ref.pivot_rows() == [0, 2]
+    assert all(type(e) is QQ for v in ref.vectors() for e in v)
+    assert (ref.rows, ref.pivots) == (((1, 2, 0), (0, 0, 1)), (0, 2))
     assert ref.contains(["5/2", 5, 1]) and not ref.contains([0, 1, 0])
 
 
 def test_zero_span_has_the_ambient_shape():
     sub = Subspace.from_vectors(3, [[0, 0, 0]])
-    assert sub == Subspace.zero(3) and sub.basis.shape == (3, 0)
+    assert sub == Subspace.zero(3)
+    assert (sub.ambient_dim, sub.rows, sub.pivots, sub.dim) == (3, (), (), 0)
+    assert sub.vectors() == []
 
 
 # -- sparse kernels against the dense loops they replaced ----------------------
@@ -472,12 +506,19 @@ def reference_subspace(ambient: int, rows: list) -> tuple:
 
 
 def check_subspace(sub: Subspace, ambient: int, rows: list) -> None:
+    """sub is the span of rows: its vectors and pivots are the rref's, and
+    each stored row is its vector's primitive integer multiple with a
+    positive pivot entry."""
     vectors, pivots = reference_subspace(ambient, rows)
     assert sub.vectors() == vectors
-    assert sub.pivot_rows() == pivots
-    assert sub.basis == (Mat.from_cols(vectors) if vectors
-                         else Mat.zeros(ambient, 0))
-    assert sub.basis.shape == (ambient, len(vectors))
+    assert all(type(e) is QQ for v in sub.vectors() for e in v)
+    assert sub.pivots == tuple(pivots)
+    assert sub.ambient_dim == ambient and sub.dim == len(vectors)
+    for row, c, v in zip(sub.rows, sub.pivots, vectors):
+        assert type(row) is tuple and len(row) == ambient
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0 and gcd(*row) == 1
+        assert [QQ(x, row[c]) for x in row] == v
 
 
 @settings(max_examples=80, deadline=None)
@@ -501,6 +542,40 @@ def test_subspaces_match_their_rref_reference(case):
     check_subspace(full, c, [[QQ(int(i == j)) for j in range(c)]
                              for i in range(c)])
     assert full == Subspace.from_vectors(c, Mat.identity(c).columns())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda s: st.tuples(st.just(s[1]), sparse_rows(s[0], s[1]),
+                        st.randoms(use_true_random=False))))
+def test_a_span_has_one_stored_form(case):
+    """Rescaling, negating, permuting and padding a spanning set with
+    dependent rows leaves rows, pivots and hash unchanged."""
+    c, rows, rng = case
+    sub = Subspace.from_vectors(c, rows)
+    check_subspace(sub, c, rows)
+    scales = [QQ(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for _ in rows]
+    other = [[k * x for x in r] for k, r in zip(scales, rows)]
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [QQ(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows]
+        other.append([sum((k * r[j] for k, r in zip(coeffs, rows)), _Z)
+                      for j in range(c)])
+    rng.shuffle(other)
+    again = Subspace.from_vectors(c, other)
+    assert (again.rows, again.pivots) == (sub.rows, sub.pivots)
+    assert again == sub and hash(again) == hash(sub)
+
+
+def test_an_uncombined_pivot_row_is_made_primitive():
+    """Elimination leaves a row it never combines as given; the stored row
+    is its primitive multiple with a positive pivot all the same."""
+    for row in ([2, 4, 0], [-2, -4, 0], ["1/3", "2/3", 0]):
+        sub = Subspace.from_vectors(3, [row])
+        assert (sub.rows, sub.pivots) == (((1, 2, 0),), (0,))
+        assert sub.vectors() == [[QQ(1), QQ(2), _Z]]
+    sub = Subspace.from_vectors(3, [[0, 0, -6], [2, 4, 0]])
+    assert (sub.rows, sub.pivots) == (((1, 2, 0), (0, 0, 1)), (0, 2))
+    assert sub == Subspace.from_vectors(3, [[1, 2, 0], [0, 0, 1]])
 
 
 # -- immutability ------------------------------------------------------------

@@ -1,14 +1,21 @@
+from types import SimpleNamespace
+
 import pytest
 
-from hklab.linalg import Mat, Subspace
+from hklab.linalg import QQ, Mat, Subspace
 from hklab.llv import (
     Bigrading,
     GradedOperator,
     OperatorError,
+    SL2Triple,
     bigrading,
     build_frame,
+    commutator_op,
+    frame_calculus,
+    verify_sl2,
 )
 from hklab.module_io import (
+    algebra_module,
     corrupt_module,
     export_module,
     load_module,
@@ -191,6 +198,30 @@ def test_sl2_suite_verdicts(calculus):
     assert any("kappa" in c for c in recorded)
     kappa = [v for c, v in recorded.items() if "kappa" in c][0]
     assert kappa.observed == "4"
+
+
+@pytest.mark.parametrize("t, kappa, bracket_holds", [
+    ("1", 4, True), ("2", 8, False), ("1/4", 1, False)])
+def test_sl2_bracket_verdicts_read_off_kappa(built, t, kappa, bracket_holds):
+    """A module whose Lambda table is scaled by t has kappa = 4t.  The
+    verdicts on [M, [Lam_s, L_eta]] and on the literal pair, read off
+    kappa, equal the brackets formed directly."""
+    alg = built(1, 5)
+    spec = algebra_module(alg)
+    scaled = SimpleNamespace(
+        n=spec.n, degrees=spec.degrees, l_of=spec.l_of,
+        lambda_of=lambda y: spec.lambda_of(y).scale(QQ(t)))
+    fc = frame_calculus(scaled, build_frame(alg.space))
+    assert fc.m_bracket_scalar == kappa
+    bracket = commutator_op(
+        fc.M, commutator_op(fc.Lam_s, fc.L_eta)) == fc.H_M
+    literal = verify_sl2(SL2Triple(fc.E_M, fc.F_M, fc.H_M))
+    assert (bracket, literal) == (bracket_holds, False)
+    got = {v.claim: (v.observed, v.passed) for v in check_sl2_suite(fc)}
+    assert got["[M, [Lam_s, L_eta]] = H_beta - H_s"] == (
+        ("holds", True) if bracket else ("fails", False))
+    assert got["literal doubled pair (2M, 2[Lam_s,L_eta], H_beta-H_s) "
+               "as printed"] == ("not an sl2 triple", True)
 
 
 def test_check_odd_vacuous():
