@@ -1,26 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream computes on these primitives.  Entries are exact
+Everything downstream computes on these primitives.  Values are exact
 rationals (gmpy2.mpq, with a fractions.Fraction fallback) and pivoting is
 deterministic (first nonzero), so every basis produced anywhere in the
-package is reproducible across runs.  A matrix stores only a per-row index
-of its nonzero entries; the operator blocks this package computes on are
-mostly zeros, so products, sums, scaling, comparisons and elimination input
-run over the index only, and dense rows are built only when asked for.
-Matrices are immutable (the index is tuples and attributes cannot be
-rebound), and all operations are pure.
+package is reproducible across runs.  A matrix stores integer numerators
+over one denominator, with a per-row index of the nonzero numerators only;
+the operator blocks this package computes on are mostly zeros, so products,
+sums, scaling, comparisons and elimination input run on Python ints over the
+index, and rational values are built only at the boundary (dense views,
+entries, times_vec's result).  Matrices are immutable (the index is tuples
+and attributes cannot be rebound), and all operations are pure.
 
 Every elimination (rref, kernels, images, solves, inverses, determinants,
-subspaces and IncrementalRref) runs on integer rows: each row is scaled by
-the lcm of its denominators, rows are combined as p*row - f*lead and kept
-primitive (divided by the gcd of their entries), and the rational result is
-formed once at the end by dividing each row by its pivot.  Since the reduced
-row echelon form of a matrix is unique, this gives the same values as
-elimination in the rationals, with no rational arithmetic per entry.  A
-Subspace stores only the primitive reduced rows, pivots positive, and forms
-its rational basis when vectors() is called.  integer_index scales a whole
-matrix (or tensor) to integers over one common denominator, for integer
-products outside elimination.
+subspaces and IncrementalRref) runs on integer rows: a matrix's numerators
+(scaling rows does not change a row space), or a vector scaled by the lcm of
+its denominators; rows are combined as p*row - f*lead and kept primitive
+(divided by the gcd of their entries), and a rational result is formed once
+at the end by dividing each row by its pivot.  Since the reduced row echelon
+form of a matrix is unique, this gives the same values as elimination in the
+rationals, with no rational arithmetic per entry.  A Subspace stores only the
+primitive reduced rows, pivots positive, and forms its rational basis when
+vectors() is called.
 
 Joint eigenspaces of diagonal operators are read off their diagonals;
 other commuting operators are refined eigenspace by eigenspace.
@@ -65,23 +65,26 @@ def vec(entries: Iterable) -> list:
 class Mat:
     """Exact rational matrix, immutable.
 
-    The one stored form is `nonzeros`: per row, a tuple of the (column,
-    value) pairs of its nonzero entries in ascending column order.
-    Products, sums, scaling, comparison, hashing and elimination visit only
-    these; `data`, `row`, `col`, `columns`, `m[i, j]` and `repr` build
-    dense values from them when called.  Attributes cannot be rebound.
+    The one stored form is integer numerators over one denominator: `num`
+    holds, per row, the (column, int) pairs of its nonzero entries in
+    ascending column order, and the matrix is num / den, with den > 0 and
+    gcd(den, every numerator) == 1.  The form is canonical, so equality and
+    hashing compare the fields.  Products, sums, scaling, comparison and
+    elimination run on the integers; `data`, `row`, `col`, `columns`,
+    `m[i, j]`, `trace` and `repr` build rational values when called.
+    Attributes cannot be rebound.
     """
 
-    __slots__ = ("rows", "cols", "nonzeros")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
         if len(data) != rows or any(len(r) != cols for r in data):
             raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
         # Most zeros are the shared _ZERO; the identity test skips their
         # (slow) truth test.
-        _init(self, rows, cols,
-              tuple(tuple((j, e) for j, e in enumerate(r)
-                          if e is not _ZERO and e) for r in data))
+        _init(self, rows, cols, *_integers(
+            [[(j, e) for j, e in enumerate(r) if e is not _ZERO and e]
+             for r in data]))
 
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
@@ -111,22 +114,36 @@ class Mat:
         missing entries are zero."""
         if len(entries) != rows:
             raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
-        return _from_index(rows, cols, [_row_index(e) for e in entries])
+        return _raw(rows, cols, *_integers(
+            [sorted((j, v) for j, v in e.items() if v) for e in entries]))
+
+    @staticmethod
+    def from_num(rows: int, cols: int, num: Sequence, den: int = 1) -> "Mat":
+        """The matrix num / den, for num holding per row the (column, int)
+        pairs of its nonzero entries in ascending column order and a
+        positive int den; their common factor is divided out."""
+        if len(num) != rows:
+            raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
+        if den != 1:
+            g = gcd(den, *[x for r in num for _, x in r])
+            if g > 1:
+                den //= g
+                num = [[(j, x // g) for j, x in r] for r in num]
+        return _raw(rows, cols, num, den)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return _from_index(rows, cols, ((),) * rows)
+        return _raw(rows, cols, ((),) * rows, 1)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return _from_index(n, n, [((i, _ONE),) for i in range(n)])
+        return _raw(n, n, [((i, 1),) for i in range(n)], 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Mat":
         entries = vec(entries)
-        return _from_index(len(entries), len(entries),
-                           [((i, e),) if e else ()
-                            for i, e in enumerate(entries)])
+        return _raw(len(entries), len(entries), *_integers(
+            [((i, e),) if e else () for i, e in enumerate(entries)]))
 
     # -- basics ------------------------------------------------------------
 
@@ -137,38 +154,40 @@ class Mat:
     @property
     def data(self) -> tuple:
         """The dense rows, as tuples."""
-        return tuple(tuple(_dense(r, self.cols)) for r in self.nonzeros)
+        return tuple(tuple(_over(r, self.cols, self.den)) for r in self.num)
 
     def __getitem__(self, ij) -> QQ:
         i, j = ij
-        return dict(self.nonzeros[i]).get(range(self.cols)[j], _ZERO)
+        x = dict(self.num[i]).get(range(self.cols)[j])
+        return QQ(x, self.den) if x else _ZERO
 
     def row(self, i: int) -> list:
-        return _dense(self.nonzeros[i], self.cols)
+        return _over(self.num[i], self.cols, self.den)
 
     def col(self, j: int) -> list:
-        return _dense(self.transpose().nonzeros[j], self.rows)
+        return _over(self.transpose().num[j], self.rows, self.den)
 
     def columns(self) -> list:
-        return [_dense(r, self.rows) for r in self.transpose().nonzeros]
+        return [_over(r, self.rows, self.den) for r in self.transpose().num]
 
     def transpose(self) -> "Mat":
         out = [[] for _ in range(self.cols)]
-        for i, r in enumerate(self.nonzeros):
-            for j, e in r:
-                out[j].append((i, e))
-        return _from_index(self.cols, self.rows, out)
+        for i, r in enumerate(self.num):
+            for j, x in r:
+                out[j].append((i, x))
+        return _raw(self.cols, self.rows, out, self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.nonzeros)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and self.nonzeros == other.nonzeros
+        return (self.shape == other.shape and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.nonzeros))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in r) for r in self.data)
@@ -177,65 +196,48 @@ class Mat:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._plus(other, False)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._plus(other, True)
+        return self._plus(other, -1)
 
-    def _plus(self, other: "Mat", negate: bool) -> "Mat":
-        """self + other, or self - other when negate is set."""
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other."""
         if self.shape != other.shape:
             raise LinalgError(f"shape mismatch {self.shape} vs {other.shape}")
-        out = []
-        for ra, rb in zip(self.nonzeros, other.nonzeros):
-            if negate:
-                rb = [(j, -b) for j, b in rb]
-            if not (ra and rb):
-                out.append(ra or rb)
-                continue
-            acc = dict(ra)
-            for j, b in rb:
-                acc[j] = acc[j] + b if j in acc else b
-            out.append(_row_index(acc))
-        return _from_index(self.rows, self.cols, out)
+        return lincomb(self.rows, self.cols,
+                       [(1, self, None), (sign, other, None)])
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = QQ(c)
-        if not c:
+        p = int(c.numerator)
+        if not p:
             return Mat.zeros(self.rows, self.cols)
-        return _from_index(self.rows, self.cols,
-                           [tuple((j, c * e) for j, e in r)
-                            for r in self.nonzeros])
+        return Mat.from_num(self.rows, self.cols,
+                            [[(j, p * x) for j, x in r] for r in self.num],
+                            self.den * int(c.denominator))
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise LinalgError(f"cannot multiply {self.shape} by {other.shape}")
-        bnz = other.nonzeros
-        out = []
-        for ra in self.nonzeros:
-            acc = {}
-            for k, a in ra:
-                for j, b in bnz[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(_row_index(acc))
-        return _from_index(self.rows, other.cols, out)
+        return lincomb(self.rows, other.cols, [(1, self, other)])
 
     def times_vec(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise LinalgError("vector length does not match column count")
+        iv, d = _int_row(v)
+        d *= self.den
         out = []
-        for r in self.nonzeros:
-            s = _ZERO
+        for r in self.num:
+            s = 0
             for j, a in r:
-                x = v[j]
-                if x:
-                    s += a * x
-            out.append(s)
+                s += a * iv[j]
+            out.append(QQ(s, d) if s else _ZERO)
         return out
 
     def power(self, k: int) -> "Mat":
@@ -251,88 +253,109 @@ class Mat:
     def trace(self) -> QQ:
         if self.rows != self.cols:
             raise LinalgError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), _ZERO)
+        return QQ(sum(dict(r).get(i, 0) for i, r in enumerate(self.num)),
+                  self.den)
 
     def det(self) -> QQ:
-        """Determinant by fraction-free (Bareiss) elimination: the last pivot.
-
-        Row i is scaled by the lcm d_i of its denominators, so the result is
-        sign * last_pivot / prod(d_i).
-        """
+        """Determinant by fraction-free (Bareiss) elimination of the
+        numerators: sign * last_pivot / den^n."""
         if self.rows != self.cols:
             raise LinalgError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return _ONE
-        scaled = [_int_row_of(r, n) for r in self.nonzeros]
-        a = [row for row, _ in scaled]
+        a = [_dense(r, n) for r in self.num]
         pivots, sign = _echelon(a, n, bareiss=True)
         if len(pivots) < n:
             return _ZERO
-        denom = 1
-        for _, d in scaled:
-            denom *= d
-        return QQ(sign * a[n - 1][n - 1], denom)
+        return QQ(sign * a[n - 1][n - 1], self.den ** n)
 
 
-def _init(m: Mat, rows: int, cols: int, nz: tuple) -> None:
+def _init(m: Mat, rows: int, cols: int, num: Sequence, den: int) -> None:
     set_ = object.__setattr__
     set_(m, "rows", rows)
     set_(m, "cols", cols)
-    set_(m, "nonzeros", nz)
+    set_(m, "num", tuple(map(tuple, num)))
+    set_(m, "den", den)
 
 
-def _row_index(entries: dict) -> tuple:
-    """The nonzero (column, value) pairs of a row, columns ascending."""
-    return tuple(sorted((j, v) for j, v in entries.items() if v))
-
-
-def _from_index(rows: int, cols: int, nz: Sequence) -> Mat:
-    """The matrix with the given nonzero index (valid rows, no checks)."""
+def _raw(rows: int, cols: int, num: Sequence, den: int) -> Mat:
+    """The matrix with the given canonical fields (no checks)."""
     m = object.__new__(Mat)
-    _init(m, rows, cols, tuple(map(tuple, nz)))
+    _init(m, rows, cols, num, den)
     return m
 
 
+def _integers(pairs: Sequence) -> tuple:
+    """(num, den) for rows of nonzero (column, rational) pairs: den is the
+    lcm of the denominators, which leaves the numerators with no factor in
+    common with it, and num the rows of (column, value * den) pairs."""
+    den = lcm(*[int(e.denominator) for r in pairs for _, e in r])
+    return [[(j, int(e.numerator) * (den // int(e.denominator)))
+             for j, e in r] for r in pairs], den
+
+
+def lincomb(rows: int, cols: int, terms: Sequence) -> Mat:
+    """The rows x cols matrix sum c * a * b over the terms (c, a, b), where
+    c is rational and b is a matrix or None (for c * a).
+
+    Every term is accumulated in integers over the lcm of the terms'
+    denominators, so no rational matrix is formed in between.
+    """
+    dens = [int(c.denominator) * a.den * (b.den if b is not None else 1)
+            for c, a, b in terms]
+    den = lcm(*dens)
+    acc = [{} for _ in range(rows)]
+    for (c, a, b), d in zip(terms, dens):
+        f = int(c.numerator) * (den // d)
+        if b is None:
+            for arow, ra in zip(acc, a.num):
+                for j, x in ra:
+                    x *= f
+                    arow[j] = arow[j] + x if j in arow else x
+            continue
+        bnum = b.num
+        for arow, ra in zip(acc, a.num):
+            for k, x in ra:
+                x *= f
+                for j, y in bnum[k]:
+                    arow[j] = arow[j] + x * y if j in arow else x * y
+    return Mat.from_num(rows, cols, [sorted((j, x) for j, x in r.items() if x)
+                                     for r in acc], den)
+
+
 def _dense(pairs: Sequence, n: int) -> list:
-    """The length-n vector with the given nonzero (index, value) pairs."""
+    """The length-n integer row with the given nonzero (index, int) pairs."""
+    out = [0] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
+def _over(pairs: Sequence, n: int, den: int) -> list:
+    """The length-n rational vector of the (index, int) pairs over den."""
     out = [_ZERO] * n
-    for j, e in pairs:
-        out[j] = e
+    for j, x in pairs:
+        out[j] = QQ(x, den)
     return out
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
-    return a * b - b * a
+    if not a.rows == a.cols == b.rows == b.cols:
+        raise LinalgError(f"commutator of {a.shape} and {b.shape}")
+    return lincomb(a.rows, a.cols, [(1, a, b), (-1, b, a)])
 
 
 # -- row reduction ----------------------------------------------------------
 
-def _int_row_of(pairs: Sequence, ncols: int) -> tuple:
-    """(row, d): the length-ncols row with the nonzero (column, value)
-    pairs given, times d, as ints, for d the lcm of the denominators."""
-    d = lcm(*[int(e.denominator) for _, e in pairs])
-    row = [0] * ncols
-    for j, e in pairs:
-        row[j] = int(e.numerator) * (d // int(e.denominator))
-    return row, d
-
-
 def _int_row(v: Sequence) -> tuple:
-    """_int_row_of for a dense vector of ints, QQ values or whatever QQ()
-    parses."""
-    return _int_row_of([(j, e) for j, e in enumerate(vec(v))
-                        if e is not _ZERO and e], len(v))
-
-
-def integer_index(nz: Iterable) -> tuple:
-    """(rows, d): rows of (column, value) pairs times d, the lcm of the
-    denominators of all their values, as rows of (column, int) pairs, so a
-    whole matrix or tensor shares one denominator."""
-    nz = [tuple(r) for r in nz]
-    d = lcm(*[int(e.denominator) for r in nz for _, e in r])
-    return [tuple((j, int(e.numerator) * (d // int(e.denominator)))
-                  for j, e in r) for r in nz], d
+    """(row, d): the vector v of ints, QQ values or whatever QQ() parses,
+    times d, the lcm of its denominators, as ints."""
+    # Most zeros are the shared _ZERO; the identity test skips their
+    # (slow) truth test.
+    num, d = _integers([[(j, e if type(e) is QQ else QQ(e))
+                         for j, e in enumerate(v) if e is not _ZERO and e]])
+    return _dense(num[0], len(v)), d
 
 
 def _combine(row: list, lead: list, c: int) -> list:
@@ -353,10 +376,15 @@ def primitive_vector(v: Sequence) -> list:
     return [QQ(x) for x in _primitive(_int_row(v)[0])]
 
 
-def _qq_pairs(row: list, p: int) -> tuple:
-    """The nonzero entries of the integer row divided by p, as (column, QQ)
-    pairs."""
-    return tuple((j, QQ(x, p)) for j, x in enumerate(row) if x)
+def _divided(rows: int, cols: int, parts: Sequence, f: int = 1) -> Mat:
+    """The matrix whose row i is f * r / p for each (i, r, p) in parts, r
+    an integer row and p a nonzero int; the other rows are zero."""
+    den = lcm(*[p for _, _, p in parts])
+    num = [()] * rows
+    for i, r, p in parts:
+        g = f * (den // p)
+        num[i] = [(j, g * x) for j, x in enumerate(r) if x]
+    return Mat.from_num(rows, cols, num, den)
 
 
 def _echelon(a: list, ncols: int, bareiss: bool = False) -> tuple:
@@ -406,10 +434,11 @@ def _echelon(a: list, ncols: int, bareiss: bool = False) -> tuple:
     return pivots, sign
 
 
-def _reduced(nz: Sequence, ncols: int) -> tuple:
-    """(integer rows, pivot_cols) of the elimination of the rows with
-    nonzero index nz."""
-    a = [_int_row_of(r, ncols)[0] for r in nz]
+def _reduced(num: Sequence, ncols: int) -> tuple:
+    """(integer rows, pivot_cols) of the elimination of the rows with the
+    nonzero (column, int) pairs num; scaling the rows of a matrix does not
+    change its row space, so a matrix's numerators stand for it."""
+    a = [_dense(r, ncols) for r in num]
     pivots, _ = _echelon(a, ncols)
     return a, pivots
 
@@ -421,15 +450,14 @@ def rref(m: Mat) -> tuple:
     entry in each column scan, so the output is canonical for a given row
     space.
     """
-    a, pivots = _reduced(m.nonzeros, m.cols)
-    rk = len(pivots)
-    nz = [_qq_pairs(a[i], a[i][c]) for i, c in enumerate(pivots)]
-    nz += [()] * (m.rows - rk)
-    return _from_index(m.rows, m.cols, nz), pivots, rk
+    a, pivots = _reduced(m.num, m.cols)
+    return (_divided(m.rows, m.cols,
+                     [(i, a[i], a[i][c]) for i, c in enumerate(pivots)]),
+            pivots, len(pivots))
 
 
 def rank(m: Mat) -> int:
-    return len(_reduced(m.nonzeros, m.cols)[1])
+    return len(_reduced(m.num, m.cols)[1])
 
 
 def solve(a: Mat, b: Sequence) -> Optional[list]:
@@ -441,19 +469,18 @@ def solve(a: Mat, b: Sequence) -> Optional[list]:
 
 
 def solve_matrix(a: Mat, b: Mat) -> Optional[Mat]:
-    """Solve a*X = b column by column; None if any column is inconsistent."""
+    """Solve a*X = b column by column; None if any column is inconsistent.
+
+    Y solving num(a) Y = num(b) gives X = Y * den(a) / den(b)."""
     if b.rows != a.rows:
         raise LinalgError("shape mismatch in solve_matrix")
     k = a.cols
-    red, pivots = _reduced([ra + tuple((k + j, e) for j, e in rb)
-                            for ra, rb in zip(a.nonzeros, b.nonzeros)],
-                           k + b.cols)
+    red, pivots = _reduced([ra + tuple((k + j, x) for j, x in rb)
+                            for ra, rb in zip(a.num, b.num)], k + b.cols)
     if pivots and pivots[-1] >= k:
         return None
-    nz = [()] * k
-    for row, c in zip(red, pivots):
-        nz[c] = _qq_pairs(row[k:], row[c])
-    return _from_index(k, b.cols, nz)
+    return _divided(k, b.cols, [(c, row[k:], row[c] * b.den)
+                                for row, c in zip(red, pivots)], a.den)
 
 
 def invert(m: Mat) -> Mat:
@@ -501,7 +528,7 @@ class IncrementalRref:
             if c[piv]:
                 scale *= row[piv]
                 c = _combine(c, row, piv)
-        return _dense(_qq_pairs(c, scale), self.ncols)
+        return [QQ(x, scale) if x else _ZERO for x in c]
 
     def contains(self, v: Sequence) -> bool:
         return not any(_reduce_against(_int_row(v)[0], self.rows, self.pivots))
@@ -633,16 +660,15 @@ def _kernel_rows(red: Sequence, pivots: Sequence, ncols: int) -> list:
 
 def kernel_basis(m: Mat) -> Subspace:
     """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
-    red, pivots = _reduced(m.nonzeros, m.cols)
+    red, pivots = _reduced(m.num, m.cols)
     return Subspace.from_rows(m.cols, _kernel_rows(red, pivots, m.cols))
 
 
 def image_basis(m: Mat) -> Subspace:
     """Column space of m as a Subspace of QQ^rows."""
-    pivots = _reduced(m.nonzeros, m.cols)[1]
-    cols = m.transpose().nonzeros
-    return Subspace.from_rows(
-        m.rows, [_int_row_of(cols[c], m.rows)[0] for c in pivots])
+    pivots = _reduced(m.num, m.cols)[1]
+    cols = m.transpose().num
+    return Subspace.from_rows(m.rows, [_dense(cols[c], m.rows) for c in pivots])
 
 
 def eigenspace(op: Mat, lam) -> Subspace:
@@ -708,7 +734,7 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
 
 def _is_diagonal(m: Mat) -> bool:
     return all(not r or (len(r) == 1 and r[0][0] == i)
-               for i, r in enumerate(m.nonzeros))
+               for i, r in enumerate(m.num))
 
 
 def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
@@ -716,7 +742,7 @@ def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
     n = ops[0].rows
     coords: dict = {}
     for k in range(n):
-        key = tuple(op.nonzeros[k][0][1] if op.nonzeros[k] else _ZERO
+        key = tuple(QQ(op.num[k][0][1], op.den) if op.num[k] else _ZERO
                     for op in ops)
         coords.setdefault(key, []).append(k)
     # Unit rows in ascending order are already the reduced form.

@@ -23,11 +23,13 @@ does not depend on the basis.
 
 The derivation check verify_derivation samples pairs as before and
 computes both sides as integer vectors over one denominator each (the
-structure tensors and the operator's blocks are scaled to integers once per
-call); only a failing pair is turned into rational AlgebraElements.  The
-bigrading splits a degree by the diagonal of the Cartan blocks when they are
-diagonal (the canonical frame) and refines eigenspaces otherwise (see
-linalg.simultaneous_eigenspaces).
+structure tensors are scaled to integers once per call, and the operator's
+blocks are integers over one denominator already); only a failing pair is
+turned into rational AlgebraElements.  Commutators and linear combinations
+accumulate the numerators of all their terms over one denominator
+(linalg.lincomb).  The bigrading splits a degree by the diagonal of the
+Cartan blocks when they are diagonal (the canonical frame) and refines
+eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
 
 The frame calculus and the bigrading take an operator module (see
 module_io.LLVModuleSpec): a built algebra is analysed as the module
@@ -48,9 +50,9 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
-    integer_index,
     invert,
     kernel_basis,
+    lincomb,
     rref,
     simultaneous_eigenspaces,
     vec,
@@ -107,7 +109,7 @@ class GradedOperator:
         return m
 
     def apply(self, degree: int, v: Sequence) -> list:
-        return self.block(degree).times_vec(vec(v))
+        return self.block(degree).times_vec(v)
 
     def apply_element(self, a: AlgebraElement) -> AlgebraElement:
         out = self.apply(a.degree, a.coords)
@@ -138,16 +140,6 @@ class GradedOperator:
         return GradedOperator(self.degrees, self.offset,
                               {d: m.scale(c) for d, m in self.blocks.items()})
 
-    def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """self after other."""
-        self._same_grading(other)
-        off = self.offset + other.offset
-        blocks = {}
-        for d in self.degrees:
-            if self.dim(d) and self.dim(d + off):
-                blocks[d] = self.block(d + other.offset) * other.block(d)
-        return GradedOperator(self.degrees, off, blocks)
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
 
@@ -166,19 +158,20 @@ class GradedOperator:
         self._same_grading(other)
         if self.offset != other.offset:
             return None
-        c = None
+        c = None   # (p, q): the ratio p / q, compared by cross-multiplying
         for d in sorted(self.degrees):
-            for ra, rb in zip(self.block(d).nonzeros, other.block(d).nonzeros):
+            a, b = self.block(d), other.block(d)
+            for ra, rb in zip(a.num, b.num):
                 xs = dict(ra)
                 for j, y in rb:
-                    r = xs.pop(j, _ZERO) / y
+                    r = (xs.pop(j, 0) * b.den, y * a.den)
                     if c is None:
                         c = r
-                    elif c != r:
+                    elif r[0] * c[1] != c[0] * r[1]:
                         return None
                 if xs:  # nonzero where other is zero
                     return None
-        return c
+        return None if c is None else QQ(*c)
 
 
 class GradedPowers:
@@ -235,7 +228,14 @@ class GradedPowers:
 
 
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return a.compose(b) - b.compose(a)
+    """[a, b], each block both products in one integer accumulator."""
+    a._same_grading(b)
+    off = a.offset + b.offset
+    return GradedOperator(a.degrees, off, {
+        d: lincomb(a.dim(d + off), a.dim(d),
+                   [(1, a.block(d + b.offset), b.block(d)),
+                    (-1, b.block(d + a.offset), a.block(d))])
+        for d in a.degrees if a.dim(d) and a.dim(d + off)})
 
 
 def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
@@ -259,15 +259,9 @@ def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
         rows, cols = first.dim(d + off), first.dim(d)
         if not (rows and cols):
             continue
-        mats = [(c, op.blocks[d]) for c, op in terms if d in op.blocks]
-        if not mats:
-            continue
-        acc = [{} for _ in range(rows)]
-        for c, m in mats:
-            for arow, r in zip(acc, m.nonzeros):
-                for j, e in r:
-                    arow[j] = arow[j] + c * e if j in arow else c * e
-        blocks[d] = Mat.from_sparse(rows, cols, acc)
+        mats = [(c, op.blocks[d], None) for c, op in terms if d in op.blocks]
+        if mats:
+            blocks[d] = lincomb(rows, cols, mats)
     return GradedOperator(first.degrees, off, blocks)
 
 
@@ -290,8 +284,9 @@ def total_matrix(op: GradedOperator) -> tuple:
         if op.degrees.get(tgt, 0) == 0:
             continue
         r0, c0 = offsets[tgt], offsets[d]
-        for i, r in enumerate(op.block(d).nonzeros):
-            rows[r0 + i].update((c0 + j, e) for j, e in r)
+        m = op.block(d)
+        for i, r in enumerate(m.num):
+            rows[r0 + i].update((c0 + j, QQ(x, m.den)) for j, x in r)
     return Mat.from_sparse(total, total, rows), offsets
 
 
@@ -382,7 +377,8 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
             if j == 0:
                 images[e].append([_ZERO] * degrees.get(e - 2, 0))
             else:
-                images[e].append([coeff * c for c in steps[j - 1]])
+                images[e].append([coeff * c if c else _ZERO
+                                  for c in steps[j - 1]])
 
     blocks = {}
     for e, vecs in adapted.items():
@@ -399,9 +395,9 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
             raise NotLefschetzError(
                 f"ladder vectors are dependent in degree {e}")
         if dim_t:
-            blocks[e] = Mat.from_sparse(
-                dim_e, dim_t, [{j - dim_e: x for j, x in r if j >= dim_e}
-                               for r in red.nonzeros]).transpose()
+            blocks[e] = Mat.from_num(
+                dim_e, dim_t, [[(j - dim_e, x) for j, x in r if j >= dim_e]
+                               for r in red.num], red.den).transpose()
     return GradedOperator(degrees, -2, blocks)
 
 
@@ -680,8 +676,9 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
     """Exact test of op(ab) = op(a) b + a op(b) on random homogeneous pairs.
 
     Each side is an integer coordinate vector over one denominator: the
-    structure tensors and the blocks of op are scaled to integers on first
-    use within the call, and the sides are compared by cross-multiplying.
+    structure tensors are scaled to integers on first use within the call,
+    the blocks of op are read as their numerators over their denominators,
+    and the sides are compared by cross-multiplying.
     A failing pair is reported as the AlgebraElements a, b, lhs and rhs,
     read off the same integer vectors.
     """
@@ -691,7 +688,6 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
     dims = alg.dims()
     half = op.offset // 2
     tensors: dict = {}   # (k, l) -> alg.scaled_tensor(k, l)
-    blocks: dict = {}    # level k -> integer index of op.block(2k)
 
     def product(k: int, a: list, l: int, b: list) -> tuple:
         """(ints, denominator) of the product of a in level k, b in level l."""
@@ -704,16 +700,14 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
 
     def apply(k: int, v: list) -> tuple:
         """(ints, denominator) of op applied to v in level k."""
-        if k not in blocks:
-            blocks[k] = integer_index(op.block(2 * k).nonzeros)
-        rows, d = blocks[k]
+        m = op.block(2 * k)
         out = []
-        for r in rows:
+        for r in m.num:
             acc = 0
             for j, c in r:
                 acc += c * v[j]
             out.append(acc)
-        return out, d
+        return out, m.den
 
     count = 0
     while count < trials:

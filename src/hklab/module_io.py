@@ -12,9 +12,10 @@ dual-Lefschetz table and its validation report once, on first use.
 load_module reads a document in one walk that checks all the published
 schema (llv_module.schema.json) does, its patterns matched whole, and
 more: integers given as floats, zero denominators, a degree named twice
-and ragged or misshapen blocks are errors too.  Each block's nonzero index
-is built as its cells are read.  jsonschema runs only on a rejected
-document, to phrase the message of the schema rule it breaks.
+and ragged or misshapen blocks are errors too.  Each block's integer
+numerators are built from the integers of its cells as they are read.
+jsonschema runs only on a rejected document, to phrase the message of the
+schema rule it breaks.
 
 Shipped fixture generators: a faithful export, a corrupted variant, an
 elementary one-variable ladder, a deliberately mis-graded shift, and a
@@ -30,10 +31,11 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
+from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
-from hklab.linalg import QQ, LinalgError, Mat, _from_index, vec
+from hklab.linalg import QQ, LinalgError, Mat, vec
 from hklab.llv import (
     GradedOperator,
     NotLefschetzError,
@@ -122,7 +124,8 @@ def _blocks_to_json(op: GradedOperator) -> dict:
 
 
 class _Cells(dict):
-    """Memo of rational cells: each distinct string is matched once."""
+    """Memo of rational cells: each distinct string is matched once, to
+    its integers (p, q)."""
 
     def __missing__(self, cell):
         m = _RATIONAL.fullmatch(cell) if type(cell) is str else None
@@ -135,7 +138,7 @@ class _Cells(dict):
                               "digit limit for integer strings") from None
         if not q:
             raise SchemaError(f"{cell!r} has denominator zero")
-        value = self[cell] = QQ(p, q)
+        value = self[cell] = (p, q)
         return value
 
 
@@ -185,13 +188,16 @@ def _matrix(rows, what: str, empty_cols: int, cells: _Cells) -> Mat:
     if any(type(r) is not list or len(r) != ncols for r in rows):
         raise SchemaError(f"{what}: rows are not lists of one length")
     try:
-        nz = [[(j, v) for j, v in enumerate(map(cells.__getitem__, r)) if v]
-              for r in rows]
+        pq = [[(j, v) for j, v in enumerate(map(cells.__getitem__, r))
+               if v[0]] for r in rows]
     except TypeError:    # an unhashable cell
         raise SchemaError(f"{what}: a cell is not a string") from None
     except SchemaError as exc:
         raise SchemaError(f"{what}: {exc}") from None
-    return _from_index(len(rows), ncols, nz)
+    den = lcm(*[q for r in pq for _, (_, q) in r])
+    return Mat.from_num(len(rows), ncols, [[(j, p * (den // q))
+                                           for j, (p, q) in r] for r in pq],
+                        den)
 
 
 def _blockmap(x, degrees: dict, offset: int, what: str,

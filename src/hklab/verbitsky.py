@@ -27,7 +27,7 @@ from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _int_row,
-                          integer_index, invert, qq, vec)
+                          _integers, invert, qq, vec)
 from hklab.quadforms import QuadraticSpace, json_fields
 
 _ZERO = QQ(0)
@@ -199,11 +199,11 @@ class GradedAlgebra:
 
     def scaled_tensor(self, k: int, l: int) -> tuple:
         """(rows, d) for the structure constants of levels k <= l: rows[i]
-        lists the pairs (j, ((t, c), ...)) for the nonzero products of basis
+        lists the pairs (j, [(t, c), ...]) for the nonzero products of basis
         elements i of level k and j of level l, with c the constant times
         d, the lcm of all their denominators, as an int."""
         tensor = self.tensors[(k, l)]
-        scaled, d = integer_index(entry.items() for entry in tensor.values())
+        scaled, d = _integers([entry.items() for entry in tensor.values()])
         rows = [[] for _ in range(self.level_dim(k))]
         for (i, j), entry in zip(tensor, scaled):
             rows[i].append((j, entry))
@@ -284,16 +284,25 @@ class GradedAlgebra:
                     ("space", "n", "levels", "tensors"), BuildError)
         space = QuadraticSpace.from_json(obj["space"])
         n = int(obj["n"])
-        levels = {int(k): [tuple(m) for m in v["monomials"]]
-                  for k, v in obj["levels"].items()}
-        for k, ms in levels.items():
-            if len(ms) != obj["levels"][str(k)]["dim"]:
-                raise BuildError("level dimension does not match basis list")
+        json_fields(obj["levels"], "levels", (), BuildError)
+        json_fields(obj["tensors"], "tensors", (), BuildError)
+        levels = {}
+        for key, level in obj["levels"].items():
+            what = f'levels["{key}"]'
+            json_fields(level, what, ("monomials", "dim"), BuildError)
+            ms = levels[int(key)] = [tuple(m) for m in level["monomials"]]
+            if len(ms) != level["dim"]:
+                raise BuildError(f"{what}: level dimension does not match "
+                                 "basis list")
         tensors = {}
         for key, quads in obj["tensors"].items():
             k, l = (int(x) for x in key.split(","))
             entries = {}
-            for i, j, t, val in quads:
+            for pos, quad in enumerate(quads):
+                if not (isinstance(quad, list) and len(quad) == 4):
+                    raise BuildError(f'tensors["{key}"][{pos}]: expected '
+                                     "[i, j, t, value]")
+                i, j, t, val = quad
                 entries.setdefault((i, j), {})[t] = qq(val)
             tensors[(k, l)] = entries
         return GradedAlgebra(space, n, levels, tensors,
@@ -425,6 +434,6 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
     c_rest = Mat.from_sparse(len(rest), target,
                              [dict(enumerate(rows[c])) for c in rest])
     cosets = c_rest * invert(Mat.from_rows([rows[c] for c in free]))
-    for c, entry in zip(rest, cosets.nonzeros):
-        table[c] = dict(entry)
+    for c, entry in zip(rest, cosets.num):
+        table[c] = {j: QQ(x, cosets.den) for j, x in entry}
     return free, table

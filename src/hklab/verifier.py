@@ -169,9 +169,9 @@ def check_even_nagai(profile: NilpotenceProfile, n: int) -> list:
 
 def _joint_kernel(fc: FrameCalculus, d: int, dim: int) -> Subspace:
     """Joint kernel of L_beta and L_sbar on degree d (of dimension dim)."""
-    rows = [dict(r) for r in fc.L_beta.block(d).nonzeros
-            + fc.L_sbar.block(d).nonzeros]
-    return (kernel_basis(Mat.from_sparse(len(rows), dim, rows)) if rows
+    # Scaling rows leaves the kernel, so numerators stand for both blocks.
+    rows = fc.L_beta.block(d).num + fc.L_sbar.block(d).num
+    return (kernel_basis(Mat.from_num(len(rows), dim, rows)) if rows
             else Subspace.full(dim))
 
 

@@ -108,6 +108,30 @@ def test_stdout_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("module, digest", [
+    ("sh_module.json",
+     "bbef2dc927eb4e56de5b53aeb87e01c98fe482d6464182b21505cf0aa87b49b3"),
+    ("spin_module.json",
+     "6832298a85af8802f00ec200300ad89ff494191ad121ee7817a462190228c429"),
+    # `export --n 4 --b2 4`, written by the test
+    (None, "663fd56190f1dff549b1c7ea0ce3567ceae0fb62d46992bc074db8e2da4e092d"),
+], ids=["sh", "spin", "export-4x4"])
+def test_verify_module_bytes(fixture_dir, tmp_path, monkeypatch, capsys,
+                             module, digest):
+    """The ingest path is pinned byte for byte, pinned before matrices
+    moved to integer numerators.  The report names the module path as
+    given, so each document is read from the working directory."""
+    if module is None:
+        monkeypatch.chdir(tmp_path)
+        module = "export.json"
+        assert main(["export", "--n", "4", "--b2", "4", "--out", module]) == 0
+    else:
+        monkeypatch.chdir(fixture_dir)
+    code, out, err = run(capsys, "verify", "--module", module)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_module_fixtures(fixture_dir, capsys):
     code, out, err = run(capsys, "verify", "--module",
                          str(fixture_dir / "sh_module.json"))
@@ -403,6 +427,17 @@ def test_transport_rejects_a_malformed_document(tmp_path, capsys, doc,
     ([1, 2], "not a graded-algebra JSON document"),
     ({"format": "hklab-graded-algebra", "space": [], "n": 1, "levels": {},
       "tensors": {}}, "space must be a JSON object"),
+    # nested fields: each once died with a KeyError or a bare unpack error
+    ({"format": "hklab-graded-algebra", "space": _SPACE4, "n": 1,
+      "levels": {"0": {}}, "tensors": {}},
+     "levels[\"0\"]: missing field 'monomials'"),
+    ({"format": "hklab-graded-algebra", "space": _SPACE4, "n": 1,
+      "levels": {"0": {"monomials": [[0, 0, 0, 0]]}}, "tensors": {}},
+     "levels[\"0\"]: missing field 'dim'"),
+    ({"format": "hklab-graded-algebra", "space": _SPACE4, "n": 1,
+      "levels": {"0": {"dim": 1, "monomials": [[0, 0, 0, 0]]}},
+      "tensors": {"1,1": [[0, 0, 0]]}},
+     "tensors[\"1,1\"][0]: expected [i, j, t, value]"),
 ])
 def test_diamond_rejects_a_malformed_document(tmp_path, capsys, doc, message):
     path = tmp_path / "alg.json"

@@ -166,7 +166,7 @@ def cartan_cases(fc, n):
 
 def is_diagonal(m):
     return all(not r or [j for j, _ in r] == [i]
-               for i, r in enumerate(m.nonzeros))
+               for i, r in enumerate(m.num))
 
 
 def assert_same_subspaces(got, ref):

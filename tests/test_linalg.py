@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
+    commutator,
     eigenspace,
     image_basis,
     invert,
@@ -28,7 +29,7 @@ from hklab.linalg import (
 )
 
 from hklab.filtrations import graded_nilpotence_index
-from hklab.llv import GradedOperator, combine
+from hklab.llv import GradedOperator, combine, commutator_op
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -363,8 +364,12 @@ def assert_matches(got: Mat, ref: list, rows: int, cols: int) -> None:
     assert got.shape == (rows, cols)
     assert dense(got) == ref
     assert all(type(x) is QQ for r in got.data for x in r)
-    assert got.nonzeros == tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                                 for r in ref)
+    # The stored form: numerators over the lcm of the entries' denominators.
+    den = lcm(*[int(x.denominator) for r in ref for x in r])
+    assert got.den == den
+    assert got.num == tuple(tuple((j, int(x * den)) for j, x in enumerate(r)
+                                  if x) for r in ref)
+    assert all(type(x) is int for r in got.num for _, x in r)
 
 
 @settings(max_examples=120, deadline=None)
@@ -610,3 +615,139 @@ def test_equal_matrices_from_different_routes_hash_alike():
     assert Mat.identity(2) == Mat.diagonal([1, 1])
     assert hash(Mat.identity(2)) == hash(Mat.diagonal([1, 1]))
     assert len({diag, hand, Mat.zeros(2, 2), cancelled}) == 2
+
+
+# -- the integer stored form against a dense Fraction reference ---------------
+
+def ref_rref(a: list, ncols: int) -> tuple:
+    """(reduced rows, pivots): Gauss-Jordan in Fractions, first nonzero
+    entry as pivot."""
+    a = [list(r) for r in a]
+    pivots = []
+    for c in range(ncols):
+        p = next((i for i in range(len(pivots), len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        top = len(pivots)
+        a[top], a[p] = a[p], a[top]
+        a[top] = [x / a[top][c] for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+    return a, pivots
+
+
+def ref_det(a: list):
+    """Determinant by elimination in Fractions."""
+    a = [list(r) for r in a]
+    det = QQ(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if p is None:
+            return _Z
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def ref_kernel(a: list, ncols: int) -> list:
+    """e_f - sum_i red[i][f] e_(pivots[i]) over the free columns f."""
+    red, pivots = ref_rref(a, ncols)
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [_Z] * ncols
+        v[f] = QQ(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        out.append(v)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), sparse_rows(n, n), sparse_rows(n, n),
+                        sparse_rows(1, n), scalars)))
+def test_integer_form_matches_a_dense_fraction_reference(case):
+    n, a, b, (v,), x = case
+    ma, mb = Mat(n, n, a), Mat(n, n, b)
+    # The arithmetic, with num and den checked by assert_matches.
+    assert_matches(ma * mb, dense_mul(a, b, n), n, n)
+    assert_matches(ma + mb, dense_add(a, b), n, n)
+    assert_matches(ma - mb, dense_sub(a, b), n, n)
+    assert_matches(ma.scale(x), dense_scale(x, a), n, n)
+    assert_matches(ma.transpose(), [list(c) for c in zip(*a)], n, n)
+    assert_matches(commutator(ma, mb),
+                   dense_sub(dense_mul(a, b, n), dense_mul(b, a, n)), n, n)
+    assert ma.times_vec(v) == dense_times_vec(a, v)
+    # Eliminations read the numerators; the results are the reference's.
+    det = ma.det()
+    assert det == ref_det(a) and type(det) is QQ
+    red, pivots = ref_rref(a, n)
+    got, got_pivots, rk = rref(ma)
+    assert (got_pivots, rk) == (pivots, len(pivots))
+    assert_matches(got, red, n, n)
+    assert kernel_basis(ma) == Subspace.from_vectors(n, ref_kernel(a, n))
+    if det:
+        inv = invert(ma)
+        aug, _ = ref_rref([row + [QQ(int(i == j)) for j in range(n)]
+                           for i, row in enumerate(a)], 2 * n)
+        assert_matches(inv, [row[n:] for row in aug], n, n)
+        # Mixed denominators that cancel leave an integer matrix.
+        assert (ma * inv).den == 1 and ma * inv == Mat.identity(n)
+    else:
+        with pytest.raises(LinalgError):
+            invert(ma)
+    # One stored form per value, whatever the route.
+    half = QQ(1, 2)
+    for left, right in (((ma * mb).scale(half), ma * mb.scale(half)),
+                        (ma.scale(x) * mb, (ma * mb).scale(x)),
+                        (ma + mb - mb, ma),
+                        (ma.scale(3).scale(QQ(1, 3)), ma)):
+        assert (left.num, left.den) == (right.num, right.den)
+        assert left == right and hash(left) == hash(right)
+    for zero in (ma - ma, ma.scale(0), Mat.zeros(n, n), commutator(ma, ma),
+                 Mat(n, n, [[QQ(0, 5)] * n for _ in range(n)])):
+        assert zero.den == 1 and zero.is_zero() and zero == Mat.zeros(n, n)
+
+
+@st.composite
+def raising_and_lowering(draw) -> tuple:
+    """Degree dims on 0, 2, 4 and the dense blocks of an offset-2 and an
+    offset -2 operator on them."""
+    p, q, r = (draw(st.integers(1, 3)) for _ in range(3))
+    raising = {0: draw(sparse_rows(q, p)), 2: draw(sparse_rows(r, q))}
+    lowering = {2: draw(sparse_rows(p, q)), 4: draw(sparse_rows(q, r))}
+    return {0: p, 2: q, 4: r}, raising, lowering
+
+
+@settings(max_examples=60, deadline=None)
+@given(raising_and_lowering(), scalars)
+def test_graded_commutator_matches_a_dense_fraction_reference(case, x):
+    dims, raising, lowering = case
+
+    def graded(blocks: dict, off: int) -> GradedOperator:
+        return GradedOperator(dims, off, {
+            d: Mat(dims[d + off], dims[d], m) for d, m in blocks.items()})
+
+    def block(blocks: dict, off: int, d: int) -> list:
+        return blocks.get(d) or [[_Z] * dims.get(d, 0)
+                                 for _ in range(dims.get(d + off, 0))]
+
+    lop, fop = graded(raising, 2), graded(lowering, -2)
+    got = commutator_op(lop, fop)
+    assert got.offset == 0
+    for d, n in dims.items():
+        ref = dense_sub(
+            dense_mul(block(raising, 2, d - 2), block(lowering, -2, d), n),
+            dense_mul(block(lowering, -2, d + 2), block(raising, 2, d), n))
+        assert_matches(got.block(d), ref, n, n)
+    both = combine([x, 1 - x], [lop, lop])
+    for d, m in raising.items():
+        assert_matches(both.block(d), m, dims[d + 2], dims[d])
