@@ -15,6 +15,10 @@ llv.GradedPowers per operator, shared by the nilpotence index, the Jordan
 chains and the perverse chain.  A single square matrix is the graded
 operator with one degree and offset 0 (weight_filtration).
 
+Vectors never leave the integers: chains, spans and membership tests use
+the integer rows of subspaces and their images under Mat.times_row, each a
+positive multiple of the rational vector it stands for.
+
 The perverse chain of an isotropic degree-2 class beta on degree d is
 computed by the kernel-sum formula
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from hklab.linalg import IncrementalRref, Mat, Subspace, subspace_sum
+from hklab.linalg import IncrementalRref, Mat, Subspace
 from hklab.llv import Bigrading, GradedOperator, GradedPowers, lefschetz
 from hklab.verbitsky import GradedAlgebra
 
@@ -41,11 +45,10 @@ class FiltrationError(ValueError):
 
 # -- weight filtrations ---------------------------------------------------------
 
-def _complement_in(sub: Subspace, within: Subspace) -> list:
-    """Vectors of `within` completing a basis of `sub` inside `within`."""
+def _complement_in(sub: Subspace, within: Sequence) -> list:
+    """The rows of `within` completing a basis of `sub` in their joint span."""
     state = IncrementalRref(sub.ambient_dim, sub.rows, sub.pivots)
-    return [v for row, v in zip(within.rows, within.vectors())
-            if state.insert_row(row)]
+    return [row for row in within if state.insert_row(row)]
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,9 @@ def graded_jordan_chains(op: GradedOperator,
                          powers: GradedPowers | None = None) -> list:
     """Homogeneous Jordan chains of a graded nilpotent operator.
 
-    Returns triples (start_degree, length, vectors); vector j lives in
-    degree start_degree + j * op.offset.  Chains are extracted longest
+    Returns triples (start_degree, length, rows); row j is an integer
+    row in degree start_degree + j * op.offset, a positive multiple of
+    op^j applied to the head (Mat.times_row).  Chains are extracted longest
     first: at each length l the new heads complete ker op^{l-1} plus the
     descended tails of longer chains inside ker op^l.  Kernels of powers
     are graded, so heads can be chosen inside single degrees and every
@@ -115,21 +119,19 @@ def graded_jordan_chains(op: GradedOperator,
     for length in range(s + 1, 0, -1):
         new_heads = {}
         for d in sorted(degrees):
-            avoid = subspace_sum(kernels[(length - 1, d)],
-                                 Subspace.from_vectors(degrees[d], carried[d]))
+            avoid = Subspace.from_rows(degrees[d],
+                                       kernels[(length - 1, d)] + carried[d])
             heads = _complement_in(avoid, kernels[(length, d)])
             new_heads[d] = heads
             for h in heads:
                 chain = [h]
-                cur = h
                 for j in range(length - 1):
-                    cur = op.block(d + off * j).times_vec(cur)
-                    chain.append(cur)
+                    chain.append(op.block(d + off * j).times_row(chain[-1]))
                 chains.append((d, length, chain))
         nxt = {d: [] for d in degrees}
         for d in sorted(degrees):
             for v in carried[d] + new_heads[d]:
-                img = op.block(d).times_vec(v)
+                img = op.block(d).times_row(v)
                 tgt = d + off
                 if tgt in degrees and any(img):
                     nxt[tgt].append(img)
@@ -150,8 +152,9 @@ def graded_weight_filtration(op: GradedOperator, centre: int,
 
     Requires nilpotence index <= centre (otherwise the chain would need
     negative indices).  Each Jordan chain of length l contributes its
-    vectors at weights centre+l-1-2j for j = 0..l-1.  Each power of op is
-    built once, in `powers` (a fresh GradedPowers by default).
+    vectors at weights centre+l-1-2j for j = 0..l-1, and W_i adds the rows
+    of weight i, if any, to W_{i-1}.  Each power of op is built once, in
+    `powers` (a fresh GradedPowers by default).
     """
     powers = powers or GradedPowers(op)
     s = graded_nilpotence_index(op, powers)
@@ -166,11 +169,13 @@ def graded_weight_filtration(op: GradedOperator, centre: int,
             by_weight[d0 + op.offset * j].setdefault(w, []).append(v)
     slices = {}
     for d in degrees:
-        acc: list = []
+        sub = Subspace.zero(degrees[d])
         chain = []
         for i in range(0, 2 * centre + 1):
-            acc = acc + by_weight[d].get(i, [])
-            chain.append(Subspace.from_vectors(degrees[d], acc))
+            new = by_weight[d].get(i)
+            if new:
+                sub = Subspace.from_rows(degrees[d], list(sub.rows) + new)
+            chain.append(sub)
         slices[d] = tuple(chain)
     wf = GradedWeightFiltration(centre, dict(degrees), slices)
     if not verify_graded_weight_filtration(op, wf):
@@ -187,7 +192,7 @@ def weight_filtration(n_mat: Mat, centre: int) -> GradedWeightFiltration:
 
 def verify_graded_weight_filtration(op: GradedOperator,
                                     wf: GradedWeightFiltration) -> bool:
-    """Exact check of both defining properties, degreewise."""
+    """Exact check of both defining properties, degreewise, on integer rows."""
     k = wf.centre
     off = op.offset
     degrees = wf.degrees
@@ -200,9 +205,9 @@ def verify_graded_weight_filtration(op: GradedOperator,
             if not wf.step(d, i).contains_subspace(wf.step(d, i - 1)):
                 return False
             tgt = wf.step(d + off, i - 2)
-            for v in wf.step(d, i).vectors():
-                img = op.block(d).times_vec(v)
-                if any(img) and not tgt.contains(img):
+            for row in wf.step(d, i).rows:
+                img = op.block(d).times_row(row)
+                if any(img) and not tgt._holds(img):
                     return False
     # op^i : Gr_{k+i} -> Gr_{k-i} bijective, checked by rank accounting.
     for i in range(1, k + 1):
@@ -212,18 +217,17 @@ def verify_graded_weight_filtration(op: GradedOperator,
             lo, lo_prev = wf.step(d2, k - i), wf.step(d2, k - i - 1)
             if hi.dim - hi_prev.dim != lo.dim - lo_prev.dim:
                 return False
-            reps = _complement_in(hi_prev, hi)
+            reps = _complement_in(hi_prev, hi.rows)
             imgs = []
             for v in reps:
                 for step in range(i):
-                    v = op.block(d + off * step).times_vec(v)
+                    v = op.block(d + off * step).times_row(v)
                 imgs.append(v)
             dim_d2 = degrees.get(d2, 0)
-            span = subspace_sum(lo_prev,
-                                Subspace.from_vectors(dim_d2, imgs))
+            span = Subspace.from_rows(dim_d2, list(lo_prev.rows) + imgs)
             if span.dim - lo_prev.dim != hi.dim - hi_prev.dim:
                 return False
-            if any(not lo.contains(v) for v in imgs):
+            if any(not lo._holds(v) for v in imgs):
                 return False
     return True
 
@@ -253,7 +257,7 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
         powers = GradedPowers(lefschetz(alg, beta))
     out = {}
     for i in range(-1, 2 * n + 2):
-        vecs = []
+        rows = []
         for j in range(0, d // 2 + 1):
             src = d - 2 * j
             if src not in dims:
@@ -262,11 +266,11 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
             if e <= 0:
                 continue
             ker = powers.kernel(src, e)
-            if ker.dim == 0:
+            if not ker:
                 continue
             shift = powers.power(src, j)
-            vecs.extend(shift.times_vec(v) for v in ker.vectors())
-        out[i] = Subspace.from_vectors(dims[d], vecs)
+            rows.extend(shift.times_row(r) for r in ker)
+        out[i] = Subspace.from_rows(dims[d], rows)
     return out
 
 

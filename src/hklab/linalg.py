@@ -8,8 +8,11 @@ over one denominator, with a per-row index of the nonzero numerators only;
 the operator blocks this package computes on are mostly zeros, so products,
 sums, scaling, comparisons and elimination input run on Python ints over the
 index, and rational values are built only at the boundary (dense views,
-entries, times_vec's result).  Matrices are immutable (the index is tuples
-and attributes cannot be rebound), and all operations are pure.
+entries, times_vec's result).  Vectors pass between matrices and subspaces
+as integer rows: times_row returns den times the image as ints, and
+kernel_rows a kernel's basis as read off the elimination, without the
+canonical reduction of kernel_basis.  Matrices are immutable (the index is
+tuples and attributes cannot be rebound), and all operations are pure.
 
 Every elimination (rref, kernels, images, solves, inverses, determinants,
 subspaces and IncrementalRref) runs on integer rows: a matrix's numerators
@@ -228,16 +231,21 @@ class Mat:
         return lincomb(self.rows, other.cols, [(1, self, other)])
 
     def times_vec(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise LinalgError("vector length does not match column count")
         iv, d = _int_row(v)
         d *= self.den
+        return [QQ(s, d) if s else _ZERO for s in self.times_row(iv)]
+
+    def times_row(self, row: Sequence) -> list:
+        """den * (self * row) as ints, for an integer row: a positive
+        multiple of the image, which is all a span or a membership needs."""
+        if len(row) != self.cols:
+            raise LinalgError("vector length does not match column count")
         out = []
         for r in self.num:
             s = 0
             for j, a in r:
-                s += a * iv[j]
-            out.append(QQ(s, d) if s else _ZERO)
+                s += a * row[j]
+            out.append(s)
         return out
 
     def power(self, k: int) -> "Mat":
@@ -658,10 +666,16 @@ def _kernel_rows(red: Sequence, pivots: Sequence, ncols: int) -> list:
     return vecs
 
 
+def kernel_rows(m: Mat) -> list:
+    """Integer rows spanning {v : m v = 0}, one per free column of the
+    reduced m: a basis, not the canonical one."""
+    red, pivots = _reduced(m.num, m.cols)
+    return _kernel_rows(red, pivots, m.cols)
+
+
 def kernel_basis(m: Mat) -> Subspace:
     """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
-    red, pivots = _reduced(m.num, m.cols)
-    return Subspace.from_rows(m.cols, _kernel_rows(red, pivots, m.cols))
+    return Subspace.from_rows(m.cols, kernel_rows(m))
 
 
 def image_basis(m: Mat) -> Subspace:

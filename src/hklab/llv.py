@@ -50,10 +50,11 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
+    _divided,
+    _echelon,
     invert,
-    kernel_basis,
+    kernel_rows,
     lincomb,
-    rref,
     simultaneous_eigenspaces,
     vec,
 )
@@ -107,13 +108,6 @@ class GradedOperator:
         if m is None:
             m = Mat.zeros(self.dim(d + self.offset), self.dim(d))
         return m
-
-    def apply(self, degree: int, v: Sequence) -> list:
-        return self.block(degree).times_vec(v)
-
-    def apply_element(self, a: AlgebraElement) -> AlgebraElement:
-        out = self.apply(a.degree, a.coords)
-        return AlgebraElement(a.degree + self.offset, tuple(out))
 
     # -- algebra of operators ------------------------------------------------
 
@@ -175,10 +169,10 @@ class GradedOperator:
 
 
 class GradedPowers:
-    """Powers op^e of a graded operator from each source degree, their
-    kernels and the nilpotence index per degree, each computed once on
-    first use.  This is the only place where powers of a graded operator
-    are multiplied out."""
+    """Powers op^e of a graded operator from each source degree, integer
+    rows spanning their kernels and the nilpotence index per degree, each
+    computed once on first use.  This is the only place where powers of a
+    graded operator are multiplied out."""
 
     def __init__(self, op: GradedOperator):
         self.op = op
@@ -199,12 +193,11 @@ class GradedPowers:
             self._powers[key] = m
         return m
 
-    def kernel(self, src_degree: int, e: int) -> Subspace:
+    def kernel(self, src_degree: int, e: int) -> list:
         key = (src_degree, e)
         ker = self._kernels.get(key)
         if ker is None:
-            ker = (kernel_basis(self.power(src_degree, e)) if e
-                   else Subspace.zero(self.op.dim(src_degree)))
+            ker = kernel_rows(self.power(src_degree, e)) if e else []
             self._kernels[key] = ker
         return ker
 
@@ -339,65 +332,53 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
     """The unique degree -2 operator F with (lop, F, h) an sl2 triple.
 
     Decomposes the module into ladders generated by primitive vectors
-    (the kernels ker lop^(lam+1) on each degree of weight -lam <= 0, read
-    from a GradedPowers of lop) and applies the standard lowering formula
-    F(L^j p) = j(lam - j + 1) L^{j-1} p on a ladder of lowest weight -lam.  Raises NotLefschetzError
+    (integer rows spanning ker lop^(lam+1) on each degree of weight
+    -lam <= 0, from a GradedPowers of lop) and applies the lowering formula
+    F(L^j p) = j(lam - j + 1) L^{j-1} p.  Step j is the integer row
+    c_j L^j p, c_j the product of the block denominators passed, so its
+    image is j(lam - j + 1) den_{j-1} step_{j-1}; F is unique, so every
+    block is the one the rational ladders give.  Raises NotLefschetzError
     when the ladders fail to span, i.e. when lop is not a Lefschetz-type
     raising operator.
     """
     degrees = lop.degrees
     powers = GradedPowers(lop)
-    chains = []  # (start_degree, lam, [vectors per step])
-    for d in sorted(degrees):
-        if degrees[d] == 0:
+    adapted = {d: [] for d in degrees if degrees[d]}  # rows [step | image]
+    for d in sorted(adapted):
+        lam = 2 * n - d
+        if lam < 0:
             continue
-        w = d - 2 * n
-        if w > 0:
-            continue
-        lam = -w
-        for pvec in powers.kernel(d, lam + 1).vectors():
-            steps = [pvec]
-            cur = pvec
-            for _ in range(lam):
-                cur = lop.apply(d + 2 * (len(steps) - 1), cur)
-                steps.append(cur)
-            chains.append((d, lam, steps))
-
-    adapted = {d: [] for d in degrees if degrees[d]}
-    images = {d: [] for d in degrees if degrees[d]}
-    for d, lam, steps in chains:
-        for j, v in enumerate(steps):
-            e = d + 2 * j
-            if e not in adapted:
-                raise NotLefschetzError(
-                    f"a ladder from degree {d} leaves the module's degrees "
-                    f"at {e}")
-            adapted[e].append(v)
-            coeff = QQ(j * (lam - j + 1))
-            if j == 0:
-                images[e].append([_ZERO] * degrees.get(e - 2, 0))
-            else:
-                images[e].append([coeff * c if c else _ZERO
-                                  for c in steps[j - 1]])
+        for p in powers.kernel(d, lam + 1):
+            step, img = p, [0] * degrees.get(d - 2, 0)
+            for j in range(lam + 1):
+                e = d + 2 * j
+                if j:
+                    block = lop.block(e - 2)
+                    c = j * (lam - j + 1) * block.den
+                    step, img = block.times_row(step), [c * x for x in step]
+                if e not in adapted:
+                    raise NotLefschetzError(
+                        f"a ladder from degree {d} leaves the module's "
+                        f"degrees at {e}")
+                adapted[e].append([*step, *img])
 
     blocks = {}
-    for e, vecs in adapted.items():
+    for e, rows in adapted.items():
         dim_e, dim_t = degrees[e], degrees.get(e - 2, 0)
-        if len(vecs) != dim_e:
+        if len(rows) != dim_e:
             raise NotLefschetzError(
-                f"ladders span {len(vecs)} of {dim_e} dimensions in degree {e}")
-        # The block X solves X B = img for the ladder basis B (columns vecs),
-        # i.e. B^T X^T = img^T: one elimination of [B^T | img^T].
-        aug = Mat(dim_e, dim_e + dim_t,
-                  [v + w for v, w in zip(vecs, images[e])])
-        red, pivots, _ = rref(aug)
+                f"ladders span {len(rows)} of {dim_e} dimensions in degree {e}")
+        # The block X solves X B = img for the ladder basis B (columns the
+        # steps), i.e. B^T X^T = img^T: one elimination of [B^T | img^T],
+        # of which only the right block is formed.
+        pivots, _ = _echelon(rows, dim_e + dim_t)
         if pivots[:dim_e] != list(range(dim_e)):
             raise NotLefschetzError(
                 f"ladder vectors are dependent in degree {e}")
         if dim_t:
-            blocks[e] = Mat.from_num(
-                dim_e, dim_t, [[(j - dim_e, x) for j, x in r if j >= dim_e]
-                               for r in red.num], red.den).transpose()
+            blocks[e] = _divided(dim_e, dim_t, [(i, r[dim_e:], r[i])
+                                                for i, r in enumerate(rows)]
+                                 ).transpose()
     return GradedOperator(degrees, -2, blocks)
 
 

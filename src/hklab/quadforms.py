@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hklab.linalg import (
-    QQ, Mat, Subspace, kernel_basis, primitive_vector, qq, rank, solve, vec)
+    QQ, Mat, Subspace, _int_row, kernel_basis, primitive_vector, qq, rank,
+    solve, vec)
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -65,10 +66,14 @@ class QuadraticSpace:
         return self.gram.rows
 
     def bilinear(self, v: Sequence, w: Sequence) -> QQ:
+        """v^T G w: one integer contraction against the Gram numerators,
+        over the product of the three denominators."""
         if len(v) != self.dim or len(w) != self.dim:
             raise QuadFormError("vector length does not match space dimension")
-        gv = self.gram.times_vec(vec(w))
-        return sum((QQ(a) * b for a, b in zip(v, gv)), _ZERO)
+        iv, dv = _int_row(v)
+        iw, dw = _int_row(w)
+        s = sum([a * b for a, b in zip(iv, self.gram.times_row(iw)) if a])
+        return QQ(s, dv * dw * self.gram.den)
 
     def quad(self, v: Sequence) -> QQ:
         return self.bilinear(v, v)

@@ -350,8 +350,9 @@ def build_verbitsky(space: QuadraticSpace, n: int,
               for k in range(2 * n + 1)]
     codes = [[c for _, c in ms] for ms in graded]
     top = dict(graded[2 * n])
-    weights = {top[alpha]: w
-               for alpha, w in _apolar_weights(space, n).items()}
+    # the weights as ints, times one positive int (see _ideal_projection)
+    num, _ = _integers([_apolar_weights(space, n).items()])
+    weights = {top[alpha]: w for alpha, w in num[0]}
     levels, proj, basis_codes = {}, {}, {}
     for k, ms in enumerate(graded):
         if k <= n:
@@ -405,11 +406,13 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
     SH is Gorenstein with socle functional x^{2n} -> c q(x)^n, so the ideal
     in degree k is the kernel of the catalecticant C_k[m][g] = d^(m+g) Q^n
     (rows m in Sym^k, columns g in Sym^(2n-k), both given by their codes,
-    so that a cell is the weight at code(m) + code(g)).  Monomial c is a
-    basis monomial iff row C_c is not in the span of the later rows, which
-    reproduces the non-pivot columns of the ideal's canonical RREF; a zero
-    row never is.  The coset of c is then table[c] = C_c C_F^{-1}; the
-    cosets of the nonzero non-basis rows are one sparse product.
+    so that a cell is the weight at code(m) + code(g); the weights are
+    d^alpha Q^n times one positive int, which changes no span and no coset).
+    Monomial c is a basis monomial iff row C_c is not in the span of the
+    later rows, which reproduces the non-pivot columns of the ideal's
+    canonical RREF; a zero row never is.  The coset of c is then
+    table[c] = C_c C_F^{-1}; the cosets of the nonzero non-basis rows are
+    one sparse product.
 
     Returns (free, table): the positions in Sym^k of the quotient basis
     monomials, and per monomial of Sym^k its coset coefficients.
@@ -419,7 +422,7 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
     echelon = IncrementalRref(target)
     free = []
     for c in range(len(rows) - 1, -1, -1):
-        if any(rows[c]) and echelon.insert(rows[c]):
+        if any(rows[c]) and echelon.insert_row(rows[c]):
             free.append(c)
             if echelon.rank == target:
                 break
@@ -431,9 +434,12 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
     for j, c in enumerate(free):
         table[c] = {j: _ONE}
     rest = [c for c, row in enumerate(rows) if any(row) and not table[c]]
-    c_rest = Mat.from_sparse(len(rest), target,
-                             [dict(enumerate(rows[c])) for c in rest])
-    cosets = c_rest * invert(Mat.from_rows([rows[c] for c in free]))
+
+    def nonzeros(cs: list) -> list:
+        return [[(j, x) for j, x in enumerate(rows[c]) if x] for c in cs]
+
+    cosets = (Mat.from_num(len(rest), target, nonzeros(rest))
+              * invert(Mat.from_num(target, target, nonzeros(free))))
     for c, entry in zip(rest, cosets.num):
         table[c] = {j: QQ(x, cosets.den) for j, x in entry}
     return free, table

@@ -153,6 +153,24 @@ def test_verify_default_grid_bytes(capsys):
         "f24dc80a6428e0cf8984a81642c987ccd15ee2bc00bf25af56858accc0dae14c"
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--n", "3", "--b2", "8"),
+     "5031ae250a559e0e4167e0bae414b6867e4d74d3b2739fcbbc5c1367f744be84"),
+    (("verify", "--n", "2", "--b2", "23"),
+     "c8876611960abffef03ce0745bd0a1eac76349ea387e119b169355e6a066b626"),
+    # a non-canonical frame: rational frame vectors, rational L blocks
+    (("verify", "--grid", "default", "--seed", "1"),
+     "a5e543bec9cc55c00fd3f3fec2f3ef83cf2549a408523008b9cec81b15c887db"),
+], ids=["verify-3x8", "verify-2x23", "verify-grid-s1"])
+def test_frontier_report_bytes(capsys, argv, digest):
+    """The frontier reports and the default grid at frame seed 1, pinned
+    before the filtrations and the sl2 ladders moved to integer rows."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_module_builds_the_calculus_once(fixture_dir, capsys,
                                                 monkeypatch):
     """One frame calculus and one bigrading serve the odd-degree and the

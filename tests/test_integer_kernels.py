@@ -1,12 +1,14 @@
-"""The integer-exact derivation check and the diagonal joint-eigenspace
-split against the rational routines they replaced.
+"""The integer-exact derivation check, the diagonal joint-eigenspace split
+and the integer sl2 ladders against the rational routines they replaced.
 
-Both references below are the earlier bodies, kept verbatim in substance:
+The references below are the earlier bodies, kept verbatim in substance:
 `_reference_derivation` multiplies with Fraction (or mpq) arithmetic per
-entry, and `_reference_eigenspaces` checks commutation and refines
-eigenspaces operator by operator whatever the input.  The new routes must
-agree with them exactly: equal reports, equal witness strings, equal
-subspaces.
+entry, `_reference_eigenspaces` checks commutation and refines
+eigenspaces operator by operator whatever the input, and
+`_reference_sl2_complete` walks each ladder on dense rational vectors and
+reads the block off the rref of the whole augmented matrix.  The new
+routes must agree with them exactly: equal reports, equal witness strings,
+equal subspaces, equal blocks.
 """
 
 import random
@@ -21,16 +23,23 @@ from hklab.linalg import (
     Subspace,
     commutator,
     eigenspace,
+    kernel_basis,
     restrict_operator,
+    rref,
     simultaneous_eigenspaces,
 )
 from hklab.llv import (
     DerivationReport,
+    GradedOperator,
+    NotLefschetzError,
+    anisotropic_basis,
     build_frame,
     frame_calculus,
+    lefschetz,
+    sl2_complete,
     verify_derivation,
 )
-from hklab.module_io import algebra_module
+from hklab.module_io import algebra_module, load_module
 from hklab.verbitsky import AlgebraElement
 from hklab.verifier import DEFAULT_GRID, InstanceConfig, build_instance
 
@@ -73,6 +82,12 @@ def _reference_multiply(alg, a, b):
     return AlgebraElement(2 * (ka + kb), tuple(out))
 
 
+def _reference_apply(op, a):
+    """op applied to a homogeneous element, on dense rational coordinates."""
+    return AlgebraElement(a.degree + op.offset,
+                          tuple(op.block(a.degree).times_vec(a.coords)))
+
+
 def _reference_derivation(alg, op, trials=100, seed=0):
     rng = random.Random(seed)
     failures = []
@@ -90,10 +105,10 @@ def _reference_derivation(alg, op, trials=100, seed=0):
         b = alg.element(db, [rng.randint(-3, 3)
                              for _ in range(alg.level_dim(kb))])
         count += 1
-        lhs = op.apply_element(_reference_multiply(alg, a, b))
+        lhs = _reference_apply(op, _reference_multiply(alg, a, b))
         rhs = alg.zero(lhs.degree)
-        oa = op.apply_element(a)
-        ob = op.apply_element(b)
+        oa = _reference_apply(op, a)
+        ob = _reference_apply(op, b)
         if oa.degree in dims:
             rhs = rhs + _reference_multiply(alg, oa, b)
         if ob.degree in dims:
@@ -141,6 +156,56 @@ def _reference_eigenspaces(ops, values):
             f"joint eigenspaces span {total} of {n} dimensions; "
             "operator is defective or the value grid is incomplete")
     return out
+
+
+def _reference_sl2_complete(lop, n):
+    """F of the sl2 triple (lop, F, h), on dense rational ladders."""
+    degrees = lop.degrees
+    chains = []
+    for d in sorted(degrees):
+        if degrees[d] == 0 or d - 2 * n > 0:
+            continue
+        lam = 2 * n - d
+        for pvec in kernel_basis(_reference_power(lop, d, lam + 1)).vectors():
+            steps = [pvec]
+            for j in range(lam):
+                steps.append(lop.block(d + 2 * j).times_vec(steps[-1]))
+            chains.append((d, lam, steps))
+    adapted = {d: [] for d in degrees if degrees[d]}
+    images = {d: [] for d in degrees if degrees[d]}
+    for d, lam, steps in chains:
+        for j, v in enumerate(steps):
+            e = d + 2 * j
+            if e not in adapted:
+                raise NotLefschetzError(
+                    f"a ladder from degree {d} leaves the module's degrees "
+                    f"at {e}")
+            adapted[e].append(v)
+            if j == 0:
+                images[e].append([QQ(0)] * degrees.get(e - 2, 0))
+            else:
+                images[e].append([j * (lam - j + 1) * c for c in steps[j - 1]])
+    blocks = {}
+    for e, vecs in adapted.items():
+        dim_e, dim_t = degrees[e], degrees.get(e - 2, 0)
+        if len(vecs) != dim_e:
+            raise NotLefschetzError(
+                f"ladders span {len(vecs)} of {dim_e} dimensions in degree {e}")
+        red, pivots, _ = rref(Mat(dim_e, dim_e + dim_t,
+                                  [v + w for v, w in zip(vecs, images[e])]))
+        if pivots[:dim_e] != list(range(dim_e)):
+            raise NotLefschetzError(
+                f"ladder vectors are dependent in degree {e}")
+        if dim_t:
+            blocks[e] = Mat.from_rows([r[dim_e:] for r in red.data]).transpose()
+    return GradedOperator(degrees, -2, blocks)
+
+
+def _reference_power(op, d, e):
+    acc = Mat.identity(op.dim(d))
+    for j in range(e):
+        acc = op.block(d + op.offset * j) * acc
+    return acc
 
 
 # -- helpers -----------------------------------------------------------------------
@@ -273,3 +338,65 @@ def test_frontier_parity(n, b2):
         assert all(is_diagonal(op) for op in ops), d
         assert_same_subspaces(simultaneous_eigenspaces(ops, cands),
                               _reference_eigenspaces(ops, cands))
+
+
+# -- the sl2 completion ---------------------------------------------------------------
+
+def assert_same_completion(lop, n):
+    got, ref = sl2_complete(lop, n), _reference_sl2_complete(lop, n)
+    assert got.offset == -2
+    assert got.blocks == ref.blocks
+    assert all((got.blocks[e].num, got.blocks[e].den)
+               == (ref.blocks[e].num, ref.blocks[e].den) for e in ref.blocks)
+
+
+def frame_classes(space, seed):
+    """Anisotropic classes off the frame of that seed; a nonzero seed gives
+    frame vectors with rational entries, so the blocks of L carry
+    denominators the integer ladders must scale away."""
+    f = build_frame(space, seed=seed)
+    plus = [a + b for a, b in zip(f.s, f.sbar)]
+    minus = [a - b for a, b in zip(f.beta, f.eta)]
+    mixed = [a + QQ(1, 3) * b + c for a, b, c in zip(f.s, f.sbar, f.eta)]
+    return [plus, minus, mixed]
+
+
+@pytest.mark.parametrize("n,b2", [(1, 4), (2, 5), (3, 4), (4, 4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_integer_ladders_match_the_rational_reference(n, b2, seed):
+    alg = build_instance(InstanceConfig(n=n, b2=b2))
+    module = algebra_module(alg)
+    xs = frame_classes(alg.space, seed)
+    xs += anisotropic_basis(alg.space, variant=seed)
+    for x in xs:
+        assert alg.space.quad(x) != 0
+        assert_same_completion(lefschetz(alg, x), n)
+        assert_same_completion(module.l_of(x), n)
+
+
+def test_integer_ladders_match_on_the_spin_module(fixture_dir):
+    spec = load_module(fixture_dir / "spin_module.json")
+    for variant in (0, 1):
+        for x in anisotropic_basis(spec.space, variant):
+            assert_same_completion(spec.l_of(x), spec.n)
+
+
+@pytest.mark.parametrize("degrees, blocks, n, message", [
+    # L is injective out of the middle degree 2, so no primitive vector
+    # starts a ladder there
+    ({2: 1, 4: 1}, {2: [[1]]}, 1, "ladders span 0 of 1 dimensions in degree 2"),
+    # L kills e1 in degree 2, so both the ladder from degree 0 and the
+    # primitive e1 of degree 2 pass through e1
+    ({0: 1, 2: 2, 4: 1}, {0: [[1], [0]], 2: [[0, 1]]}, 1,
+     "ladder vectors are dependent in degree 2"),
+    # L vanishes from degree 2 on: the primitive e1 and e2 of degree 2 join
+    # the ladder from degree 0
+    ({0: 1, 2: 2, 4: 1}, {0: [[1], [0]]}, 1,
+     "ladders span 3 of 2 dimensions in degree 2"),
+], ids=["short", "dependent", "long"])
+def test_planted_operators_reach_each_raise(degrees, blocks, n, message):
+    lop = GradedOperator(degrees, 2,
+                         {d: Mat.from_rows(m) for d, m in blocks.items()})
+    for complete in (sl2_complete, _reference_sl2_complete):
+        with pytest.raises(NotLefschetzError, match=message):
+            complete(lop, n)

@@ -30,6 +30,7 @@ from hklab.linalg import (
 
 from hklab.filtrations import graded_nilpotence_index
 from hklab.llv import GradedOperator, combine, commutator_op
+from hklab.quadforms import QuadraticSpace
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -686,6 +687,20 @@ def test_integer_form_matches_a_dense_fraction_reference(case):
     assert_matches(commutator(ma, mb),
                    dense_sub(dense_mul(a, b, n), dense_mul(b, a, n)), n, n)
     assert ma.times_vec(v) == dense_times_vec(a, v)
+    # times_row on the integer row d * v is den * d times the image.
+    d = lcm(*[int(e.denominator) for e in v])
+    got = ma.times_row([int(e * d) for e in v])
+    assert got == [ma.den * d * e for e in dense_times_vec(a, v)]
+    assert all(type(e) is int for e in got)
+    # The bilinear form of a symmetric Gram, against the double sum.
+    g = [[a[i][j] + a[j][i] + (n + 1) * (i == j) for j in range(n)]
+         for i in range(n)]
+    if ref_det(g):
+        w = b[0] if n else []
+        pairing = QuadraticSpace(Mat(n, n, g)).bilinear(v, w)
+        assert pairing == sum((v[i] * g[i][j] * w[j] for i in range(n)
+                               for j in range(n)), _Z)
+        assert type(pairing) is QQ
     # Eliminations read the numerators; the results are the reference's.
     det = ma.det()
     assert det == ref_det(a) and type(det) is QQ

@@ -35,7 +35,7 @@ def test_lefschetz_unit_and_linearity(built):
     alg = built(2, 5)
     x = [1, 2, 0, -1, 3]
     lx = lefschetz(alg, x)
-    assert lx.apply(0, [1]) == [QQ(c) for c in x]
+    assert lx.block(0).times_vec([1]) == [QQ(c) for c in x]
     y = [0, 1, 1, 0, 0]
     lsum = lefschetz(alg, [a + b for a, b in zip(x, y)])
     assert lsum == lx + lefschetz(alg, y)
@@ -154,8 +154,8 @@ def test_transported_frame_gives_same_bigrading_dims(built, calculus):
 def test_build_M_basics(calculus):
     alg, frame, fc, big = calculus(1, 4)
     assert fc.M.offset == 0
-    assert fc.M.apply(0, [1]) == [QQ(0)]
-    ms = fc.M.apply(2, frame.s)
+    assert fc.M.block(0).times_vec([1]) == [QQ(0)]
+    ms = fc.M.block(2).times_vec(frame.s)
     beta_line = image_basis(Mat.from_cols([frame.beta]))
     assert any(ms) and beta_line.contains(ms)
 
