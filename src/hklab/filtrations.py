@@ -119,9 +119,9 @@ def graded_jordan_chains(op: GradedOperator,
     for length in range(s + 1, 0, -1):
         new_heads = {}
         for d in sorted(degrees):
-            avoid = Subspace.from_rows(degrees[d],
-                                       kernels[(length - 1, d)] + carried[d])
-            heads = _complement_in(avoid, kernels[(length, d)])
+            avoid = Subspace.from_rows(
+                degrees[d], list(kernels[(length - 1, d)].rows) + carried[d])
+            heads = _complement_in(avoid, kernels[(length, d)].rows)
             new_heads[d] = heads
             for h in heads:
                 chain = [h]
@@ -266,10 +266,10 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
             if e <= 0:
                 continue
             ker = powers.kernel(src, e)
-            if not ker:
+            if ker.dim == 0:
                 continue
             shift = powers.power(src, j)
-            rows.extend(shift.times_row(r) for r in ker)
+            rows.extend(shift.times_row(r) for r in ker.rows)
         out[i] = Subspace.from_rows(dims[d], rows)
     return out
 

@@ -8,11 +8,11 @@ over one denominator, with a per-row index of the nonzero numerators only;
 the operator blocks this package computes on are mostly zeros, so products,
 sums, scaling, comparisons and elimination input run on Python ints over the
 index, and rational values are built only at the boundary (dense views,
-entries, times_vec's result).  Vectors pass between matrices and subspaces
-as integer rows: times_row returns den times the image as ints, and
-kernel_rows a kernel's basis as read off the elimination, without the
-canonical reduction of kernel_basis.  Matrices are immutable (the index is
-tuples and attributes cannot be rebound), and all operations are pure.
+entries, times_vec's and form's results).  Vectors pass between matrices
+and subspaces as integer rows: times_row returns den times the image as
+ints, and a subspace hands out its reduced integer rows.  Matrices are
+immutable (the index is tuples and attributes cannot be rebound), and all
+operations are pure.
 
 Every elimination (rref, kernels, images, solves, inverses, determinants,
 subspaces and IncrementalRref) runs on integer rows: a matrix's numerators
@@ -247,6 +247,16 @@ class Mat:
                 s += a * row[j]
             out.append(s)
         return out
+
+    def form(self, v: Sequence, w: Sequence) -> QQ:
+        """v^T self w: one integer contraction, over the product of the
+        three denominators."""
+        if len(v) != self.rows:
+            raise LinalgError("vector length does not match row count")
+        iv, dv = _int_row(v)
+        iw, dw = _int_row(w)
+        s = sum([a * b for a, b in zip(iv, self.times_row(iw)) if a])
+        return QQ(s, dv * dw * self.den)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -630,12 +640,6 @@ class Subspace:
         return not any(_reduce_against(row, self.rows, self.pivots))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise LinalgError("ambient dimension mismatch")
-    return Subspace.from_rows(a.ambient_dim, a.rows + b.rows)
-
-
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """The common kernel of the rows orthogonal to a and to b."""
     if a.ambient_dim != b.ambient_dim:
@@ -666,16 +670,20 @@ def _kernel_rows(red: Sequence, pivots: Sequence, ncols: int) -> list:
     return vecs
 
 
-def kernel_rows(m: Mat) -> list:
-    """Integer rows spanning {v : m v = 0}, one per free column of the
-    reduced m: a basis, not the canonical one."""
-    red, pivots = _reduced(m.num, m.cols)
-    return _kernel_rows(red, pivots, m.cols)
-
-
 def kernel_basis(m: Mat) -> Subspace:
-    """Basis of {v : m v = 0} as a Subspace of QQ^cols."""
-    return Subspace.from_rows(m.cols, kernel_rows(m))
+    """Basis of {v : m v = 0} as a Subspace of QQ^cols.
+
+    m is eliminated with its columns reversed.  The kernel row of each free
+    column f then leads at f and is zero at the other free columns, so the
+    rows, read back in column order and made primitive, are already the
+    kernel's reduced row echelon form: one elimination, not two."""
+    n = m.cols
+    red, pivots = _reduced([[(n - 1 - j, x) for j, x in reversed(r)]
+                            for r in m.num], n)
+    rows = [tuple(_primitive(v[::-1]))
+            for v in reversed(_kernel_rows(red, pivots, n))]
+    return Subspace(n, tuple(rows), tuple(sorted(
+        set(range(n)).difference(n - 1 - c for c in pivots))))
 
 
 def image_basis(m: Mat) -> Subspace:

@@ -50,11 +50,10 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
-    _divided,
-    _echelon,
     invert,
-    kernel_rows,
+    kernel_basis,
     lincomb,
+    rref,
     simultaneous_eigenspaces,
     vec,
 )
@@ -169,10 +168,10 @@ class GradedOperator:
 
 
 class GradedPowers:
-    """Powers op^e of a graded operator from each source degree, integer
-    rows spanning their kernels and the nilpotence index per degree, each
-    computed once on first use.  This is the only place where powers of a
-    graded operator are multiplied out."""
+    """Powers op^e of a graded operator from each source degree, their
+    kernels and the nilpotence index per degree, each computed once on
+    first use.  This is the only place where powers of a graded operator
+    are multiplied out."""
 
     def __init__(self, op: GradedOperator):
         self.op = op
@@ -193,11 +192,12 @@ class GradedPowers:
             self._powers[key] = m
         return m
 
-    def kernel(self, src_degree: int, e: int) -> list:
+    def kernel(self, src_degree: int, e: int) -> Subspace:
         key = (src_degree, e)
         ker = self._kernels.get(key)
         if ker is None:
-            ker = kernel_rows(self.power(src_degree, e)) if e else []
+            ker = (kernel_basis(self.power(src_degree, e)) if e
+                   else Subspace.zero(self.op.dim(src_degree)))
             self._kernels[key] = ker
         return ker
 
@@ -332,7 +332,7 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
     """The unique degree -2 operator F with (lop, F, h) an sl2 triple.
 
     Decomposes the module into ladders generated by primitive vectors
-    (integer rows spanning ker lop^(lam+1) on each degree of weight
+    (the integer rows of ker lop^(lam+1) on each degree of weight
     -lam <= 0, from a GradedPowers of lop) and applies the lowering formula
     F(L^j p) = j(lam - j + 1) L^{j-1} p.  Step j is the integer row
     c_j L^j p, c_j the product of the block denominators passed, so its
@@ -348,7 +348,7 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
         lam = 2 * n - d
         if lam < 0:
             continue
-        for p in powers.kernel(d, lam + 1):
+        for p in powers.kernel(d, lam + 1).rows:
             step, img = p, [0] * degrees.get(d - 2, 0)
             for j in range(lam + 1):
                 e = d + 2 * j
@@ -369,16 +369,17 @@ def sl2_complete(lop: GradedOperator, n: int) -> GradedOperator:
             raise NotLefschetzError(
                 f"ladders span {len(rows)} of {dim_e} dimensions in degree {e}")
         # The block X solves X B = img for the ladder basis B (columns the
-        # steps), i.e. B^T X^T = img^T: one elimination of [B^T | img^T],
-        # of which only the right block is formed.
-        pivots, _ = _echelon(rows, dim_e + dim_t)
+        # steps), i.e. B^T X^T = img^T: one elimination of [B^T | img^T].
+        red, pivots, _ = rref(Mat.from_num(
+            dim_e, dim_e + dim_t,
+            [[(j, x) for j, x in enumerate(r) if x] for r in rows]))
         if pivots[:dim_e] != list(range(dim_e)):
             raise NotLefschetzError(
                 f"ladder vectors are dependent in degree {e}")
         if dim_t:
-            blocks[e] = _divided(dim_e, dim_t, [(i, r[dim_e:], r[i])
-                                                for i, r in enumerate(rows)]
-                                 ).transpose()
+            blocks[e] = Mat.from_num(
+                dim_e, dim_t, [[(j - dim_e, x) for j, x in r if j >= dim_e]
+                               for r in red.num], red.den).transpose()
     return GradedOperator(degrees, -2, blocks)
 
 

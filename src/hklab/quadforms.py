@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hklab.linalg import (
-    QQ, Mat, Subspace, _int_row, kernel_basis, primitive_vector, qq, rank,
-    solve, vec)
+    QQ, Mat, Subspace, kernel_basis, primitive_vector, qq, rank, solve, vec)
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -66,14 +65,9 @@ class QuadraticSpace:
         return self.gram.rows
 
     def bilinear(self, v: Sequence, w: Sequence) -> QQ:
-        """v^T G w: one integer contraction against the Gram numerators,
-        over the product of the three denominators."""
         if len(v) != self.dim or len(w) != self.dim:
             raise QuadFormError("vector length does not match space dimension")
-        iv, dv = _int_row(v)
-        iw, dw = _int_row(w)
-        s = sum([a * b for a, b in zip(iv, self.gram.times_row(iw)) if a])
-        return QQ(s, dv * dw * self.gram.den)
+        return self.gram.form(v, w)
 
     def quad(self, v: Sequence) -> QQ:
         return self.bilinear(v, v)

@@ -100,8 +100,28 @@ def test_verify_grid_report_bytes(capsys):
      "44ef6088e37047f1790df87c713aed1526b2cf26b4b6c96e7d6ed2043e6bc13c"),
     (("verify", "--n", "3", "--b2", "4", "--seed", "1"),
      "d76e45b8fbb12a4b7b2f2555886bac28a4d7f48184665f8d44218806e2472418"),
+    # every default-grid instance, at the canonical frame and at a frame
+    # with rational vectors and L blocks, and the frontier reports; the
+    # last three pinned before the filtrations and the sl2 ladders moved
+    # to integer rows
+    pytest.param(
+        ("verify", "--grid", "default", "--seed", "0"),
+        "f24dc80a6428e0cf8984a81642c987ccd15ee2bc00bf25af56858accc0dae14c",
+        id="verify-grid-default", marks=pytest.mark.slow),
+    pytest.param(
+        ("verify", "--grid", "default", "--seed", "1"),
+        "a5e543bec9cc55c00fd3f3fec2f3ef83cf2549a408523008b9cec81b15c887db",
+        id="verify-grid-default-s1", marks=pytest.mark.slow),
+    pytest.param(
+        ("verify", "--n", "3", "--b2", "8"),
+        "5031ae250a559e0e4167e0bae414b6867e4d74d3b2739fcbbc5c1367f744be84",
+        id="verify-3x8", marks=pytest.mark.slow),
+    pytest.param(
+        ("verify", "--n", "2", "--b2", "23"),
+        "c8876611960abffef03ce0745bd0a1eac76349ea387e119b169355e6a066b626",
+        id="verify-2x23", marks=pytest.mark.slow),
 ], ids=["verify-grid", "export", "diamond", "build-2x23", "build-2x14",
-        "verify-3x4-s0", "verify-3x4-s1"])
+        "verify-3x4-s0", "verify-3x4-s1", None, None, None, None])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0
@@ -142,33 +162,6 @@ def test_verify_module_fixtures(fixture_dir, capsys):
     payload = json.loads(out)
     failures = [c for c in payload["validation"]["checks"] if not c["passed"]]
     assert failures and failures[0]["witness"]
-
-
-@pytest.mark.slow
-def test_verify_default_grid_bytes(capsys):
-    """Every default-grid instance is pinned byte for byte."""
-    code, out, err = run(capsys, "verify", "--grid", "default", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-        "f24dc80a6428e0cf8984a81642c987ccd15ee2bc00bf25af56858accc0dae14c"
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("argv, digest", [
-    (("verify", "--n", "3", "--b2", "8"),
-     "5031ae250a559e0e4167e0bae414b6867e4d74d3b2739fcbbc5c1367f744be84"),
-    (("verify", "--n", "2", "--b2", "23"),
-     "c8876611960abffef03ce0745bd0a1eac76349ea387e119b169355e6a066b626"),
-    # a non-canonical frame: rational frame vectors, rational L blocks
-    (("verify", "--grid", "default", "--seed", "1"),
-     "a5e543bec9cc55c00fd3f3fec2f3ef83cf2549a408523008b9cec81b15c887db"),
-], ids=["verify-3x8", "verify-2x23", "verify-grid-s1"])
-def test_frontier_report_bytes(capsys, argv, digest):
-    """The frontier reports and the default grid at frame seed 1, pinned
-    before the filtrations and the sl2 ladders moved to integer rows."""
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_module_builds_the_calculus_once(fixture_dir, capsys,

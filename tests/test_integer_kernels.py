@@ -6,7 +6,7 @@ The references below are the earlier bodies, kept verbatim in substance:
 entry, `_reference_eigenspaces` checks commutation and refines
 eigenspaces operator by operator whatever the input, and
 `_reference_sl2_complete` walks each ladder on dense rational vectors and
-reads the block off the rref of the whole augmented matrix.  The new
+builds the augmented matrix from them.  The new
 routes must agree with them exactly: equal reports, equal witness strings,
 equal subspaces, equal blocks.
 """

@@ -25,7 +25,6 @@ from hklab.linalg import (
     solve,
     solve_matrix,
     subspace_intersection,
-    subspace_sum,
 )
 
 from hklab.filtrations import graded_nilpotence_index
@@ -113,14 +112,14 @@ def test_det():
 
 def test_subspace_trivial_laws():
     a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    assert subspace_sum(a, a) == a
+    assert Subspace.from_rows(3, a.rows + a.rows) == a
     assert subspace_intersection(a, a) == a
 
 
 def test_subspace_complementary_lines():
     a = Subspace.from_vectors(2, [[1, 0]])
     b = Subspace.from_vectors(2, [[0, 1]])
-    assert subspace_sum(a, b) == Subspace.full(2)
+    assert Subspace.from_rows(2, a.rows + b.rows) == Subspace.full(2)
     assert subspace_intersection(a, b).is_zero()
 
 
@@ -133,7 +132,8 @@ def test_sum_intersection_dimension_identity(vs, ws):
     a = Subspace.from_vectors(4, vs)
     b = Subspace.from_vectors(4, ws)
     inter = subspace_intersection(a, b)
-    assert subspace_sum(a, b).dim + inter.dim == a.dim + b.dim
+    assert Subspace.from_rows(4, a.rows + b.rows).dim + inter.dim == \
+        a.dim + b.dim
     assert a.contains_subspace(inter) and b.contains_subspace(inter)
 
 
@@ -692,11 +692,14 @@ def test_integer_form_matches_a_dense_fraction_reference(case):
     got = ma.times_row([int(e * d) for e in v])
     assert got == [ma.den * d * e for e in dense_times_vec(a, v)]
     assert all(type(e) is int for e in got)
-    # The bilinear form of a symmetric Gram, against the double sum.
+    # v^T A w, and the bilinear form of a symmetric Gram, against the
+    # double sum.
+    w = b[0] if n else []
+    assert ma.form(v, w) == sum((v[i] * a[i][j] * w[j] for i in range(n)
+                                 for j in range(n)), _Z)
     g = [[a[i][j] + a[j][i] + (n + 1) * (i == j) for j in range(n)]
          for i in range(n)]
     if ref_det(g):
-        w = b[0] if n else []
         pairing = QuadraticSpace(Mat(n, n, g)).bilinear(v, w)
         assert pairing == sum((v[i] * g[i][j] * w[j] for i in range(n)
                                for j in range(n)), _Z)
