@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
         if report.all_passed and spec.odd_degrees():
             frame = build_frame(spec.space, seed=args.seed)
             fc = frame_calculus(spec, frame)
-            big = bigrading(spec, frame, fc)
+            big = bigrading(spec, fc)
             odd = check_odd(spec, frame, fc, big)
             betti = check_betti_mod4(big, spec.degrees)
             payload["odd_verdicts"] = [v.to_json() for v in odd]
@@ -243,7 +243,8 @@ def _cmd_verify(args) -> int:
 def _cmd_diamond(args) -> int:
     alg = _load_algebra(args)
     frame = build_frame(alg.space, seed=args.seed)
-    big = bigrading(algebra_module(alg), frame)
+    module = algebra_module(alg)
+    big = bigrading(module, frame_calculus(module, frame))
     table = diamond_report(big, args.degree)
     if args.format == "json":
         _write(canonical_json(table.to_json()), args.out)

@@ -10,10 +10,12 @@ defining properties, so the construction is self-certifying.
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
 the monodromy M and 2 for multiplication L_x by a degree-2 class.  One
 routine each builds the Jordan chains, the filtration and its verification
-for any offset; the powers of the operator and their kernels come from one
-llv.GradedPowers per operator, shared by the nilpotence index, the Jordan
-chains and the perverse chain.  A single square matrix is the graded
-operator with one degree and offset 0 (weight_filtration).
+for any offset.  Every function here takes the llv.GradedPowers of its
+operator (the operator itself is its .op), so the caller builds one power
+ladder per operator and the nilpotence index, the Jordan chains, the
+perverse chain and the caller's own nilpotence profile share its powers
+and kernels.  A single square matrix is the graded operator with one
+degree and offset 0 (weight_filtration).
 
 Vectors never leave the integers: chains, spans and membership tests use
 the integer rows of subspaces and their images under Mat.times_row, each a
@@ -26,7 +28,9 @@ computed by the kernel-sum formula
 
 with Ker(beta^e) read as 0 for e <= 0, and is cross-checked against the
 weight filtration of multiplication by beta on the total space under the
-reindexing W_i  with H^d  =  P_{d+i-2n} H^d.
+reindexing W_i  with H^d  =  P_{d+i-2n} H^d.  Isotropy of beta is read off
+the operator: L_beta^(n+1) = 0 exactly when q(beta) = 0, since otherwise
+beta^(2n) is a nonzero multiple of q(beta)^n.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from hklab.linalg import IncrementalRref, Mat, Subspace
-from hklab.llv import Bigrading, GradedOperator, GradedPowers, lefschetz
-from hklab.verbitsky import GradedAlgebra
+from hklab.llv import Bigrading, GradedOperator, GradedPowers
 
 
 class FiltrationError(ValueError):
@@ -82,21 +85,18 @@ class GradedWeightFiltration:
         return out
 
 
-def graded_nilpotence_index(op: GradedOperator,
-                            powers: GradedPowers | None = None) -> int:
+def graded_nilpotence_index(powers: GradedPowers) -> int:
     """Largest i with op^i nonzero, for a graded operator of any offset.
 
     Raises NotNilpotentError if op^i is still nonzero once i exceeds the
-    total dimension.  The powers come from `powers` when given.
+    total dimension.
     """
-    powers = powers or GradedPowers(op)
-    return max((powers.index(d) for d, m in op.degrees.items() if m),
+    return max((powers.index(d) for d, m in powers.op.degrees.items() if m),
                default=0)
 
 
-def graded_jordan_chains(op: GradedOperator,
-                         powers: GradedPowers | None = None) -> list:
-    """Homogeneous Jordan chains of a graded nilpotent operator.
+def graded_jordan_chains(powers: GradedPowers) -> list:
+    """Homogeneous Jordan chains of a graded nilpotent operator op.
 
     Returns triples (start_degree, length, rows); row j is an integer
     row in degree start_degree + j * op.offset, a positive multiple of
@@ -104,13 +104,12 @@ def graded_jordan_chains(op: GradedOperator,
     first: at each length l the new heads complete ker op^{l-1} plus the
     descended tails of longer chains inside ker op^l.  Kernels of powers
     are graded, so heads can be chosen inside single degrees and every
-    chain is homogeneous.  The powers and their kernels come from `powers`
-    when given.
+    chain is homogeneous.
     """
+    op = powers.op
     off = op.offset
     degrees = {d: m for d, m in op.degrees.items() if m}
-    powers = powers or GradedPowers(op)
-    s = graded_nilpotence_index(op, powers)
+    s = graded_nilpotence_index(powers)
     kernels = {(i, d): powers.kernel(d, i)
                for d in degrees for i in range(s + 2)}
 
@@ -145,25 +144,23 @@ def graded_jordan_chains(op: GradedOperator,
     return chains
 
 
-def graded_weight_filtration(op: GradedOperator, centre: int,
-                             powers: GradedPowers | None = None
-                             ) -> GradedWeightFiltration:
-    """The unique weight filtration of a graded nilpotent operator.
+def graded_weight_filtration(powers: GradedPowers,
+                             centre: int) -> GradedWeightFiltration:
+    """The unique weight filtration of a graded nilpotent operator op.
 
     Requires nilpotence index <= centre (otherwise the chain would need
     negative indices).  Each Jordan chain of length l contributes its
     vectors at weights centre+l-1-2j for j = 0..l-1, and W_i adds the rows
-    of weight i, if any, to W_{i-1}.  Each power of op is built once, in
-    `powers` (a fresh GradedPowers by default).
+    of weight i, if any, to W_{i-1}.
     """
-    powers = powers or GradedPowers(op)
-    s = graded_nilpotence_index(op, powers)
+    op = powers.op
+    s = graded_nilpotence_index(powers)
     if s > centre:
         raise FiltrationError(
             f"nilpotence index {s} exceeds the centre {centre}")
     degrees = {d: m for d, m in op.degrees.items() if m}
     by_weight = {d: {} for d in degrees}
-    for d0, length, chain in graded_jordan_chains(op, powers):
+    for d0, length, chain in graded_jordan_chains(powers):
         for j, v in enumerate(chain):
             w = centre + (length - 1) - 2 * j
             by_weight[d0 + op.offset * j].setdefault(w, []).append(v)
@@ -187,7 +184,7 @@ def weight_filtration(n_mat: Mat, centre: int) -> GradedWeightFiltration:
     """Weight filtration of a square nilpotent matrix, as the degree-0 slice
     of a graded operator with one degree and offset 0."""
     return graded_weight_filtration(
-        GradedOperator({0: n_mat.rows}, 0, {0: n_mat}), centre)
+        GradedPowers(GradedOperator({0: n_mat.rows}, 0, {0: n_mat})), centre)
 
 
 def verify_graded_weight_filtration(op: GradedOperator,
@@ -234,27 +231,20 @@ def verify_graded_weight_filtration(op: GradedOperator,
 
 # -- the perverse filtration -----------------------------------------------------
 
-def _require_isotropic(alg: GradedAlgebra, beta: Sequence) -> None:
-    if alg.space.quad(list(beta)) != 0:
-        raise FiltrationError("perverse filtration needs an isotropic class")
-
-
-def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
-                        powers: GradedPowers | None = None) -> dict:
-    """Perverse chain P_i H^d for an isotropic degree-2 class, as {i: Subspace}.
+def perverse_filtration(powers: GradedPowers, n: int, d: int) -> dict:
+    """Perverse chain P_i H^d for an isotropic degree-2 class beta, as
+    {i: Subspace}, from the powers of L_beta on a module with top degree 4n.
 
     Implements the kernel-sum formula with Ker(beta^e) = 0 for e <= 0; the
-    weight-filtration cross-check pins down these edge conventions.  The
-    powers of L_beta and their kernels come from `powers`, which callers
-    computing several degrees share; by default they are built here.
+    weight-filtration cross-check pins down these edge conventions.
+    Callers computing several degrees share `powers`.  Raises
+    FiltrationError when L_beta^(n+1) != 0, i.e. when q(beta) != 0.
     """
-    _require_isotropic(alg, beta)
-    n = alg.n
-    dims = alg.dims()
+    if graded_nilpotence_index(powers) > n:
+        raise FiltrationError("perverse filtration needs an isotropic class")
+    dims = powers.op.degrees
     if d not in dims:
         raise FiltrationError(f"no graded piece in degree {d}")
-    if powers is None:
-        powers = GradedPowers(lefschetz(alg, beta))
     out = {}
     for i in range(-1, 2 * n + 2):
         rows = []
@@ -274,21 +264,18 @@ def perverse_filtration(alg: GradedAlgebra, beta: Sequence, d: int,
     return out
 
 
-def crosscheck_perverse_weight(alg: GradedAlgebra, beta: Sequence) -> bool:
+def crosscheck_perverse_weight(powers: GradedPowers, n: int) -> bool:
     """W^{L_beta}_i restricted to degree d equals P_{d+i-2n} H^d, exactly.
 
-    Both routes start from the operator L_beta and read its powers and
-    their kernels from one GradedPowers, built once; the kernel-sum route
-    never reads the Jordan chains of the weight route.
+    Both routes read the powers of L_beta and their kernels from `powers`;
+    the kernel-sum route never reads the Jordan chains of the weight route.
     """
-    _require_isotropic(alg, beta)
-    n = alg.n
-    dims = alg.dims()
-    lop = lefschetz(alg, beta)
-    powers = GradedPowers(lop)
-    wf = graded_weight_filtration(lop, n, powers)
+    if graded_nilpotence_index(powers) > n:
+        raise FiltrationError("perverse filtration needs an isotropic class")
+    dims = powers.op.degrees
+    wf = graded_weight_filtration(powers, n)
     for d in sorted(dims):
-        chain = perverse_filtration(alg, beta, d, powers)
+        chain = perverse_filtration(powers, n, d)
         pmax = max(chain)
         for i in range(0, 2 * n + 1):
             left = wf.step(d, i)
@@ -304,15 +291,13 @@ def crosscheck_perverse_weight(alg: GradedAlgebra, beta: Sequence) -> bool:
     return True
 
 
-def conjugate_hodge_check(alg: GradedAlgebra, big: Bigrading,
-                          sbar: Sequence) -> bool:
+def conjugate_hodge_check(powers: GradedPowers, big: Bigrading,
+                          n: int) -> bool:
     """Weight filtration of L_sbar centred at n against the bigrading:
     W_i restricted to degree d must equal the span of the (p, q) components
     with q >= 2n - i."""
-    n = alg.n
-    dims = alg.dims()
-    lop = lefschetz(alg, sbar)
-    wf = graded_weight_filtration(lop, n)
+    dims = powers.op.degrees
+    wf = graded_weight_filtration(powers, n)
     for d in sorted(dims):
         comps = big.degree_components(d)
         for i in range(0, 2 * n + 1):
@@ -358,11 +343,10 @@ class GradedDimTable:
         return "\n".join(lines)
 
 
-def monodromy_weight_table(alg: GradedAlgebra, m_op: GradedOperator) -> GradedDimTable:
+def monodromy_weight_table(powers: GradedPowers, n: int) -> GradedDimTable:
     """dim Gr^M_{n+j} per degree, from the weight filtration of the degree-0
-    operator M, which is computed degree by degree."""
-    n = alg.n
-    wf = graded_weight_filtration(m_op, n)
+    operator M (the powers' op), which is computed degree by degree."""
+    wf = graded_weight_filtration(powers, n)
     entries = {(d, i - n): v for d in sorted(wf.degrees)
                for i, v in wf.graded_dims(d).items()}
     return GradedDimTable("monodromy weight graded dims (degree, j)", entries)
@@ -380,12 +364,12 @@ def perverse_hodge_table(big: Bigrading) -> GradedDimTable:
     return GradedDimTable("perverse/Hodge bigraded dims (degree, j)", entries)
 
 
-def compare_gr_dims(alg: GradedAlgebra, m_op: GradedOperator,
-                    big: Bigrading) -> tuple:
+def compare_gr_dims(powers: GradedPowers, big: Bigrading, n: int) -> tuple:
     """Tables for both sides of dim Gr^M_{n+j} H^l = sum dim V^{p,q,j+q},
-    and the verdict of their exact equality (zero entries normalised away).
+    from the powers of M, and the verdict of their exact equality (zero
+    entries normalised away).
     """
-    left = monodromy_weight_table(alg, m_op)
+    left = monodromy_weight_table(powers, n)
     right = perverse_hodge_table(big)
     lnz = {k: v for k, v in left.entries.items() if v}
     rnz = {k: v for k, v in right.entries.items() if v}

@@ -539,15 +539,6 @@ class IncrementalRref:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence) -> list:
-        """v minus its part in the span, with zeros in every pivot column."""
-        c, scale = _int_row(v)
-        for row, piv in zip(self.rows, self.pivots):
-            if c[piv]:
-                scale *= row[piv]
-                c = _combine(c, row, piv)
-        return [QQ(x, scale) if x else _ZERO for x in c]
-
     def contains(self, v: Sequence) -> bool:
         return not any(_reduce_against(_int_row(v)[0], self.rows, self.pivots))
 

@@ -21,7 +21,7 @@ second, differently chosen basis by the bracket identity
 [L_y, Lambda_lin(y)] = (q(y)/2) h, which holds exactly when the extension
 does not depend on the basis.
 
-The derivation check verify_derivation samples pairs as before and
+The derivation check verify_derivation samples random pairs and
 computes both sides as integer vectors over one denominator each (the
 structure tensors are scaled to integers once per call, and the operator's
 blocks are integers over one denominator already); only a failing pair is
@@ -256,31 +256,6 @@ def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
         if mats:
             blocks[d] = lincomb(rows, cols, mats)
     return GradedOperator(first.degrees, off, blocks)
-
-
-def total_matrix(op: GradedOperator) -> tuple:
-    """Flatten a graded operator to one matrix on the direct sum.
-
-    Returns (matrix, offsets) with offsets mapping degree -> starting index
-    in the concatenated coordinate order (degrees ascending).
-    """
-    degs = sorted(d for d, n in op.degrees.items() if n)
-    offsets = {}
-    pos = 0
-    for d in degs:
-        offsets[d] = pos
-        pos += op.degrees[d]
-    total = pos
-    rows = [{} for _ in range(total)]
-    for d in degs:
-        tgt = d + op.offset
-        if op.degrees.get(tgt, 0) == 0:
-            continue
-        r0, c0 = offsets[tgt], offsets[d]
-        m = op.block(d)
-        for i, r in enumerate(m.num):
-            rows[r0 + i].update((c0 + j, QQ(x, m.den)) for j, x in r)
-    return Mat.from_sparse(total, total, rows), offsets
 
 
 # -- basic operators ----------------------------------------------------------
@@ -797,10 +772,7 @@ def bigrading_from_operators(degrees: dict, n: int, H_s: GradedOperator,
     return Bigrading(n, dict(degrees), components)
 
 
-def bigrading(module: "LLVModuleSpec", frame: HodgeFrame,
-              fc: Optional[FrameCalculus] = None) -> Bigrading:
-    """The (p, q, i) bigrading of a module; fc, if given, is its calculus."""
-    if fc is None:
-        fc = frame_calculus(module, frame)
+def bigrading(module: "LLVModuleSpec", fc: FrameCalculus) -> Bigrading:
+    """The (p, q, i) bigrading of a module, fc its frame calculus."""
     return bigrading_from_operators(module.degrees, module.n,
                                     fc.H_s, fc.H_sbar, fc.H_beta)

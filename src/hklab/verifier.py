@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from hklab.linalg import (
     Mat,
@@ -102,11 +102,12 @@ class NilpotenceProfile:
         return {str(d): v for d, v in sorted(self.per_degree.items())}
 
 
-def nilpotence_profile(op: GradedOperator) -> NilpotenceProfile:
-    """Per-degree nilpotence indices of a degree-0 operator."""
+def nilpotence_profile(powers: GradedPowers) -> NilpotenceProfile:
+    """Per-degree nilpotence indices of a degree-0 operator, read off the
+    powers of the operator."""
+    op = powers.op
     if op.offset != 0:
         raise OperatorError("nilpotence profile needs a degree-0 operator")
-    powers = GradedPowers(op)
     return NilpotenceProfile({d: powers.index(d)
                               for d, m in sorted(op.degrees.items()) if m})
 
@@ -201,11 +202,6 @@ def check_condition_26(fc: FrameCalculus, big: Bigrading, n: int) -> list:
                 passed=inter.dim == 0,
                 asserted=False))
     return verdicts
-
-
-def condition_26_holds(verdicts: Sequence[Verdict]) -> bool:
-    return all(v.passed for v in verdicts
-               if v.claim.startswith("joint kernel"))
 
 
 def check_level_reformulation(big: Bigrading, n: int) -> list:
@@ -347,7 +343,7 @@ def check_odd(spec: LLVModuleSpec, frame: HodgeFrame,
     if fc is None:
         fc = frame_calculus(spec, frame)
     if big is None:
-        big = bigrading(spec, frame, fc)
+        big = bigrading(spec, fc)
     cond26 = _module_condition_26(spec, fc)
     powers = GradedPowers(fc.M)
     for d in odd:
@@ -535,13 +531,14 @@ def run_instance(cfg: InstanceConfig,
     frame = build_frame(alg.space, seed=cfg.seed)
     module = algebra_module(alg)
     fc = frame_calculus(module, frame)
-    big = bigrading(module, frame, fc)
+    big = bigrading(module, fc)
     del module  # the checks read only fc: free the module's L and Lambda tables
     timings["operators"] = time.perf_counter() - t0
 
     verdicts = []
     t0 = time.perf_counter()
-    profile = nilpotence_profile(fc.M)
+    m_powers = GradedPowers(fc.M)  # shared by the profile and the weight table
+    profile = nilpotence_profile(m_powers)
     verdicts += check_even_nagai(profile, alg.n)
     verdicts += check_m_degree2(fc)
     rep = verify_derivation(alg, fc.M, trials=derivation_trials,
@@ -557,17 +554,18 @@ def run_instance(cfg: InstanceConfig,
     timings["operator_checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    left, right, cmp_ok = compare_gr_dims(alg, fc.M, big)
+    left, right, cmp_ok = compare_gr_dims(m_powers, big, alg.n)
+    del m_powers  # free the ladder of M before those of L_beta and L_sbar
     verdicts.append(Verdict(
         claim="graded weight dims of M match the bigraded perverse sums",
         expected="tables equal", observed="equal" if cmp_ok else "differ",
         passed=cmp_ok))
-    cc = crosscheck_perverse_weight(alg, frame.beta)
+    cc = crosscheck_perverse_weight(GradedPowers(fc.L_beta), alg.n)
     verdicts.append(Verdict(
         claim="perverse chain equals the reindexed weight chain of L_beta",
         expected="exact subspace equality",
         observed="equal" if cc else "differ", passed=cc))
-    ch = conjugate_hodge_check(alg, big, frame.sbar)
+    ch = conjugate_hodge_check(GradedPowers(fc.L_sbar), big, alg.n)
     verdicts.append(Verdict(
         claim="weight chain of L_sbar is the conjugate Hodge chain",
         expected="exact subspace equality",

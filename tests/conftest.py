@@ -47,7 +47,7 @@ def calculus(built):
             frame = build_frame(alg.space, seed=frame_seed)
             module = algebra_module(alg)
             fc = frame_calculus(module, frame)
-            big = bigrading(module, frame, fc)
+            big = bigrading(module, fc)
             _CALC[key] = (alg, frame, fc, big)
         return _CALC[key]
     return get

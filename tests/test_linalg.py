@@ -28,7 +28,7 @@ from hklab.linalg import (
 )
 
 from hklab.filtrations import graded_nilpotence_index
-from hklab.llv import GradedOperator, combine, commutator_op
+from hklab.llv import GradedOperator, GradedPowers, combine, commutator_op
 from hklab.quadforms import QuadraticSpace
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -212,7 +212,8 @@ def test_eigenspace():
 
 def test_nilpotence_index():
     def index(m):
-        return graded_nilpotence_index(GradedOperator({0: m.rows}, 0, {0: m}))
+        return graded_nilpotence_index(
+            GradedPowers(GradedOperator({0: m.rows}, 0, {0: m})))
     assert index(Mat.zeros(3, 3)) == 0
     j3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert index(j3) == 2

@@ -6,6 +6,7 @@ from hklab.linalg import QQ, Mat, Subspace
 from hklab.llv import (
     Bigrading,
     GradedOperator,
+    GradedPowers,
     OperatorError,
     SL2Triple,
     bigrading,
@@ -35,7 +36,6 @@ from hklab.verifier import (
     check_m_degree2,
     check_odd,
     check_sl2_suite,
-    condition_26_holds,
     diamond_report,
     exit_code,
     nilpotence_profile,
@@ -45,17 +45,17 @@ from hklab.verifier import (
 
 def test_profile_examples(calculus):
     alg, frame, fc, big = calculus(1, 5)
-    prof = nilpotence_profile(fc.M)
+    prof = nilpotence_profile(GradedPowers(fc.M))
     assert prof.per_degree == {0: 0, 2: 1, 4: 0}
     alg, frame, fc, big = calculus(2, 5)
-    prof = nilpotence_profile(fc.M)
+    prof = nilpotence_profile(GradedPowers(fc.M))
     assert prof.per_degree == {0: 0, 2: 1, 4: 2, 6: 1, 8: 0}
 
 
 def test_even_nagai_passes(calculus):
     for key in [(1, 5), (2, 4), (2, 5)]:
         alg, frame, fc, big = calculus(*key)
-        verdicts = check_even_nagai(nilpotence_profile(fc.M), alg.n)
+        verdicts = check_even_nagai(nilpotence_profile(GradedPowers(fc.M)), alg.n)
         assert all(v.passed for v in verdicts), \
             [v.claim for v in verdicts if not v.passed]
 
@@ -65,7 +65,7 @@ def test_even_nagai_detects_corruption(calculus):
     blocks = dict(fc.M.blocks)
     blocks[2] = Mat.zeros(5, 5)
     broken = GradedOperator(fc.M.degrees, 0, blocks)
-    verdicts = check_even_nagai(nilpotence_profile(broken), alg.n)
+    verdicts = check_even_nagai(nilpotence_profile(GradedPowers(broken)), alg.n)
     bad = [v for v in verdicts if not v.passed]
     assert bad and all(v.witness for v in bad)
 
@@ -154,7 +154,7 @@ def test_even_nagai_planted_shift_json(calculus, key, degrees, expected):
     for d in degrees:
         blocks[d] = _shift(fc.M.dim(d))
     planted = GradedOperator(fc.M.degrees, 0, blocks)
-    verdicts = check_even_nagai(nilpotence_profile(planted), alg.n)
+    verdicts = check_even_nagai(nilpotence_profile(GradedPowers(planted)), alg.n)
     assert [v.to_json() for v in verdicts] == \
         [dict(zip(_VERDICT_KEYS, row)) for row in expected]
 
@@ -164,7 +164,7 @@ def test_condition_26_recorded(calculus):
     verdicts = check_condition_26(fc, big, alg.n)
     assert verdicts
     assert all(not v.asserted for v in verdicts)
-    assert condition_26_holds(verdicts)
+    assert all(v.passed for v in verdicts)
     claims = [v.claim for v in verdicts]
     assert any("(0,0)" in c for c in claims)
     # on these instances multiplication below the middle is free, so every
@@ -260,7 +260,8 @@ def test_check_odd_refuses_invalid(built):
 def test_betti_mod4_spin():
     spec = load_module(make_spin_module(2))
     frame = build_frame(spec.space, seed=0)
-    verdicts = check_betti_mod4(bigrading(spec, frame), spec.degrees)
+    verdicts = check_betti_mod4(bigrading(spec, frame_calculus(spec, frame)),
+                                spec.degrees)
     assert all(v.passed for v in verdicts)
     assert any("symmetry" in v.claim for v in verdicts)
     assert any("divisible by 4" in v.claim for v in verdicts)
@@ -307,6 +308,39 @@ def test_run_instance_and_exit_code(calculus):
     assert js["all_asserted_passed"] is True
 
 
+def test_run_instance_builds_each_operator_once(built, monkeypatch):
+    """The filtrations read L_beta and L_sbar from the frame calculus, so
+    run_instance builds one Lefschetz operator per basis vector of the
+    degree-2 space; the nilpotence profile and the weight table of M share
+    one power ladder, and no operator gets a second one."""
+    from hklab import filtrations, llv, module_io, verifier
+    alg = built(2, 5)
+    lefschetz_calls = []
+    real = llv.lefschetz
+
+    def counting(*args, **kwargs):
+        lefschetz_calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (llv, module_io, filtrations, verifier):
+        if getattr(mod, "lefschetz", None) is real:
+            monkeypatch.setattr(mod, "lefschetz", counting)
+    laddered = []  # the operators themselves, so no id is reused
+    real_init = llv.GradedPowers.__init__
+
+    def counting_init(self, op):
+        laddered.append(op)
+        real_init(self, op)
+
+    monkeypatch.setattr(llv.GradedPowers, "__init__", counting_init)
+    report = run_instance(InstanceConfig(n=2, b2=5, seed=1), alg=alg,
+                          derivation_trials=5)
+    assert report.all_asserted_passed
+    assert len(lefschetz_calls) == alg.space.dim
+    assert len({id(op) for op in laddered}) == len(laddered)
+    assert sum(op.offset == 0 for op in laddered) == 1  # the monodromy M
+
+
 def test_verdict_witness_autofill():
     v = Verdict(claim="x", expected="1", observed="2", passed=False)
     assert v.witness
@@ -318,8 +352,8 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         NilpotenceProfile({2: -1})
     with pytest.raises(ValueError):
-        nilpotence_profile(GradedOperator({0: 1, 2: 1}, 2,
-                                          {0: Mat.zeros(1, 1)}))
+        nilpotence_profile(GradedPowers(GradedOperator(
+            {0: 1, 2: 1}, 2, {0: Mat.zeros(1, 1)})))
 
 
 def test_negative_nilpotence_index_is_an_operator_error():
@@ -329,8 +363,8 @@ def test_negative_nilpotence_index_is_an_operator_error():
 
 def test_profile_of_a_shifting_operator_is_an_operator_error():
     with pytest.raises(OperatorError, match="degree-0 operator"):
-        nilpotence_profile(GradedOperator({0: 1, 2: 1}, 2,
-                                          {0: Mat.zeros(1, 1)}))
+        nilpotence_profile(GradedPowers(GradedOperator(
+            {0: 1, 2: 1}, 2, {0: Mat.zeros(1, 1)})))
 
 
 def test_odd_analysis_of_an_invalid_module_is_an_operator_error(built):
@@ -353,7 +387,7 @@ def test_level_bound_consistent_with_weight_vanishing(calculus):
         alg, frame, fc, big = calculus(*key)
         verdicts = check_level_reformulation(big, alg.n)
         level_ok = all(v.passed for v in verdicts)
-        table = monodromy_weight_table(alg, fc.M)
+        table = monodromy_weight_table(GradedPowers(fc.M), alg.n)
         vanishing_ok = all(
             v == 0 for (d, j), v in table.entries.items()
             if d % 2 == 0 and abs(j) > d // 2)
