@@ -132,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'default' or explicit list like '1x4,2x5'")
     p.add_argument("--module", default=None,
                    help="operator-module JSON to validate and analyse")
-    p.add_argument("--trials", type=int, default=100,
-                   help="random pairs for the derivation identity")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -209,7 +207,7 @@ def _cmd_verify(args) -> int:
         reports = []
         for n, b2 in grid:
             cfg = InstanceConfig(n=n, b2=b2, seed=args.seed)
-            reports.append(run_instance(cfg, derivation_trials=args.trials))
+            reports.append(run_instance(cfg))
             _write_timings(reports[-1])
         payload = [r.to_json() for r in reports]
         if args.format == "text":
@@ -226,7 +224,7 @@ def _cmd_verify(args) -> int:
     if args.n is None or args.b2 is None:
         raise QuadFormError("verify needs --n/--b2, --grid, or --module")
     cfg = _instance_config(args)
-    report = run_instance(cfg, derivation_trials=args.trials)
+    report = run_instance(cfg)
     _write_timings(report)
     if args.format == "text":
         lines = [report.header]

@@ -1,36 +1,40 @@
 """Weight filtrations of nilpotent operators and the perverse filtration.
 
-The weight filtration centred at k of a nilpotent operator N is the unique
-increasing chain W_0 <= ... <= W_{2k} with N W_i <= W_{i-2} and with N^i
-inducing bijections Gr_{k+i} -> Gr_{k-i}.  It is constructed here from
-Jordan chains (every chain of length l contributes the standard ladder of
-weights k+l-1, k+l-3, ..., k-l+1) and then re-verified against both
-defining properties, so the construction is self-certifying.
+The weight filtration centred at k of a nilpotent operator N with
+N^(k+1) = 0 is the unique increasing chain W_0 <= ... <= W_{2k} with
+N W_i <= W_{i-2} and with N^i inducing bijections Gr_{k+i} -> Gr_{k-i}
+(Deligne, Weil II, 1.6.1).  It is built here by the kernel-sum formula
+
+    W_{k+l} = sum_{j >= 0} N^j Ker(N^(l+2j+1)),
+
+with Ker(N^e) read as 0 for e <= 0 (_kernel_sum), and every chain is then
+verified against both defining properties (verify_graded_weight_filtration,
+which reads only the operator's blocks, never kernels of its powers).  By
+uniqueness a chain that passes is the weight filtration, so the
+construction is self-certifying.
 
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
-the monodromy M and 2 for multiplication L_x by a degree-2 class.  One
-routine each builds the Jordan chains, the filtration and its verification
-for any offset.  Every function here takes the llv.GradedPowers of its
-operator (the operator itself is its .op), so the caller builds one power
-ladder per operator and the nilpotence index, the Jordan chains, the
-perverse chain and the caller's own nilpotence profile share its powers
-and kernels.  A single square matrix is the graded operator with one
-degree and offset 0 (weight_filtration).
+the monodromy M and 2 for multiplication L_x by a degree-2 class, and the
+kernel sum in degree d reads N^j from degree d - offset * j.  Every
+function here takes the llv.GradedPowers of its operator (the operator
+itself is its .op), so the caller builds one power ladder per operator and
+the nilpotence index, the kernel sums and the caller's own nilpotence
+profile share its powers and kernels.  A single square matrix is the
+graded operator with one degree and offset 0 (weight_filtration).
 
-Vectors never leave the integers: chains, spans and membership tests use
-the integer rows of subspaces and their images under Mat.times_row, each a
+Vectors never leave the integers: spans and membership tests use the
+integer rows of subspaces and their images under Mat.times_row, each a
 positive multiple of the rational vector it stands for.
 
 The perverse chain of an isotropic degree-2 class beta on degree d is
-computed by the kernel-sum formula
 
-    P_i H^d = sum_j beta^j . Ker(beta^{n-(d-2j)+i+1} : H^{d-2j} -> ...)
+    P_i H^d = sum_j beta^j . Ker(beta^{n-(d-2j)+i+1} : H^{d-2j} -> ...),
 
-with Ker(beta^e) read as 0 for e <= 0, and is cross-checked against the
-weight filtration of multiplication by beta on the total space under the
-reindexing W_i  with H^d  =  P_{d+i-2n} H^d.  Isotropy of beta is read off
-the operator: L_beta^(n+1) = 0 exactly when q(beta) = 0, since otherwise
-beta^(2n) is a nonzero multiple of q(beta)^n.
+the kernel sum of L_beta with k = n and l = i - d + n.  So the chain
+W_i H^d = P_{d+i-2n} H^d is the weight filtration of L_beta centred at n
+exactly when it passes the same verification, which is the cross-check.
+Isotropy of beta is read off the operator: L_beta^(n+1) = 0 exactly when
+q(beta) = 0, since otherwise beta^(2n) is a nonzero multiple of q(beta)^n.
 """
 
 from __future__ import annotations
@@ -95,53 +99,32 @@ def graded_nilpotence_index(powers: GradedPowers) -> int:
                default=0)
 
 
-def graded_jordan_chains(powers: GradedPowers) -> list:
-    """Homogeneous Jordan chains of a graded nilpotent operator op.
-
-    Returns triples (start_degree, length, rows); row j is an integer
-    row in degree start_degree + j * op.offset, a positive multiple of
-    op^j applied to the head (Mat.times_row).  Chains are extracted longest
-    first: at each length l the new heads complete ker op^{l-1} plus the
-    descended tails of longer chains inside ker op^l.  Kernels of powers
-    are graded, so heads can be chosen inside single degrees and every
-    chain is homogeneous.
-    """
+def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
+    """sum_{j >= 0} op^j Ker(op^(l+2j+1)) in degree d, Ker(op^e) = 0 for
+    e <= 0: the degree-d slice of W_{k+l} for the weight filtration of op
+    centred at k."""
     op = powers.op
-    off = op.offset
-    degrees = {d: m for d, m in op.degrees.items() if m}
-    s = graded_nilpotence_index(powers)
-    kernels = {(i, d): powers.kernel(d, i)
-               for d in degrees for i in range(s + 2)}
-
-    chains = []
-    carried = {d: [] for d in degrees}
-    for length in range(s + 1, 0, -1):
-        new_heads = {}
-        for d in sorted(degrees):
-            avoid = Subspace.from_rows(
-                degrees[d], list(kernels[(length - 1, d)].rows) + carried[d])
-            heads = _complement_in(avoid, kernels[(length, d)].rows)
-            new_heads[d] = heads
-            for h in heads:
-                chain = [h]
-                for j in range(length - 1):
-                    chain.append(op.block(d + off * j).times_row(chain[-1]))
-                chains.append((d, length, chain))
-        nxt = {d: [] for d in degrees}
-        for d in sorted(degrees):
-            for v in carried[d] + new_heads[d]:
-                img = op.block(d).times_row(v)
-                tgt = d + off
-                if tgt in degrees and any(img):
-                    nxt[tgt].append(img)
-        carried = nxt
-    per_degree = {d: 0 for d in degrees}
-    for d0, length, chain in chains:
-        for j in range(length):
-            per_degree[d0 + off * j] += 1
-    if per_degree != degrees:
-        raise FiltrationError("graded Jordan chains failed to span")
-    return chains
+    rows = []
+    for j in range(graded_nilpotence_index(powers) + 1):
+        src = d - op.offset * j
+        e = l + 2 * j + 1
+        # op^j kills Ker(op^e) when e <= j, and is 0 on src once j
+        # exceeds the index there
+        if e <= j or not op.dim(src) or j > powers.index(src):
+            continue
+        shift = powers.power(src, j)
+        if e > powers.index(src):
+            # Ker(op^e) is all of src, so its image is the column span
+            for col in shift.transpose().num:
+                row = [0] * shift.rows
+                for t, x in col:
+                    row[t] = x
+                rows.append(row)
+        else:
+            rows.extend(shift.times_row(r) for r in powers.kernel(src, e).rows)
+    # most images are zero (op^j kills Ker(op^j)), and zero rows only slow
+    # the elimination
+    return Subspace.from_rows(op.dim(d), [r for r in rows if any(r)])
 
 
 def graded_weight_filtration(powers: GradedPowers,
@@ -149,9 +132,8 @@ def graded_weight_filtration(powers: GradedPowers,
     """The unique weight filtration of a graded nilpotent operator op.
 
     Requires nilpotence index <= centre (otherwise the chain would need
-    negative indices).  Each Jordan chain of length l contributes its
-    vectors at weights centre+l-1-2j for j = 0..l-1, and W_i adds the rows
-    of weight i, if any, to W_{i-1}.
+    negative indices).  W_i is the kernel sum with l = i - centre, verified
+    against both defining properties.
     """
     op = powers.op
     s = graded_nilpotence_index(powers)
@@ -159,22 +141,9 @@ def graded_weight_filtration(powers: GradedPowers,
         raise FiltrationError(
             f"nilpotence index {s} exceeds the centre {centre}")
     degrees = {d: m for d, m in op.degrees.items() if m}
-    by_weight = {d: {} for d in degrees}
-    for d0, length, chain in graded_jordan_chains(powers):
-        for j, v in enumerate(chain):
-            w = centre + (length - 1) - 2 * j
-            by_weight[d0 + op.offset * j].setdefault(w, []).append(v)
-    slices = {}
-    for d in degrees:
-        sub = Subspace.zero(degrees[d])
-        chain = []
-        for i in range(0, 2 * centre + 1):
-            new = by_weight[d].get(i)
-            if new:
-                sub = Subspace.from_rows(degrees[d], list(sub.rows) + new)
-            chain.append(sub)
-        slices[d] = tuple(chain)
-    wf = GradedWeightFiltration(centre, dict(degrees), slices)
+    wf = GradedWeightFiltration(centre, degrees, {
+        d: tuple(_kernel_sum(powers, d, i - centre)
+                 for i in range(2 * centre + 1)) for d in degrees})
     if not verify_graded_weight_filtration(op, wf):
         raise FiltrationError("graded filtration failed its own axioms")
     return wf
@@ -235,60 +204,38 @@ def perverse_filtration(powers: GradedPowers, n: int, d: int) -> dict:
     """Perverse chain P_i H^d for an isotropic degree-2 class beta, as
     {i: Subspace}, from the powers of L_beta on a module with top degree 4n.
 
-    Implements the kernel-sum formula with Ker(beta^e) = 0 for e <= 0; the
-    weight-filtration cross-check pins down these edge conventions.
-    Callers computing several degrees share `powers`.  Raises
-    FiltrationError when L_beta^(n+1) != 0, i.e. when q(beta) != 0.
+    P_i H^d is the kernel sum with l = i - d + n.  Callers computing
+    several degrees share `powers`.  Raises FiltrationError when
+    L_beta^(n+1) != 0, i.e. when q(beta) != 0.
     """
     if graded_nilpotence_index(powers) > n:
         raise FiltrationError("perverse filtration needs an isotropic class")
-    dims = powers.op.degrees
-    if d not in dims:
+    if d not in powers.op.degrees:
         raise FiltrationError(f"no graded piece in degree {d}")
-    out = {}
-    for i in range(-1, 2 * n + 2):
-        rows = []
-        for j in range(0, d // 2 + 1):
-            src = d - 2 * j
-            if src not in dims:
-                continue
-            e = n - (d - 2 * j) + i + 1
-            if e <= 0:
-                continue
-            ker = powers.kernel(src, e)
-            if ker.dim == 0:
-                continue
-            shift = powers.power(src, j)
-            rows.extend(shift.times_row(r) for r in ker.rows)
-        out[i] = Subspace.from_rows(dims[d], rows)
-    return out
+    return {i: _kernel_sum(powers, d, i - d + n) for i in range(-1, 2 * n + 2)}
 
 
 def crosscheck_perverse_weight(powers: GradedPowers, n: int) -> bool:
-    """W^{L_beta}_i restricted to degree d equals P_{d+i-2n} H^d, exactly.
-
-    Both routes read the powers of L_beta and their kernels from `powers`;
-    the kernel-sum route never reads the Jordan chains of the weight route.
-    """
+    """Whether the chain W_i H^d = P_{d+i-2n} H^d is the weight filtration
+    of L_beta centred at n, certified by its two defining properties; the
+    weight filtration is unique, so this is the equality of the two."""
     if graded_nilpotence_index(powers) > n:
         raise FiltrationError("perverse filtration needs an isotropic class")
-    dims = powers.op.degrees
-    wf = graded_weight_filtration(powers, n)
-    for d in sorted(dims):
+    degrees = {d: m for d, m in powers.op.degrees.items() if m}
+    slices = {}
+    for d in sorted(degrees):
         chain = perverse_filtration(powers, n, d)
         pmax = max(chain)
+        steps = []
         for i in range(0, 2 * n + 1):
-            left = wf.step(d, i)
             pidx = d + i - 2 * n
             if pidx < -1:
-                right = Subspace.zero(dims[d])
-            elif pidx > pmax:
-                right = chain[pmax]
+                steps.append(Subspace.zero(degrees[d]))
             else:
-                right = chain[pidx]
-            if left != right:
-                return False
-    return True
+                steps.append(chain[min(pidx, pmax)])
+        slices[d] = tuple(steps)
+    return verify_graded_weight_filtration(
+        powers.op, GradedWeightFiltration(n, degrees, slices))
 
 
 def conjugate_hodge_check(powers: GradedPowers, big: Bigrading,
@@ -313,34 +260,15 @@ def conjugate_hodge_check(powers: GradedPowers, big: Bigrading,
 
 @dataclass(frozen=True)
 class GradedDimTable:
-    """(degree, index) -> dimension, with text and JSON renderings."""
+    """(degree, index) -> dimension, with a JSON rendering."""
 
     name: str
     entries: dict
-
-    def row(self, degree: int) -> dict:
-        return {j: v for (d, j), v in self.entries.items() if d == degree}
 
     def to_json(self) -> dict:
         return {"name": self.name,
                 "entries": [[d, j, v] for (d, j), v
                             in sorted(self.entries.items())]}
-
-    def render_text(self) -> str:
-        degrees = sorted({d for d, _ in self.entries})
-        indices = sorted({j for _, j in self.entries})
-        width = max([len(str(v)) for v in self.entries.values()]
-                    + [len(str(j)) for j in indices] + [4])
-        lines = [self.name]
-        header = "deg |" + "".join(str(j).rjust(width + 1) for j in indices)
-        lines.append(header)
-        lines.append("-" * len(header))
-        for d in degrees:
-            row = self.row(d)
-            cells = "".join(str(row.get(j, "")).rjust(width + 1)
-                            for j in indices)
-            lines.append(f"{str(d).rjust(3)} |{cells}")
-        return "\n".join(lines)
 
 
 def monodromy_weight_table(powers: GradedPowers, n: int) -> GradedDimTable:

@@ -658,13 +658,7 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
     def apply(k: int, v: list) -> tuple:
         """(ints, denominator) of op applied to v in level k."""
         m = op.block(2 * k)
-        out = []
-        for r in m.num:
-            acc = 0
-            for j, c in r:
-                acc += c * v[j]
-            out.append(acc)
-        return out, m.den
+        return m.times_row(v), m.den
 
     count = 0
     while count < trials:

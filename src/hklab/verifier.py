@@ -519,8 +519,7 @@ def build_instance(cfg: InstanceConfig) -> GradedAlgebra:
 
 
 def run_instance(cfg: InstanceConfig,
-                 alg: Optional[GradedAlgebra] = None,
-                 derivation_trials: int = 100) -> InstanceReport:
+                 alg: Optional[GradedAlgebra] = None) -> InstanceReport:
     timings = {}
     t0 = time.perf_counter()
     if alg is None:
@@ -541,8 +540,7 @@ def run_instance(cfg: InstanceConfig,
     profile = nilpotence_profile(m_powers)
     verdicts += check_even_nagai(profile, alg.n)
     verdicts += check_m_degree2(fc)
-    rep = verify_derivation(alg, fc.M, trials=derivation_trials,
-                            seed=cfg.seed)
+    rep = verify_derivation(alg, fc.M, seed=cfg.seed)
     verdicts.append(Verdict(
         claim=f"derivation identity for M on {rep.trials} random pairs",
         expected="all pairs", observed="all pass" if rep.passed else "failures",

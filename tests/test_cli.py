@@ -54,7 +54,7 @@ def test_verify_deterministic(tmp_path, capsys):
 def test_verify_instance_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["verify", "--n", "1", "--b2", "5", "--seed", "1",
-                 "--trials", "25", "--out", str(out_path)])
+                 "--out", str(out_path)])
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["all_asserted_passed"] is True
@@ -63,7 +63,7 @@ def test_verify_instance_exit_zero(tmp_path, capsys):
 
 def test_verify_grid_text(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--grid", "1x4,1x5",
-                         "--trials", "10", "--format", "text")
+                         "--format", "text")
     assert code == 0
     assert out.count("pass") == 2
 
@@ -94,6 +94,17 @@ def test_verify_grid_text(tmp_path, capsys):
      "44ef6088e37047f1790df87c713aed1526b2cf26b4b6c96e7d6ed2043e6bc13c"),
     (("verify", "--n", "3", "--b2", "4", "--seed", "1"),
      "d76e45b8fbb12a4b7b2f2555886bac28a4d7f48184665f8d44218806e2472418"),
+    # reports at width, one of them at a dense frame, and the Kummer-type
+    # frontier, pinned before the weight filtrations moved from Jordan
+    # chains to the kernel-sum formula
+    (("verify", "--n", "4", "--b2", "5"),
+     "50f34d3f154c3a4adffd2f3ec73bc8255b37317f018cebf9b176decdcc1abd45"),
+    (("verify", "--n", "2", "--b2", "12", "--seed", "1"),
+     "0c5a29edfc39acbcb36e868183a5c933e618206cacc55ff1b957a1263d630b81"),
+    pytest.param(
+        ("verify", "--n", "5", "--b2", "7"),
+        "1f7fbe78834cb19c9b582a767c40da40860d41b0fa6c6303703cc2437cf5e085",
+        id="verify-5x7", marks=pytest.mark.slow),
     # every default-grid instance, at the canonical frame and at a frame
     # with rational vectors and L blocks, and the frontier reports; the
     # last three pinned before the filtrations and the sl2 ladders moved
@@ -115,7 +126,8 @@ def test_verify_grid_text(tmp_path, capsys):
         "c8876611960abffef03ce0745bd0a1eac76349ea387e119b169355e6a066b626",
         id="verify-2x23", marks=pytest.mark.slow),
 ], ids=["verify-grid-s0", "verify-grid", "export", "diamond", "build-2x23", "build-2x14",
-        "verify-3x4-s0", "verify-3x4-s1", None, None, None, None])
+        "verify-3x4-s0", "verify-3x4-s1", "verify-4x5", "verify-2x12-s1", None,
+        None, None, None, None])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0

@@ -1,12 +1,12 @@
 import pytest
 
+import hklab.filtrations as filtrations
 from hklab.filtrations import (
     FiltrationError,
     GradedWeightFiltration,
     compare_gr_dims,
     conjugate_hodge_check,
     crosscheck_perverse_weight,
-    graded_jordan_chains,
     graded_nilpotence_index,
     graded_weight_filtration,
     monodromy_weight_table,
@@ -18,6 +18,7 @@ from hklab.filtrations import (
 from hklab.linalg import QQ, Mat, NotNilpotentError, Subspace
 from hklab.llv import GradedOperator, GradedPowers, lefschetz
 from hklab.quadforms import sample_isotropic
+from jordan_reference import graded_jordan_chains, jordan_weight_filtration
 
 
 def nilpotent_blocks(*sizes):
@@ -218,6 +219,32 @@ def test_crosscheck_perverse_weight(calculus):
             GradedPowers(lefschetz(alg, frame.beta)), alg.n)
 
 
+def test_crosscheck_detects_shifted_perverse_chain(calculus, monkeypatch):
+    """The cross-check certifies the perverse chain it is given: one shifted
+    by one index is no weight filtration of L_beta."""
+    real = filtrations.perverse_filtration
+    monkeypatch.setattr(
+        filtrations, "perverse_filtration",
+        lambda powers, n, d: {i - 1: sub for i, sub
+                              in real(powers, n, d).items()})
+    for key in [(1, 4), (2, 5)]:
+        alg, frame, fc, big = calculus(*key)
+        assert not crosscheck_perverse_weight(GradedPowers(fc.L_beta), alg.n)
+
+
+@pytest.mark.parametrize("frame_seed", [0, 1])
+def test_weight_filtration_matches_jordan_reference(calculus, frame_seed):
+    """The kernel-sum filtrations of M, L_beta and L_sbar equal the ones
+    assembled from Jordan chains, slice by slice, on the default-grid
+    instances with n + b2 <= 8."""
+    for n in (1, 2, 3):
+        for b2 in range(4, 9 - n):
+            alg, frame, fc, big = calculus(n, b2, frame_seed=frame_seed)
+            for op in (fc.M, fc.L_beta, fc.L_sbar):
+                assert graded_weight_filtration(GradedPowers(op), n) == \
+                    jordan_weight_filtration(GradedPowers(op), n), (n, b2)
+
+
 def test_crosscheck_with_random_isotropic(calculus):
     alg, frame, fc, big = calculus(2, 4)
     for v in sample_isotropic(alg.space, 2, seed=314):
@@ -249,8 +276,6 @@ def test_compare_gr_dims(calculus):
 def test_dim_table_rendering(calculus):
     alg, frame, fc, big = calculus(1, 4)
     table = monodromy_weight_table(GradedPowers(fc.M), alg.n)
-    text = table.render_text()
-    assert "deg" in text and "0" in text
     js = table.to_json()
     assert js["entries"]
     right = perverse_hodge_table(big)

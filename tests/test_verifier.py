@@ -297,7 +297,7 @@ def test_diamond_reports(calculus):
 def test_run_instance_and_exit_code(calculus):
     alg, frame, fc, big = calculus(1, 4)
     cfg = InstanceConfig(n=1, b2=4, seed=1)
-    report = run_instance(cfg, alg=alg, derivation_trials=25)
+    report = run_instance(cfg, alg=alg)
     assert report.all_asserted_passed
     assert exit_code(report) == 0
     js = report.to_json()
@@ -333,8 +333,7 @@ def test_run_instance_builds_each_operator_once(built, monkeypatch):
         real_init(self, op)
 
     monkeypatch.setattr(llv.GradedPowers, "__init__", counting_init)
-    report = run_instance(InstanceConfig(n=2, b2=5, seed=1), alg=alg,
-                          derivation_trials=5)
+    report = run_instance(InstanceConfig(n=2, b2=5, seed=1), alg=alg)
     assert report.all_asserted_passed
     assert len(lefschetz_calls) == alg.space.dim
     assert len({id(op) for op in laddered}) == len(laddered)
