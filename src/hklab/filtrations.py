@@ -7,7 +7,8 @@ N W_i <= W_{i-2} and with N^i inducing bijections Gr_{k+i} -> Gr_{k-i}
 
     W_{k+l} = sum_{j >= 0} N^j Ker(N^(l+2j+1)),
 
-with Ker(N^e) read as 0 for e <= 0 (_kernel_sum), and every chain is then
+with Ker(N^e) read as 0 for e <= 0, evaluated top down as
+W_{k+l} = Ker(N^(l+1)) + N W_{k+l+2} (_kernel_sum), and every chain is then
 verified against both defining properties (verify_graded_weight_filtration,
 which reads only the operator's blocks, never kernels of its powers).  By
 uniqueness a chain that passes is the weight filtration, so the
@@ -15,12 +16,14 @@ construction is self-certifying.
 
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
 the monodromy M and 2 for multiplication L_x by a degree-2 class, and the
-kernel sum in degree d reads N^j from degree d - offset * j.  Every
-function here takes the llv.GradedPowers of its operator (the operator
-itself is its .op), so the caller builds one power ladder per operator and
-the nilpotence index, the kernel sums and the caller's own nilpotence
-profile share its powers and kernels.  A single square matrix is the
-graded operator with one degree and offset 0 (weight_filtration).
+kernel sum in degree d maps the slice of degree d - offset by one block of
+N.  Every function here takes the llv.GradedPowers of its operator (the
+operator itself is its .op), so the caller builds one power ladder per
+operator and the nilpotence index, the kernel sums (memoised on the
+GradedPowers, so the weight filtration and the perverse chain of one
+operator share them) and the caller's own nilpotence profile share its
+powers and kernels.  A single square matrix is the graded operator with
+one degree and offset 0 (weight_filtration).
 
 Vectors never leave the integers: spans and membership tests use the
 integer rows of subspaces and their images under Mat.times_row, each a
@@ -102,29 +105,36 @@ def graded_nilpotence_index(powers: GradedPowers) -> int:
 def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
     """sum_{j >= 0} op^j Ker(op^(l+2j+1)) in degree d, Ker(op^e) = 0 for
     e <= 0: the degree-d slice of W_{k+l} for the weight filtration of op
-    centred at k."""
-    op = powers.op
-    rows = []
-    for j in range(graded_nilpotence_index(powers) + 1):
-        src = d - op.offset * j
-        e = l + 2 * j + 1
-        # op^j kills Ker(op^e) when e <= j, and is 0 on src once j
-        # exceeds the index there
-        if e <= j or not op.dim(src) or j > powers.index(src):
-            continue
-        shift = powers.power(src, j)
-        if e > powers.index(src):
-            # Ker(op^e) is all of src, so its image is the column span
-            for col in shift.transpose().num:
-                row = [0] * shift.rows
-                for t, x in col:
-                    row[t] = x
-                rows.append(row)
+    centred at k.
+
+    Built top down as Ker(op^(l+1)) + op W_{k+l+2}, the second term the
+    image of the slice in degree d - offset under one block of op, and
+    memoised on `powers` (powers.sums), so the weight filtration and the
+    perverse chain of one operator share every slice.  The slice is the
+    whole space once l reaches the index of op on degree d.
+    """
+    key = (d, l)
+    sub = powers.sums.get(key)
+    if sub is None:
+        op = powers.op
+        dim = op.dim(d)
+        if not dim:
+            sub = Subspace.zero(0)
+        elif l >= powers.index(d):
+            sub = Subspace.full(dim)
         else:
-            rows.extend(shift.times_row(r) for r in powers.kernel(src, e).rows)
-    # most images are zero (op^j kills Ker(op^j)), and zero rows only slow
-    # the elimination
-    return Subspace.from_rows(op.dim(d), [r for r in rows if any(r)])
+            rows = list(powers.kernel(d, l + 1).rows) if l >= 0 else []
+            src = d - op.offset
+            if op.dim(src):
+                block = op.block(src)
+                # op kills the part of the slice below in Ker(op), and zero
+                # rows only slow the elimination
+                rows.extend(r for r in map(block.times_row,
+                                           _kernel_sum(powers, src, l + 2).rows)
+                            if any(r))
+            sub = Subspace.from_rows(dim, rows)
+        powers.sums[key] = sub
+    return sub
 
 
 def graded_weight_filtration(powers: GradedPowers,

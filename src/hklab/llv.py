@@ -15,11 +15,18 @@ as do the weight and perverse filtrations and the nilpotence profile of M.
 Scalar conventions.  The sl2 completion Lambda_x of (L_x, h) scales like
 1/x, so the assignment x -> Lambda_x is not linear; what is linear is
 x -> (q(x)/2) * Lambda_x, which agrees with Lambda_x exactly on the quadric
-q(x) = 2.  linear_dual_table implements that linear extension: it completes
-the vectors of one anisotropic basis and certifies every vector y of a
-second, differently chosen basis by the bracket identity
-[L_y, Lambda_lin(y)] = (q(y)/2) h, which holds exactly when the extension
-does not depend on the basis.
+q(x) = 2.  linear_dual_table implements that linear extension on one
+anisotropic basis.  It completes only the first vector x0; every other x
+gets the double bracket of the LLV relations (Looijenga-Lunts, Verbitsky)
+
+    Lambda_lin(x) = ([[L_x, Lambda_lin(x0)], Lambda_lin(x0)]
+                     + 2 q(x0, x) Lambda_lin(x0)) / q(x0),
+
+kept only if [L_x, Lambda_lin(x)] = (q(x)/2) h holds exactly (so it is the
+completion, by sl2 uniqueness) and replaced by the sl2 completion of L_x
+otherwise.  Every vector y of a second, differently chosen basis is then
+certified by the same bracket identity [L_y, Lambda_lin(y)] = (q(y)/2) h,
+which holds exactly when the extension does not depend on the basis.
 
 The derivation check verify_derivation samples random pairs and
 computes both sides as integer vectors over one denominator each (the
@@ -171,13 +178,15 @@ class GradedPowers:
     """Powers op^e of a graded operator from each source degree, their
     kernels and the nilpotence index per degree, each computed once on
     first use.  This is the only place where powers of a graded operator
-    are multiplied out."""
+    are multiplied out.  `sums` memoises the kernel sums of
+    filtrations._kernel_sum, keyed (degree, l)."""
 
     def __init__(self, op: GradedOperator):
         self.op = op
         self._powers: dict = {}
         self._kernels: dict = {}
         self._indices: dict = {}
+        self.sums: dict = {}
 
     def power(self, src_degree: int, e: int) -> Mat:
         """Matrix of op^e starting at src_degree (zero map if targets vanish)."""
@@ -380,62 +389,96 @@ def anisotropic_basis(space: QuadraticSpace, variant: int = 0) -> list:
     positive combinations versus negative combinations first), so on any
     space of dimension at least two they produce genuinely different bases;
     the linear extension completes the first and is certified on the second.
+    Each candidate is e_i + c e_j (c = 0 for e_i alone), and its norm
+    g_ii + 2c g_ij + c^2 g_jj is read off the Gram numerators: only whether
+    it vanishes matters.
     """
     n = space.dim
     coeff_order = (1, 2, -1, -2, 3) if variant == 0 else (-1, -2, 1, 2, 3)
+    g = [dict(row) for row in space.gram.num]
 
     def candidates(i):
-        unit = [_ONE if j == i else _ZERO for j in range(n)]
+        """(c, j, numerator of the norm of e_i + c e_j), in preference order."""
+        gii = g[i].get(i, 0)
         if not variant:
-            yield unit
+            yield 0, i, gii
         for c in coeff_order:
             for shift in range(1, n):
-                cand = list(unit)
-                cand[(i + shift) % n] = QQ(c)
-                yield cand
-        yield unit
+                j = (i + shift) % n
+                yield c, j, gii + 2 * c * g[i].get(j, 0) + c * c * g[j].get(j, 0)
+        yield 0, i, gii
 
     # insert accepts a candidate exactly when it is independent of the
     # vectors chosen so far.
     state = IncrementalRref(n)
     chosen: list = []
     for i in range(n):
-        picked = next((cand for cand in candidates(i)
-                       if space.quad(cand) != 0 and state.insert(cand)), None)
-        if picked is None:
+        for c, j, norm in candidates(i):
+            if not norm:
+                continue
+            cand = [_ONE if k == i else _ZERO for k in range(n)]
+            if c:
+                cand[j] = QQ(c)
+            if state.insert(cand):
+                chosen.append(cand)
+                break
+        else:
             raise OperatorError("could not assemble an anisotropic basis")
-        chosen.append(picked)
     return chosen
+
+
+def _double_bracket_dual(lop: GradedOperator, lam0: GradedOperator,
+                         q0, q0x) -> GradedOperator:
+    """The candidate Lambda_lin(x) = ([[L_x, Lambda_lin(x0)], Lambda_lin(x0)]
+    + 2 q(x0, x) Lambda_lin(x0)) / q(x0), from lop = L_x, lam0 =
+    Lambda_lin(x0), q0 = q(x0) and q0x = q(x0, x)."""
+    return combine([1 / q0, 2 * q0x / q0],
+                   [commutator_op(commutator_op(lop, lam0), lam0), lam0])
 
 
 def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
     """Linear dual-Lefschetz operators for the unit vectors of the space.
 
     l_of(x) must return the raising operator of a degree-2 vector x.  Each
-    vector x of the variant-0 anisotropic basis contributes (q(x)/2) times
-    its sl2 completion, checked by [L_x, Lambda_x] = h, and the table is the
-    linear extension of these values.  Well-definedness is certified on the
-    variant-1 basis: for each y there, [L_y, Lambda_lin(y)] = (q(y)/2) h
-    must hold exactly.  Since [h, .] = -2 holds for every degree -2
-    operator, this makes (L_y, (2/q(y)) Lambda_lin(y), h) an sl2 triple,
-    and the lowering operator of a triple is unique given e and h; so the
-    check passes exactly when the table built from the second basis would
-    agree with this one.
+    vector x of the variant-0 anisotropic basis contributes
+    Lambda_lin(x) = (q(x)/2) Lambda_x, Lambda_x its sl2 completion, and
+    the table is the linear extension of these values.
+
+    Only the first vector x0 is completed by sl2_complete, checked by
+    [L_x0, Lambda_x0] = h.  Every other x gets the double-bracket
+    candidate of the LLV relations (_double_bracket_dual), accepted only if
+    [L_x, Lambda_lin(x)] = (q(x)/2) h holds exactly; the lowering operator
+    of an sl2 triple is unique given e and h (and [h, .] = -2 on every
+    degree -2 operator), so an accepted candidate is exactly (q(x)/2) times
+    the completion.  A candidate that fails falls back to sl2_complete and
+    its check, so a module that is not an LLV module gets the same table,
+    or the same error, in the same order.
+
+    Well-definedness is certified on the variant-1 basis: for each y there,
+    [L_y, Lambda_lin(y)] = (q(y)/2) h must hold exactly, which by the same
+    uniqueness holds exactly when the table built from the second basis
+    would agree with this one.
     """
     basis = anisotropic_basis(space, variant=0)
     lops = [l_of(x) for x in basis]
     h = grading(lops[0].degrees, n)
+    half_q = [space.quad(x) / 2 for x in basis]
+    q0 = 2 * half_q[0]
     duals = []
-    for lop in lops:
+    for x, lop, hq in zip(basis, lops, half_q):
+        if duals:
+            lam = _double_bracket_dual(lop, duals[0], q0,
+                                       space.bilinear(basis[0], x))
+            if commutator_op(lop, lam) == h.scale(hq):
+                duals.append(lam)
+                continue
         lam = sl2_complete(lop, n)
         if commutator_op(lop, lam) != h:
             raise NotLefschetzError("sl2 completion failed the bracket identity")
-        duals.append(lam)
-    half_q = [space.quad(x) / 2 for x in basis]
+        duals.append(lam.scale(hq))
     # Column s of B^-1 holds the coordinates of the unit vector e_s.
     binv = invert(Mat.from_cols(basis))
-    table = [combine([c * w for c, w in zip(binv.col(s), half_q)], duals)
-             for s in range(space.dim)]
+    table = [combine(binv.col(s), duals) for s in range(space.dim)]
     for y in anisotropic_basis(space, variant=1):
         if commutator_op(l_of(y), combine(y, table)) != \
                 h.scale(space.quad(y) / 2):

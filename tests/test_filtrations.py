@@ -212,6 +212,31 @@ def test_perverse_chain_shared_powers_match_fresh(calculus):
             perverse_filtration(fresh, alg.n, d)
 
 
+def _direct_kernel_sum(powers, d, l):
+    """sum_{j >= 0} op^j Ker(op^(l+2j+1)) in degree d, term by term."""
+    op = powers.op
+    rows = []
+    for j in range(graded_nilpotence_index(powers) + 1):
+        src = d - op.offset * j
+        if l + 2 * j + 1 > 0 and op.dim(src):
+            shift = powers.power(src, j)
+            rows += [shift.times_row(r)
+                     for r in powers.kernel(src, l + 2 * j + 1).rows]
+    return Subspace.from_rows(op.dim(d), rows)
+
+
+@pytest.mark.parametrize("n,b2", [(1, 4), (2, 5), (3, 4)])
+def test_perverse_chain_matches_the_direct_kernel_sum(calculus, n, b2):
+    """The top-down kernel sums equal the sum formula evaluated term by
+    term, on every degree and every index of the perverse chain."""
+    alg, frame, fc, big = calculus(n, b2)
+    powers = GradedPowers(fc.L_beta)
+    for d in sorted(alg.dims()):
+        chain = perverse_filtration(powers, n, d)
+        assert chain == {i: _direct_kernel_sum(powers, d, i - d + n)
+                         for i in chain}
+
+
 def test_crosscheck_perverse_weight(calculus):
     for key in [(1, 4), (1, 5), (2, 4), (2, 5)]:
         alg, frame, fc, big = calculus(*key)
