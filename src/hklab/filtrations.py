@@ -12,7 +12,9 @@ W_{k+l} = Ker(N^(l+1)) + N W_{k+l+2} (_kernel_sum), and every chain is then
 verified against both defining properties (verify_graded_weight_filtration,
 which reads only the operator's blocks, never kernels of its powers).  By
 uniqueness a chain that passes is the weight filtration, so the
-construction is self-certifying.
+construction is self-certifying.  The check maps only the fresh rows of
+each slice, those of W_i with no pivot of W_{i-1}; the rest follows by
+induction on i.
 
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
 the monodromy M and 2 for multiplication L_x by a degree-2 class, and the
@@ -43,7 +45,6 @@ q(beta) = 0, since otherwise beta^(2n) is a nonzero multiple of q(beta)^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from hklab.linalg import IncrementalRref, Mat, Subspace
 from hklab.llv import Bigrading, GradedOperator, GradedPowers
@@ -55,10 +56,13 @@ class FiltrationError(ValueError):
 
 # -- weight filtrations ---------------------------------------------------------
 
-def _complement_in(sub: Subspace, within: Sequence) -> list:
-    """The rows of `within` completing a basis of `sub` in their joint span."""
-    state = IncrementalRref(sub.ambient_dim, sub.rows, sub.pivots)
-    return [row for row in within if state.insert_row(row)]
+def _fresh_rows(sub: Subspace, below: Subspace) -> list:
+    """The rows of sub whose pivot is no pivot of below: for canonical
+    below <= sub a complement of below, as they vanish at its pivots.
+    There are dim sub - dim below of them, since the pivots of a subspace
+    are the leading positions of its vectors, so below's are sub's too."""
+    old = set(below.pivots)
+    return [r for r, c in zip(sub.rows, sub.pivots) if c not in old]
 
 
 @dataclass(frozen=True)
@@ -123,16 +127,16 @@ def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
         elif l >= powers.index(d):
             sub = Subspace.full(dim)
         else:
-            rows = list(powers.kernel(d, l + 1).rows) if l >= 0 else []
+            sub = powers.kernel(d, max(l + 1, 0))
             src = d - op.offset
-            if op.dim(src):
-                block = op.block(src)
-                # op kills the part of the slice below in Ker(op), and zero
-                # rows only slow the elimination
-                rows.extend(r for r in map(block.times_row,
-                                           _kernel_sum(powers, src, l + 2).rows)
-                            if any(r))
-            sub = Subspace.from_rows(dim, rows)
+            # op kills the part of the slice below in Ker(op), and zero
+            # rows only slow the elimination; with no image left the
+            # kernel, already canonical, is the slice
+            imgs = [r for r in map(op.block(src).times_row,
+                                   _kernel_sum(powers, src, l + 2).rows)
+                    if any(r)]
+            if imgs:
+                sub = Subspace.from_rows(dim, list(sub.rows) + imgs)
         powers.sums[key] = sub
     return sub
 
@@ -168,43 +172,52 @@ def weight_filtration(n_mat: Mat, centre: int) -> GradedWeightFiltration:
 
 def verify_graded_weight_filtration(op: GradedOperator,
                                     wf: GradedWeightFiltration) -> bool:
-    """Exact check of both defining properties, degreewise, on integer rows."""
+    """Exact check of both defining properties, degreewise, on integer rows.
+
+    Once W_{i-1} <= W_i is checked, N W_i <= W_{i-2} is tested on the
+    fresh rows of W_i only (_fresh_rows): N W_{i-1} <= W_{i-3} <= W_{i-2}
+    by induction on i and the nesting in degree d + offset.  The fresh rows
+    of W_{k+i} represent Gr_{k+i}, and N^i : Gr_{k+i} -> Gr_{k-i} is
+    bijective when their images lie in W_{k-i}, independent modulo
+    W_{k-i-1}, and the dimensions agree.  A mis-sized slice fails.
+    """
     k = wf.centre
     off = op.offset
     degrees = wf.degrees
     if degrees != {d: m for d, m in op.degrees.items() if m}:
         return False
+    if any(s.ambient_dim != degrees.get(d, 0)
+           for d, chain in wf.slices.items() for s in chain):
+        return False
+    fresh = {}
     for d in degrees:
         if wf.step(d, 2 * k).dim != degrees[d]:
             return False
         for i in range(0, 2 * k + 1):
-            if not wf.step(d, i).contains_subspace(wf.step(d, i - 1)):
+            sub, below = wf.step(d, i), wf.step(d, i - 1)
+            if not sub.contains_subspace(below):
                 return False
+            rows = fresh[d, i] = _fresh_rows(sub, below)
             tgt = wf.step(d + off, i - 2)
-            for row in wf.step(d, i).rows:
+            for row in rows:
                 img = op.block(d).times_row(row)
                 if any(img) and not tgt._holds(img):
                     return False
     # op^i : Gr_{k+i} -> Gr_{k-i} bijective, checked by rank accounting.
     for i in range(1, k + 1):
         for d in degrees:
-            hi, hi_prev = wf.step(d, k + i), wf.step(d, k + i - 1)
             d2 = d + off * i
             lo, lo_prev = wf.step(d2, k - i), wf.step(d2, k - i - 1)
-            if hi.dim - hi_prev.dim != lo.dim - lo_prev.dim:
+            reps = fresh[d, k + i]
+            if len(reps) != lo.dim - lo_prev.dim:
                 return False
-            reps = _complement_in(hi_prev, hi.rows)
-            imgs = []
+            state = IncrementalRref(lo_prev.ambient_dim, lo_prev.rows,
+                                    lo_prev.pivots)
             for v in reps:
                 for step in range(i):
                     v = op.block(d + off * step).times_row(v)
-                imgs.append(v)
-            dim_d2 = degrees.get(d2, 0)
-            span = Subspace.from_rows(dim_d2, list(lo_prev.rows) + imgs)
-            if span.dim - lo_prev.dim != hi.dim - hi_prev.dim:
-                return False
-            if any(not lo._holds(v) for v in imgs):
-                return False
+                if not state.insert_row(v) or not lo._holds(v):
+                    return False
     return True
 
 

@@ -600,9 +600,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_rows(
-            ambient_dim, [[int(i == j) for j in range(ambient_dim)]
-                          for i in range(ambient_dim)])
+        return _unit_span(ambient_dim, range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -629,6 +627,12 @@ class Subspace:
     def _holds(self, row: Sequence) -> bool:
         """Whether the integer row lies in the subspace."""
         return not any(_reduce_against(row, self.rows, self.pivots))
+
+
+def _unit_span(n: int, ks: Iterable) -> Subspace:
+    """Span of the e_k, k in ks ascending: unit rows are the reduced form."""
+    ks, zero = tuple(ks), (0,) * n
+    return Subspace(n, tuple(zero[:k] + (1,) + zero[k + 1:] for k in ks), ks)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -758,10 +762,7 @@ def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
         key = tuple(QQ(op.num[k][0][1], op.den) if op.num[k] else _ZERO
                     for op in ops)
         coords.setdefault(key, []).append(k)
-    # Unit rows in ascending order are already the reduced form.
-    return {key: Subspace(n, tuple(tuple(int(i == k) for i in range(n))
-                                   for k in ks), tuple(ks))
-            for key, ks in coords.items()}
+    return {key: _unit_span(n, ks) for key, ks in coords.items()}
 
 
 def _refined_pieces(ops: Sequence[Mat], values: Sequence[tuple]) -> dict:

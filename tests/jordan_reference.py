@@ -1,6 +1,7 @@
-"""Jordan chains and the weight filtration assembled from them: a
-test-only reference for hklab.filtrations, which builds the weight
-filtration by the kernel-sum formula instead.
+"""Jordan chains and the weight filtration assembled from them, and the
+all-rows check of a weight filtration: test-only references for
+hklab.filtrations, which builds the weight filtration by the kernel-sum
+formula and checks it on the fresh rows of each slice instead.
 
 Chains are extracted longest first: at each length l the new heads
 complete ker op^{l-1} plus the descended tails of longer chains inside
@@ -12,7 +13,7 @@ centre+l-1, centre+l-3, ..., centre-l+1.
 
 from hklab.filtrations import GradedWeightFiltration, graded_nilpotence_index
 from hklab.linalg import IncrementalRref, Subspace
-from hklab.llv import GradedPowers
+from hklab.llv import GradedOperator, GradedPowers
 
 
 def _complement_in(sub: Subspace, within) -> list:
@@ -88,3 +89,46 @@ def jordan_weight_filtration(powers: GradedPowers,
             chain.append(sub)
         slices[d] = tuple(chain)
     return GradedWeightFiltration(centre, dict(degrees), slices)
+
+
+def verify_all_rows(op: GradedOperator, wf: GradedWeightFiltration) -> bool:
+    """Both defining properties of a weight filtration, checked on every
+    row of every slice: N maps each row of W_i into W_{i-2}, and N^i maps
+    a complement of W_{k+i-1} in W_{k+i}, found by elimination, to vectors
+    independent modulo W_{k-i-1} in W_{k-i}.  A slice of the wrong ambient
+    dimension raises LinalgError."""
+    k = wf.centre
+    off = op.offset
+    degrees = wf.degrees
+    if degrees != {d: m for d, m in op.degrees.items() if m}:
+        return False
+    for d in degrees:
+        if wf.step(d, 2 * k).dim != degrees[d]:
+            return False
+        for i in range(0, 2 * k + 1):
+            if not wf.step(d, i).contains_subspace(wf.step(d, i - 1)):
+                return False
+            tgt = wf.step(d + off, i - 2)
+            for row in wf.step(d, i).rows:
+                img = op.block(d).times_row(row)
+                if any(img) and not tgt._holds(img):
+                    return False
+    for i in range(1, k + 1):
+        for d in degrees:
+            hi, hi_prev = wf.step(d, k + i), wf.step(d, k + i - 1)
+            d2 = d + off * i
+            lo, lo_prev = wf.step(d2, k - i), wf.step(d2, k - i - 1)
+            if hi.dim - hi_prev.dim != lo.dim - lo_prev.dim:
+                return False
+            imgs = []
+            for v in _complement_in(hi_prev, hi.rows):
+                for step in range(i):
+                    v = op.block(d + off * step).times_row(v)
+                imgs.append(v)
+            span = Subspace.from_rows(degrees.get(d2, 0),
+                                      list(lo_prev.rows) + imgs)
+            if span.dim - lo_prev.dim != hi.dim - hi_prev.dim:
+                return False
+            if any(not lo._holds(v) for v in imgs):
+                return False
+    return True

@@ -125,9 +125,15 @@ def test_verify_grid_text(tmp_path, capsys):
         ("verify", "--n", "2", "--b2", "23"),
         "c8876611960abffef03ce0745bd0a1eac76349ea387e119b169355e6a066b626",
         id="verify-2x23", marks=pytest.mark.slow),
+    # the K3^[3]-type frontier, whose middle degree has dimension 2300,
+    # pinned before the weight-filtration check moved to fresh rows
+    pytest.param(
+        ("verify", "--n", "3", "--b2", "23"),
+        "67d84e15b17043a553832cbcee1e5c76a8f34e56547acd1e5631a8a73ac4d712",
+        id="verify-3x23", marks=pytest.mark.slow),
 ], ids=["verify-grid-s0", "verify-grid", "export", "diamond", "build-2x23", "build-2x14",
         "verify-3x4-s0", "verify-3x4-s1", "verify-4x5", "verify-2x12-s1", None,
-        None, None, None, None])
+        None, None, None, None, None])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0

@@ -18,7 +18,12 @@ from hklab.filtrations import (
 from hklab.linalg import QQ, Mat, NotNilpotentError, Subspace
 from hklab.llv import GradedOperator, GradedPowers, lefschetz
 from hklab.quadforms import sample_isotropic
-from jordan_reference import graded_jordan_chains, jordan_weight_filtration
+from hklab.verifier import InstanceConfig, run_instance
+from jordan_reference import (
+    graded_jordan_chains,
+    jordan_weight_filtration,
+    verify_all_rows,
+)
 
 
 def nilpotent_blocks(*sizes):
@@ -38,11 +43,23 @@ def one_degree(m: Mat) -> GradedOperator:
     return GradedOperator({0: m.rows}, 0, {0: m})
 
 
+def chain_from_rows(n, *slices):
+    """Slices of QQ^n, each given by its spanning integer rows."""
+    return tuple(Subspace.from_rows(n, rows) for rows in slices)
+
+
+def both_checks(op, wf):
+    """The fresh-row check, asserted to agree with the all-rows one."""
+    ok = verify_graded_weight_filtration(op, wf)
+    assert verify_all_rows(op, wf) is ok
+    return ok
+
+
 def test_weight_filtration_zero_map():
     zero = one_degree(Mat.zeros(3, 3))
     wf = weight_filtration(Mat.zeros(3, 3), 2)
     assert wf.graded_dims(0) == {2: 3}
-    assert verify_graded_weight_filtration(zero, wf)
+    assert both_checks(zero, wf)
     # graded dims 1, 1, 1 at weights 0, 2, 4 are symmetric and the zero map
     # sends every W_i into W_{i-2}, but it is no bijection Gr_4 -> Gr_0
     w0 = Subspace.from_vectors(3, [[1, 0, 0]])
@@ -50,7 +67,100 @@ def test_weight_filtration_zero_map():
     ladder = GradedWeightFiltration(
         2, {0: 3}, {0: (w0, w0, w2, w2, Subspace.full(3))})
     assert ladder.graded_dims(0) == {0: 1, 2: 1, 4: 1}
-    assert not verify_graded_weight_filtration(zero, ladder)
+    assert not both_checks(zero, ladder)
+
+
+def test_only_a_fresh_row_leaves_w_i_minus_2():
+    """Blocks e0 -> e1 -> e2 and f0 -> f1 (coordinates e0..e2, f0, f1),
+    centred at 2, with W_2 = <e1 + f0, e2, f1>.  The fresh row e1 + f0 of
+    W_2 maps to e2 + f1, which is in W_1 but not in W_0; every row of
+    W_1, and of every other slice, maps where it must, and the Gr
+    bijections hold."""
+    op = one_degree(nilpotent_blocks(3, 2))
+    e1, e2, f0, f1 = ([int(j == i) for j in range(5)] for i in (1, 2, 3, 4))
+    chain = chain_from_rows(5, [e2], [e2, f1],
+                            [[a + b for a, b in zip(e1, f0)], e2, f1],
+                            [e1, e2, f0, f1], [[int(i == j) for j in range(5)]
+                                               for i in range(5)])
+    assert not both_checks(op, GradedWeightFiltration(2, {0: 5}, {0: chain}))
+
+
+def test_nesting_break_is_rejected():
+    """Blocks e0 -> e1 -> e2 and f, centred at 2: W_1 = <e2 + f> does not
+    contain W_0 = <e2>, though its pivots contain W_0's and every other
+    property holds."""
+    op = one_degree(nilpotent_blocks(3, 1))
+    chain = chain_from_rows(4, [[0, 0, 1, 0]], [[0, 0, 1, 1]],
+                            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                            [[int(i == j) for j in range(4)]
+                             for i in range(4)])
+    assert not both_checks(op, GradedWeightFiltration(2, {0: 4}, {0: chain}))
+    fixed = chain[:1] + chain[:1] + chain[2:]
+    assert both_checks(op, GradedWeightFiltration(2, {0: 4}, {0: fixed}))
+
+
+def test_gr_rank_defect_with_nonzero_images():
+    """N e0 = N e1 = e2 on QQ^4, centred at 1: W_0 = <e2, e3> has the
+    dimension of Gr_2 and takes every image, but N maps the two fresh rows
+    e0, e1 of W_2 to one vector, so Gr_2 -> Gr_0 is no bijection."""
+    m = Mat.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0],
+                       [0, 0, 0, 0]])
+    w0 = Subspace.from_rows(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    ladder = GradedWeightFiltration(1, {0: 4},
+                                    {0: (w0, w0, Subspace.full(4))})
+    assert not both_checks(one_degree(m), ladder)
+
+
+def test_mis_sized_slice_is_rejected_not_raised():
+    zero = one_degree(Mat.zeros(2, 2))
+    full = Subspace.full(2)
+    first = GradedWeightFiltration(1, {0: 2},
+                                   {0: (Subspace.zero(3), full, full)})
+    middle = GradedWeightFiltration(1, {0: 2},
+                                    {0: (Subspace.zero(2), Subspace.full(3),
+                                         full)})
+    assert verify_graded_weight_filtration(zero, first) is False
+    assert verify_graded_weight_filtration(zero, middle) is False
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_instance_filtrations_agree_with_all_rows_check(monkeypatch,
+                                                            seed):
+    """Every chain that run_instance verifies on the default grid, the
+    weight filtrations of M and L_sbar and the reindexed perverse chain of
+    L_beta, gets the same verdict from the all-rows check."""
+    real = filtrations.verify_graded_weight_filtration
+    seen = []
+
+    def checked(op, wf):
+        ok = real(op, wf)
+        assert verify_all_rows(op, wf) is ok
+        seen.append(ok)
+        return ok
+
+    monkeypatch.setattr(filtrations, "verify_graded_weight_filtration",
+                        checked)
+    for n in (1, 2, 3):
+        for b2 in range(4, 8):
+            assert run_instance(InstanceConfig(n, b2, seed=seed)
+                                ).all_asserted_passed
+    assert seen == [True] * 36
+
+
+def test_kernel_sum_keeps_the_kernel_when_no_image_is_added():
+    """L maps degree 0 to degree 2 by e0 -> e0: below degree 0 nothing
+    maps in, so its slices are the kernels of the powers themselves."""
+    op = GradedOperator({0: 2, 2: 2}, 2,
+                        {0: Mat.from_rows([[1, 0], [0, 0]])})
+    powers = GradedPowers(op)
+    assert filtrations._kernel_sum(powers, 0, 0) is powers.kernel(0, 1)
+    assert filtrations._kernel_sum(powers, 0, -1) is powers.kernel(0, 0)
+    assert filtrations._kernel_sum(powers, 0, 0) == \
+        Subspace.from_rows(2, [[0, 1]])
+    # in degree 2 the image of degree 0 is added
+    assert filtrations._kernel_sum(powers, 2, -1) == \
+        Subspace.from_rows(2, [[1, 0]])
 
 
 def test_weight_filtration_single_block():
@@ -101,13 +211,12 @@ def test_weight_filtration_uniqueness_against_hand_built():
     for i in range(5):
         assert wf.step(0, i) == hand[i]
     op = one_degree(m)
-    assert verify_graded_weight_filtration(
-        op, GradedWeightFiltration(2, {0: 5}, {0: tuple(hand)}))
+    assert both_checks(op, GradedWeightFiltration(2, {0: 5},
+                                                  {0: tuple(hand)}))
     shifted = GradedWeightFiltration(2, {0: 5},
                                      {0: tuple(hand[1:] + [hand[-1]])})
-    assert not verify_graded_weight_filtration(op, shifted)
-    assert not verify_graded_weight_filtration(
-        op, GradedWeightFiltration(2, {}, {}))
+    assert not both_checks(op, shifted)
+    assert not both_checks(op, GradedWeightFiltration(2, {}, {}))
 
 
 def test_graded_weight_filtration_matches_dense(calculus):

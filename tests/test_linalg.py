@@ -770,3 +770,13 @@ def test_graded_commutator_matches_a_dense_fraction_reference(case, x):
     both = combine([x, 1 - x], [lop, lop])
     for d, m in raising.items():
         assert_matches(both.block(d), m, dims[d + 2], dims[d])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_full_is_the_eliminated_identity(n):
+    full = Subspace.full(n)
+    eliminated = Subspace.from_rows(n, [[int(i == j) for j in range(n)]
+                                        for i in range(n)])
+    assert full == eliminated
+    assert hash(full) == hash(eliminated)
+    assert full.pivots == tuple(range(n)) and full.dim == n
