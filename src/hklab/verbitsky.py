@@ -14,20 +14,24 @@ SH = Sym(V) / Ann(Q^n) with Q(xi) = xi^T G xi acting by differentiation
 matrix of Q^n.  Its rank is checked against the closed-form dimension, and
 a shortfall is a hard error.  Each monomial m is listed once per build with
 the integer code sum_s m_s (2n+1)^s; no exponent exceeds 2n, so a product's
-code is the sum of the codes, and a catalecticant cell or a structure
-constant is one lookup at a code sum.
+code is the sum of the codes.  The work follows the support of Q^n: the
+weight at alpha fills the catalecticant cell (alpha - g, g), and a structure
+constant comes from splitting a monomial of nonzero coset into its
+divisors.  In radix 2n+1, code(alpha) - code(g) is the code of a degree-k
+monomial iff alpha >= g, since a borrow adds a multiple of 2n to the digit
+sum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
-from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _int_row,
-                          _integers, invert, qq, vec)
+from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _dense,
+                          _int_row, _integers, invert, qq, vec)
 from hklab.quadforms import QuadraticSpace, json_fields
 
 _ZERO = QQ(0)
@@ -45,29 +49,20 @@ class BuildError(RuntimeError):
 
 def monomials(nvars: int, degree: int) -> list:
     """Exponent tuples of the given total degree, descending grevlex order."""
-    return [m for m, _ in _coded_monomials(nvars, degree, degree + 1)]
+    place = [(degree + 1) ** s for s in range(nvars)]
+    return [tuple(map(ms.count, place)) for ms in _multisets(place, degree)]
 
 
-def _coded_monomials(nvars: int, degree: int, radix: int) -> list:
-    """Pairs (m, code(m)), code(m) = sum_s m_s radix^s, for the monomials
-    of the given degree in the order of monomials(): ascending in the
-    reversed tuple.  Drawn from the variables last first, the multisets of
-    combinations_with_replacement come in exactly the reverse order, so no
-    sort is needed.  With every exponent below the radix, the code of a
-    product is the sum of the codes.
-    """
+def _multisets(place: list, degree: int) -> list:
+    """The monomials of the given degree, in the order of monomials(), as
+    multisets of the place values place[s] = radix^s: m_s copies of each,
+    so the code sum_s m_s radix^s of m is the sum of its multiset.  Drawn
+    from the places last first, combinations_with_replacement yields
+    exactly the reverse order, so no sort is needed."""
     if degree < 0:
         return []
-    place = [radix ** s for s in range(nvars)]
-    zero = [0] * nvars
-    out = []
-    for multiset in reversed(list(combinations_with_replacement(
-            range(nvars - 1, -1, -1), degree))):
-        m, code = zero[:], 0
-        for s in multiset:
-            m[s] += 1
-            code += place[s]
-        out.append((tuple(m), code))
+    out = list(combinations_with_replacement(place[::-1], degree))
+    out.reverse()
     return out
 
 
@@ -284,32 +279,66 @@ class GradedAlgebra:
                     ("space", "n", "levels", "tensors"), BuildError)
         space = QuadraticSpace.from_json(obj["space"])
         n = int(obj["n"])
+        if n < 1:
+            raise BuildError("n: must be at least 1")
+        top = 2 * n
         json_fields(obj["levels"], "levels", (), BuildError)
         json_fields(obj["tensors"], "tensors", (), BuildError)
         levels = {}
         for key, level in obj["levels"].items():
             what = f'levels["{key}"]'
+            if (k := _level_of(key, top)) is None:
+                raise BuildError(f"{what}: not a level 0..{top}")
             json_fields(level, what, ("monomials", "dim"), BuildError)
-            ms = levels[int(key)] = [tuple(m) for m in level["monomials"]]
+            ms = level["monomials"]
+            if not (isinstance(ms, list) and all(
+                    isinstance(m, list) and len(m) == space.dim for m in ms)):
+                raise BuildError(f"{what}: monomials must be lists of "
+                                 f"length b2 = {space.dim}")
+            ms = levels[k] = [tuple(m) for m in ms]
             if len(ms) != level["dim"]:
                 raise BuildError(f"{what}: level dimension does not match "
                                  "basis list")
         tensors = {}
         for key, quads in obj["tensors"].items():
-            k, l = (int(x) for x in key.split(","))
+            k, _, l = key.partition(",")
+            k, l = _level_of(k, top), _level_of(l, top)
+            if None in (k, l) or k > l or k + l > top:
+                raise BuildError(f'tensors["{key}"]: not a level pair k,l '
+                                 f"with k <= l and k + l <= {top}")
             entries = {}
             for pos, quad in enumerate(quads):
+                where = f'tensors["{key}"][{pos}]'
                 if not (isinstance(quad, list) and len(quad) == 4):
-                    raise BuildError(f'tensors["{key}"][{pos}]: expected '
-                                     "[i, j, t, value]")
+                    raise BuildError(f"{where}: expected [i, j, t, value]")
                 i, j, t, val = quad
+                # an index into a missing level reports that level below
+                for name, x, lv in (("i", i, k), ("j", j, l), ("t", t, k + l)):
+                    if lv in levels and not (type(x) is int
+                                             and 0 <= x < len(levels[lv])):
+                        raise BuildError(f"{where}: {name} = {x!r} is not an "
+                                         f"index of level {lv}")
                 entries.setdefault((i, j), {})[t] = qq(val)
             tensors[(k, l)] = entries
+        # each search stops at its first gap, so it is bounded by the document
+        for k in range(top + 1):
+            if k not in levels:
+                raise BuildError(f"levels: missing field '{k}'")
+        for k in range(n + 1):
+            for l in range(k, top + 1 - k):
+                if (k, l) not in tensors:
+                    raise BuildError(f"tensors: missing field '{k},{l}'")
         return GradedAlgebra(space, n, levels, tensors,
                              proj=None, build_meta=obj.get("build", {}))
 
     def dump_canonical(self) -> str:
         return canonical_json(self.to_json())
+
+
+def _level_of(key: str, top: int) -> Optional[int]:
+    """k for the key str(k) of a level 0 <= k <= top, else None."""
+    k = int(key) if key.isdecimal() else -1
+    return k if 0 <= k <= top and str(k) == key else None
 
 
 def contract(rows: list, a: Sequence, b: Sequence, dim: int) -> list:
@@ -346,51 +375,54 @@ def build_verbitsky(space: QuadraticSpace, n: int,
     """
     if n < 1:
         raise BuildError("n must be at least 1")
-    graded = [_coded_monomials(space.dim, k, 2 * n + 1)
-              for k in range(2 * n + 1)]
-    codes = [[c for _, c in ms] for ms in graded]
-    top = dict(graded[2 * n])
-    # the weights as ints, times one positive int (see _ideal_projection)
-    num, _ = _integers([_apolar_weights(space, n).items()])
-    weights = {top[alpha]: w for alpha, w in num[0]}
-    levels, proj, basis_codes = {}, {}, {}
-    for k, ms in enumerate(graded):
+    place = [(2 * n + 1) ** s for s in range(space.dim)]
+    graded = [_multisets(place, k) for k in range(2 * n + 1)]
+    codes = [list(map(sum, ms)) for ms in graded]
+    weights = {sum(a * p for a, p in zip(alpha, place)): w
+               for alpha, w in _apolar_weights(space, n).items()}
+    levels, proj, basis = {}, {}, {}
+    for k in range(2 * n + 1):
         if k <= n:
-            free = range(len(ms))
+            free = range(len(codes[k]))
             proj[k] = [{i: _ONE} for i in free]
         else:
             free, proj[k] = _ideal_projection(weights, codes[k],
                                               codes[2 * n - k], k)
-        levels[k] = [ms[c][0] for c in free]
-        basis_codes[k] = [codes[k][c] for c in free]
+        basis[k] = {codes[k][c]: i for i, c in enumerate(free)}
+        levels[k] = [tuple(map(graded[k][c].count, place)) for c in free]
+    # a product of basis monomials i, j is a monomial (multiset, code) of
+    # degree k+l with a nonzero coset, and j's code is its code minus i's
+    support = [[entry for entry in zip(ms, cs, proj[d]) if entry[2]]
+               for d, (ms, cs) in enumerate(zip(graded, codes))]
     tensors = {}
-    for k in range(0, 2 * n + 1):
+    for k in range(2 * n + 1):
         for l in range(k, 2 * n + 1 - k):
-            # the coset of the product xi^m xi^m' is read at code(m) + code(m')
-            coset = dict(zip(codes[k + l], proj[k + l]))
-            tensors[(k, l)] = {
-                (i, j): entry
-                for i, ci in enumerate(basis_codes[k])
-                for j, cj in enumerate(basis_codes[l])
-                if (entry := coset[ci + cj])}
+            found = {}
+            for ms, m, coset in support[k + l]:
+                for sub in set(combinations(ms, k)):
+                    ci = sum(sub)
+                    i, j = basis[k].get(ci), basis[l].get(m - ci)
+                    if i is not None and j is not None:
+                        found[i, j] = coset
+            tensors[(k, l)] = {key: found[key] for key in sorted(found)}
     return GradedAlgebra(space, n, levels, tensors, proj=proj,
                          build_meta={"seed": seed})
 
 
 def _apolar_weights(space: QuadraticSpace, n: int) -> dict:
-    """alpha -> d^alpha Q^n (a constant) for |alpha| = 2n, Q = xi^T G xi.
+    """alpha -> den^n d^alpha Q^n (an int) for |alpha| = 2n, Q = xi^T G xi
+    and G = num / den the Gram matrix.
 
-    Q^n is expanded by treating the terms of Q as the variables of
-    _power_coeffs; d^alpha xi^alpha = alpha!.
+    den^n Q^n is expanded over num by treating the terms of Q as the
+    variables of _power_coeffs; d^alpha xi^alpha = alpha!.
     """
     b2 = space.dim
-    g = space.gram.data
-    pairs = [(i, j) for i in range(b2) for j in range(i, b2) if g[i][j]]
-    coeffs = [g[i][j] if i == j else 2 * g[i][j] for i, j in pairs]
+    terms = [(i, j, x if i == j else 2 * x)
+             for i, row in enumerate(space.gram.num) for j, x in row if j >= i]
     qn = {}
-    for powers, c in _power_coeffs(coeffs, n).items():
+    for powers, c in _power_coeffs([x for _, _, x in terms], n).items():
         alpha = [0] * b2
-        for p, (i, j) in zip(powers, pairs):
+        for p, (i, j, _) in zip(powers, terms):
             alpha[i] += p
             alpha[j] += p
         alpha = tuple(alpha)
@@ -405,9 +437,11 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
 
     SH is Gorenstein with socle functional x^{2n} -> c q(x)^n, so the ideal
     in degree k is the kernel of the catalecticant C_k[m][g] = d^(m+g) Q^n
-    (rows m in Sym^k, columns g in Sym^(2n-k), both given by their codes,
-    so that a cell is the weight at code(m) + code(g); the weights are
-    d^alpha Q^n times one positive int, which changes no span and no coset).
+    (rows m in Sym^k, columns g in Sym^(2n-k), both given by their codes;
+    the weights d^alpha Q^n, keyed by code, may carry one positive factor,
+    which changes no span and no coset).  Only nonzero cells are made: the
+    weight at code alpha lands in row alpha - g of column g, as the
+    difference of codes is a degree-k code iff alpha >= g componentwise.
     Monomial c is a basis monomial iff row C_c is not in the span of the
     later rows, which reproduces the non-pivot columns of the ideal's
     canonical RREF; a zero row never is.  The coset of c is then
@@ -417,12 +451,18 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
     Returns (free, table): the positions in Sym^k of the quotient basis
     monomials, and per monomial of Sym^k its coset coefficients.
     """
-    rows = [[weights.get(cm + cg, 0) for cg in duals] for cm in codes]
+    index = dict(zip(codes, range(len(codes))))
+    rows = {}
+    for j, cg in enumerate(duals):
+        for cw, w in weights.items():
+            if (pos := index.get(cw - cg)) is not None:
+                rows.setdefault(pos, []).append((j, w))
+    nonzero = sorted(rows)
     target = len(duals)
     echelon = IncrementalRref(target)
     free = []
-    for c in range(len(rows) - 1, -1, -1):
-        if any(rows[c]) and echelon.insert_row(rows[c]):
+    for c in reversed(nonzero):
+        if echelon.insert_row(_dense(rows[c], target)):
             free.append(c)
             if echelon.rank == target:
                 break
@@ -430,16 +470,12 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
         raise BuildError(f"degree {2 * k}: catalecticant rank {echelon.rank} "
                          f"is below the target {target}")
     free.reverse()
-    table = [{} for _ in rows]
+    table = [{} for _ in codes]
     for j, c in enumerate(free):
         table[c] = {j: _ONE}
-    rest = [c for c, row in enumerate(rows) if any(row) and not table[c]]
-
-    def nonzeros(cs: list) -> list:
-        return [[(j, x) for j, x in enumerate(rows[c]) if x] for c in cs]
-
-    cosets = (Mat.from_num(len(rest), target, nonzeros(rest))
-              * invert(Mat.from_num(target, target, nonzeros(free))))
+    rest = [c for c in nonzero if not table[c]]
+    cosets = (Mat.from_num(len(rest), target, [rows[c] for c in rest])
+              * invert(Mat.from_num(target, target, [rows[c] for c in free])))
     for c, entry in zip(rest, cosets.num):
         table[c] = {j: QQ(x, cosets.den) for j, x in entry}
     return free, table

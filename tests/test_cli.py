@@ -87,6 +87,10 @@ def test_verify_grid_text(tmp_path, capsys):
      "7d31a7d495e98493dbc07494c003726dc881e8c808b11966aab13c3697493e55"),
     (("build", "--n", "2", "--b2", "14", "--seed", "0"),
      "aa3e644c23bc80bb37697f93847c30625f8dd6950f838919bd20b0e4a943c74d"),
+    # the K3^[3]-type build, pinned before the build walked the support
+    # of Q^n
+    (("build", "--n", "3", "--b2", "23", "--seed", "0"),
+     "b27185e3bee1e625f2294f44d4c54ddccefc874d645437f8db42b2ef57e374e4"),
     # one instance whose Cartan blocks are diagonal (frame seed 0) and one
     # whose blocks are dense (seed 1), pinned before the derivation check
     # moved to integer vectors and the bigrading to the diagonal split
@@ -132,7 +136,7 @@ def test_verify_grid_text(tmp_path, capsys):
         "67d84e15b17043a553832cbcee1e5c76a8f34e56547acd1e5631a8a73ac4d712",
         id="verify-3x23", marks=pytest.mark.slow),
 ], ids=["verify-grid-s0", "verify-grid", "export", "diamond", "build-2x23", "build-2x14",
-        "verify-3x4-s0", "verify-3x4-s1", "verify-4x5", "verify-2x12-s1", None,
+        "build-3x23", "verify-3x4-s0", "verify-3x4-s1", "verify-4x5", "verify-2x12-s1", None,
         None, None, None, None, None])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
@@ -464,6 +468,70 @@ def test_transport_rejects_a_malformed_document(tmp_path, capsys, doc,
 ])
 def test_diamond_rejects_a_malformed_document(tmp_path, capsys, doc, message):
     path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "diamond", "--in", str(path),
+                         "--degree", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _drop_level_2(doc):
+    del doc["levels"]["2"]
+
+
+def _t_out_of_range(doc):
+    doc["tensors"]["1,1"][0][2] = 5
+
+
+def _i_out_of_range(doc):
+    doc["tensors"]["0,1"][0][0] = 3
+
+
+def _pair_9_9(doc):
+    doc["tensors"]["9,9"] = []
+
+
+def _short_monomial(doc):
+    doc["levels"]["1"]["monomials"][2] = [0, 0, 1]
+
+
+def _level_5(doc):
+    doc["levels"]["5"] = {"dim": 0, "monomials": []}
+
+
+def _n_zero(doc):
+    doc["n"] = 0
+
+
+def _n_huge(doc):
+    doc["n"] = 10 ** 9
+
+
+def _drop_pair(doc):
+    del doc["tensors"]["1,1"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_level_2, "levels: missing field '2'"),
+    (_t_out_of_range, "tensors[\"1,1\"][0]: t = 5 is not an index of level 2"),
+    (_i_out_of_range, "tensors[\"0,1\"][0]: i = 3 is not an index of level 0"),
+    (_pair_9_9, "tensors[\"9,9\"]: not a level pair k,l with k <= l and "
+                "k + l <= 2"),
+    (_short_monomial, "levels[\"1\"]: monomials must be lists of length "
+                      "b2 = 4"),
+    (_level_5, "levels[\"5\"]: not a level 0..2"),
+    (_drop_pair, "tensors: missing field '1,1'"),
+    (_n_zero, "n: must be at least 1"),
+    # the search for a missing level stops at the first gap
+    (_n_huge, "levels: missing field '3'"),
+], ids=lambda x: getattr(x, "__name__", "")[1:] or None)
+def test_diamond_rejects_a_damaged_build(tmp_path, capsys, damage, message):
+    """A built (1,4) document with one field damaged: each exits 2 and
+    names the field, where a KeyError or IndexError traceback, a misleading
+    verdict or silent acceptance came before."""
+    path = tmp_path / "alg.json"
+    assert main(["build", "--n", "1", "--b2", "4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    damage(doc)
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "diamond", "--in", str(path),
                          "--degree", "2")

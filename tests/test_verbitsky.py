@@ -30,6 +30,7 @@ from hklab.verbitsky import (
     monomials,
     multinomial,
     _apolar_weights,
+    _multisets,
     _power_coeffs,
 )
 
@@ -71,6 +72,29 @@ def _sorted_monomials(nvars, degree):
 @given(st.integers(0, 8), st.integers(0, 5))
 def test_monomials_match_sorted_reference(nvars, degree):
     assert monomials(nvars, degree) == _sorted_monomials(nvars, degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_code_difference_is_a_code_iff_divisor(n, b2, data):
+    """The fact the sparse build rests on: in radix 2n+1, for |alpha| = 2n
+    and |g| = 2n - k, code(alpha) - code(g) is the code of a degree-k
+    monomial exactly when alpha >= g componentwise, and then it is
+    code(alpha - g).  A borrow adds a multiple of 2n to the digit sum, so
+    the difference of a non-divisor leaves degree k.  (Radix 2n would do
+    too, as codes stay injective up to degree 2n; radix 2n - 1 fails.)"""
+    place = [(2 * n + 1) ** s for s in range(b2)]
+    alpha = data.draw(st.sampled_from(monomials(b2, 2 * n)))
+    code_alpha = sum(a * p for a, p in zip(alpha, place))
+    for k in range(2 * n + 1):
+        degree_k = {sum(ms) for ms in _multisets(place, k)}
+        for g in monomials(b2, 2 * n - k):
+            diff = code_alpha - sum(a * p for a, p in zip(g, place))
+            divides = all(a >= b for a, b in zip(alpha, g))
+            assert (diff in degree_k) == divides, (alpha, g)
+            if divides:
+                assert diff == sum((a - b) * p
+                                   for a, b, p in zip(alpha, g, place))
 
 
 def test_multinomial_and_power_coeffs():
@@ -196,10 +220,12 @@ _DENSE_GRAMS = {
 @pytest.mark.parametrize("n,b2,space_name", [
     *[(n, b2, "standard") for n in (1, 2, 3) for b2 in (4, 5, 6, 7)],
     (4, 4, "standard"), (2, 8, "standard"), (2, 14, "standard"),
+    (1, 23, "standard"), (3, 8, "standard"),
     (2, 6, "tail"), (2, 5, "dense5-a"), (3, 5, "dense5-b")])
 def test_build_matches_dense_reference(built, n, b2, space_name):
-    """The coded build gives the levels, projection tables, structure
-    constants and canonical bytes of the dense per-cell build."""
+    """The sparse build gives the levels, projection tables, structure
+    constants (in the same insertion order, which scaled_tensor's rows
+    follow) and canonical bytes of the dense per-cell build."""
     if space_name == "standard":
         alg = built(n, b2)
     elif space_name == "tail":
@@ -213,6 +239,8 @@ def test_build_matches_dense_reference(built, n, b2, space_name):
     assert alg.levels == ref.levels
     assert alg.proj == ref.proj
     assert alg.tensors == ref.tensors
+    for kl in ref.tensors:
+        assert list(alg.tensors[kl]) == list(ref.tensors[kl]), kl
     assert alg.dump_canonical() == ref.dump_canonical()
 
 
