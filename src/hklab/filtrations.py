@@ -3,29 +3,44 @@
 The weight filtration centred at k of a nilpotent operator N with
 N^(k+1) = 0 is the unique increasing chain W_0 <= ... <= W_{2k} with
 N W_i <= W_{i-2} and with N^i inducing bijections Gr_{k+i} -> Gr_{k-i}
-(Deligne, Weil II, 1.6.1).  It is built here by the kernel-sum formula
+(Deligne, Weil II, 1.6.1).  The three filtration verdicts of an instance
+use that uniqueness, so none of them builds a chain it does not need:
+
+* M's Gr table (monodromy_weight_table) is a number table: for a degree-0
+  N the Jordan type on each degree follows from the ranks r_e of the
+  powers of N there, with r_{s-1} - 2 r_s + r_{s+1} blocks of size s, and
+  a block of size s adds 1 to each of Gr_{k-s+1}, Gr_{k-s+3}, ...,
+  Gr_{k+s-1}.
+* The conjugate Hodge chain of L_sbar (conjugate_hodge_check) and the
+  reindexed perverse chain of L_beta (crosscheck_perverse_weight) are
+  candidates given in advance, the first from the bigrading and the
+  second by the kernel-sum formula below.  Each is verified against both
+  defining properties (verify_graded_weight_filtration, which reads only
+  the operator's blocks, never kernels of its powers), and by uniqueness
+  it passes exactly when it is the weight filtration.  The check maps
+  only the fresh rows of each slice, those of W_i with no pivot of
+  W_{i-1}; the rest follows by induction on i.
+
+The kernel-sum formula
 
     W_{k+l} = sum_{j >= 0} N^j Ker(N^(l+2j+1)),
 
-with Ker(N^e) read as 0 for e <= 0, evaluated top down as
-W_{k+l} = Ker(N^(l+1)) + N W_{k+l+2} (_kernel_sum), and every chain is then
-verified against both defining properties (verify_graded_weight_filtration,
-which reads only the operator's blocks, never kernels of its powers).  By
-uniqueness a chain that passes is the weight filtration, so the
-construction is self-certifying.  The check maps only the fresh rows of
-each slice, those of W_i with no pivot of W_{i-1}; the rest follows by
-induction on i.
+with Ker(N^e) read as 0 for e <= 0, is evaluated top down as
+W_{k+l} = Ker(N^(l+1)) + N W_{k+l+2} (_kernel_sum), adding only the images
+to the kernel's reduced rows (Subspace.plus).  graded_weight_filtration
+builds and verifies the whole chain this way; no verdict calls it, and the
+tests keep it as the reference for the rank table and the certificates.
 
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
 the monodromy M and 2 for multiplication L_x by a degree-2 class, and the
 kernel sum in degree d maps the slice of degree d - offset by one block of
 N.  Every function here takes the llv.GradedPowers of its operator (the
 operator itself is its .op), so the caller builds one power ladder per
-operator and the nilpotence index, the kernel sums (memoised on the
-GradedPowers, so the weight filtration and the perverse chain of one
+operator and the nilpotence index, the ranks, the kernel sums (memoised on
+the GradedPowers, so the weight filtration and the perverse chain of one
 operator share them) and the caller's own nilpotence profile share its
-powers and kernels.  A single square matrix is the graded operator with
-one degree and offset 0 (weight_filtration).
+powers.  A single square matrix is the graded operator with one degree and
+offset 0 (weight_filtration).
 
 Vectors never leave the integers: spans and membership tests use the
 integer rows of subspaces and their images under Mat.times_row, each a
@@ -46,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hklab.linalg import IncrementalRref, Mat, Subspace
+from hklab.linalg import IncrementalRref, Mat, Subspace, rank
 from hklab.llv import Bigrading, GradedOperator, GradedPowers
 
 
@@ -106,6 +121,15 @@ def graded_nilpotence_index(powers: GradedPowers) -> int:
                default=0)
 
 
+def _check_centre(powers: GradedPowers, centre: int) -> None:
+    """Raise FiltrationError unless op's nilpotence index is at most
+    centre, as a weight filtration centred there needs."""
+    s = graded_nilpotence_index(powers)
+    if s > centre:
+        raise FiltrationError(
+            f"nilpotence index {s} exceeds the centre {centre}")
+
+
 def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
     """sum_{j >= 0} op^j Ker(op^(l+2j+1)) in degree d, Ker(op^e) = 0 for
     e <= 0: the degree-d slice of W_{k+l} for the weight filtration of op
@@ -127,16 +151,14 @@ def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
         elif l >= powers.index(d):
             sub = Subspace.full(dim)
         else:
-            sub = powers.kernel(d, max(l + 1, 0))
             src = d - op.offset
-            # op kills the part of the slice below in Ker(op), and zero
-            # rows only slow the elimination; with no image left the
-            # kernel, already canonical, is the slice
-            imgs = [r for r in map(op.block(src).times_row,
-                                   _kernel_sum(powers, src, l + 2).rows)
-                    if any(r)]
-            if imgs:
-                sub = Subspace.from_rows(dim, list(sub.rows) + imgs)
+            # op kills the part of the slice below in Ker(op), so zero
+            # images are dropped; the kernel's rows are already reduced,
+            # and only the images are eliminated (Subspace.plus)
+            sub = powers.kernel(d, max(l + 1, 0)).plus(
+                r for r in map(op.block(src).times_row,
+                               _kernel_sum(powers, src, l + 2).rows)
+                if any(r))
         powers.sums[key] = sub
     return sub
 
@@ -150,10 +172,7 @@ def graded_weight_filtration(powers: GradedPowers,
     against both defining properties.
     """
     op = powers.op
-    s = graded_nilpotence_index(powers)
-    if s > centre:
-        raise FiltrationError(
-            f"nilpotence index {s} exceeds the centre {centre}")
+    _check_centre(powers, centre)
     degrees = {d: m for d, m in op.degrees.items() if m}
     wf = GradedWeightFiltration(centre, degrees, {
         d: tuple(_kernel_sum(powers, d, i - centre)
@@ -263,20 +282,28 @@ def crosscheck_perverse_weight(powers: GradedPowers, n: int) -> bool:
 
 def conjugate_hodge_check(powers: GradedPowers, big: Bigrading,
                           n: int) -> bool:
-    """Weight filtration of L_sbar centred at n against the bigrading:
-    W_i restricted to degree d must equal the span of the (p, q) components
-    with q >= 2n - i."""
-    dims = powers.op.degrees
-    wf = graded_weight_filtration(powers, n)
-    for d in sorted(dims):
-        comps = big.degree_components(d)
-        for i in range(0, 2 * n + 1):
-            right = Subspace.from_rows(
-                dims[d], [r for (p, q, _i), sub in comps.items()
-                          if q >= 2 * n - i for r in sub.rows])
-            if wf.step(d, i) != right:
-                return False
-    return True
+    """Whether the chain W_i H^d = span of the (p, q) components with
+    q >= 2n - i is the weight filtration of L_sbar centred at n, certified
+    by its two defining properties; the weight filtration is unique, so
+    this is the equality of the two."""
+    _check_centre(powers, n)
+    degrees = {d: m for d, m in powers.op.degrees.items() if m}
+    slices = {}
+    for d in sorted(degrees):
+        # the rows that enter at index i: those of the components with
+        # q = 2n - i, and at index 0 also those with q > 2n
+        enter = [[] for _ in range(2 * n + 1)]
+        for (_p, q, _i), sub in big.degree_components(d).items():
+            if q >= 0:
+                enter[max(2 * n - q, 0)] += sub.rows
+        step = Subspace.zero(degrees[d])
+        steps = []
+        for rows in enter:
+            step = step.plus(rows)
+            steps.append(step)
+        slices[d] = tuple(steps)
+    return verify_graded_weight_filtration(
+        powers.op, GradedWeightFiltration(n, degrees, slices))
 
 
 # -- graded dimension tables -----------------------------------------------------
@@ -295,11 +322,28 @@ class GradedDimTable:
 
 
 def monodromy_weight_table(powers: GradedPowers, n: int) -> GradedDimTable:
-    """dim Gr^M_{n+j} per degree, from the weight filtration of the degree-0
-    operator M (the powers' op), which is computed degree by degree."""
-    wf = graded_weight_filtration(powers, n)
-    entries = {(d, i - n): v for d in sorted(wf.degrees)
-               for i, v in wf.graded_dims(d).items()}
+    """dim Gr^M_{n+l} per degree, for the weight filtration centred at n of
+    the degree-0 operator M (the powers' op), from the ranks of its powers.
+
+    On degree d, with r_e the rank of M^e from the ladder, M has
+    r_{s-1} - 2 r_s + r_{s+1} Jordan blocks of size s, and each adds 1 to
+    Gr_{n+l} for l = -(s-1), -(s-3), ..., s-1.
+    """
+    op = powers.op
+    if op.offset:
+        raise FiltrationError("the rank formula needs a degree-0 operator")
+    _check_centre(powers, n)
+    entries = {}
+    for d, m in sorted(op.degrees.items()):
+        if not m:
+            continue
+        top = powers.index(d) + 1  # the largest block size; M^top = 0
+        r = [m] + [rank(powers.power(d, e)) for e in range(1, top)] + [0, 0]
+        for size in range(1, top + 1):
+            blocks = r[size - 1] - 2 * r[size] + r[size + 1]
+            if blocks:
+                for l in range(1 - size, size, 2):
+                    entries[d, l] = entries.get((d, l), 0) + blocks
     return GradedDimTable("monodromy weight graded dims (degree, j)", entries)
 
 

@@ -32,6 +32,7 @@ other commuting operators are refined eigenspace by eigenspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -588,11 +589,8 @@ class Subspace:
         pivots, _ = _echelon(rows, ambient_dim)
         # _echelon leaves a row it never combined as it was given, so each
         # row is made primitive with a positive pivot here.
-        reduced = []
-        for row, c in zip(rows, pivots):
-            g = gcd(*row) if row[c] > 0 else -gcd(*row)
-            reduced.append(tuple(row) if g == 1 else tuple(x // g for x in row))
-        return Subspace(ambient_dim, tuple(reduced), tuple(pivots))
+        return Subspace(ambient_dim, tuple(map(_canonical, rows, pivots)),
+                        tuple(pivots))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -620,13 +618,74 @@ class Subspace:
         return self._holds(_int_row(v)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """Whether other <= self, on the canonical forms: the pivots of a
+        subspace are the leading positions of its vectors, so other's must
+        be self's, and then a row r lies in self exactly when it is
+        sum_c (r[c] / s_c[c]) s_c over self's rows s_c, c their pivots,
+        since each s_c is zero at the other pivots.  A row with one such
+        term lies in self exactly when it is that row, as both are
+        primitive with a positive pivot."""
         if other.ambient_dim != self.ambient_dim:
             raise LinalgError("ambient dimension mismatch")
-        return all(self._holds(r) for r in other.rows)
+        at = dict(zip(self.pivots, self.rows))
+        if not all(c in at for c in other.pivots):
+            return False
+        cols = range(self.ambient_dim)
+        for r in other.rows:
+            terms = [(r[c], at[c], c) for c in compress(cols, r) if c in at]
+            if len(terms) == 1:
+                if r != terms[0][1]:
+                    return False
+                continue
+            den = lcm(*[s[c] for _, s, c in terms])
+            acc = [den * x for x in r]
+            for f, s, c in terms:
+                g = f * (den // s[c])
+                acc = [a - g * y for a, y in zip(acc, s)]
+            if any(acc):
+                return False
+        return True
+
+    def plus(self, rows: Iterable[Sequence]) -> "Subspace":
+        """The span of the subspace and integer rows of length ambient_dim.
+
+        The rows are inserted into an IncrementalRref seeded with this
+        subspace's rows, which are never eliminated again.  Each accepted
+        row is zero at the pivots before it, so clearing the pivot of each
+        accepted row from the rows before it, last accepted first, leaves
+        the reduced form; only the rows so combined and the accepted ones
+        are made primitive with a positive pivot.  With no row accepted
+        the subspace itself is returned."""
+        k = self.dim
+        state = IncrementalRref(self.ambient_dim, self.rows, self.pivots)
+        for row in rows:
+            state.insert_row(row)
+        if state.rank == k:
+            return self
+        a, pivots = state.rows, state.pivots
+        touched = set(range(k, len(a)))
+        for j in range(len(a) - 1, k - 1, -1):
+            lead, c = a[j], pivots[j]
+            for r in range(j):
+                if a[r][c]:
+                    a[r] = _primitive(_combine(a[r], lead, c))
+                    touched.add(r)
+        for r in touched:
+            a[r] = _canonical(a[r], pivots[r])
+        order = sorted(range(len(a)), key=pivots.__getitem__)
+        return Subspace(self.ambient_dim, tuple(a[r] for r in order),
+                        tuple(pivots[r] for r in order))
 
     def _holds(self, row: Sequence) -> bool:
         """Whether the integer row lies in the subspace."""
         return not any(_reduce_against(row, self.rows, self.pivots))
+
+
+def _canonical(row: Sequence, c: int) -> tuple:
+    """The integer row with pivot column c as a Subspace row: primitive,
+    with a positive pivot."""
+    g = gcd(*row) if row[c] > 0 else -gcd(*row)
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
 
 
 def _unit_span(n: int, ks: Iterable) -> Subspace:

@@ -135,9 +135,16 @@ def test_verify_grid_text(tmp_path, capsys):
         ("verify", "--n", "3", "--b2", "23"),
         "67d84e15b17043a553832cbcee1e5c76a8f34e56547acd1e5631a8a73ac4d712",
         id="verify-3x23", marks=pytest.mark.slow),
+    # the Kummer-type (6,7), whose middle degree has dimension 924,
+    # pinned before M's weight table moved to the rank formula and the
+    # conjugate Hodge chain to a direct certificate
+    pytest.param(
+        ("verify", "--n", "6", "--b2", "7"),
+        "1d39707fc149d61080eedb6a8bad3bc68e00b3bb0f496b7ab4b32f69e9d033da",
+        id="verify-6x7", marks=pytest.mark.slow),
 ], ids=["verify-grid-s0", "verify-grid", "export", "diamond", "build-2x23", "build-2x14",
         "build-3x23", "verify-3x4-s0", "verify-3x4-s1", "verify-4x5", "verify-2x12-s1", None,
-        None, None, None, None, None])
+        None, None, None, None, None, None])
 def test_stdout_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0

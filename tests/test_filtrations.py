@@ -16,7 +16,7 @@ from hklab.filtrations import (
     weight_filtration,
 )
 from hklab.linalg import QQ, Mat, NotNilpotentError, Subspace
-from hklab.llv import GradedOperator, GradedPowers, lefschetz
+from hklab.llv import Bigrading, GradedOperator, GradedPowers, lefschetz
 from hklab.quadforms import sample_isotropic
 from hklab.verifier import InstanceConfig, run_instance
 from jordan_reference import (
@@ -128,8 +128,9 @@ def test_mis_sized_slice_is_rejected_not_raised():
 def test_run_instance_filtrations_agree_with_all_rows_check(monkeypatch,
                                                             seed):
     """Every chain that run_instance verifies on the default grid, the
-    weight filtrations of M and L_sbar and the reindexed perverse chain of
-    L_beta, gets the same verdict from the all-rows check."""
+    conjugate Hodge chain of L_sbar and the reindexed perverse chain of
+    L_beta, gets the same verdict from the all-rows check.  M's weight
+    table comes from the ranks of its powers, so no chain of M is built."""
     real = filtrations.verify_graded_weight_filtration
     seen = []
 
@@ -145,7 +146,7 @@ def test_run_instance_filtrations_agree_with_all_rows_check(monkeypatch,
         for b2 in range(4, 8):
             assert run_instance(InstanceConfig(n, b2, seed=seed)
                                 ).all_asserted_passed
-    assert seen == [True] * 36
+    assert seen == [True] * 24
 
 
 def test_kernel_sum_keeps_the_kernel_when_no_image_is_added():
@@ -334,11 +335,16 @@ def _direct_kernel_sum(powers, d, l):
     return Subspace.from_rows(op.dim(d), rows)
 
 
-@pytest.mark.parametrize("n,b2", [(1, 4), (2, 5), (3, 4)])
-def test_perverse_chain_matches_the_direct_kernel_sum(calculus, n, b2):
+@pytest.mark.parametrize("n,b2,frame_seed", [
+    pytest.param(n, b2, seed, id=f"{n}-{b2}" + ("-s1" if seed else ""))
+    for seed in (0, 1) for n, b2 in [(1, 4), (2, 5), (3, 4)]])
+def test_perverse_chain_matches_the_direct_kernel_sum(calculus, n, b2,
+                                                      frame_seed):
     """The top-down kernel sums equal the sum formula evaluated term by
-    term, on every degree and every index of the perverse chain."""
-    alg, frame, fc, big = calculus(n, b2)
+    term, on every degree and every index of the perverse chain; at frame
+    seed 1 the images are dense, so adding them to the kernel changes
+    the kernel's rows."""
+    alg, frame, fc, big = calculus(n, b2, frame_seed=frame_seed)
     powers = GradedPowers(fc.L_beta)
     for d in sorted(alg.dims()):
         chain = perverse_filtration(powers, n, d)
@@ -393,6 +399,37 @@ def test_conjugate_hodge(calculus):
             GradedPowers(lefschetz(alg, frame.sbar)), big, alg.n)
 
 
+@pytest.mark.parametrize("frame_seed", [0, 1])
+def test_conjugate_hodge_detects_a_moved_component(calculus, frame_seed):
+    """Moving one component V^(p,q,i) to (p+1, q-1, i), with 0 < q <= 2n,
+    makes it enter the candidate chain one index late, at 2n - q + 1, so
+    the candidate is not the weight filtration of L_sbar and fails."""
+    alg, frame, fc, big = calculus(2, 5, frame_seed=frame_seed)
+    n = alg.n
+    powers = GradedPowers(fc.L_sbar)
+    assert conjugate_hodge_check(powers, big, n)
+    moved = [key for key, sub in big.components.items()
+             if sub.dim and 0 < key[1] <= 2 * n]
+    assert moved
+    for p, q, i in moved:
+        comps = dict(big.components)
+        sub = comps.pop((p, q, i))
+        new = (p + 1, q - 1, i)
+        comps[new] = comps.get(new, Subspace.zero(sub.ambient_dim)).plus(
+            sub.rows)
+        assert not conjugate_hodge_check(
+            powers, Bigrading(big.n, big.degrees, comps), n), (p, q, i)
+
+
+def test_conjugate_hodge_needs_index_at_most_n(calculus):
+    """An anisotropic class has L_x of index 2n > n, so no weight
+    filtration centred at n exists to compare with."""
+    alg, frame, fc, big = calculus(1, 4)
+    with pytest.raises(FiltrationError, match="exceeds the centre"):
+        conjugate_hodge_check(GradedPowers(lefschetz(alg, [1, 1, 0, 0])),
+                              big, alg.n)
+
+
 def test_compare_gr_dims(calculus):
     for key in [(1, 4), (1, 5), (2, 4), (2, 5)]:
         alg, frame, fc, big = calculus(*key)
@@ -405,6 +442,36 @@ def test_compare_gr_dims(calculus):
         if b2 > 4:
             expected[0] = b2 - 4
         assert row == expected
+
+
+@pytest.mark.parametrize("frame_seed", [0, 1])
+def test_rank_formula_table_matches_the_weight_filtration(calculus,
+                                                          frame_seed):
+    """M's Gr table from the ranks of its powers equals the graded
+    dimensions of its kernel-sum weight filtration on the default grid."""
+    for n in (1, 2, 3):
+        for b2 in range(4, 8):
+            alg, frame, fc, big = calculus(n, b2, frame_seed=frame_seed)
+            wf = graded_weight_filtration(GradedPowers(fc.M), n)
+            assert monodromy_weight_table(GradedPowers(fc.M), n).entries \
+                == {(d, i - n): v for d in wf.degrees
+                    for i, v in wf.graded_dims(d).items()}, (n, b2)
+
+
+def test_rank_formula_on_a_hand_built_jordan_type():
+    """Jordan type (3, 1, 1) on degree 4, centred at 2: the block of size
+    3 puts one vector at each of l = -2, 0, 2, and each block of size 1
+    one at l = 0."""
+    m = nilpotent_blocks(3, 1, 1)
+    powers = GradedPowers(GradedOperator({4: m.rows}, 0, {4: m}))
+    assert monodromy_weight_table(powers, 2).entries == \
+        {(4, -2): 1, (4, 0): 3, (4, 2): 1}
+    with pytest.raises(FiltrationError, match="exceeds the centre"):
+        monodromy_weight_table(powers, 1)
+    # the formula reads one degree at a time, so it needs degree 0
+    lop = GradedOperator({0: m.rows, 2: m.rows}, 2, {0: m})
+    with pytest.raises(FiltrationError, match="degree-0"):
+        monodromy_weight_table(GradedPowers(lop), 2)
 
 
 def test_dim_table_rendering(calculus):

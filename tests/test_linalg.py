@@ -137,6 +137,59 @@ def test_sum_intersection_dimension_identity(vs, ws):
     assert a.contains_subspace(inter) and b.contains_subspace(inter)
 
 
+@st.composite
+def subspace_pair(draw, n=5):
+    """(a, b) in QQ^n: a spanned by random rows, b by random rows or by
+    random combinations of a's spanning rows, so b <= a in many draws."""
+    rows = st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                    min_size=0, max_size=4)
+    va = draw(rows)
+    if va and draw(st.booleans()):
+        coeffs = draw(st.lists(st.lists(small_entries, min_size=len(va),
+                                        max_size=len(va)), max_size=4))
+        vb = [[sum(c * v[j] for c, v in zip(cs, va)) for j in range(n)]
+              for cs in coeffs]
+    else:
+        vb = draw(rows)
+    return Subspace.from_rows(n, va), Subspace.from_rows(n, vb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pair())
+def test_contains_subspace_matches_row_membership(pair):
+    """The pivot test and one combination per row decide containment
+    exactly as reducing every row against the subspace does."""
+    for a, b in (pair, pair[::-1], (pair[0], pair[0])):
+        assert a.contains_subspace(b) is all(a._holds(r) for r in b.rows)
+
+
+def test_contains_subspace_edge_cases():
+    a = Subspace.from_rows(3, [[1, 0, 1], [0, 1, 1]])
+    # b's pivot 2 is no pivot of a
+    b = Subspace.from_rows(3, [[0, 0, 1]])
+    assert not a.contains_subspace(b)
+    assert a.contains_subspace(a) and a.contains_subspace(Subspace.zero(3))
+    # pivots inside a's, one term per row: only a's own rows lie in a
+    assert a.contains_subspace(Subspace.from_rows(3, [[0, 2, 2]]))
+    assert not a.contains_subspace(Subspace.from_rows(3, [[0, 1, 2]]))
+    # two terms, a row of the span and one off it
+    assert a.contains_subspace(Subspace.from_rows(3, [[1, 1, 2]]))
+    assert not a.contains_subspace(Subspace.from_rows(3, [[1, 1, 3]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pair(), st.lists(st.lists(small_entries, min_size=5,
+                                          max_size=5), max_size=3))
+def test_plus_matches_the_joint_elimination(pair, rows):
+    """Adding rows, some inside the subspace and some not, to a canonical
+    subspace gives the canonical form of the joint span, and adding only
+    rows inside it gives the subspace itself."""
+    a, b = pair
+    extra = [list(r) for r in b.rows] + rows
+    assert a.plus(extra) == Subspace.from_rows(5, list(a.rows) + extra)
+    assert a.plus(list(r) for r in a.rows) is a
+
+
 def test_subspace_contains_matches_solve():
     a = Subspace.from_vectors(3, [[1, 2, 0], [0, 1, 1]])
     assert a.contains([1, 3, 1])
