@@ -25,8 +25,12 @@ rationals, with no rational arithmetic per entry.  A Subspace stores only the
 primitive reduced rows, pivots positive, and forms its rational basis when
 vectors() is called.
 
-Joint eigenspaces of diagonal operators are read off their diagonals;
-other commuting operators are refined eigenspace by eigenspace.
+Brackets D X - X D' with diagonal D and D' are read off the diagonals,
+entry by entry, with no product (diagonal_bracket).  Joint eigenspaces of
+diagonal operators are read off their diagonals; other commuting
+operators are refined eigenspace by eigenspace.  Eigenvalues are keyed as
+ints when integral and as QQ otherwise, so no lookup hashes an int
+against a QQ.
 """
 
 from __future__ import annotations
@@ -184,6 +188,11 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def is_diagonal(self) -> bool:
+        """Whether every nonzero entry lies on the diagonal."""
+        return all(not r or (len(r) == 1 and r[0][0] == i)
+                   for i, r in enumerate(self.num))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
@@ -339,8 +348,8 @@ def lincomb(rows: int, cols: int, terms: Sequence) -> Mat:
                 x *= f
                 for j, y in bnum[k]:
                     arow[j] = arow[j] + x * y if j in arow else x * y
-    return Mat.from_num(rows, cols, [sorted((j, x) for j, x in r.items() if x)
-                                     for r in acc], den)
+    return Mat.from_num(rows, cols, [[(j, x) for j in sorted(r) if (x := r[j])]
+                                     if r else () for r in acc], den)
 
 
 def _dense(pairs: Sequence, n: int) -> list:
@@ -363,6 +372,23 @@ def commutator(a: Mat, b: Mat) -> Mat:
     if not a.rows == a.cols == b.rows == b.cols:
         raise LinalgError(f"commutator of {a.shape} and {b.shape}")
     return lincomb(a.rows, a.cols, [(1, a, b), (-1, b, a)])
+
+
+def diagonal_bracket(left: Mat, right: Mat, x: Mat, sign: int = 1) -> Mat:
+    """sign * (left * x - x * right) for diagonal left and right, with no
+    product: entry (i, j) is sign * (left[i] - right[j]) * x[i, j], formed
+    in integers over the product of the three denominators and reduced by
+    from_num, so the result is the canonical form lincomb would give."""
+    if left.shape != (x.rows, x.rows) or right.shape != (x.cols, x.cols):
+        raise LinalgError(
+            f"diagonal bracket of {left.shape}, {x.shape} and {right.shape}")
+    p, q = left.den, right.den
+    # Both diagonals as numerators over p * q, the sign folded in.
+    lv = [r[0][1] * q * sign if r else 0 for r in left.num]
+    rv = [r[0][1] * p * sign if r else 0 for r in right.num]
+    return Mat.from_num(x.rows, x.cols,
+                        [[(j, (a - rv[j]) * y) for j, y in r if a != rv[j]]
+                         for a, r in zip(lv, x.num)], p * q * x.den)
 
 
 # -- row reduction ----------------------------------------------------------
@@ -770,9 +796,11 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
     span of the coordinate vectors whose diagonal entries match it; no
     product is formed, since diagonal matrices commute.  Otherwise the
     inputs are checked to commute and eigenspaces are refined operator by
-    operator.  Either way the joint pieces must fill the ambient space; a
-    defect means some operator is not semisimple with integer spectrum over
-    the candidate values and raises EigenDefectError.
+    operator.  Either way the pieces are keyed by value tuples normalised
+    as _value_key does it, the candidates are normalised the same way, and
+    each candidate is one lookup.  The joint pieces must fill the ambient
+    space; a defect means some operator is not semisimple with integer
+    spectrum over the candidate values and raises EigenDefectError.
     """
     if not ops:
         raise LinalgError("need at least one operator")
@@ -783,7 +811,8 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
     for t in values:
         if len(t) != len(ops):
             raise LinalgError("value tuple length does not match operator count")
-    if all(_is_diagonal(op) for op in ops):
+    values = [tuple(map(_value_key, t)) for t in values]
+    if all(op.is_diagonal() for op in ops):
         pieces = _diagonal_pieces(ops)
     else:
         for i in range(len(ops)):
@@ -796,9 +825,7 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
     total = 0
     zero = Subspace.zero(n)
     for t in values:
-        sub = pieces.get(tuple(QQ(x) for x in t), zero)
-        if sub.is_zero():
-            sub = pieces.get(tuple(t), zero)
+        sub = pieces.get(t, zero)
         out.append(sub)
         total += sub.dim
     if total != n:
@@ -808,19 +835,28 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
     return out
 
 
-def _is_diagonal(m: Mat) -> bool:
-    return all(not r or (len(r) == 1 and r[0][0] == i)
-               for i, r in enumerate(m.num))
+def _value_key(x):
+    """The eigenvalue x as a lookup key: an int when it is integral, a QQ
+    otherwise, so equal values give equal keys of one type and no lookup
+    hashes an int against a QQ."""
+    if type(x) is int:
+        return x
+    x = QQ(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
 
 def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
-    """Diagonal tuple -> span of the coordinate vectors that carry it."""
+    """Diagonal tuple, keyed as _value_key keys it -> span of the
+    coordinate vectors that carry it."""
     n = ops[0].rows
     coords: dict = {}
     for k in range(n):
-        key = tuple(QQ(op.num[k][0][1], op.den) if op.num[k] else _ZERO
-                    for op in ops)
-        coords.setdefault(key, []).append(k)
+        key = []
+        for op in ops:
+            x = op.num[k][0][1] if op.num[k] else 0
+            v, r = divmod(x, op.den)
+            key.append(QQ(x, op.den) if r else v)
+        coords.setdefault(tuple(key), []).append(k)
     return {key: _unit_span(n, ks) for key, ks in coords.items()}
 
 

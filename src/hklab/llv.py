@@ -34,9 +34,12 @@ structure tensors are scaled to integers once per call, and the operator's
 blocks are integers over one denominator already); only a failing pair is
 turned into rational AlgebraElements.  Commutators and linear combinations
 accumulate the numerators of all their terms over one denominator
-(linalg.lincomb).  The bigrading splits a degree by the diagonal of the
-Cartan blocks when they are diagonal (the canonical frame) and refines
-eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
+(linalg.lincomb), except a commutator with a diagonal degree-0 operand D
+(h, and the Cartan operators at the canonical frame): [D, X] is read off
+the diagonals as (D[i] - D[j]) X_ij, with no product
+(linalg.diagonal_bracket).  The bigrading splits a degree by the diagonal
+of the Cartan blocks when they are diagonal (the canonical frame) and
+refines eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
 
 The frame calculus and the bigrading take an operator module (see
 module_io.LLVModuleSpec): a built algebra is analysed as the module
@@ -57,6 +60,7 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
+    diagonal_bracket,
     invert,
     kernel_basis,
     lincomb,
@@ -90,7 +94,11 @@ class GradedOperator:
 
     degrees maps cohomological degree to dimension; blocks[d] is the matrix
     of the map from degree d to degree d + offset.  Missing blocks (or
-    blocks whose target degree is absent) are zero maps.
+    blocks whose target degree is absent) are zero maps.  The constructor
+    copies degrees and checks every block's shape; operators derived from
+    others (brackets, combinations, scalings) are built by _derived, whose
+    shapes follow from the inputs, and share their inputs' degrees, which
+    nothing mutates.
     """
 
     __slots__ = ("degrees", "offset", "blocks")
@@ -125,7 +133,7 @@ class GradedOperator:
         self._same_grading(other)
         if self.offset != other.offset:
             raise OperatorError("cannot combine operators of different offsets")
-        return GradedOperator(
+        return _derived(
             self.degrees, self.offset,
             {d: fn(self.block(d), other.block(d)) for d in self.degrees
              if self.dim(d) and self.dim(d + self.offset)})
@@ -137,11 +145,17 @@ class GradedOperator:
         return self._blockwise(other, Mat.__sub__)
 
     def scale(self, c) -> "GradedOperator":
-        return GradedOperator(self.degrees, self.offset,
-                              {d: m.scale(c) for d, m in self.blocks.items()})
+        return _derived(self.degrees, self.offset,
+                        {d: m.scale(c) for d, m in self.blocks.items()})
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
+
+    def is_diagonal(self) -> bool:
+        """Whether the operator has offset 0 and every block is diagonal,
+        as the Cartan operators are at the canonical frame."""
+        return self.offset == 0 and all(
+            m.is_diagonal() for m in self.blocks.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedOperator):
@@ -229,15 +243,33 @@ class GradedPowers:
         return s
 
 
+def _derived(degrees: dict, offset: int, blocks: dict) -> GradedOperator:
+    """The operator with these fields, not copied or checked: for results
+    whose block shapes follow from operators already built."""
+    op = object.__new__(GradedOperator)
+    op.degrees, op.offset, op.blocks = degrees, offset, blocks
+    return op
+
+
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """[a, b], each block both products in one integer accumulator."""
+    """[a, b].  When either operand is diagonal (GradedOperator.is_diagonal),
+    each block is read off the diagonals, [D, X]_ij = (D_{d+off}[i] -
+    D_d[j]) X_ij, with no product (linalg.diagonal_bracket; [X, D] is its
+    negation).  Otherwise each block holds both products in one integer
+    accumulator (linalg.lincomb).  Both routes give the canonical blocks."""
     a._same_grading(b)
     off = a.offset + b.offset
-    return GradedOperator(a.degrees, off, {
+    degs = [d for d in a.degrees if a.dim(d) and a.dim(d + off)]
+    for diag, x, sign in ((a, b, 1), (b, a, -1)):
+        if diag.is_diagonal():
+            return _derived(a.degrees, off, {
+                d: diagonal_bracket(diag.block(d + off), diag.block(d),
+                                    x.block(d), sign) for d in degs})
+    return _derived(a.degrees, off, {
         d: lincomb(a.dim(d + off), a.dim(d),
                    [(1, a.block(d + b.offset), b.block(d)),
                     (-1, b.block(d + a.offset), a.block(d))])
-        for d in a.degrees if a.dim(d) and a.dim(d + off)})
+        for d in degs})
 
 
 def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
@@ -264,7 +296,7 @@ def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
         mats = [(c, op.blocks[d], None) for c, op in terms if d in op.blocks]
         if mats:
             blocks[d] = lincomb(rows, cols, mats)
-    return GradedOperator(first.degrees, off, blocks)
+    return _derived(first.degrees, off, blocks)
 
 
 # -- basic operators ----------------------------------------------------------
@@ -587,8 +619,13 @@ class SL2Triple:
 
 def verify_sl2(t: SL2Triple) -> bool:
     """Exact check of [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    return (commutator_op(t.e, t.f) == t.h
-            and commutator_op(t.h, t.e) == t.e.scale(2)
+    return commutator_op(t.e, t.f) == t.h and _weights_hold(t)
+
+
+def _weights_hold(t: SL2Triple) -> bool:
+    """Exact check of [h,e] = 2e and [h,f] = -2f, the identities of an sl2
+    triple besides [e,f] = h."""
+    return (commutator_op(t.h, t.e) == t.e.scale(2)
             and commutator_op(t.h, t.f) == t.f.scale(-2))
 
 

@@ -32,12 +32,12 @@ from hklab.llv import (
     GradedPowers,
     HodgeFrame,
     OperatorError,
+    _weights_hold,
     bigrading,
     build_frame,
     frame_calculus,
     frame_triples,
     verify_derivation,
-    verify_sl2,
 )
 from hklab.filtrations import (
     compare_gr_dims,
@@ -272,6 +272,18 @@ def check_m_degree2(fc: FrameCalculus) -> list:
 def check_sl2_suite(fc: FrameCalculus) -> list:
     """The frame sl2 triples, verified exactly.
 
+    Each triple is checked on [h,e] = 2e and [h,f] = -2f; its third
+    identity [e,f] = h holds by construction, so checking it would
+    recompute a bracket already certified:
+    - for sigma, sigma_bar and beta, h is the bracket [e, f] that
+      frame_calculus computes (H_s, H_sbar, H_beta);
+    - for eta, frame_triples computes h as [e, f];
+    - for m, frame_calculus certifies [E_M, F_M] = kappa H_M exactly, so
+      [E_M, F_M/kappa] = H_M.
+    At the canonical frame every h is diagonal, so these brackets take
+    commutator_op's diagonal route.  llv.verify_sl2 keeps all three
+    identities for triples from elsewhere.
+
     The doubled pair (2M, 2[Lam_s, L_eta]) brackets to m_bracket_scalar
     times H_beta - H_s; the scalar is recorded and the bracket-normalised
     triple is the one verified.  The unnormalised literal pair is also
@@ -282,7 +294,7 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
     """
     verdicts = []
     kappa, h_m = fc.m_bracket_scalar, fc.H_M
-    oks = {name: verify_sl2(t) for name, t in frame_triples(fc).items()}
+    oks = {name: _weights_hold(t) for name, t in frame_triples(fc).items()}
     for name, ok in oks.items():
         claim = f"sl2 triple '{name}'"
         if name == "m":

@@ -23,6 +23,7 @@ from hklab.linalg import (
     Subspace,
     commutator,
     eigenspace,
+    invert,
     kernel_basis,
     restrict_operator,
     rref,
@@ -323,6 +324,69 @@ def test_diagonal_tuple_outside_the_grid_raises():
     subs = simultaneous_eigenspaces(ops, [(1, 2), (0, 2), (1, 3)])
     assert [s.dim for s in subs] == [1, 1, 1]
     assert subs[2] == Subspace.from_vectors(3, [[0, 1, 0]])
+
+
+def _as(form: str, values: list) -> list:
+    """The value tuples with integral entries as ints ("int"), every entry
+    as a QQ ("QQ"), or integral entries as ints at even positions only
+    ("mixed"); non-integral entries stay QQ."""
+    def one(i, x):
+        whole = x.denominator == 1 and (form == "int"
+                                        or (form == "mixed" and i % 2 == 0))
+        return int(x) if whole else QQ(x)
+    return [tuple(one(i, QQ(x)) for i, x in enumerate(t)) for t in values]
+
+
+class _RecordingPieces(dict):
+    """The pieces of simultaneous_eigenspaces, recording their keys and
+    each lookup."""
+
+    keys_and_lookups: list = []
+
+    def __init__(self, pieces: dict):
+        super().__init__(pieces)
+        self.keys_and_lookups.extend(pieces)
+
+    def get(self, key, default=None):
+        self.keys_and_lookups.append(key)
+        return super().get(key, default)
+
+
+def _one_type_per_value(keys) -> bool:
+    """Whether every value in the key tuples is an int, or a QQ that is
+    not integral."""
+    return all(type(x) is int or (type(x) is QQ and x.denominator != 1)
+               for t in keys for x in t)
+
+
+@pytest.mark.parametrize("form", ["int", "QQ", "mixed"])
+def test_non_integral_eigenvalues_match_the_refinement(form, monkeypatch):
+    """Integral values key as ints and the others as QQ on both sides of
+    the lookup, so candidates given as ints, as QQs or mixed find the
+    pieces of a diagonal with a non-integral value, and of its conjugate
+    by a dense matrix (the refinement route), and no lookup hashes an int
+    against a QQ."""
+    from hklab import linalg
+    for name in ("_diagonal_pieces", "_refined_pieces"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, real=real:
+                            _RecordingPieces(real(*a)))
+    half = QQ(1, 2)
+    diag = [Mat.diagonal([half, 1, half, 0]),
+            Mat.diagonal([2, QQ(3, 2), 2, QQ(3, 2)])]
+    cands = _as(form, [(half, 2), (1, QQ(3, 2)), (0, QQ(3, 2)), (half, 3),
+                       (1, 2)])
+    assert any(type(x) is int for t in cands for x in t) == (form != "QQ")
+    p = Mat.from_rows([[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0],
+                       [1, 0, 0, 1]])
+    conj = [p * m * invert(p) for m in diag]
+    for ops in (diag, conj):
+        seen = _RecordingPieces.keys_and_lookups = []
+        subs = simultaneous_eigenspaces(ops, cands)
+        assert_same_subspaces(subs, _reference_eigenspaces(ops, cands))
+        assert [s.dim for s in subs] == [2, 1, 1, 0, 0]
+        assert len(seen) == 3 + len(cands)  # three pieces, one lookup each
+        assert _one_type_per_value(seen)
 
 
 # -- frontier parity ------------------------------------------------------------------

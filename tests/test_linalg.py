@@ -1,5 +1,6 @@
 import random
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -823,6 +824,71 @@ def test_graded_commutator_matches_a_dense_fraction_reference(case, x):
     both = combine([x, 1 - x], [lop, lop])
     for d, m in raising.items():
         assert_matches(both.block(d), m, dims[d + 2], dims[d])
+
+
+@st.composite
+def diagonal_and_graded(draw) -> tuple:
+    """Degree dims on 0, 2, 4 (degree 2 of dimension at least 2), the
+    rational diagonals of an offset-0 operator on some of them (the other
+    blocks missing), and an offset and the dense blocks of an operator of
+    that offset."""
+    dims = {0: draw(st.integers(1, 3)), 2: draw(st.integers(2, 3)),
+            4: draw(st.integers(1, 3))}
+    diagonals = {d: draw(st.lists(scalars, min_size=k, max_size=k))
+                 for d, k in dims.items() if draw(st.booleans())}
+    off = draw(st.sampled_from([-2, 0, 2]))
+    blocks = {d: draw(sparse_rows(dims[d + off], k))
+              for d, k in dims.items() if d + off in dims}
+    return dims, diagonals, off, blocks
+
+
+def dense_graded_bracket(dims: dict, a: dict, a_off: int, b: dict,
+                         b_off: int) -> dict:
+    """Dense blocks of [a, b] for operators given by dense blocks."""
+    def block(blocks: dict, off: int, d: int) -> list:
+        return blocks.get(d) or [[_Z] * dims.get(d, 0)
+                                 for _ in range(dims.get(d + off, 0))]
+
+    off = a_off + b_off
+    return {d: dense_sub(
+        dense_mul(block(a, a_off, d + b_off), block(b, b_off, d), k),
+        dense_mul(block(b, b_off, d + a_off), block(a, a_off, d), k))
+        for d, k in dims.items() if dims.get(d + off)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_and_graded())
+def test_diagonal_bracket_matches_a_dense_fraction_reference(case):
+    """A diagonal offset-0 operator brackets by its diagonals, in both
+    orders, with no product; one off-diagonal entry sends the same brackets
+    down the product route.  Both routes give the reference's canonical
+    blocks."""
+    from hklab import llv
+    dims, diagonals, off, blocks = case
+    diag = {d: [[v if i == j else _Z for j in range(len(vs))]
+                for i, v in enumerate(vs)] for d, vs in diagonals.items()}
+    skewed = {d: [list(r) for r in m] for d, m in diag.items()}
+    skewed.setdefault(2, [[_Z] * dims[2] for _ in range(dims[2])])[0][1] = \
+        QQ(1, 3)
+
+    def graded(bl: dict, o: int) -> GradedOperator:
+        return GradedOperator(dims, o, {
+            d: Mat(dims[d + o], dims[d], m) for d, m in bl.items()})
+
+    x = graded(blocks, off)
+    for d_blocks, is_diag in ((diag, True), (skewed, False)):
+        dop = graded(d_blocks, 0)
+        assert dop.is_diagonal() == is_diag
+        with mock.patch.object(llv, "lincomb", wraps=llv.lincomb) as spy:
+            for got, ref in (
+                    (commutator_op(dop, x),
+                     dense_graded_bracket(dims, d_blocks, 0, blocks, off)),
+                    (commutator_op(x, dop),
+                     dense_graded_bracket(dims, blocks, off, d_blocks, 0))):
+                assert got.offset == off and set(got.blocks) == set(ref)
+                for d, m in ref.items():
+                    assert_matches(got.block(d), m, dims[d + off], dims[d])
+        assert spy.called == (not is_diag and not x.is_diagonal())
 
 
 @pytest.mark.parametrize("n", range(7))

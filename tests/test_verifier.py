@@ -11,8 +11,10 @@ from hklab.llv import (
     SL2Triple,
     bigrading,
     build_frame,
+    _weights_hold,
     commutator_op,
     frame_calculus,
+    frame_triples,
     verify_sl2,
 )
 from hklab.module_io import (
@@ -338,6 +340,59 @@ def test_run_instance_builds_each_operator_once(built, monkeypatch):
     assert len(lefschetz_calls) == alg.space.dim
     assert len({id(op) for op in laddered}) == len(laddered)
     assert sum(op.offset == 0 for op in laddered) == 1  # the monodromy M
+
+
+def _sl2_verdicts(verdicts) -> dict:
+    """Triple name -> passed, for the per-triple verdicts of the suite."""
+    return {v.claim.split("'")[1]: v.passed for v in verdicts
+            if v.claim.startswith("sl2 triple '")}
+
+
+@pytest.mark.parametrize("frame_seed", [0, 1])
+def test_sl2_suite_agrees_with_full_verify_sl2(calculus, frame_seed):
+    """The suite checks only [h,e] = 2e and [h,f] = -2f, since [e,f] = h
+    holds by construction; its verdict on every frame triple is that of
+    the full three-identity check on the default grid."""
+    for n, b2 in DEFAULT_GRID:
+        alg, frame, fc, big = calculus(n, b2, frame_seed=frame_seed)
+        full = {name: verify_sl2(t) for name, t in frame_triples(fc).items()}
+        assert _sl2_verdicts(check_sl2_suite(fc)) == full, (n, b2)
+        assert all(full.values()), (n, b2)
+
+
+def test_verify_sl2_still_checks_the_bracket_of_e_and_f(calculus):
+    """With the counting operator h in place of H_s, the sigma triple
+    keeps both weight identities but [e,f] = h fails, and only the full
+    check sees it."""
+    alg, frame, fc, big = calculus(2, 5)
+    planted = SL2Triple(fc.L_s, fc.Lam_sbar, fc.h)
+    assert commutator_op(planted.e, planted.f) != planted.h
+    assert _weights_hold(planted)
+    assert not verify_sl2(planted)
+
+
+def test_sl2_suite_brackets_the_diagonal_h_without_products(calculus,
+                                                          monkeypatch):
+    """At frame seed 0 every h of the frame triples is diagonal, so the
+    suite's [h, .] brackets are read off the diagonals: no integer product
+    accumulator (linalg.lincomb) runs.  The triples are formed beforehand,
+    as frame_triples brackets [L_eta, Lam_beta] for the eta triple."""
+    from hklab import linalg, llv, verifier
+    alg, frame, fc, big = calculus(3, 4)
+    triples = frame_triples(fc)
+    assert all(t.h.is_diagonal() for t in triples.values())
+    calls, real = [], linalg.lincomb
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verifier, "frame_triples", lambda _: triples)
+    monkeypatch.setattr(llv, "lincomb", counting)
+    monkeypatch.setattr(linalg, "lincomb", counting)
+    verdicts = check_sl2_suite(fc)
+    assert all(v.passed for v in verdicts if v.asserted)
+    assert calls == []
 
 
 def test_verdict_witness_autofill():
