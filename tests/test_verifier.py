@@ -9,9 +9,9 @@ from hklab.llv import (
     GradedPowers,
     OperatorError,
     SL2Triple,
+    _weights_hold,
     bigrading,
     build_frame,
-    _weights_hold,
     commutator_op,
     frame_calculus,
     frame_triples,
