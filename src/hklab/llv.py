@@ -304,6 +304,7 @@ def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
 def lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
     """Multiplication by the degree-2 class with coordinate vector x."""
     x = vec(x)
+    support = [(s, xs) for s, xs in enumerate(x) if xs]
     degrees = alg.dims()
     blocks = {}
     for k in range(0, 2 * alg.n):
@@ -315,9 +316,7 @@ def lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
                 for t, val in enumerate(x):
                     rows[t][j] = val
                 continue
-            for s, xs in enumerate(x):
-                if not xs:
-                    continue
+            for s, xs in support:
                 entry = tensor.get((s, j))
                 if not entry:
                     continue

@@ -12,22 +12,23 @@ SH = Sym(V) / Ann(Q^n) with Q(xi) = xi^T G xi acting by differentiation
 (Macaulay inverse system; Verbitsky, GAFA 6, 1996; Iarrobino-Kanev, LNM
 1721).  Each quotient degree is therefore read off one exact catalecticant
 matrix of Q^n.  Its rank is checked against the closed-form dimension, and
-a shortfall is a hard error.  Each monomial m is listed once per build with
-the integer code sum_s m_s (2n+1)^s; no exponent exceeds 2n, so a product's
-code is the sum of the codes.  The work follows the support of Q^n: the
-weight at alpha fills the catalecticant cell (alpha - g, g), and a structure
-constant comes from splitting a monomial of nonzero coset into its
-divisors.  In radix 2n+1, code(alpha) - code(g) is the code of a degree-k
-monomial iff alpha >= g, since a borrow adds a multiple of 2n to the digit
-sum.
+a shortfall is a hard error.  A monomial m has the integer code
+sum_s m_s (2n+1)^s; no exponent exceeds 2n, so a product's code is the sum
+of the codes.  Monomials are listed only in degrees k <= n, where each is a
+basis monomial.  Above n the work follows the support of Q^n: the weight at
+alpha fills the catalecticant cell (alpha - g, g) for each sub-multiset g
+of alpha of degree 2n - k, so only the nonzero rows are ever made, and a
+structure constant comes from splitting a monomial of nonzero coset into
+its divisors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, prod
+from itertools import (chain, combinations, combinations_with_replacement,
+                       repeat)
+from math import factorial, prod
 from typing import Optional, Sequence
 
 from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _dense,
@@ -47,18 +48,15 @@ class BuildError(RuntimeError):
 
 # -- monomial bookkeeping -----------------------------------------------------
 
-def monomials(nvars: int, degree: int) -> list:
-    """Exponent tuples of the given total degree, descending grevlex order."""
-    place = [(degree + 1) ** s for s in range(nvars)]
-    return [tuple(map(ms.count, place)) for ms in _multisets(place, degree)]
-
-
 def _multisets(place: list, degree: int) -> list:
-    """The monomials of the given degree, in the order of monomials(), as
-    multisets of the place values place[s] = radix^s: m_s copies of each,
-    so the code sum_s m_s radix^s of m is the sum of its multiset.  Drawn
-    from the places last first, combinations_with_replacement yields
-    exactly the reverse order, so no sort is needed."""
+    """The monomials of the given degree as multisets of the place values
+    place[s] = radix^s: m_s copies of each, so the code sum_s m_s radix^s of
+    m is the sum of its multiset.  With radix above every exponent the
+    order is ascending code, i.e. descending grevlex, the order of each
+    quotient degree's basis; the build sorts catalecticant rows by code to
+    keep it.  Drawn from the places last first,
+    combinations_with_replacement yields exactly the reverse order, so no
+    sort is needed."""
     if degree < 0:
         return []
     out = list(combinations_with_replacement(place[::-1], degree))
@@ -66,37 +64,11 @@ def _multisets(place: list, degree: int) -> list:
     return out
 
 
-def monomial_count(nvars: int, degree: int) -> int:
-    if degree < 0:
-        return 0
-    return comb(degree + nvars - 1, nvars - 1)
-
-
 def multinomial(total: int, parts: Sequence[int]) -> int:
     num = factorial(total)
     for p in parts:
         num //= factorial(p)
     return num
-
-
-def _power_coeffs(v: Sequence, m: int) -> dict:
-    """Coefficients of (sum v_s z_s)^m in the monomial basis."""
-    nvars = len(v)
-    out = {}
-    for mono in monomials(nvars, m):
-        c = 1
-        ok = True
-        for vs, a in zip(v, mono):
-            if a == 0:
-                continue
-            if vs == 0:
-                ok = False
-                break
-            c *= vs ** a
-        if not ok:
-            continue
-        out[mono] = multinomial(m, mono) * c
-    return out
 
 
 # -- the graded algebra -------------------------------------------------------
@@ -139,20 +111,34 @@ class GradedAlgebra:
     levels maps k (cohomological degree 2k) to the list of exponent tuples
     labelling the basis; tensors maps an ordered level pair (k, l), k <= l,
     to {(i, j): {t: value}} structure constants; proj (present on freshly
-    built instances, absent after a JSON round trip) maps each full
-    symmetric-power monomial to its coset coordinates.  A build shares the
-    coset dicts between tensors and proj, so both are read-only.
+    built instances, None after a JSON round trip) maps k to the coset
+    coordinates of every monomial of Sym^k, in the order of _multisets.
+    A build keeps only code-keyed cosets, {k: {code: coset}} for the
+    monomials with a nonzero coset, and proj is derived from them the first
+    time it is read.  The coset dicts are shared between tensors and proj,
+    so both are read-only.
     """
 
     def __init__(self, space: QuadraticSpace, n: int, levels: dict,
                  tensors: dict, proj: Optional[dict] = None,
-                 build_meta: Optional[dict] = None):
+                 build_meta: Optional[dict] = None,
+                 cosets: Optional[dict] = None):
         self.space = space
         self.n = n
         self.levels = levels
         self.tensors = tensors
-        self.proj = proj
+        self._proj = proj
+        self._cosets = cosets
         self.build_meta = dict(build_meta or {})
+
+    @property
+    def proj(self) -> Optional[dict]:
+        if self._proj is None and self._cosets is not None:
+            place = [(2 * self.n + 1) ** s for s in range(self.b2)]
+            self._proj = {k: [table.get(sum(ms), {})
+                              for ms in _multisets(place, k)]
+                          for k, table in self._cosets.items()}
+        return self._proj
 
     # -- shape ---------------------------------------------------------------
 
@@ -376,36 +362,39 @@ def build_verbitsky(space: QuadraticSpace, n: int,
     if n < 1:
         raise BuildError("n must be at least 1")
     place = [(2 * n + 1) ** s for s in range(space.dim)]
-    graded = [_multisets(place, k) for k in range(2 * n + 1)]
-    codes = [list(map(sum, ms)) for ms in graded]
-    weights = {sum(a * p for a, p in zip(alpha, place)): w
-               for alpha, w in _apolar_weights(space, n).items()}
-    levels, proj, basis = {}, {}, {}
+    weights = []
+    for alpha, w in _apolar_weights(space, n).items():
+        ms = tuple(chain.from_iterable(map(repeat, place, alpha)))
+        weights.append((ms, sum(ms), w))
+    # shapes[k] and cosets[k] map the code of each monomial of Sym^k with a
+    # nonzero coset to its multiset and its coset; basis[k] maps the code of
+    # each basis monomial to its index.  Up to degree n every monomial is a
+    # basis monomial; above n, basis[2n-k] indexes the catalecticant columns.
+    shapes, cosets, basis, levels = {}, {}, {}, {}
     for k in range(2 * n + 1):
         if k <= n:
-            free = range(len(codes[k]))
-            proj[k] = [{i: _ONE} for i in free]
+            shapes[k] = {sum(ms): ms for ms in _multisets(place, k)}
+            free = list(shapes[k])
+            cosets[k] = {c: {i: _ONE} for i, c in enumerate(free)}
         else:
-            free, proj[k] = _ideal_projection(weights, codes[k],
-                                              codes[2 * n - k], k)
-        basis[k] = {codes[k][c]: i for i, c in enumerate(free)}
-        levels[k] = [tuple(map(graded[k][c].count, place)) for c in free]
+            free, shapes[k], cosets[k] = _ideal_projection(
+                weights, basis[2 * n - k], n, k)
+        basis[k] = {c: i for i, c in enumerate(free)}
+        levels[k] = [tuple(map(shapes[k][c].count, place)) for c in free]
     # a product of basis monomials i, j is a monomial (multiset, code) of
     # degree k+l with a nonzero coset, and j's code is its code minus i's
-    support = [[entry for entry in zip(ms, cs, proj[d]) if entry[2]]
-               for d, (ms, cs) in enumerate(zip(graded, codes))]
     tensors = {}
     for k in range(2 * n + 1):
         for l in range(k, 2 * n + 1 - k):
             found = {}
-            for ms, m, coset in support[k + l]:
-                for sub in set(combinations(ms, k)):
+            for m, coset in cosets[k + l].items():
+                for sub in set(combinations(shapes[k + l][m], k)):
                     ci = sum(sub)
                     i, j = basis[k].get(ci), basis[l].get(m - ci)
                     if i is not None and j is not None:
                         found[i, j] = coset
             tensors[(k, l)] = {key: found[key] for key in sorted(found)}
-    return GradedAlgebra(space, n, levels, tensors, proj=proj,
+    return GradedAlgebra(space, n, levels, tensors, cosets=cosets,
                          build_meta={"seed": seed})
 
 
@@ -413,52 +402,67 @@ def _apolar_weights(space: QuadraticSpace, n: int) -> dict:
     """alpha -> den^n d^alpha Q^n (an int) for |alpha| = 2n, Q = xi^T G xi
     and G = num / den the Gram matrix.
 
-    den^n Q^n is expanded over num by treating the terms of Q as the
-    variables of _power_coeffs; d^alpha xi^alpha = alpha!.
+    den^n Q^n is expanded over num: a multiset of n terms of Q, t_s taken
+    c_s times, contributes multinomial(n, c) prod t_s^(c_s) to the monomial
+    that is the product of its terms; d^alpha xi^alpha = alpha!.
     """
     b2 = space.dim
     terms = [(i, j, x if i == j else 2 * x)
              for i, row in enumerate(space.gram.num) for j, x in row if j >= i]
     qn = {}
-    for powers, c in _power_coeffs([x for _, _, x in terms], n).items():
+    for picked in combinations_with_replacement(range(len(terms)), n):
         alpha = [0] * b2
-        for p, (i, j, _) in zip(powers, terms):
-            alpha[i] += p
-            alpha[j] += p
+        c = 1
+        for t in picked:
+            i, j, x = terms[t]
+            alpha[i] += 1
+            alpha[j] += 1
+            c *= x
         alpha = tuple(alpha)
+        c *= multinomial(n, [picked.count(t) for t in set(picked)])
         qn[alpha] = qn.get(alpha, 0) + c
     return {alpha: c * prod(factorial(a) for a in alpha)
             for alpha, c in qn.items() if c}
 
 
-def _ideal_projection(weights: dict, codes: list, duals: list,
-                      k: int) -> tuple:
-    """Quotient basis and projection table for Sym^k -> SH^{2k}.
+def _ideal_projection(weights: list, columns: dict, n: int, k: int) -> tuple:
+    """Quotient basis and cosets for Sym^k -> SH^{2k}, k > n.
 
     SH is Gorenstein with socle functional x^{2n} -> c q(x)^n, so the ideal
     in degree k is the kernel of the catalecticant C_k[m][g] = d^(m+g) Q^n
-    (rows m in Sym^k, columns g in Sym^(2n-k), both given by their codes;
-    the weights d^alpha Q^n, keyed by code, may carry one positive factor,
-    which changes no span and no coset).  Only nonzero cells are made: the
-    weight at code alpha lands in row alpha - g of column g, as the
-    difference of codes is a degree-k code iff alpha >= g componentwise.
-    Monomial c is a basis monomial iff row C_c is not in the span of the
-    later rows, which reproduces the non-pivot columns of the ideal's
-    canonical RREF; a zero row never is.  The coset of c is then
-    table[c] = C_c C_F^{-1}; the cosets of the nonzero non-basis rows are
-    one sparse product.
+    (rows m in Sym^k; columns maps the code of each g in Sym^(2n-k) to its
+    column; weights lists the triples (multiset, code, d^alpha Q^n) of the
+    support of Q^n, whose weights may carry one positive factor, which
+    changes no span and no coset).  Only the nonzero rows are made:
+    cell (m, g) is nonzero iff m + g = alpha is in the support, so each
+    distinct sub-multiset g of size 2n-k of alpha puts alpha's weight in
+    column g of row alpha - g, the complement of g, whose code is
+    code(alpha) - code(g).  Sorted by code, the rows are in the order of
+    _multisets, and each row is sorted by column.  Monomial c is a basis
+    monomial iff row C_c is not in the span of the later rows, which
+    reproduces the non-pivot columns of the ideal's canonical RREF; a zero
+    row never is.  The coset of c is then C_c C_F^{-1}; the cosets of the
+    nonzero non-basis rows are one sparse product, and a monomial with a
+    zero row lies in the ideal.
 
-    Returns (free, table): the positions in Sym^k of the quotient basis
-    monomials, and per monomial of Sym^k its coset coefficients.
+    Returns (free, shapes, cosets): the codes of the quotient basis
+    monomials, ascending, and code -> multiset and code -> coset for every
+    monomial with a nonzero row, which is exactly the monomials with a
+    nonzero coset.
     """
-    index = dict(zip(codes, range(len(codes))))
-    rows = {}
-    for j, cg in enumerate(duals):
-        for cw, w in weights.items():
-            if (pos := index.get(cw - cg)) is not None:
-                rows.setdefault(pos, []).append((j, w))
+    rows, shapes = {}, {}
+    for ms, cw, w in weights:
+        for g in set(combinations(ms, 2 * n - k)):
+            cg = sum(g)
+            c = cw - cg
+            if c not in rows:
+                rows[c] = []
+                shapes[c] = _complement(ms, g)
+            rows[c].append((columns[cg], w))
     nonzero = sorted(rows)
-    target = len(duals)
+    for c in nonzero:
+        rows[c].sort()
+    target = len(columns)
     echelon = IncrementalRref(target)
     free = []
     for c in reversed(nonzero):
@@ -470,12 +474,18 @@ def _ideal_projection(weights: dict, codes: list, duals: list,
         raise BuildError(f"degree {2 * k}: catalecticant rank {echelon.rank} "
                          f"is below the target {target}")
     free.reverse()
-    table = [{} for _ in codes]
-    for j, c in enumerate(free):
-        table[c] = {j: _ONE}
-    rest = [c for c in nonzero if not table[c]]
-    cosets = (Mat.from_num(len(rest), target, [rows[c] for c in rest])
-              * invert(Mat.from_num(target, target, [rows[c] for c in free])))
-    for c, entry in zip(rest, cosets.num):
-        table[c] = {j: QQ(x, cosets.den) for j, x in entry}
-    return free, table
+    cosets = {c: {j: _ONE} for j, c in enumerate(free)}
+    rest = [c for c in nonzero if c not in cosets]
+    product = (Mat.from_num(len(rest), target, [rows[c] for c in rest])
+               * invert(Mat.from_num(target, target, [rows[c] for c in free])))
+    for c, entry in zip(rest, product.num):
+        cosets[c] = {j: QQ(x, product.den) for j, x in entry}
+    return free, shapes, cosets
+
+
+def _complement(ms: tuple, sub: tuple) -> tuple:
+    """The multiset ms minus its sub-multiset sub."""
+    rest = list(ms)
+    for p in sub:
+        rest.remove(p)
+    return tuple(rest)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hklab.filtrations import graded_nilpotence_index
@@ -39,6 +41,28 @@ def test_lefschetz_unit_and_linearity(built):
     y = [0, 1, 1, 0, 0]
     lsum = lefschetz(alg, [a + b for a, b in zip(x, y)])
     assert lsum == lx + lefschetz(alg, y)
+
+
+@pytest.mark.parametrize("n,b2", [(n, b2) for n in (1, 2, 3)
+                                  for b2 in (4, 5, 6, 7)])
+def test_lefschetz_columns_are_products(built, n, b2):
+    """Column j of L_x in each degree is x e_j as GradedAlgebra.multiply
+    computes it, for a random rational x with zero coordinates and for the
+    frame vectors at frame seed 1 (rational, mostly nonzero)."""
+    alg = built(n, b2)
+    rng = random.Random(100 * n + b2)
+    x = [QQ(rng.randint(-6, 6) or 1, rng.randint(1, 5)) for _ in range(b2)]
+    for s in rng.sample(range(b2), b2 // 2):
+        x[s] = QQ(0)
+    frame = build_frame(alg.space, seed=1)
+    for v in (x, frame.s, frame.sbar, frame.beta, frame.eta):
+        lx = lefschetz(alg, v)
+        xv = alg.degree2(v)
+        for k in range(2 * n):
+            dim = alg.level_dim(k)
+            for j, col in enumerate(lx.block(2 * k).columns()):
+                e = alg.element(2 * k, unit(dim, j))
+                assert col == list(alg.multiply(xv, e).coords), (v, k, j)
 
 
 def test_lefschetz_isotropic_power_vanishes(built):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklab import verbitsky
 from hklab.linalg import (
     QQ,
     IncrementalRref,
@@ -26,12 +27,9 @@ from hklab.verbitsky import (
     BuildError,
     GradedAlgebra,
     build_verbitsky,
-    monomial_count,
-    monomials,
     multinomial,
     _apolar_weights,
     _multisets,
-    _power_coeffs,
 )
 
 
@@ -77,12 +75,14 @@ def test_monomials_match_sorted_reference(nvars, degree):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.data())
 def test_code_difference_is_a_code_iff_divisor(n, b2, data):
-    """The fact the sparse build rests on: in radix 2n+1, for |alpha| = 2n
-    and |g| = 2n - k, code(alpha) - code(g) is the code of a degree-k
-    monomial exactly when alpha >= g componentwise, and then it is
-    code(alpha - g).  A borrow adds a multiple of 2n to the digit sum, so
-    the difference of a non-divisor leaves degree k.  (Radix 2n would do
-    too, as codes stay injective up to degree 2n; radix 2n - 1 fails.)"""
+    """In radix 2n+1, for |alpha| = 2n and |g| = 2n - k, code(alpha) -
+    code(g) is the code of a degree-k monomial exactly when alpha >= g
+    componentwise, and then it is code(alpha - g).  So the rows the build
+    makes from the sub-multisets g of each alpha are exactly the cells a
+    lookup of every code difference would find.  A borrow adds a multiple
+    of 2n to the digit sum, so the difference of a non-divisor leaves
+    degree k.  (Radix 2n would do too, as codes stay injective up to
+    degree 2n; radix 2n - 1 fails.)"""
     place = [(2 * n + 1) ** s for s in range(b2)]
     alpha = data.draw(st.sampled_from(monomials(b2, 2 * n)))
     code_alpha = sum(a * p for a, p in zip(alpha, place))
@@ -95,6 +95,52 @@ def test_code_difference_is_a_code_iff_divisor(n, b2, data):
             if divides:
                 assert diff == sum((a - b) * p
                                    for a, b, p in zip(alpha, g, place))
+
+
+# -- exponent-tuple helpers of the reference routes ---------------------------
+# The build itself never lists a monomial of degree above n and never expands
+# over exponent tuples; the oracles below do both.
+
+def monomials(nvars, degree):
+    """Exponent tuples of the given total degree, in the order of
+    verbitsky._multisets: ascending code, i.e. descending grevlex, which is
+    the order of each quotient degree's basis."""
+    place = [(degree + 1) ** s for s in range(nvars)]
+    return [tuple(map(ms.count, place)) for ms in _multisets(place, degree)]
+
+
+def monomial_count(nvars, degree):
+    if degree < 0:
+        return 0
+    return comb(degree + nvars - 1, nvars - 1)
+
+
+def _power_coeffs(v, m):
+    """Coefficients of (sum v_s z_s)^m in the monomial basis."""
+    out = {}
+    for mono in monomials(len(v), m):
+        if any(a and not vs for vs, a in zip(v, mono)):
+            continue
+        out[mono] = multinomial(m, mono) * prod(
+            vs ** a for vs, a in zip(v, mono) if a)
+    return out
+
+
+def _weights_over_exponent_tuples(space, n):
+    """_apolar_weights by another route: den^n Q^n expanded by treating the
+    terms of Q as the variables of _power_coeffs."""
+    terms = [(i, j, x if i == j else 2 * x)
+             for i, row in enumerate(space.gram.num) for j, x in row if j >= i]
+    qn = {}
+    for powers, c in _power_coeffs([x for _, _, x in terms], n).items():
+        alpha = [0] * space.dim
+        for p, (i, j, _) in zip(powers, terms):
+            alpha[i] += p
+            alpha[j] += p
+        alpha = tuple(alpha)
+        qn[alpha] = qn.get(alpha, 0) + c
+    return {alpha: c * prod(factorial(a) for a in alpha)
+            for alpha, c in qn.items() if c}
 
 
 def test_multinomial_and_power_coeffs():
@@ -217,6 +263,14 @@ _DENSE_GRAMS = {
 }
 
 
+def _space_named(name, b2):
+    if name == "standard":
+        return make_standard_space(b2, standard_tail(b2))
+    if name == "tail":
+        return make_standard_space(b2, [qq("1/3"), qq(-5)])
+    return QuadraticSpace(Mat.from_rows(_DENSE_GRAMS[name]))
+
+
 @pytest.mark.parametrize("n,b2,space_name", [
     *[(n, b2, "standard") for n in (1, 2, 3) for b2 in (4, 5, 6, 7)],
     (4, 4, "standard"), (2, 8, "standard"), (2, 14, "standard"),
@@ -228,13 +282,11 @@ def test_build_matches_dense_reference(built, n, b2, space_name):
     follow) and canonical bytes of the dense per-cell build."""
     if space_name == "standard":
         alg = built(n, b2)
-    elif space_name == "tail":
-        alg = build_verbitsky(make_standard_space(b2, [qq("1/3"), qq(-5)]),
-                              n, seed=1)
     else:
+        alg = build_verbitsky(_space_named(space_name, b2), n, seed=1)
+    if space_name in _DENSE_GRAMS:
         grid = _DENSE_GRAMS[space_name]
         assert all(grid[i][j] for i in range(b2) for j in range(b2) if i != j)
-        alg = build_verbitsky(QuadraticSpace(Mat.from_rows(grid)), n, seed=1)
     ref = _reference_build(alg.space, n, seed=1)
     assert alg.levels == ref.levels
     assert alg.proj == ref.proj
@@ -242,6 +294,57 @@ def test_build_matches_dense_reference(built, n, b2, space_name):
     for kl in ref.tensors:
         assert list(alg.tensors[kl]) == list(ref.tensors[kl]), kl
     assert alg.dump_canonical() == ref.dump_canonical()
+
+
+@pytest.mark.parametrize("n,b2,space_name", [
+    *[(n, b2, "standard") for n in (1, 2, 3) for b2 in (4, 5, 6, 7)],
+    (2, 23, "standard"), (2, 6, "tail"), (2, 5, "dense5-a"),
+    (3, 5, "dense5-b")])
+def test_apolar_weights_match_exponent_tuple_expansion(n, b2, space_name):
+    """Expanding Q^n over multisets of Q's terms gives the same weights as
+    expanding it over exponent tuples of those terms."""
+    space = _space_named(space_name, b2)
+    assert _apolar_weights(space, n) == _weights_over_exponent_tuples(space, n)
+
+
+def test_build_lists_monomials_only_up_to_n(monkeypatch):
+    """The build lists Sym^k only for k <= n; the rows above n come from
+    the support of Q^n.  Reading proj lists the higher degrees then."""
+    degrees = []
+    listing = verbitsky._multisets
+
+    def counted(place, degree):
+        degrees.append(degree)
+        return listing(place, degree)
+
+    monkeypatch.setattr(verbitsky, "_multisets", counted)
+    alg = build_verbitsky(make_standard_space(14, standard_tail(14)), 2)
+    assert list(alg.dims().values()) == expected_dims(2, 14)
+    assert degrees and max(degrees) <= 2
+    assert [len(alg.proj[k]) for k in range(5)] == \
+        [monomial_count(14, k) for k in range(5)]
+    assert max(degrees) == 4
+
+
+def test_project_symmetric_above_n():
+    """At k > n, project_symmetric sends a monomial that divides no
+    monomial of Q^n's support (a zero catalecticant row) to zero and a
+    basis monomial to its unit vector."""
+    n, b2 = 2, 5
+    alg = build_verbitsky(make_standard_space(b2, standard_tail(b2)), n)
+    support = _apolar_weights(alg.space, n)
+    for k in range(n + 1, 2 * n + 1):
+        monos = monomials(b2, k)
+        outside = [c for c, m in enumerate(monos) if not any(
+            all(a >= b for a, b in zip(alpha, m)) for alpha in support)]
+        assert outside, k
+        for c in outside:
+            image = alg.project_symmetric(k, _unit(len(monos), c))
+            assert image == alg.zero(2 * k)
+        for j, m in enumerate(alg.levels[k]):
+            image = alg.project_symmetric(
+                k, _unit(len(monos), monos.index(m)))
+            assert image.coords == tuple(_unit(alg.level_dim(k), j))
 
 
 def test_unit_law(built):
