@@ -39,6 +39,7 @@ from hklab.quadforms import (
     QuadraticSpace,
     TwoOrbitObstruction,
     json_fields,
+    json_scalar,
     witt_transport,
 )
 from hklab.verbitsky import BuildError, GradedAlgebra, canonical_json
@@ -263,8 +264,9 @@ def _cmd_transport(args) -> int:
                 and all(isinstance(v, list) for v in pair)):
             raise QuadFormError(f"transport document: {name} must be a "
                                 "pair of vectors")
-        planes.append(IsotropicPlane(space, *([qq(c) for c in v]
-                                              for v in pair)))
+        planes.append(IsotropicPlane(space, *(
+            [json_scalar(c, f"transport document: {name}[{k}][{i}]")
+             for i, c in enumerate(v)] for k, v in enumerate(pair))))
     iso = witt_transport(space, *planes)
     _write(canonical_json(iso.to_json()), args.out)
     return 0

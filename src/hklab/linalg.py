@@ -14,16 +14,18 @@ ints, and a subspace hands out its reduced integer rows.  Matrices are
 immutable (the index is tuples and attributes cannot be rebound), and all
 operations are pure.
 
-Every elimination (rref, kernels, images, solves, inverses, determinants,
-subspaces and IncrementalRref) runs on integer rows: a matrix's numerators
-(scaling rows does not change a row space), or a vector scaled by the lcm of
-its denominators; rows are combined as p*row - f*lead and kept primitive
-(divided by the gcd of their entries), and a rational result is formed once
-at the end by dividing each row by its pivot.  Since the reduced row echelon
-form of a matrix is unique, this gives the same values as elimination in the
-rationals, with no rational arithmetic per entry.  A Subspace stores only the
-primitive reduced rows, pivots positive, and forms its rational basis when
-vectors() is called.
+Every span elimination (rref, rank, kernels, images, solves, inverses,
+subspaces and IncrementalRref) is forward insertion (_insert) of integer
+rows: a matrix's numerators (scaling rows does not change a row space), or a
+vector scaled by the lcm of its denominators.  Rows are combined as
+p*row - f*lead and kept primitive (divided by the gcd of their entries).
+Where a reduced form is needed, back-substitution (_back) follows, and a
+rational result is formed once at the end by dividing each row by its
+pivot.  Since the reduced row echelon form of a matrix is unique, this gives
+the same values as elimination in the rationals, with no rational arithmetic
+per entry.  Mat.det, not a span, runs its own fraction-free loop.  A
+Subspace stores only the primitive reduced rows, pivots positive, and forms
+its rational basis when vectors() is called.
 
 Brackets D X - X D' with diagonal D and D' are read off the diagonals,
 entry by entry, with no product (diagonal_bracket).  Joint eigenspaces of
@@ -285,18 +287,31 @@ class Mat:
                   self.den)
 
     def det(self) -> QQ:
-        """Determinant by fraction-free (Bareiss) elimination of the
-        numerators: sign * last_pivot / den^n."""
+        """Determinant by fraction-free elimination of the numerators
+        (Bareiss, Math. Comp. 22, 1968): below each pivot p every row
+        becomes (p*row - f*lead) / prev, an exact division by the previous
+        pivot, so the last pivot is the determinant of the numerators times
+        the sign of the row swaps; the determinant is that over den^n."""
         if self.rows != self.cols:
             raise LinalgError("determinant of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return _ONE
         a = [_dense(r, n) for r in self.num]
-        pivots, sign = _echelon(a, n, bareiss=True)
-        if len(pivots) < n:
-            return _ZERO
-        return QQ(sign * a[n - 1][n - 1], self.den ** n)
+        sign, prev = 1, 1
+        for c in range(n):
+            piv = next((r for r in range(c, n) if a[r][c]), None)
+            if piv is None:
+                return _ZERO
+            if piv != c:
+                a[c], a[piv] = a[piv], a[c]
+                sign = -sign
+            lead = a[c]
+            p = lead[c]
+            for r in range(c + 1, n):
+                row, f = a[r], a[r][c]
+                a[r] = ([(p * x - f * y) // prev for x, y in zip(row, lead)]
+                        if f else [p * x // prev for x in row])
+            prev = p
+        return QQ(sign * prev, self.den ** n)
 
 
 def _init(m: Mat, rows: int, cols: int, num: Sequence, den: int) -> None:
@@ -403,12 +418,6 @@ def _int_row(v: Sequence) -> tuple:
     return _dense(num[0], len(v)), d
 
 
-def _combine(row: list, lead: list, c: int) -> list:
-    """lead[c]*row - row[c]*lead: row with column c cleared by the pivot row."""
-    p, f = lead[c], row[c]
-    return [p * x - f * y for x, y in zip(row, lead)]
-
-
 def _primitive(row: list) -> list:
     """row divided by the gcd of its entries."""
     g = gcd(*row)
@@ -432,59 +441,60 @@ def _divided(rows: int, cols: int, parts: Sequence, f: int = 1) -> Mat:
     return Mat.from_num(rows, cols, num, den)
 
 
-def _echelon(a: list, ncols: int, bareiss: bool = False) -> tuple:
-    """Gauss-Jordan elimination of the integer rows `a`, in place.
+def _insert(a: list, pivots: list, rows: Iterable, ncols: int) -> int:
+    """Forward insertion: append to the echelon state (a, pivots) each
+    integer row of `rows` independent of it; return how many were appended.
 
-    The one elimination loop here; IncrementalRref and Subspace.contains
-    apply its row step to one row at a time.  Pivots are the first nonzero
-    entry in each column scan, with the same row swaps as elimination in the
-    rationals, so row i of the result is a nonzero multiple of row i of the
-    reduced row echelon form and rows past the rank are zero.  Updated rows
-    are made primitive; with `bareiss` they are instead divided exactly by
-    the previous pivot (Bareiss, Math. Comp. 22, 1968), every row is updated
-    at every step, and the last pivot of a nonsingular square matrix is its
-    determinant times the sign of the row permutation.
-
-    Returns (pivot_cols, sign of the row permutation).
+    A row is reduced against the accepted rows in order of acceptance: at
+    each pivot c where it is nonzero it becomes the primitive part of
+    p*row - f*lead, p = lead[c] and f = row[c].  If anything is left, it is
+    accepted, pivot at its first nonzero column.  So each accepted row is
+    zero at the pivots before it, and the pivots are the leading positions
+    of the span.  Insertion stops once the rank reaches ncols.
     """
-    nr = len(a)
-    pivots = []
-    sign = 1
-    prev = 1
-    prow = 0
-    for c in range(ncols):
-        piv = next((r for r in range(prow, nr) if a[r][c]), None)
-        if piv is None:
-            continue
-        if piv != prow:
-            a[prow], a[piv] = a[piv], a[prow]
-            sign = -sign
-        lead = a[prow]
-        p = lead[c]
-        for r in range(nr):
-            row = a[r]
-            if r == prow:
-                continue
-            if row[c]:
-                row = _combine(row, lead, c)
-                a[r] = [x // prev for x in row] if bareiss else _primitive(row)
-            elif bareiss:
-                a[r] = [p * x // prev for x in row]
-        if bareiss:
-            prev = p
-        pivots.append(c)
-        prow += 1
-        if prow == nr:
+    k = len(a)
+    cols = range(ncols)
+    for c in rows:
+        if len(a) == ncols:
             break
-    return pivots, sign
+        for lead, piv in zip(a, pivots):
+            f = c[piv]
+            if f:
+                p = lead[piv]
+                c = _primitive([p * x - f * y for x, y in zip(c, lead)])
+        piv = next(compress(cols, c), None)
+        if piv is not None:
+            a.append(c)
+            pivots.append(piv)
+    return len(a) - k
 
 
-def _reduced(num: Sequence, ncols: int) -> tuple:
-    """(integer rows, pivot_cols) of the elimination of the rows with the
-    nonzero (column, int) pairs num; scaling the rows of a matrix does not
-    change its row space, so a matrix's numerators stand for it."""
-    a = [_dense(r, ncols) for r in num]
-    pivots, _ = _echelon(a, ncols)
+def _back(a: list, pivots: list, k: int) -> set:
+    """Back-substitution after forward insertion, in place: the pivot of
+    each row past the first k (which must be zero at each other's pivots)
+    is cleared from the rows before it, last row first.  That row is then
+    zero at every other pivot, so the result is a reduced row echelon form
+    in the order of acceptance.  Returns the indices of the rows combined."""
+    touched = set()
+    for j in range(len(a) - 1, k - 1, -1):
+        lead, c = a[j], pivots[j]
+        p = lead[c]
+        for r in range(j):
+            row = a[r]
+            f = row[c]
+            if f:
+                a[r] = _primitive([p * x - f * y for x, y in zip(row, lead)])
+                touched.add(r)
+    return touched
+
+
+def _reduced(rows: Iterable, ncols: int) -> tuple:
+    """(rows, pivots) of the reduced row echelon form of the span of the
+    integer rows, in the order of acceptance, each row a multiple of its
+    canonical one: _insert, then _back."""
+    a, pivots = [], []
+    _insert(a, pivots, rows, ncols)
+    _back(a, pivots, 0)
     return a, pivots
 
 
@@ -495,14 +505,15 @@ def rref(m: Mat) -> tuple:
     entry in each column scan, so the output is canonical for a given row
     space.
     """
-    a, pivots = _reduced(m.num, m.cols)
-    return (_divided(m.rows, m.cols,
-                     [(i, a[i], a[i][c]) for i, c in enumerate(pivots)]),
-            pivots, len(pivots))
+    a, pivots = _reduced((_dense(r, m.cols) for r in m.num), m.cols)
+    order = sorted(range(len(a)), key=pivots.__getitem__)
+    return (_divided(m.rows, m.cols, [(i, a[r], a[r][pivots[r]])
+                                      for i, r in enumerate(order)]),
+            sorted(pivots), len(pivots))
 
 
 def rank(m: Mat) -> int:
-    return len(_reduced(m.num, m.cols)[1])
+    return _insert([], [], (_dense(r, m.cols) for r in m.num), m.cols)
 
 
 def solve(a: Mat, b: Sequence) -> Optional[list]:
@@ -519,10 +530,10 @@ def solve_matrix(a: Mat, b: Mat) -> Optional[Mat]:
     Y solving num(a) Y = num(b) gives X = Y * den(a) / den(b)."""
     if b.rows != a.rows:
         raise LinalgError("shape mismatch in solve_matrix")
-    k = a.cols
-    red, pivots = _reduced([ra + tuple((k + j, x) for j, x in rb)
-                            for ra, rb in zip(a.num, b.num)], k + b.cols)
-    if pivots and pivots[-1] >= k:
+    k, n = a.cols, a.cols + b.cols
+    red, pivots = _reduced((_dense(ra + tuple((k + j, x) for j, x in rb), n)
+                            for ra, rb in zip(a.num, b.num)), n)
+    if max(pivots, default=-1) >= k:
         return None
     return _divided(k, b.cols, [(c, row[k:], row[c] * b.den)
                                 for row, c in zip(red, pivots)], a.den)
@@ -537,24 +548,14 @@ def invert(m: Mat) -> Mat:
     return out
 
 
-def _reduce_against(c: list, rows: list, pivots: list) -> list:
-    """Integer row c with every pivot column cleared, given rows that are
-    each zero in the pivot columns of the rows before them."""
-    for row, piv in zip(rows, pivots):
-        if c[piv]:
-            c = _primitive(_combine(c, row, piv))
-    return c
-
-
 class IncrementalRref:
     """Row echelon state accepting one row at a time.
 
-    Rows dependent on the current state are rejected.  Each accepted row is
-    kept as a primitive integer row reduced against the rows accepted before
-    it, so it is zero in their pivot columns; reducing a vector against the
-    rows in order of acceptance then clears every pivot column, and
-    insertion and membership both cost one reduction pass in integers.  The
-    rows and pivots of a Subspace are such a state.
+    Rows dependent on the current state are rejected.  The state is that
+    of forward insertion (_insert): each accepted row is an integer row
+    zero at the pivots of the rows accepted before it, so insertion and
+    membership both cost one reduction pass in integers.  The rows and
+    pivots of a Subspace are such a state.
     """
 
     def __init__(self, ncols: int, rows: Sequence = (), pivots: Sequence = ()):
@@ -567,20 +568,15 @@ class IncrementalRref:
         return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(_reduce_against(_int_row(v)[0], self.rows, self.pivots))
+        return not _insert(list(self.rows), list(self.pivots),
+                           (_int_row(v)[0],), self.ncols)
 
     def insert(self, v: Sequence) -> bool:
         return self.insert_row(_int_row(v)[0])
 
     def insert_row(self, row: Sequence) -> bool:
         """insert for an integer row of length ncols."""
-        c = _reduce_against(row, self.rows, self.pivots)
-        piv = next((j for j, x in enumerate(c) if x), None)
-        if piv is None:
-            return False
-        self.rows.append(c)
-        self.pivots.append(piv)
-        return True
+        return bool(_insert(self.rows, self.pivots, (row,), self.ncols))
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -606,17 +602,12 @@ class Subspace:
     def from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
         if any(len(v) != ambient_dim for v in vectors):
             raise LinalgError("vector length does not match ambient dimension")
-        return Subspace.from_rows(ambient_dim, [_int_row(v)[0] for v in vectors])
+        return Subspace.from_rows(ambient_dim, (_int_row(v)[0] for v in vectors))
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
         """The span of integer rows of length ambient_dim."""
-        rows = list(rows)
-        pivots, _ = _echelon(rows, ambient_dim)
-        # _echelon leaves a row it never combined as it was given, so each
-        # row is made primitive with a positive pivot here.
-        return Subspace(ambient_dim, tuple(map(_canonical, rows, pivots)),
-                        tuple(pivots))
+        return Subspace.zero(ambient_dim).plus(rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -675,43 +666,32 @@ class Subspace:
     def plus(self, rows: Iterable[Sequence]) -> "Subspace":
         """The span of the subspace and integer rows of length ambient_dim.
 
-        The rows are inserted into an IncrementalRref seeded with this
-        subspace's rows, which are never eliminated again.  Each accepted
-        row is zero at the pivots before it, so clearing the pivot of each
-        accepted row from the rows before it, last accepted first, leaves
-        the reduced form; only the rows so combined and the accepted ones
-        are made primitive with a positive pivot.  With no row accepted
-        the subspace itself is returned."""
-        k = self.dim
-        state = IncrementalRref(self.ambient_dim, self.rows, self.pivots)
-        for row in rows:
-            state.insert_row(row)
-        if state.rank == k:
+        The rows are inserted (_insert) after this subspace's rows, which
+        are never eliminated again, and back-substituted (_back); only the
+        rows so combined and the accepted ones are made canonical.  With no
+        row accepted the subspace itself is returned."""
+        a, pivots = list(self.rows), list(self.pivots)
+        k = len(a)
+        if not _insert(a, pivots, rows, self.ambient_dim):
             return self
-        a, pivots = state.rows, state.pivots
-        touched = set(range(k, len(a)))
-        for j in range(len(a) - 1, k - 1, -1):
-            lead, c = a[j], pivots[j]
-            for r in range(j):
-                if a[r][c]:
-                    a[r] = _primitive(_combine(a[r], lead, c))
-                    touched.add(r)
-        for r in touched:
+        for r in _back(a, pivots, k).union(range(k, len(a))):
             a[r] = _canonical(a[r], pivots[r])
         order = sorted(range(len(a)), key=pivots.__getitem__)
         return Subspace(self.ambient_dim, tuple(a[r] for r in order),
                         tuple(pivots[r] for r in order))
 
     def _holds(self, row: Sequence) -> bool:
-        """Whether the integer row lies in the subspace."""
-        return not any(_reduce_against(row, self.rows, self.pivots))
+        """Whether the integer row lies in the subspace: inserting it into
+        a copy of the rows accepts nothing."""
+        return not _insert(list(self.rows), list(self.pivots), (row,),
+                           self.ambient_dim)
 
 
 def _canonical(row: Sequence, c: int) -> tuple:
     """The integer row with pivot column c as a Subspace row: primitive,
     with a positive pivot."""
     g = gcd(*row) if row[c] > 0 else -gcd(*row)
-    return tuple(row) if g == 1 else tuple(x // g for x in row)
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _unit_span(n: int, ks: Iterable) -> Subspace:
@@ -727,19 +707,18 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     # A subspace's rows are reduced, so they give its orthogonal directly.
     rows = _kernel_rows(a.rows, a.pivots, n) + _kernel_rows(b.rows, b.pivots, n)
-    pivots, _ = _echelon(rows, n)
-    return Subspace.from_rows(n, _kernel_rows(rows, pivots, n))
+    return _kernel(rows, n)
 
 
 def _kernel_rows(red: Sequence, pivots: Sequence, ncols: int) -> list:
-    """Integer rows spanning the kernel of integer rows in the reduced
-    form _echelon leaves (rows past the rank are zero)."""
+    """Integer rows spanning the kernel of integer rows in reduced form
+    (each zero at the pivots of the others), one per free column f:
+    e_f - sum_i (red[i][f] / p_i) e_{pivots[i]}, scaled to integers."""
     pivset = set(pivots)
     vecs = []
     for f in range(ncols):
         if f in pivset:
             continue
-        # e_f - sum_i (red[i][f] / p_i) e_{pivots[i]}, scaled to integers
         terms = [(row[f], row[c], c) for row, c in zip(red, pivots) if row[f]]
         scale = lcm(*[p for _, p, _ in terms])
         v = [0] * ncols
@@ -750,27 +729,32 @@ def _kernel_rows(red: Sequence, pivots: Sequence, ncols: int) -> list:
     return vecs
 
 
-def kernel_basis(m: Mat) -> Subspace:
-    """Basis of {v : m v = 0} as a Subspace of QQ^cols.
-
-    m is eliminated with its columns reversed.  The kernel row of each free
+def _kernel(rows: Iterable, n: int) -> Subspace:
+    """The kernel of the integer rows of length n, from one elimination of
+    the rows with their columns reversed: the kernel row of each free
     column f then leads at f and is zero at the other free columns, so the
-    rows, read back in column order and made primitive, are already the
-    kernel's reduced row echelon form: one elimination, not two."""
-    n = m.cols
-    red, pivots = _reduced([[(n - 1 - j, x) for j, x in reversed(r)]
-                            for r in m.num], n)
-    rows = [tuple(_primitive(v[::-1]))
-            for v in reversed(_kernel_rows(red, pivots, n))]
-    return Subspace(n, tuple(rows), tuple(sorted(
+    kernel rows, read back in column order and made primitive, are already
+    the kernel's reduced row echelon form."""
+    red, pivots = _reduced((r[::-1] for r in rows), n)
+    out = [tuple(_primitive(v[::-1]))
+           for v in reversed(_kernel_rows(red, pivots, n))]
+    return Subspace(n, tuple(out), tuple(sorted(
         set(range(n)).difference(n - 1 - c for c in pivots))))
 
 
+def kernel_basis(m: Mat) -> Subspace:
+    """Basis of {v : m v = 0} as a Subspace of QQ^cols, from one
+    elimination of m with its columns reversed (_kernel)."""
+    return _kernel((_dense(r, m.cols) for r in m.num), m.cols)
+
+
 def image_basis(m: Mat) -> Subspace:
-    """Column space of m as a Subspace of QQ^rows."""
-    pivots = _reduced(m.num, m.cols)[1]
+    """Column space of m as a Subspace of QQ^rows: the columns of m at the
+    pivots of its rows, which forward insertion finds."""
+    pivots = []
+    _insert([], pivots, (_dense(r, m.cols) for r in m.num), m.cols)
     cols = m.transpose().num
-    return Subspace.from_rows(m.rows, [_dense(cols[c], m.rows) for c in pivots])
+    return Subspace.from_rows(m.rows, (_dense(cols[c], m.rows) for c in pivots))
 
 
 def eigenspace(op: Mat, lam) -> Subspace:

@@ -50,7 +50,7 @@ code path and one cached Lambda table per module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from hklab.linalg import (
@@ -525,8 +525,8 @@ class HodgeFrame:
     """Two marked hyperbolic pairs (s, sbar) and (beta, eta) plus complement.
 
     Invariants: all four vectors isotropic, q(s, sbar) = q(beta, eta) = 1,
-    the two planes mutually orthogonal, u_complement the orthogonal
-    complement of all four.
+    the two planes mutually orthogonal.  u_complement, the orthogonal
+    complement of all four, is derived once, on construction.
     """
 
     space: QuadraticSpace
@@ -534,7 +534,7 @@ class HodgeFrame:
     sbar: list
     beta: list
     eta: list
-    u_complement: Subspace
+    u_complement: Subspace = field(init=False)
 
     def __post_init__(self):
         sp = self.space
@@ -549,9 +549,7 @@ class HodgeFrame:
             for b in (self.beta, self.eta):
                 if sp.bilinear(a, b) != 0:
                     raise OperatorError("frame planes must be orthogonal")
-        expected = orthogonal_complement(sp, vs)
-        if self.u_complement != expected:
-            raise OperatorError("u_complement is not the orthogonal complement")
+        object.__setattr__(self, "u_complement", orthogonal_complement(sp, vs))
 
     def vectors(self) -> list:
         return [self.s, self.sbar, self.beta, self.eta]
@@ -582,8 +580,7 @@ def build_frame(space: QuadraticSpace, seed: int = 0) -> HodgeFrame:
                 g = reflection(space, u1) * reflection(space, u2)
         s, sbar = g.times_vec(s), g.times_vec(sbar)
         beta, eta = g.times_vec(beta), g.times_vec(eta)
-    return HodgeFrame(space, s, sbar, beta, eta,
-                      orthogonal_complement(space, [s, sbar, beta, eta]))
+    return HodgeFrame(space, s, sbar, beta, eta)
 
 
 def _restricted_space(space: QuadraticSpace, basis: list) -> QuadraticSpace:
@@ -601,10 +598,8 @@ def _unrestrict(basis: list, coords: list) -> list:
 
 def transport_frame(frame: HodgeFrame, isometry) -> HodgeFrame:
     """Apply an isometry to every frame vector."""
-    sp = frame.space
-    vs = [isometry.apply(v) for v in frame.vectors()]
-    return HodgeFrame(sp, vs[0], vs[1], vs[2], vs[3],
-                      orthogonal_complement(sp, vs))
+    return HodgeFrame(frame.space,
+                      *[isometry.apply(v) for v in frame.vectors()])
 
 
 # -- the model monodromy operator and its sl2 ---------------------------------

@@ -10,6 +10,7 @@ special orthogonal group.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,6 +34,17 @@ def json_fields(obj, what: str, names: Sequence, error=QuadFormError) -> None:
     missing = [name for name in names if name not in obj]
     if missing:
         raise error(f"{what}: missing field {missing[0]!r}")
+
+
+def json_scalar(x, what: str, error=QuadFormError) -> QQ:
+    """x, read from outside, as a scalar: raise `error`, naming `what`,
+    unless x is a JSON number or a string that QQ() parses."""
+    if type(x) in (int, float, str):        # type() rejects bools
+        try:
+            return qq(x)
+        except (ValueError, ArithmeticError):   # "1/0", NaN, Infinity
+            pass
+    raise error(f"{what}: {json.dumps(x):.40} is not a rational number")
 
 
 class TwoOrbitObstruction(QuadFormError):
@@ -82,7 +94,9 @@ class QuadraticSpace:
         if not (isinstance(obj["gram"], list)
                 and all(isinstance(r, list) for r in obj["gram"])):
             raise QuadFormError("space: gram must be a list of rows")
-        g = Mat.from_rows(obj["gram"])
+        g = Mat.from_rows([[json_scalar(x, f"space: gram[{i}][{j}]")
+                            for j, x in enumerate(r)]
+                           for i, r in enumerate(obj["gram"])])
         if g.rows != obj.get("dim", g.rows):
             raise QuadFormError("dim field does not match Gram size")
         return QuadraticSpace(g)

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _dense,
                           _int_row, _integers, invert, qq, vec)
-from hklab.quadforms import QuadraticSpace, json_fields
+from hklab.quadforms import QuadraticSpace, json_fields, json_scalar
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -264,7 +264,9 @@ class GradedAlgebra:
         json_fields(obj, "graded-algebra document",
                     ("space", "n", "levels", "tensors"), BuildError)
         space = QuadraticSpace.from_json(obj["space"])
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int:      # type() rejects bools, floats, strings
+            raise BuildError(f"n: {json.dumps(n):.40} is not an integer")
         if n < 1:
             raise BuildError("n: must be at least 1")
         top = 2 * n
@@ -304,7 +306,8 @@ class GradedAlgebra:
                                              and 0 <= x < len(levels[lv])):
                         raise BuildError(f"{where}: {name} = {x!r} is not an "
                                          f"index of level {lv}")
-                entries.setdefault((i, j), {})[t] = qq(val)
+                entries.setdefault((i, j), {})[t] = json_scalar(
+                    val, f"{where}: value", BuildError)
             tensors[(k, l)] = entries
         # each search stops at its first gap, so it is bounded by the document
         for k in range(top + 1):

@@ -444,6 +444,14 @@ _SPACE4 = {"dim": 4, "gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
      "space: gram must be a list of rows"),
     ({"space": _SPACE4, "p1": [["1", "0", "0", "0"]], "p2": []},
      "transport document: p1 must be a pair of vectors"),
+    # mistyped scalars: each once died with a TypeError traceback, exit 1
+    ({"space": {"gram": [["0", "1"], [{}, "0"]]}, "p1": [], "p2": []},
+     "space: gram[1][0]: {} is not a rational number"),
+    ({"space": _SPACE4, "p1": [["1", "0", "0", "0"], ["0", "0", None, "0"]],
+      "p2": [["0", "1", "0", "0"], ["0", "0", "0", "1"]]},
+     "transport document: p1[1][2]: null is not a rational number"),
+    ({"space": {"gram": [[True, "1"], ["1", "0"]]}, "p1": [], "p2": []},
+     "space: gram[0][0]: true is not a rational number"),
 ])
 def test_transport_rejects_a_malformed_document(tmp_path, capsys, doc,
                                                 message):
@@ -517,6 +525,18 @@ def _drop_pair(doc):
     del doc["tensors"]["1,1"]
 
 
+def _n_list(doc):
+    doc["n"] = [1]
+
+
+def _value_list(doc):
+    doc["tensors"]["1,1"][0][3] = [1]
+
+
+def _gram_null(doc):
+    doc["space"]["gram"][2][3] = None
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_level_2, "levels: missing field '2'"),
     (_t_out_of_range, "tensors[\"1,1\"][0]: t = 5 is not an index of level 2"),
@@ -528,6 +548,10 @@ def _drop_pair(doc):
     (_level_5, "levels[\"5\"]: not a level 0..2"),
     (_drop_pair, "tensors: missing field '1,1'"),
     (_n_zero, "n: must be at least 1"),
+    # mistyped scalars: each once died with a TypeError traceback, exit 1
+    (_n_list, "n: [1] is not an integer"),
+    (_value_list, "tensors[\"1,1\"][0]: value: [1] is not a rational number"),
+    (_gram_null, "space: gram[2][3]: null is not a rational number"),
     # the search for a missing level stops at the first gap
     (_n_huge, "levels: missing field '3'"),
 ], ids=lambda x: getattr(x, "__name__", "")[1:] or None)

@@ -203,7 +203,9 @@ def test_incremental_rref_matches_batch():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     state = IncrementalRref(3)
     accepted = [r for r in rows if state.insert(r)]
-    assert len(accepted) == rank(Mat.from_rows(rows)) == state.rank
+    _, pivots = ref_rref([[QQ(x) for x in r] for r in rows], 3)
+    assert len(accepted) == len(pivots) == state.rank
+    assert sorted(state.pivots) == pivots
     assert state.contains([3, 7, 10])
     assert not state.contains([0, 0, 1])
 

@@ -2,14 +2,17 @@
 
 sympy is a test-only oracle: random small rational matrices of low rank,
 with zero rows, zero columns and empty shapes, go through rref, rank,
-kernel_basis, invert, Mat.det and IncrementalRref and are compared with
-sympy's exact results.  Random conjugated nilpotent matrices go through the
+kernel_basis, image_basis, solve_matrix, invert, Mat.det, IncrementalRref,
+Subspace.from_rows, Subspace.plus and subspace_intersection and are
+compared with sympy's exact results; a subspace is compared through the
+canonical basis sympy's rref gives its spanning vectors.  Random conjugated nilpotent matrices go through the
 Jordan chains and the weight filtration and are compared with sympy's
 Jordan form.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +25,13 @@ from hklab.linalg import (
     LinalgError,
     Mat,
     Subspace,
+    image_basis,
     invert,
     kernel_basis,
     rank,
     rref,
+    solve_matrix,
+    subspace_intersection,
 )
 from hklab.llv import GradedOperator, GradedPowers
 from jordan_reference import graded_jordan_chains
@@ -71,6 +77,25 @@ def from_sympy(e):
 
 def all_qq(m: Mat) -> bool:
     return all(type(e) is QQ for row in m.data for e in row)
+
+
+def sympy_basis(vectors, ncols) -> list:
+    """The canonical basis of the span of the vectors: the nonzero rows of
+    sympy's rref, as lists of QQ."""
+    if not vectors:
+        return []
+    ref, pivots = sympy.Matrix(vectors).rref()
+    return [[from_sympy(ref[i, j]) for j in range(ncols)]
+            for i in range(len(pivots))]
+
+
+def int_rows(rows) -> list:
+    """Each rational row times the lcm of its denominators, as ints."""
+    out = []
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        out.append([int(x * d) for x in row])
+    return out
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,6 +160,86 @@ def test_incremental_rref_accepts_exactly_the_rank_increases(case):
     assert state.rank == sum(ref)
     for row in rows:
         assert state.contains(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_rows())
+def test_image_span_matches_sympy(case):
+    rows, ncols = case
+    img = image_basis(as_mat(rows, ncols))
+    ref = as_sympy(rows, ncols).columnspace()
+    assert img.ambient_dim == len(rows)
+    assert img.vectors() == sympy_basis([list(v) for v in ref], len(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_rows(), st.data())
+def test_solve_matrix_matches_sympy(case, data):
+    """b is a * x for a random x in half the draws, so consistent, and
+    random otherwise, so mostly inconsistent; a solution is the one with
+    every free variable zero, which sympy's parametric solution gives at
+    zero parameters."""
+    rows, ncols = case
+    k = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                               min_size=ncols, max_size=ncols))
+        b = [[sum((a * x[t][j] for t, a in enumerate(row)), Fraction(0))
+              for j in range(k)] for row in rows]
+    else:
+        b = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                               min_size=len(rows), max_size=len(rows)))
+    got = solve_matrix(as_mat(rows, ncols), as_mat(b, k))
+    a_ref, b_ref = as_sympy(rows, ncols), as_sympy(b, k)
+    if a_ref.row_join(b_ref).rank() > a_ref.rank():
+        assert got is None
+        return
+    sol, params = a_ref.gauss_jordan_solve(b_ref)
+    sol = sol.subs({p: 0 for p in params})
+    assert got.data == tuple(tuple(from_sympy(sol[i, j]) for j in range(k))
+                             for i in range(ncols))
+    assert as_mat(rows, ncols) * got == as_mat(b, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(entries, min_size=n, max_size=n),
+                         max_size=4),
+    st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))))
+def test_subspace_intersection_matches_sympy(case):
+    """The vectors x = A^T u = B^T w, from sympy's nullspace of
+    [A^T | -B^T]."""
+    n, va, vb = case
+    got = subspace_intersection(Subspace.from_vectors(n, va),
+                                Subspace.from_vectors(n, vb))
+    ref = []
+    if va and vb and n:
+        at = as_sympy(va, n).T
+        for v in at.row_join(-as_sympy(vb, n).T).nullspace():
+            ref.append(list(at * v[:len(va), :]))
+    assert got.ambient_dim == n
+    assert got.vectors() == sympy_basis(ref, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_rows(), st.data())
+def test_span_is_independent_of_row_order_and_repeats(case, data):
+    """from_rows and plus give sympy's canonical basis of the span whatever
+    the order of the rows, with rows repeated and scaled, and however
+    they are split between the subspace and the rows added to it."""
+    rows, ncols = case
+    ref = sympy_basis(rows, ncols)
+    order = data.draw(st.permutations(range(len(rows))))
+    repeats = data.draw(st.lists(st.tuples(
+        st.integers(0, max(len(rows) - 1, 0)), st.integers(-3, 3)),
+        max_size=3 if rows else 0))
+    shuffled = [rows[i] for i in order] + \
+        [[c * x for x in rows[i]] for i, c in repeats]
+    for listed in (rows, shuffled):
+        assert Subspace.from_rows(ncols, int_rows(listed)).vectors() == ref
+        cut = data.draw(st.integers(0, len(listed)))
+        first = Subspace.from_rows(ncols, int_rows(listed[:cut]))
+        assert first.plus(int_rows(listed[cut:])).vectors() == ref
 
 
 @st.composite

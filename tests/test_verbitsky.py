@@ -31,6 +31,7 @@ from hklab.verbitsky import (
     _apolar_weights,
     _multisets,
 )
+from hklab.verifier import InstanceConfig, run_instance
 
 
 def expected_dims(n, b2):
@@ -324,6 +325,31 @@ def test_build_lists_monomials_only_up_to_n(monkeypatch):
     assert [len(alg.proj[k]) for k in range(5)] == \
         [monomial_count(14, k) for k in range(5)]
     assert max(degrees) == 4
+
+
+def test_every_from_num_input_is_canonical(monkeypatch):
+    """Mat.from_num trusts its input: per row, (column, int) pairs with the
+    columns strictly ascending and in range, and a positive den.  Under a
+    checker of that contract, a dense-Gram build (its catalecticant rows
+    arrive out of column order unless sorted) and a grid instance through
+    every phase never break it."""
+    original = Mat.from_num
+    calls = []
+
+    def checked(rows, cols, num, den=1):
+        assert den > 0, den
+        for r in num:
+            js = [j for j, _ in r]
+            assert all(0 <= j < cols for j in js), js
+            assert all(a < b for a, b in zip(js, js[1:])), js
+        calls.append(rows)
+        return original(rows, cols, num, den)
+
+    monkeypatch.setattr(Mat, "from_num", staticmethod(checked))
+    alg = build_verbitsky(_space_named("dense5-b", 5), 3)
+    assert list(alg.dims().values()) == expected_dims(3, 5)
+    assert run_instance(InstanceConfig(n=3, b2=4)).all_asserted_passed
+    assert calls
 
 
 def test_project_symmetric_above_n():
