@@ -50,7 +50,7 @@ code path and one cached Lambda table per module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from hklab.linalg import (
@@ -522,11 +522,12 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
 
 @dataclass(frozen=True)
 class HodgeFrame:
-    """Two marked hyperbolic pairs (s, sbar) and (beta, eta) plus complement.
+    """Two marked hyperbolic pairs (s, sbar) and (beta, eta).
 
     Invariants: all four vectors isotropic, q(s, sbar) = q(beta, eta) = 1,
-    the two planes mutually orthogonal.  u_complement, the orthogonal
-    complement of all four, is derived once, on construction.
+    the two planes mutually orthogonal.  The frame holds these vectors and
+    nothing derived from them; the orthogonal complement of all four is
+    orthogonal_complement(space, frame.vectors()).
     """
 
     space: QuadraticSpace
@@ -534,7 +535,6 @@ class HodgeFrame:
     sbar: list
     beta: list
     eta: list
-    u_complement: Subspace = field(init=False)
 
     def __post_init__(self):
         sp = self.space
@@ -549,14 +549,9 @@ class HodgeFrame:
             for b in (self.beta, self.eta):
                 if sp.bilinear(a, b) != 0:
                     raise OperatorError("frame planes must be orthogonal")
-        object.__setattr__(self, "u_complement", orthogonal_complement(sp, vs))
 
     def vectors(self) -> list:
         return [self.s, self.sbar, self.beta, self.eta]
-
-    def to_json(self) -> dict:
-        return {name: [str(c) for c in getattr(self, name)]
-                for name in ("s", "sbar", "beta", "eta")}
 
 
 def build_frame(space: QuadraticSpace, seed: int = 0) -> HodgeFrame:

@@ -19,7 +19,9 @@ basis monomial.  Above n the work follows the support of Q^n: the weight at
 alpha fills the catalecticant cell (alpha - g, g) for each sub-multiset g
 of alpha of degree 2n - k, so only the nonzero rows are ever made, and a
 structure constant comes from splitting a monomial of nonzero coset into
-its divisors.
+its divisors.  The cosets are then dropped: the algebra, built or loaded
+from JSON, keeps its levels and structure constants only, which hold every
+coset (see GradedAlgebra).
 """
 
 from __future__ import annotations
@@ -110,35 +112,23 @@ class GradedAlgebra:
 
     levels maps k (cohomological degree 2k) to the list of exponent tuples
     labelling the basis; tensors maps an ordered level pair (k, l), k <= l,
-    to {(i, j): {t: value}} structure constants; proj (present on freshly
-    built instances, None after a JSON round trip) maps k to the coset
-    coordinates of every monomial of Sym^k, in the order of _multisets.
-    A build keeps only code-keyed cosets, {k: {code: coset}} for the
-    monomials with a nonzero coset, and proj is derived from them the first
-    time it is read.  The coset dicts are shared between tensors and proj,
-    so both are read-only.
+    to {(i, j): {t: value}} structure constants.  A built and a loaded
+    algebra hold the same fields and nothing derived from them.  They fix
+    every coset: a monomial of degree m with a nonzero coset is the product
+    of monomials of degrees m // 2 and m - m // 2, both at most n and so
+    basis monomials, and tensors[(m // 2, m - m // 2)] holds the coset of
+    that product.
+    A build shares one coset dict among the entries of a monomial, so the
+    tensors are read-only.
     """
 
     def __init__(self, space: QuadraticSpace, n: int, levels: dict,
-                 tensors: dict, proj: Optional[dict] = None,
-                 build_meta: Optional[dict] = None,
-                 cosets: Optional[dict] = None):
+                 tensors: dict, build_meta: Optional[dict] = None):
         self.space = space
         self.n = n
         self.levels = levels
         self.tensors = tensors
-        self._proj = proj
-        self._cosets = cosets
         self.build_meta = dict(build_meta or {})
-
-    @property
-    def proj(self) -> Optional[dict]:
-        if self._proj is None and self._cosets is not None:
-            place = [(2 * self.n + 1) ** s for s in range(self.b2)]
-            self._proj = {k: [table.get(sum(ms), {})
-                              for ms in _multisets(place, k)]
-                          for k, table in self._cosets.items()}
-        return self._proj
 
     # -- shape ---------------------------------------------------------------
 
@@ -219,22 +209,6 @@ class GradedAlgebra:
             raise LinalgError("top functional needs a top-degree element")
         return a.coords[0]
 
-    def project_symmetric(self, k: int, dense: Sequence) -> AlgebraElement:
-        """Coset of a full Sym^k coordinate vector (needs proj tables)."""
-        if self.proj is None:
-            raise LinalgError("projection tables unavailable on a loaded algebra")
-        table = self.proj[k]
-        if len(dense) != len(table):
-            raise LinalgError("Sym^k coordinate length mismatch")
-        out = [_ZERO] * self.level_dim(k)
-        for c, entry in zip(dense, table):
-            if not c:
-                continue
-            c = qq(c)
-            for t, val in entry.items():
-                out[t] += c * val
-        return AlgebraElement(2 * k, tuple(out))
-
     # -- serialisation -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -283,6 +257,14 @@ class GradedAlgebra:
                     isinstance(m, list) and len(m) == space.dim for m in ms)):
                 raise BuildError(f"{what}: monomials must be lists of "
                                  f"length b2 = {space.dim}")
+            for pos, m in enumerate(ms):
+                where = f"{what}: monomials[{pos}]"
+                # type() rejects bools, floats, strings
+                if not all(type(e) is int and e >= 0 for e in m):
+                    raise BuildError(f"{where}: {json.dumps(m):.40} is not a "
+                                     "list of integers >= 0")
+                if sum(m) != k:
+                    raise BuildError(f"{where}: {m} does not sum to {k}")
             ms = levels[k] = [tuple(m) for m in ms]
             if len(ms) != level["dim"]:
                 raise BuildError(f"{what}: level dimension does not match "
@@ -317,8 +299,10 @@ class GradedAlgebra:
             for l in range(k, top + 1 - k):
                 if (k, l) not in tensors:
                     raise BuildError(f"tensors: missing field '{k},{l}'")
-        return GradedAlgebra(space, n, levels, tensors,
-                             proj=None, build_meta=obj.get("build", {}))
+        # canonical JSON orders the keys as strings, "10" before "2"
+        return GradedAlgebra(space, n, dict(sorted(levels.items())),
+                             dict(sorted(tensors.items())),
+                             build_meta=obj.get("build", {}))
 
     def dump_canonical(self) -> str:
         return canonical_json(self.to_json())
@@ -397,8 +381,7 @@ def build_verbitsky(space: QuadraticSpace, n: int,
                     if i is not None and j is not None:
                         found[i, j] = coset
             tensors[(k, l)] = {key: found[key] for key in sorted(found)}
-    return GradedAlgebra(space, n, levels, tensors, cosets=cosets,
-                         build_meta={"seed": seed})
+    return GradedAlgebra(space, n, levels, tensors, build_meta={"seed": seed})
 
 
 def _apolar_weights(space: QuadraticSpace, n: int) -> dict:

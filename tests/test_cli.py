@@ -537,6 +537,22 @@ def _gram_null(doc):
     doc["space"]["gram"][2][3] = None
 
 
+def _monomial_entries(doc):
+    doc["levels"]["1"]["monomials"][0] = [None, {}, "x", [1]]
+
+
+def _monomial_bool(doc):
+    doc["levels"]["1"]["monomials"][0] = [True, 0, 0, 0]
+
+
+def _monomial_negative(doc):
+    doc["levels"]["2"]["monomials"][0] = [3, -1, 0, 0]
+
+
+def _monomial_degree(doc):
+    doc["levels"]["1"]["monomials"][0] = [1, 1, 0, 0]
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_level_2, "levels: missing field '2'"),
     (_t_out_of_range, "tensors[\"1,1\"][0]: t = 5 is not an index of level 2"),
@@ -552,6 +568,15 @@ def _gram_null(doc):
     (_n_list, "n: [1] is not an integer"),
     (_value_list, "tensors[\"1,1\"][0]: value: [1] is not a rational number"),
     (_gram_null, "space: gram[2][3]: null is not a rational number"),
+    # monomial entries: each was once accepted, and the command exited 0
+    (_monomial_entries, "levels[\"1\"]: monomials[0]: [null, {}, \"x\", [1]] "
+                        "is not a list of integers >= 0"),
+    (_monomial_bool, "levels[\"1\"]: monomials[0]: [true, 0, 0, 0] is not a "
+                     "list of integers >= 0"),
+    (_monomial_negative, "levels[\"2\"]: monomials[0]: [3, -1, 0, 0] is not "
+                         "a list of integers >= 0"),
+    (_monomial_degree, "levels[\"1\"]: monomials[0]: [1, 1, 0, 0] does not "
+                       "sum to 1"),
     # the search for a missing level stops at the first gap
     (_n_huge, "levels: missing field '3'"),
 ], ids=lambda x: getattr(x, "__name__", "")[1:] or None)

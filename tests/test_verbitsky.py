@@ -27,6 +27,7 @@ from hklab.verbitsky import (
     BuildError,
     GradedAlgebra,
     build_verbitsky,
+    canonical_json,
     multinomial,
     _apolar_weights,
     _multisets,
@@ -116,6 +117,27 @@ def monomial_count(nvars, degree):
     return comb(degree + nvars - 1, nvars - 1)
 
 
+def _cosets(alg, m):
+    """The coset of every monomial of Sym^m, in the order of monomials(),
+    read off the levels and structure constants: a monomial splits into
+    monomials of degrees k = m // 2 and m - k, both at most n and so basis
+    monomials, and the entry of that pair in tensors[(k, m - k)] is the
+    coset of their product ({} when it is zero)."""
+    k = m // 2
+    index = [{mono: i for i, mono in enumerate(alg.levels[d])}
+             for d in (k, m - k)]
+    tensor = alg.tensors[(k, m - k)]
+    out = []
+    for mono in monomials(alg.b2, m):
+        left, need = [], k
+        for a in mono:
+            left.append(min(a, need))
+            need -= left[-1]
+        right = tuple(a - b for a, b in zip(mono, left))
+        out.append(tensor.get((index[0][tuple(left)], index[1][right]), {}))
+    return out
+
+
 def _power_coeffs(v, m):
     """Coefficients of (sum v_s z_s)^m in the monomial basis."""
     out = {}
@@ -161,7 +183,7 @@ def test_brute_force_ideal_oracle(built, n, b2):
     """Independent route: in every quotient degree, assemble the ideal from
     sampled isotropic powers v^(n+1) * Sym^(k-n-1), row-reduce it exactly,
     and read off the basis (non-pivot monomials) and every coset; the
-    catalecticant build must give the same basis and the same table."""
+    catalecticant build must give the same basis and the same cosets."""
     alg = built(n, b2)
     gens = [_power_coeffs([int(x) for x in v], n + 1)
             for v in sample_isotropic(alg.space, 40, seed=77)]
@@ -188,7 +210,7 @@ def test_brute_force_ideal_oracle(built, n, b2):
         for r, c in enumerate(piv):
             expected[c] = {j: -red.data[r][f]
                            for j, f in enumerate(free) if red.data[r][f]}
-        assert alg.proj[k] == expected
+        assert _cosets(alg, k) == expected
 
 
 def _reference_projection(weights, b2, n, k):
@@ -228,7 +250,8 @@ def _reference_projection(weights, b2, n, k):
 
 def _reference_build(space, n, seed):
     """Dense reference build: structure constants from exponent-tuple
-    products looked up monomial by monomial."""
+    products looked up monomial by monomial.  Returns the algebra and its
+    coset tables, {k: [coset of each monomial of Sym^k]}."""
     b2 = space.dim
     weights = _apolar_weights(space, n)
     levels, proj = {}, {}
@@ -250,8 +273,8 @@ def _reference_build(space, n, seed):
                     if entry:
                         entries[(i, j)] = dict(entry)
             tensors[(k, l)] = entries
-    return GradedAlgebra(space, n, levels, tensors, proj=proj,
-                         build_meta={"seed": seed})
+    return GradedAlgebra(space, n, levels, tensors,
+                         build_meta={"seed": seed}), proj
 
 
 # Gram matrices with every off-diagonal entry nonzero: every monomial of
@@ -278,9 +301,10 @@ def _space_named(name, b2):
     (1, 23, "standard"), (3, 8, "standard"),
     (2, 6, "tail"), (2, 5, "dense5-a"), (3, 5, "dense5-b")])
 def test_build_matches_dense_reference(built, n, b2, space_name):
-    """The sparse build gives the levels, projection tables, structure
-    constants (in the same insertion order, which scaled_tensor's rows
-    follow) and canonical bytes of the dense per-cell build."""
+    """The sparse build gives the levels, cosets, structure constants (in
+    the same insertion order, which scaled_tensor's rows follow) and
+    canonical bytes of the dense per-cell build.  The cosets of both are
+    read off their tensors and must equal the reference's own tables."""
     if space_name == "standard":
         alg = built(n, b2)
     else:
@@ -288,9 +312,11 @@ def test_build_matches_dense_reference(built, n, b2, space_name):
     if space_name in _DENSE_GRAMS:
         grid = _DENSE_GRAMS[space_name]
         assert all(grid[i][j] for i in range(b2) for j in range(b2) if i != j)
-    ref = _reference_build(alg.space, n, seed=1)
+    ref, proj = _reference_build(alg.space, n, seed=1)
     assert alg.levels == ref.levels
-    assert alg.proj == ref.proj
+    for m in range(2 * n + 1):
+        assert _cosets(ref, m) == proj[m], m
+        assert _cosets(alg, m) == proj[m], m
     assert alg.tensors == ref.tensors
     for kl in ref.tensors:
         assert list(alg.tensors[kl]) == list(ref.tensors[kl]), kl
@@ -310,7 +336,7 @@ def test_apolar_weights_match_exponent_tuple_expansion(n, b2, space_name):
 
 def test_build_lists_monomials_only_up_to_n(monkeypatch):
     """The build lists Sym^k only for k <= n; the rows above n come from
-    the support of Q^n.  Reading proj lists the higher degrees then."""
+    the support of Q^n."""
     degrees = []
     listing = verbitsky._multisets
 
@@ -322,9 +348,6 @@ def test_build_lists_monomials_only_up_to_n(monkeypatch):
     alg = build_verbitsky(make_standard_space(14, standard_tail(14)), 2)
     assert list(alg.dims().values()) == expected_dims(2, 14)
     assert degrees and max(degrees) <= 2
-    assert [len(alg.proj[k]) for k in range(5)] == \
-        [monomial_count(14, k) for k in range(5)]
-    assert max(degrees) == 4
 
 
 def test_every_from_num_input_is_canonical(monkeypatch):
@@ -352,25 +375,23 @@ def test_every_from_num_input_is_canonical(monkeypatch):
     assert calls
 
 
-def test_project_symmetric_above_n():
-    """At k > n, project_symmetric sends a monomial that divides no
-    monomial of Q^n's support (a zero catalecticant row) to zero and a
-    basis monomial to its unit vector."""
+def test_cosets_above_n():
+    """At k > n, a monomial that divides no monomial of Q^n's support (a
+    zero catalecticant row) has a zero coset, so no tensor entry, and a
+    basis monomial has its unit coset."""
     n, b2 = 2, 5
     alg = build_verbitsky(make_standard_space(b2, standard_tail(b2)), n)
     support = _apolar_weights(alg.space, n)
     for k in range(n + 1, 2 * n + 1):
         monos = monomials(b2, k)
+        cosets = _cosets(alg, k)
         outside = [c for c, m in enumerate(monos) if not any(
             all(a >= b for a, b in zip(alpha, m)) for alpha in support)]
         assert outside, k
         for c in outside:
-            image = alg.project_symmetric(k, _unit(len(monos), c))
-            assert image == alg.zero(2 * k)
+            assert cosets[c] == {}
         for j, m in enumerate(alg.levels[k]):
-            image = alg.project_symmetric(
-                k, _unit(len(monos), monos.index(m)))
-            assert image.coords == tuple(_unit(alg.level_dim(k), j))
+            assert cosets[monos.index(m)] == {j: QQ(1)}
 
 
 def test_unit_law(built):
@@ -574,8 +595,36 @@ def test_json_round_trip_bit_exact(built):
     a = alg.element(2, [1, 2, 3, 4])
     b = alg.element(4, list(range(10)))
     assert alg.multiply(a, b) == loaded.multiply(a, b)
-    with pytest.raises(LinalgError):
-        loaded.project_symmetric(2, [0] * 10)
+
+
+def _ordered(x):
+    """A copy of x with every dict turned into its list of items, so that
+    == also compares insertion orders."""
+    if isinstance(x, dict):
+        return [(key, _ordered(value)) for key, value in x.items()]
+    if isinstance(x, list):
+        return [_ordered(value) for value in x]
+    return x
+
+
+@pytest.mark.parametrize("n,b2,seed", [(2, 4, 0), (3, 5, 1), (5, 4, 0)])
+def test_built_and_loaded_are_one_value(built, n, b2, seed):
+    """A built algebra and its JSON reload hold the same fields with equal
+    values, the tensors and their entries in the same insertion order (at
+    n = 5 the canonical key order "10" < "2" differs from the numeric one).
+    Neither gains state from a run or a dump, and the run's reports are
+    byte-identical."""
+    alg = built(n, b2)
+    loaded = GradedAlgebra.from_json(json.loads(alg.dump_canonical()))
+    assert list(vars(loaded)) == list(vars(alg))
+    before = _ordered(vars(alg))
+    assert _ordered(vars(loaded)) == before
+    cfg = InstanceConfig(n=n, b2=b2, seed=seed)
+    reports = [canonical_json(run_instance(cfg, alg=a).to_json())
+               for a in (alg, loaded)]
+    alg.dump_canonical()
+    assert reports[0] == reports[1]
+    assert _ordered(vars(alg)) == _ordered(vars(loaded)) == before
 
 
 def test_degree_overflow_errors(built):
