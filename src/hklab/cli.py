@@ -13,7 +13,7 @@ All randomness is seeded (flag --seed, else HKLAB_SEED, else 0) and every
 output is canonical JSON, so identical invocations produce identical bytes.
 verify writes its per-phase timings to stderr, one JSON line per instance.
 Exit codes: 0 success / all asserted checks pass, 1 verification failure,
-2 usage or construction error.
+2 usage or construction error, 3 two-orbit obstruction (transport).
 """
 
 from __future__ import annotations
@@ -176,9 +176,15 @@ def _load_algebra(args) -> GradedAlgebra:
     return build_instance(_instance_config(args))
 
 
+def _load_module(path: str):
+    """The operator module in the file at path, whatever its name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_module(fh.read())
+
+
 def _cmd_verify(args) -> int:
     if args.module:
-        spec = load_module(args.module)
+        spec = _load_module(args.module)
         report = validate(spec)
         payload = {"module": args.module, "validation": report.to_json()}
         code = 0 if report.all_passed else 1
@@ -279,7 +285,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = load_module(args.in_path)
+    spec = _load_module(args.in_path)
     report = validate(spec)
     if args.format == "json":
         _write(canonical_json(report.to_json()), args.out)
@@ -303,10 +309,9 @@ def main(argv=None) -> int:
     except TwoOrbitObstruction as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BuildError, QuadFormError, SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # OSError: an input file that is missing or cannot be read
+    except (BuildError, QuadFormError, SchemaError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

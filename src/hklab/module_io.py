@@ -14,8 +14,8 @@ schema (llv_module.schema.json) does, its patterns matched whole, and
 more: integers given as floats, zero denominators, a degree named twice
 and ragged or misshapen blocks are errors too.  Each block's integer
 numerators are built from the integers of its cells as they are read.
-jsonschema runs only on a rejected document, to phrase the message of the
-schema rule it breaks.
+That walk is the only validator: each error it raises names the field and
+the rule the document breaks.
 
 Shipped fixture generators: a faithful export, a corrupted variant, an
 elementary one-variable ladder, a deliberately mis-graded shift, and a
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 from dataclasses import dataclass, field, replace
 from math import lcm
@@ -48,7 +49,7 @@ from hklab.llv import (
     lefschetz,
     linear_dual_table,
 )
-from hklab.quadforms import (QuadFormError, QuadraticSpace,
+from hklab.quadforms import (QuadFormError, QuadraticSpace, json_fields,
                               make_standard_space, mukai_extension)
 from hklab.verbitsky import GradedAlgebra, canonical_json
 
@@ -69,11 +70,6 @@ SCHEMA_PATH = Path(__file__).with_name("llv_module.schema.json")
 # matches before a final newline.
 _DEGREE = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-@functools.cache
-def _schema() -> dict:
-    return json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
 
 
 # -- data model ----------------------------------------------------------------
@@ -130,14 +126,14 @@ class _Cells(dict):
     def __missing__(self, cell):
         m = _RATIONAL.fullmatch(cell) if type(cell) is str else None
         if m is None:
-            raise SchemaError(f"{cell!r} is not a rational 'p' or 'p/q'")
+            raise SchemaError(f"{cell!r:.40} is not a rational 'p' or 'p/q'")
         try:
             p, q = int(m[1]), int(m[2] or 1)
         except ValueError:    # past the interpreter's integer string limit
             raise SchemaError(f"a cell of {len(cell)} characters exceeds the "
                               "digit limit for integer strings") from None
         if not q:
-            raise SchemaError(f"{cell!r} has denominator zero")
+            raise SchemaError(f"{cell!r:.40} has denominator zero")
         value = self[cell] = (p, q)
         return value
 
@@ -149,10 +145,10 @@ def _typed(x, kind: type, what: str):
 
 
 def _fields(x, what: str, required: tuple, optional: tuple = ()) -> dict:
-    keys = _typed(x, dict, what).keys()
-    if not {*required} <= keys <= {*required, *optional}:
-        raise SchemaError(f"{what} must have the keys {list(required)}, "
-                          f"optionally {list(optional)}")
+    json_fields(x, what, required, SchemaError)
+    for key in x:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{what}: unknown field {key!r:.40}")
     return x
 
 
@@ -167,7 +163,7 @@ def _by_degree(x, what: str, value) -> dict:
     out = {}
     for key, v in _typed(x, dict, what).items():
         if type(key) is not str or not _DEGREE.fullmatch(key):
-            raise SchemaError(f"{what}: {key!r} is not a degree")
+            raise SchemaError(f"{what}: {key!r:.40} is not a degree")
         try:
             d = int(key)
         except ValueError:   # past the interpreter's integer string limit
@@ -216,10 +212,10 @@ def _read(obj) -> LLVModuleSpec:
     _fields(obj, "module", ("format", "version", "n", "space", "degrees",
                             "h_action", "L_actions"),
             ("label", "Lambda_actions"))
-    if obj["format"] != MODULE_FORMAT or \
-            _typed(obj["version"], int, "version") != MODULE_VERSION:
-        raise SchemaError(f"not a {MODULE_FORMAT} version {MODULE_VERSION} "
-                          "document")
+    if obj["format"] != MODULE_FORMAT:
+        raise SchemaError(f"format must be {MODULE_FORMAT!r}")
+    if type(obj["version"]) is not int or obj["version"] != MODULE_VERSION:
+        raise SchemaError(f"version must be {MODULE_VERSION}")
     _typed(obj.get("label", ""), str, "label")
     n = _int(obj["n"], "n", 1)
     cells = _Cells()
@@ -240,11 +236,12 @@ def _read(obj) -> LLVModuleSpec:
     if "Lambda_actions" in obj:
         lam = _fields(obj["Lambda_actions"], "Lambda_actions",
                       ("basis", "blocks"))
-        basis = _matrix(lam["basis"], "Lambda basis", qspace.dim, cells)
+        basis = _matrix(lam["basis"], "Lambda_actions.basis", qspace.dim,
+                        cells)
         if basis.cols != qspace.dim:
             raise SchemaError("Lambda basis vectors have wrong length")
         lam_basis = [list(v) for v in basis.data]
-        lam_docs = _typed(lam["blocks"], list, "Lambda blocks")
+        lam_docs = _typed(lam["blocks"], list, "Lambda_actions.blocks")
         if len(lam_docs) != len(lam_basis):
             raise SchemaError("Lambda blocks do not match basis length")
         lam_actions = [_blockmap(blk, degrees, -2, f"Lambda[{s}]", cells)
@@ -256,34 +253,22 @@ def _read(obj) -> LLVModuleSpec:
 
 
 def load_module(source) -> LLVModuleSpec:
-    """Parse a module document (dict, JSON text, or path) with exact rationals.
+    """Parse a module document with exact rationals: a dict is the document,
+    a str its JSON text and an os.PathLike the file that holds that text.
 
-    Raises SchemaError on any schema or shape violation, with jsonschema's
-    message when the published schema rejects the document too.
+    Raises SchemaError naming the field and the rule the document breaks,
+    or QuadFormError when space.gram is not a symmetric nondegenerate
+    matrix of size space.dim.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        elif "\n" not in str(source) and str(source).endswith(".json"):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+    if isinstance(source, os.PathLike):
+        source = Path(source).read_text(encoding="utf-8")
+    if isinstance(source, str):
         try:
-            obj = json.loads(text)
+            source = json.loads(source)
         except ValueError as exc:
             # a JSONDecodeError, or an integer literal past the digit limit
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    try:
-        return _read(obj)
-    except (SchemaError, QuadFormError):
-        import jsonschema
-        try:
-            jsonschema.validate(obj, _schema())
-        except jsonschema.ValidationError as exc:
-            raise SchemaError(f"schema violation: {exc.message}") from exc
-        raise
+    return _read(source)
 
 
 def module_to_json(spec: LLVModuleSpec) -> dict:

@@ -257,6 +257,7 @@ class GradedAlgebra:
                     isinstance(m, list) and len(m) == space.dim for m in ms)):
                 raise BuildError(f"{what}: monomials must be lists of "
                                  f"length b2 = {space.dim}")
+            first = {}      # monomial -> its first position, in order
             for pos, m in enumerate(ms):
                 where = f"{what}: monomials[{pos}]"
                 # type() rejects bools, floats, strings
@@ -265,7 +266,9 @@ class GradedAlgebra:
                                      "list of integers >= 0")
                 if sum(m) != k:
                     raise BuildError(f"{where}: {m} does not sum to {k}")
-            ms = levels[k] = [tuple(m) for m in ms]
+                if (seen := first.setdefault(tuple(m), pos)) != pos:
+                    raise BuildError(f"{where} repeats monomials[{seen}]")
+            ms = levels[k] = list(first)
             if len(ms) != level["dim"]:
                 raise BuildError(f"{what}: level dimension does not match "
                                  "basis list")

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -219,15 +220,40 @@ def test_import_does_not_load_numpy():
 
 
 def test_accepting_a_module_does_not_load_jsonschema(fixture_dir):
-    """jsonschema only phrases the message of a rejected document."""
-    probe = ("import sys, hklab.cli; "
-             "from hklab.module_io import load_module; "
-             "load_module(sys.argv[1]); "
-             "assert 'jsonschema' not in sys.modules, 'jsonschema imported'")
+    """The reader alone accepts and rejects module documents: with
+    jsonschema unimportable, a fixture loads and a document without "n"
+    raises SchemaError naming the field, not ImportError."""
+    probe = textwrap.dedent("""
+        import json, pathlib, sys
+        sys.modules["jsonschema"] = None
+        from hklab.module_io import SchemaError, load_module
+        path = pathlib.Path(sys.argv[1])
+        load_module(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["n"]
+        try:
+            load_module(doc)
+        except SchemaError as exc:
+            assert str(exc) == "module: missing field 'n'", exc
+        else:
+            raise AssertionError("a module without n was accepted")
+    """)
     src = str(pathlib.Path(hklab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", probe,
                     str(fixture_dir / "sh_module.json")], env=env, check=True)
+
+
+def test_validate_reads_a_module_file_of_any_name(fixture_dir, tmp_path,
+                                                   capsys):
+    """A module file is read whatever its name: a .txt copy of a fixture
+    validates."""
+    path = tmp_path / "m.txt"
+    path.write_bytes((fixture_dir / "sh_module.json").read_bytes())
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert (code, err) == (0, "") and out.endswith("result: all-pass\n")
+    code, out, err = run(capsys, "verify", "--module", str(path))
+    assert (code, err) == (0, "")
 
 
 def _edited_fixture(fixture_dir, tmp_path, edit):
@@ -235,7 +261,7 @@ def _edited_fixture(fixture_dir, tmp_path, edit):
     edit(obj)
     path = tmp_path / "module.json"
     path.write_text(json.dumps(obj))
-    return str(path)
+    return path
 
 
 def _zero_denominator(obj):
@@ -264,6 +290,34 @@ def _degree_2_twice(obj):
     obj["degrees"]["02"] = obj["degrees"]["2"]
 
 
+def _fractional_cell(obj):
+    obj["L_actions"][1]["2"][0][0] = "1.5"
+
+
+def _missing_n(obj):
+    del obj["n"]
+
+
+def _extra_key(obj):
+    obj["comment"] = "not part of the format"
+
+
+def _row_not_a_list(obj):
+    obj["h_action"]["2"][0] = "0"
+
+
+def _long_cell(obj):
+    obj["h_action"]["0"][0][0] = "x" * 5000
+
+
+def _bad_format(obj):
+    obj["format"] = "hklab-llv-modules"
+
+
+def _bad_version(obj):
+    obj["version"] = 2
+
+
 @pytest.mark.parametrize("edit, message", [
     (_zero_denominator, "h_action[0]: '1/0' has denominator zero"),
     (_float_n, "n must be an integer >= 1"),
@@ -273,13 +327,25 @@ def _degree_2_twice(obj):
                  "limit for integer strings"),
     (_huge_degree_key, "degrees: a degree key of 5000 characters exceeds the "
                        "digit limit for integer strings"),
+    # the schema rejects these too
+    (_fractional_cell, "L_actions[1][2]: '1.5' is not a rational 'p' or "
+                       "'p/q'"),
+    (_missing_n, "module: missing field 'n'"),
+    (_extra_key, "module: unknown field 'comment'"),
+    (_row_not_a_list, "h_action[2]: rows are not lists of one length"),
+    # a value from the document is quoted to 40 characters
+    (_long_cell, "h_action[0]: '" + "x" * 39 + " is not a rational 'p' or "
+                 "'p/q'"),
+    (_bad_format, "format must be 'hklab-llv-module'"),
+    (_bad_version, "version must be 1"),
 ])
 def test_validate_unreadable_module_exits_2(fixture_dir, tmp_path, capsys,
                                             edit, message):
-    """Documents the schema passes but the reader cannot read are usage
-    errors (exit 2), not tracebacks (exit 1) or silent acceptance."""
+    """Documents the reader cannot read are usage errors (exit 2) whose
+    message names the field and the rule, not tracebacks (exit 1) or
+    silent acceptance."""
     path = _edited_fixture(fixture_dir, tmp_path, edit)
-    code, out, err = run(capsys, "validate", "--in", path)
+    code, out, err = run(capsys, "validate", "--in", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -294,7 +360,7 @@ def test_validate_degrees_disagreeing_with_n(fixture_dir, tmp_path, capsys):
     completion, and validation fails (exit 1)."""
     path = _edited_fixture(fixture_dir, tmp_path,
                            lambda obj: obj.update(n=2))
-    code, out, err = run(capsys, "validate", "--in", path)
+    code, out, err = run(capsys, "validate", "--in", str(path))
     assert code == 1 and err == ""
     assert "FAIL  dual-completions-and-linearity  [a ladder from degree 0 " \
         "leaves the module's degrees at 6]" in out
@@ -390,9 +456,14 @@ def test_validate_corrupted(fixture_dir, capsys):
     assert "FAIL" in out
 
 
-def test_validate_missing_file(capsys):
+def test_validate_missing_file(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--in", "/nonexistent.json")
     assert code == 2
+    # a directory is an input error too, not a traceback (exit 1)
+    for argv in (["validate", "--in"], ["verify", "--module"],
+                 ["diamond", "--degree", "2", "--in"], ["transport", "--in"]):
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
 
 
 def test_export_determinism(tmp_path):
@@ -553,6 +624,11 @@ def _monomial_degree(doc):
     doc["levels"]["1"]["monomials"][0] = [1, 1, 0, 0]
 
 
+def _monomial_repeated(doc):
+    ms = doc["levels"]["1"]["monomials"]
+    ms[1] = ms[0]
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_level_2, "levels: missing field '2'"),
     (_t_out_of_range, "tensors[\"1,1\"][0]: t = 5 is not an index of level 2"),
@@ -577,6 +653,7 @@ def _monomial_degree(doc):
                          "a list of integers >= 0"),
     (_monomial_degree, "levels[\"1\"]: monomials[0]: [1, 1, 0, 0] does not "
                        "sum to 1"),
+    (_monomial_repeated, "levels[\"1\"]: monomials[1] repeats monomials[0]"),
     # the search for a missing level stops at the first gap
     (_n_huge, "levels: missing field '3'"),
 ], ids=lambda x: getattr(x, "__name__", "")[1:] or None)
