@@ -28,7 +28,12 @@ Subspace stores only the primitive reduced rows, pivots positive, and forms
 its rational basis when vectors() is called.
 
 Brackets D X - X D' with diagonal D and D' are read off the diagonals,
-entry by entry, with no product (diagonal_bracket).  Joint eigenspaces of
+entry by entry, with no product (diagonal_bracket).  An identity between
+matrices is checked by accumulating and comparing, never by building the
+left side: lincomb_equals accumulates sum c_i a_i b_i as lincomb does and
+compares each row with the target's numerators by cross-multiplying, and
+diagonal_bracket_equals reads D X - X D' = c X off the diagonals at the
+nonzeros of X.  Joint eigenspaces of
 diagonal operators are read off their diagonals; other commuting
 operators are refined eigenspace by eigenspace.  Eigenvalues are keyed as
 ints when integral and as QQ otherwise, so no lookup hashes an int
@@ -134,12 +139,7 @@ class Mat:
         positive int den; their common factor is divided out."""
         if len(num) != rows:
             raise LinalgError(f"bad data shape for {rows}x{cols} matrix")
-        if den != 1:
-            g = gcd(den, *[x for r in num for _, x in r])
-            if g > 1:
-                den //= g
-                num = [[(j, x // g) for j, x in r] for r in num]
-        return _raw(rows, cols, num, den)
+        return _lowest(rows, cols, tuple(map(tuple, num)), den)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -147,7 +147,7 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return _raw(n, n, [((i, 1),) for i in range(n)], 1)
+        return _raw(n, n, tuple([((i, 1),) for i in range(n)]), 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Mat":
@@ -185,7 +185,7 @@ class Mat:
         for i, r in enumerate(self.num):
             for j, x in r:
                 out[j].append((i, x))
-        return _raw(self.cols, self.rows, out, self.den)
+        return _raw(self.cols, self.rows, tuple(map(tuple, out)), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -314,37 +314,49 @@ class Mat:
         return QQ(sign * prev, self.den ** n)
 
 
-def _init(m: Mat, rows: int, cols: int, num: Sequence, den: int) -> None:
+def _init(m: Mat, rows: int, cols: int, num: tuple, den: int) -> None:
     set_ = object.__setattr__
     set_(m, "rows", rows)
     set_(m, "cols", cols)
-    set_(m, "num", tuple(map(tuple, num)))
+    set_(m, "num", num)
     set_(m, "den", den)
 
 
-def _raw(rows: int, cols: int, num: Sequence, den: int) -> Mat:
-    """The matrix with the given canonical fields (no checks)."""
+def _raw(rows: int, cols: int, num: tuple, den: int) -> Mat:
+    """The matrix with the given canonical fields (no checks); num is a
+    tuple of row tuples."""
     m = object.__new__(Mat)
     _init(m, rows, cols, num, den)
     return m
 
 
+def _lowest(rows: int, cols: int, num: tuple, den: int) -> Mat:
+    """The matrix num / den, num a tuple of row tuples of (column, int)
+    pairs in ascending column order, with the common factor of den and
+    every numerator divided out: one gcd over all numerators, taken only
+    when den != 1."""
+    if den != 1:
+        g = gcd(den, *[x for r in num for _, x in r])
+        if g > 1:
+            den //= g
+            num = tuple([tuple([(j, x // g) for j, x in r]) for r in num])
+    return _raw(rows, cols, num, den)
+
+
 def _integers(pairs: Sequence) -> tuple:
     """(num, den) for rows of nonzero (column, rational) pairs: den is the
     lcm of the denominators, which leaves the numerators with no factor in
-    common with it, and num the rows of (column, value * den) pairs."""
+    common with it, and num the tuple of row tuples of (column, value * den)
+    pairs."""
     den = lcm(*[int(e.denominator) for r in pairs for _, e in r])
-    return [[(j, int(e.numerator) * (den // int(e.denominator)))
-             for j, e in r] for r in pairs], den
+    return tuple([tuple([(j, int(e.numerator) * (den // int(e.denominator)))
+                         for j, e in r]) for r in pairs]), den
 
 
-def lincomb(rows: int, cols: int, terms: Sequence) -> Mat:
-    """The rows x cols matrix sum c * a * b over the terms (c, a, b), where
-    c is rational and b is a matrix or None (for c * a).
-
-    Every term is accumulated in integers over the lcm of the terms'
-    denominators, so no rational matrix is formed in between.
-    """
+def _accumulate(rows: int, terms: Sequence) -> tuple:
+    """(acc, den) for the sum c * a * b over the terms (c, a, b) of lincomb:
+    acc[i] maps a column j to the numerator of entry (i, j) over den, the
+    lcm of the terms' denominators.  A numerator may be zero."""
     dens = [int(c.denominator) * a.den * (b.den if b is not None else 1)
             for c, a, b in terms]
     den = lcm(*dens)
@@ -363,8 +375,54 @@ def lincomb(rows: int, cols: int, terms: Sequence) -> Mat:
                 x *= f
                 for j, y in bnum[k]:
                     arow[j] = arow[j] + x * y if j in arow else x * y
-    return Mat.from_num(rows, cols, [[(j, x) for j in sorted(r) if (x := r[j])]
-                                     if r else () for r in acc], den)
+    return acc, den
+
+
+def lincomb(rows: int, cols: int, terms: Sequence) -> Mat:
+    """The rows x cols matrix sum c * a * b over the terms (c, a, b), where
+    c is rational and b is a matrix or None (for c * a).
+
+    Every term is accumulated in integers over the lcm of the terms'
+    denominators, so no rational matrix is formed in between.
+    """
+    acc, den = _accumulate(rows, terms)
+    return _lowest(rows, cols, tuple([
+        tuple([(j, x) for j in sorted(r) if (x := r[j])]) if r else ()
+        for r in acc]), den)
+
+
+def lincomb_equals(rows: int, cols: int, terms: Sequence, c=1,
+                   t: Optional[Mat] = None) -> bool:
+    """Whether the rows x cols sum over the terms (c_i, a_i, b_i) of lincomb
+    equals c * t, t None for zero.
+
+    The sum is accumulated as lincomb accumulates it and compared with t
+    row by row, cross-multiplying against t's numerators; no matrix is
+    formed, sorted or reduced.
+    """
+    if t is not None and t.shape != (rows, cols):
+        raise LinalgError(
+            f"target of shape {t.shape}, expected {(rows, cols)}")
+    acc, den = _accumulate(rows, terms)
+    return _rows_equal(acc, den, c, t)
+
+
+def _rows_equal(acc: list, den: int, c, t: Optional[Mat]) -> bool:
+    """Whether the matrix whose row i maps column j to acc[i][j] / den (a
+    missing column or a zero numerator is a zero entry) is c * t, t None
+    for zero.  Consumes acc."""
+    c = QQ(c)
+    p = int(c.numerator)
+    if t is None or not p:
+        return not any(any(r.values()) for r in acc)
+    lf, rf = int(c.denominator) * t.den, p * den
+    for r, tr in zip(acc, t.num):
+        for j, x in tr:
+            if r.pop(j, 0) * lf != x * rf:
+                return False
+        if any(r.values()):
+            return False
+    return True
 
 
 def _dense(pairs: Sequence, n: int) -> list:
@@ -389,21 +447,50 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return lincomb(a.rows, a.cols, [(1, a, b), (-1, b, a)])
 
 
-def diagonal_bracket(left: Mat, right: Mat, x: Mat, sign: int = 1) -> Mat:
-    """sign * (left * x - x * right) for diagonal left and right, with no
-    product: entry (i, j) is sign * (left[i] - right[j]) * x[i, j], formed
-    in integers over the product of the three denominators and reduced by
-    from_num, so the result is the canonical form lincomb would give."""
+def _diagonals(left: Mat, right: Mat, x: Mat) -> tuple:
+    """(lv, rv, den): the diagonals of left and right, for a bracket with x,
+    as numerators over den = left.den * right.den."""
     if left.shape != (x.rows, x.rows) or right.shape != (x.cols, x.cols):
         raise LinalgError(
             f"diagonal bracket of {left.shape}, {x.shape} and {right.shape}")
     p, q = left.den, right.den
-    # Both diagonals as numerators over p * q, the sign folded in.
-    lv = [r[0][1] * q * sign if r else 0 for r in left.num]
-    rv = [r[0][1] * p * sign if r else 0 for r in right.num]
+    return ([r[0][1] * q if r else 0 for r in left.num],
+            [r[0][1] * p if r else 0 for r in right.num], p * q)
+
+
+def diagonal_bracket(left: Mat, right: Mat, x: Mat, sign: int = 1) -> Mat:
+    """sign * (left * x - x * right) for diagonal left and right, with no
+    product: entry (i, j) is sign * (left[i] - right[j]) * x[i, j], formed
+    in integers over the product of the three denominators and reduced, so
+    the result is the canonical form lincomb would give."""
+    lv, rv, den = _diagonals(left, right, x)
     return Mat.from_num(x.rows, x.cols,
-                        [[(j, (a - rv[j]) * y) for j, y in r if a != rv[j]]
-                         for a, r in zip(lv, x.num)], p * q * x.den)
+                        [[(j, sign * (a - rv[j]) * y) for j, y in r
+                          if a != rv[j]] for a, r in zip(lv, x.num)],
+                        den * x.den)
+
+
+def diagonal_bracket_equals(left: Mat, right: Mat, x: Mat, c=1,
+                            t: Optional[Mat] = None) -> bool:
+    """Whether left * x - x * right == c * t for diagonal left and right,
+    t None for zero, with no product and no matrix formed.
+
+    When t is x itself only the diagonals are read, at x's nonzeros: each
+    needs left[i] - right[j] == c.  Otherwise the entries (left[i] - right[j])
+    x[i, j] are compared with t's row by row, as lincomb_equals does."""
+    lv, rv, den = _diagonals(left, right, x)
+    if t is x:
+        # (lv[i] - rv[j]) / den == p / q, cross-multiplied.
+        c = QQ(c)
+        q = int(c.denominator)
+        k = int(c.numerator) * den
+        rq = [y * q for y in rv]
+        return all(all(rq[j] == need for j, _ in r)
+                   for need, r in zip([a * q - k for a in lv], x.num) if r)
+    if t is not None and t.shape != x.shape:
+        raise LinalgError(f"target of shape {t.shape}, expected {x.shape}")
+    return _rows_equal([{j: (a - rv[j]) * y for j, y in r if a != rv[j]}
+                        for a, r in zip(lv, x.num)], den * x.den, c, t)
 
 
 # -- row reduction ----------------------------------------------------------
@@ -801,7 +888,8 @@ def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> lis
     else:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
-                if not commutator(ops[i], ops[j]).is_zero():
+                if not lincomb_equals(n, n, [(1, ops[i], ops[j]),
+                                             (-1, ops[j], ops[i])]):
                     raise LinalgError("operators do not commute")
         pieces = _refined_pieces(ops, values)
 

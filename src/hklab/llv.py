@@ -37,7 +37,10 @@ accumulate the numerators of all their terms over one denominator
 (linalg.lincomb), except a commutator with a diagonal degree-0 operand D
 (h, and the Cartan operators at the canonical frame): [D, X] is read off
 the diagonals as (D[i] - D[j]) X_ij, with no product
-(linalg.diagonal_bracket).  The bigrading splits a degree by the diagonal
+(linalg.diagonal_bracket).  Identities [A, B] = c T (the sl2 relations,
+the Lambda table's certificates, module validation) are checked by
+bracket_equals, which accumulates and compares and never builds the
+bracket or c T.  The bigrading splits a degree by the diagonal
 of the Cartan blocks when they are diagonal (the canonical frame) and
 refines eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
 
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from hklab.linalg import (
@@ -61,9 +65,11 @@ from hklab.linalg import (
     NotNilpotentError,
     Subspace,
     diagonal_bracket,
+    diagonal_bracket_equals,
     invert,
     kernel_basis,
     lincomb,
+    lincomb_equals,
     rref,
     simultaneous_eigenspaces,
     vec,
@@ -272,6 +278,37 @@ def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
         for d in degs})
 
 
+def bracket_equals(a: GradedOperator, b: GradedOperator, c=1,
+                   t: Optional[GradedOperator] = None) -> bool:
+    """Whether [a, b] == c * t exactly, t None for zero, with no bracket
+    formed.
+
+    Like commutator_op, raises OperatorError when a and b live on different
+    graded spaces; a t on another grading or of another offset is never
+    equal.  Each block is one integer check: when either operand is
+    diagonal (GradedOperator.is_diagonal) it reads the diagonals against
+    the other operand's nonzeros (linalg.diagonal_bracket_equals, with
+    [X, D] = c t checked as [D, X] = -c t); otherwise it accumulates both
+    products as commutator_op does and compares (linalg.lincomb_equals).
+    """
+    a._same_grading(b)
+    off = a.offset + b.offset
+    if t is not None and (t.degrees != a.degrees or t.offset != off):
+        return False
+    target = {} if t is None else t.blocks
+    degs = [d for d in a.degrees if a.dim(d) and a.dim(d + off)]
+    for diag, x, sign in ((a, b, 1), (b, a, -1)):
+        if diag.is_diagonal():
+            return all(diagonal_bracket_equals(
+                diag.block(d + off), diag.block(d), x.block(d), sign * c,
+                target.get(d)) for d in degs)
+    return all(lincomb_equals(
+        a.dim(d + off), a.dim(d),
+        [(1, a.block(d + b.offset), b.block(d)),
+         (-1, b.block(d + a.offset), a.block(d))], c, target.get(d))
+        for d in degs)
+
+
 def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
     """The linear combination sum_i coeffs[i] * ops[i], in one pass.
 
@@ -405,8 +442,7 @@ def dual_lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
         raise NotLefschetzError("dual Lefschetz needs an anisotropic class")
     lop = lefschetz(alg, x)
     lam = sl2_complete(lop, alg.n)
-    h = grading(alg)
-    if commutator_op(lop, lam) != h:
+    if not bracket_equals(lop, lam, 1, grading(alg)):
         raise NotLefschetzError("sl2 completion failed the bracket identity")
     return lam
 
@@ -500,19 +536,19 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
         if duals:
             lam = _double_bracket_dual(lop, duals[0], q0,
                                        space.bilinear(basis[0], x))
-            if commutator_op(lop, lam) == h.scale(hq):
+            if bracket_equals(lop, lam, hq, h):
                 duals.append(lam)
                 continue
         lam = sl2_complete(lop, n)
-        if commutator_op(lop, lam) != h:
+        if not bracket_equals(lop, lam, 1, h):
             raise NotLefschetzError("sl2 completion failed the bracket identity")
         duals.append(lam.scale(hq))
     # Column s of B^-1 holds the coordinates of the unit vector e_s.
     binv = invert(Mat.from_cols(basis))
     table = [combine(binv.col(s), duals) for s in range(space.dim)]
     for y in anisotropic_basis(space, variant=1):
-        if commutator_op(l_of(y), combine(y, table)) != \
-                h.scale(space.quad(y) / 2):
+        if not bracket_equals(l_of(y), combine(y, table),
+                              space.quad(y) / 2, h):
             raise OperatorError(
                 "linear extension of the dual Lefschetz is basis-dependent")
     return table
@@ -608,14 +644,14 @@ class SL2Triple:
 
 def verify_sl2(t: SL2Triple) -> bool:
     """Exact check of [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    return commutator_op(t.e, t.f) == t.h and _weights_hold(t)
+    return bracket_equals(t.e, t.f, 1, t.h) and _weights_hold(t)
 
 
 def _weights_hold(t: SL2Triple) -> bool:
     """Exact check of [h,e] = 2e and [h,f] = -2f, the identities of an sl2
     triple besides [e,f] = h."""
-    return (commutator_op(t.h, t.e) == t.e.scale(2)
-            and commutator_op(t.h, t.f) == t.f.scale(-2))
+    return (bracket_equals(t.h, t.e, 2, t.e)
+            and bracket_equals(t.h, t.f, -2, t.f))
 
 
 @dataclass(frozen=True)
@@ -697,6 +733,40 @@ class DerivationReport:
     failures: list
 
 
+def _sample_pairs(alg: GradedAlgebra, offset: int, seed: int):
+    """The random homogeneous pairs (ka, kb, a, b) of verify_derivation,
+    endlessly: levels ka and kb whose product an operator of this offset
+    maps into the algebra, and coordinate vectors a and b with entries in
+    -3..3.
+
+    The draws are those of r = random.Random(seed) calling
+    r.randint(0, 2n), r.randint(0, 2n - ka) and r.randint(-3, 3), made by
+    the rejection loop randint runs (draw m.bit_length() bits until the
+    value is below m) without its call overhead.
+    """
+    bits = random.Random(seed).getrandbits
+    n, dims = alg.n, alg.dims()
+
+    def draws(m: int, count: int, low: int = 0) -> list:
+        """count draws of randint(low, low + m - 1)."""
+        k = m.bit_length()
+        out = []
+        for _ in range(count):
+            r = bits(k)
+            while r >= m:
+                r = bits(k)
+            out.append(low + r)
+        return out
+
+    while True:
+        ka, = draws(2 * n + 1, 1)
+        kb, = draws(2 * n - ka + 1, 1)
+        if 2 * (ka + kb) + offset not in dims:
+            continue
+        yield (ka, kb, draws(7, alg.level_dim(ka), -3),
+               draws(7, alg.level_dim(kb), -3))
+
+
 def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
                       trials: int = 100, seed: int = 0) -> DerivationReport:
     """Exact test of op(ab) = op(a) b + a op(b) on random homogeneous pairs.
@@ -708,9 +778,7 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
     A failing pair is reported as the AlgebraElements a, b, lhs and rhs,
     read off the same integer vectors.
     """
-    rng = random.Random(seed)
     failures = []
-    n = alg.n
     dims = alg.dims()
     half = op.offset // 2
     tensors: dict = {}   # (k, l) -> alg.scaled_tensor(k, l)
@@ -730,15 +798,9 @@ def verify_derivation(alg: GradedAlgebra, op: GradedOperator,
         return m.times_row(v), m.den
 
     count = 0
-    while count < trials:
-        ka = rng.randint(0, 2 * n)
-        kb = rng.randint(0, 2 * n - ka)
-        da, db = 2 * ka, 2 * kb
-        if (da + db + op.offset) not in dims:
-            continue
-        a = [rng.randint(-3, 3) for _ in range(alg.level_dim(ka))]
-        b = [rng.randint(-3, 3) for _ in range(alg.level_dim(kb))]
+    for ka, kb, a, b in islice(_sample_pairs(alg, op.offset, seed), trials):
         count += 1
+        da, db = 2 * ka, 2 * kb
         ab, d_ab = product(ka, a, kb, b)
         lhs, d_lhs = apply(ka + kb, ab)
         d_lhs *= d_ab

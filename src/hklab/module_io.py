@@ -42,8 +42,8 @@ from hklab.llv import (
     NotLefschetzError,
     OperatorError,
     anisotropic_basis,
+    bracket_equals,
     combine,
-    commutator_op,
     frame_calculus,
     grading,
     lefschetz,
@@ -381,7 +381,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
 
     ok, witness = True, ""
     for s, l_s in enumerate(spec.l_actions):
-        if commutator_op(spec.h_action, l_s) != l_s.scale(2):
+        if not bracket_equals(spec.h_action, l_s, 2, l_s):
             ok, witness = False, f"[h, L_{s}] != 2 L_{s}"
             break
     rep.checks.append(Check("h-L-commutation", ok, witness))
@@ -389,8 +389,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     ok, witness = True, ""
     for s in range(len(spec.l_actions)):
         for t in range(s + 1, len(spec.l_actions)):
-            if not commutator_op(spec.l_actions[s],
-                                 spec.l_actions[t]).is_zero():
+            if not bracket_equals(spec.l_actions[s], spec.l_actions[t]):
                 ok, witness = False, f"[L_{s}, L_{t}] != 0"
                 break
         if not ok:
@@ -408,7 +407,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     if table is not None:
         ok, witness = True, ""
         for s, lam_s in enumerate(table):
-            if commutator_op(spec.h_action, lam_s) != lam_s.scale(-2):
+            if not bracket_equals(spec.h_action, lam_s, -2, lam_s):
                 ok, witness = False, f"[h, Lambda_{s}] != -2 Lambda_{s}"
                 break
         rep.checks.append(Check("h-Lambda-commutation", ok, witness))
@@ -416,9 +415,8 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     if spec.lambda_actions is not None:
         ok, witness = True, ""
         for x, lam in zip(spec.lambda_basis, spec.lambda_actions):
-            qx = spec.space.quad(x)
-            bracket = commutator_op(spec.l_of(x), lam)
-            if bracket != spec.h_action.scale(qx / 2):
+            if not bracket_equals(spec.l_of(x), lam, spec.space.quad(x) / 2,
+                                  spec.h_action):
                 ok, witness = False, "declared Lambda fails [L_x, Lam_x] = (q(x)/2) h"
                 break
         rep.checks.append(Check("declared-lambda-brackets", ok, witness))

@@ -23,6 +23,7 @@ from hklab.linalg import (
     Subspace,
     kernel_basis,
     image_basis,
+    lincomb_equals,
     subspace_intersection,
 )
 from hklab.llv import (
@@ -255,13 +256,13 @@ def check_m_degree2(fc: FrameCalculus) -> list:
         claim="image of M on degree 2 is the isotropic plane <beta, sbar>",
         expected="plane of dimension 2", observed=f"dimension {img.dim}",
         passed=img.dim == 2 and img == plane))
-    square_zero = (m2 * m2).is_zero()
+    square_zero = lincomb_equals(b2, b2, [(1, m2, m2)])
     verdicts.append(Verdict(
         claim="M squared vanishes on degree 2",
         expected="0", observed="0" if square_zero else "nonzero",
         passed=square_zero))
     # q(Mv, w) + q(v, Mw) = v^T (M^T G + G M) w for all v, w
-    ok = (m2.transpose() * gram + gram * m2).is_zero()
+    ok = lincomb_equals(b2, b2, [(1, m2.transpose(), gram), (1, gram, m2)])
     verdicts.append(Verdict(
         claim="q(Mv, w) + q(v, Mw) = 0 on degree 2",
         expected="skew-compatible", observed="holds" if ok else "fails",
@@ -280,8 +281,9 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
     - for eta, frame_triples computes h as [e, f];
     - for m, frame_calculus certifies [E_M, F_M] = kappa H_M exactly, so
       [E_M, F_M/kappa] = H_M.
-    At the canonical frame every h is diagonal, so these brackets take
-    commutator_op's diagonal route.  llv.verify_sl2 keeps all three
+    Each is checked by llv.bracket_equals, with no bracket formed; at the
+    canonical frame every h is diagonal, so the check reads h's diagonal
+    against the nonzeros of e and f.  llv.verify_sl2 keeps all three
     identities for triples from elsewhere.
 
     The doubled pair (2M, 2[Lam_s, L_eta]) brackets to m_bracket_scalar
@@ -290,7 +292,8 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
     reported (recorded, not asserted) for transparency.  Both are read off
     kappa: frame_calculus certifies [E_M, F_M] = kappa H_M exactly, so
     [M, [Lam_s, L_eta]] = (kappa/4) H_M, and the literal pair differs from
-    the 'm' triple only in its [e, f] = h identity, kappa H_M = H_M.
+    the 'm' triple only in its [e, f] = h identity, kappa H_M = H_M.  An
+    identity c H_M = H_M holds exactly when c = 1 or H_M = 0.
     """
     verdicts = []
     kappa, h_m = fc.m_bracket_scalar, fc.H_M
@@ -302,7 +305,7 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
         verdicts.append(Verdict(
             claim=claim, expected="sl2 identities hold",
             observed="hold" if ok else "fail", passed=ok))
-    bracket_ok = h_m.scale(kappa / 4) == h_m
+    bracket_ok = kappa == 4 or h_m.is_zero()
     verdicts.append(Verdict(
         claim="[M, [Lam_s, L_eta]] = H_beta - H_s",
         expected="exact equality",
@@ -314,7 +317,7 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
         observed=str(fc.m_bracket_scalar),
         passed=fc.m_bracket_scalar == 4,
         asserted=False))
-    literal = oks["m"] and h_m.scale(kappa) == h_m
+    literal = oks["m"] and (kappa == 1 or h_m.is_zero())
     verdicts.append(Verdict(
         claim="literal doubled pair (2M, 2[Lam_s,L_eta], H_beta-H_s) as printed",
         expected="fails by the factor kappa (recorded)",

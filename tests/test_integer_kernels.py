@@ -257,6 +257,30 @@ def test_integer_derivation_matches_the_rational_reference(n, b2):
             assert got.passed == (name == "M"), (seed, name)
 
 
+@pytest.mark.parametrize("n,b2", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_derivation_sample_is_drawn_as_randint_draws_it(built, n, b2, seed):
+    """The pairs verify_derivation samples are, draw for draw, those of
+    random.Random(seed).randint, which its getrandbits loop reproduces; a
+    Python whose randint draws otherwise fails here."""
+    from itertools import islice
+
+    from hklab.llv import _sample_pairs
+    alg = built(n, b2)
+    dims = alg.dims()
+    for offset in (-2, 0, 2):
+        rng, ref = random.Random(seed), []
+        while len(ref) < 100:
+            ka = rng.randint(0, 2 * n)
+            kb = rng.randint(0, 2 * n - ka)
+            if 2 * (ka + kb) + offset not in dims:
+                continue
+            a = [rng.randint(-3, 3) for _ in range(alg.level_dim(ka))]
+            b = [rng.randint(-3, 3) for _ in range(alg.level_dim(kb))]
+            ref.append((ka, kb, a, b))
+        assert list(islice(_sample_pairs(alg, offset, seed), 100)) == ref
+
+
 def test_multiply_matches_the_rational_reference():
     alg, _ = calculi(2, 5)
     rng = random.Random(3)

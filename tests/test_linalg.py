@@ -893,6 +893,144 @@ def test_diagonal_bracket_matches_a_dense_fraction_reference(case):
         assert spy.called == (not is_diag and not x.is_diagonal())
 
 
+@st.composite
+def bracket_case(draw) -> tuple:
+    """Degree dims on 0, 2, 4 (any of them zero-dimensional), operators a
+    and b, and a target (c, t) for [a, b] == c * t.
+
+    Each operand is diagonal of degree 0 (random entries, or a counting
+    operator alpha * d + beta on degree d, as h is), a random degree-0
+    operator, or a random operator of offset +-2; blocks may be missing.
+    The target is zero (t None), the bracket itself, the bracket with one
+    entry changed, an operand, or a random operator, and c may be 0."""
+    dims = {d: draw(st.integers(0, 3)) for d in (0, 2, 4)}
+    alpha, beta = draw(scalars), draw(scalars)
+
+    def operator() -> GradedOperator:
+        kind = draw(st.sampled_from(["diagonal", "counting", "counting",
+                                     "degree0", "shifted", "shifted"]))
+        off = draw(st.sampled_from([-2, 2])) if kind == "shifted" else 0
+        blocks = {}
+        for d, k in dims.items():
+            if d + off not in dims or not draw(st.booleans()):
+                continue  # a missing block
+            if kind == "diagonal":
+                vs = [draw(scalars) for _ in range(k)]
+            elif kind == "counting":
+                vs = [alpha * d + beta] * k
+            if kind in ("diagonal", "counting"):
+                rows = [[v if i == j else _Z for j in range(k)]
+                        for i, v in enumerate(vs)]
+            else:
+                rows = draw(sparse_rows(dims[d + off], k))
+            blocks[d] = Mat(dims[d + off], k, rows)
+        return GradedOperator(dims, off, blocks)
+
+    a, b = operator(), operator()
+    off = a.offset + b.offset
+    bracket = commutator_op(a, b)
+    c = draw(scalars)
+    target = draw(st.sampled_from(["zero", "bracket", "one-entry", "operand",
+                                   "random"]))
+    if target == "zero":
+        return a, b, c, None
+    if target == "operand":
+        t = draw(st.sampled_from([b, b, a]))
+        if t.offset == off and draw(st.booleans()):
+            c = alpha * off   # [a, b] == c * b when a is a counting operator
+        return a, b, c, t
+    if target == "random":
+        return a, b, c, GradedOperator(dims, off, {
+            d: Mat(dims[d + off], k, draw(sparse_rows(dims[d + off], k)))
+            for d, k in dims.items() if d + off in dims})
+    blocks = {d: bracket.block(d) for d, k in dims.items()
+              if d + off in dims}
+    if target == "one-entry":
+        cells = [(d, i, j) for d, m in blocks.items()
+                 for i in range(m.rows) for j in range(m.cols)]
+        if cells:
+            d, i, j = draw(st.sampled_from(cells))
+            rows = [list(r) for r in blocks[d].data]
+            rows[i][j] += draw(scalars.filter(bool))
+            blocks[d] = Mat(blocks[d].rows, blocks[d].cols, rows)
+    t = GradedOperator(dims, off, blocks)
+    return a, b, c, (t.scale(1 / c) if c else t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_case())
+def test_bracket_equals_agrees_with_forming_the_bracket(case):
+    """llv.bracket_equals decides [a, b] == c * t as forming the bracket
+    and comparing does, in both orders, and never accumulates products
+    when an operand is diagonal."""
+    from hklab import llv
+    a, b, c, t = case
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        bracket = commutator_op(x, y)
+        ref = bracket.is_zero() if t is None else bracket == t.scale(sign * c)
+        with mock.patch.object(llv, "lincomb_equals",
+                               wraps=llv.lincomb_equals) as spy:
+            assert llv.bracket_equals(x, y, sign * c, t) == ref
+        if a.is_diagonal() or b.is_diagonal():
+            assert not spy.called
+
+
+@st.composite
+def lincomb_terms(draw) -> tuple:
+    """rows, cols and lincomb terms (c, a, b) or (c, a, None), with a
+    target matrix and scalar: lincomb's value with one entry changed,
+    scaled by 1/c, or a random matrix."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(scalars)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 4))
+            terms.append((c, Mat(rows, k, draw(sparse_rows(rows, k))),
+                          Mat(k, cols, draw(sparse_rows(k, cols)))))
+        else:
+            terms.append((c, Mat(rows, cols, draw(sparse_rows(rows, cols))),
+                          None))
+    return rows, cols, terms, draw(scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lincomb_terms(), st.sampled_from(["zero", "value", "one-entry",
+                                         "random"]), st.data())
+def test_lincomb_equals_agrees_with_lincomb(case, target, data):
+    """lincomb returns the canonical form (tuple rows, ascending columns
+    of nonzero ints, den coprime to them), and lincomb_equals decides
+    sum == c * t as comparing lincomb's value does."""
+    from hklab.linalg import lincomb, lincomb_equals
+    rows, cols, terms, c = case
+    got = lincomb(rows, cols, terms)
+    assert type(got.num) is tuple and all(type(r) is tuple for r in got.num)
+    assert all(type(x) is int and x for r in got.num for _, x in r)
+    assert all(r[i][0] < r[i + 1][0] for r in got.num
+               for i in range(len(r) - 1))
+    assert got.den > 0 and gcd(got.den, *[x for r in got.num
+                                          for _, x in r]) == 1
+    ref = [[_Z] * cols for _ in range(rows)]
+    for f, a, b in terms:
+        ref = dense_add(ref, dense_scale(f, dense(a) if b is None else
+                                         dense_mul(dense(a), dense(b), cols)))
+    assert got == Mat(rows, cols, ref)
+    if target == "zero":
+        assert lincomb_equals(rows, cols, terms, c) == got.is_zero()
+        return
+    if target == "random":
+        t = Mat(rows, cols, data.draw(sparse_rows(rows, cols)))
+    else:
+        value = [list(r) for r in ref]
+        if target == "one-entry" and rows and cols:
+            i = data.draw(st.integers(0, rows - 1))
+            j = data.draw(st.integers(0, cols - 1))
+            value[i][j] += data.draw(scalars.filter(bool))
+        t = Mat(rows, cols, value)
+        t = t.scale(1 / c) if c else t
+    assert lincomb_equals(rows, cols, terms, c, t) == (got == t.scale(c))
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_full_is_the_eliminated_identity(n):
     full = Subspace.full(n)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pathlib
 import re
 from dataclasses import fields, replace
 
@@ -8,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hklab.module_io as module_io
-from hklab.linalg import Mat, qq, vec
+from hklab.linalg import QQ, Mat, qq, vec
 from hklab.llv import (
     FrameCalculus,
     GradedOperator,
@@ -142,6 +144,51 @@ def test_validation_report_render(built):
     assert "all-pass" in text
     js = report.to_json()
     assert js["all_passed"] is True
+
+
+# validate(...).to_json() of each case of _validation_cases, recorded before
+# the relation checks stopped forming brackets to compare them.
+VALIDATION_PINS = pathlib.Path(__file__).with_name("validation_reports.json")
+
+
+def _bumped(doc: dict, path: tuple) -> dict:
+    """A copy of doc with 1 added to the rational cell at path."""
+    out = copy.deepcopy(doc)
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    node[last] = str(QQ(node[last]) + 1)
+    return out
+
+
+def _validation_cases(fixture_dir, built) -> dict:
+    """Case name -> module document: the fixtures, the n = 3 spin module,
+    and a (2,5) export with one cell of an L block (breaking the
+    commutativity of the L, or only the Lambda table), of h (on and off the
+    diagonal) or of a declared Lambda changed."""
+    docs = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(fixture_dir.glob("*_module.json"))}
+    docs["spin3"] = make_spin_module(3)
+    export = export_module(built(2, 5))
+    for name, path in (
+            ("2x5-L-entry", ("L_actions", 1, "2", 0, 0)),
+            ("2x5-L-table", ("L_actions", 0, "2", 2, 0)),
+            ("2x5-h-entry", ("h_action", "4", 0, 0)),
+            ("2x5-h-offdiagonal", ("h_action", "4", 0, 1)),
+            ("2x5-Lambda-entry", ("Lambda_actions", "blocks", 0, "4", 0, 0))):
+        docs[name] = _bumped(export, path)
+    return docs
+
+
+def test_validation_reports_are_pinned(fixture_dir, built):
+    """Every relation check keeps its verdict, witness and order, on valid
+    modules and on each way a module can fail."""
+    pins = json.loads(VALIDATION_PINS.read_text(encoding="utf-8"))
+    cases = _validation_cases(fixture_dir, built)
+    assert sorted(cases) == sorted(pins)
+    for name, doc in cases.items():
+        assert validate(load_module(doc)).to_json() == pins[name], name
 
 
 def test_empty_lambda_block_round_trips(built):

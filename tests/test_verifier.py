@@ -375,21 +375,25 @@ def test_sl2_suite_brackets_the_diagonal_h_without_products(calculus,
                                                           monkeypatch):
     """At frame seed 0 every h of the frame triples is diagonal, so the
     suite's [h, .] brackets are read off the diagonals: no integer product
-    accumulator (linalg.lincomb) runs.  The triples are formed beforehand,
-    as frame_triples brackets [L_eta, Lam_beta] for the eta triple."""
+    accumulator (linalg.lincomb, or linalg._accumulate under lincomb and
+    lincomb_equals) runs.  The triples are formed beforehand, as
+    frame_triples brackets [L_eta, Lam_beta] for the eta triple."""
     from hklab import linalg, llv, verifier
     alg, frame, fc, big = calculus(3, 4)
     triples = frame_triples(fc)
     assert all(t.h.is_diagonal() for t in triples.values())
-    calls, real = [], linalg.lincomb
+    calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def call(*args):
+            calls.append(args)
+            return real(*args)
+        return call
 
     monkeypatch.setattr(verifier, "frame_triples", lambda _: triples)
-    monkeypatch.setattr(llv, "lincomb", counting)
-    monkeypatch.setattr(linalg, "lincomb", counting)
+    monkeypatch.setattr(llv, "lincomb", counting(linalg.lincomb))
+    monkeypatch.setattr(linalg, "lincomb", counting(linalg.lincomb))
+    monkeypatch.setattr(linalg, "_accumulate", counting(linalg._accumulate))
     verdicts = check_sl2_suite(fc)
     assert all(v.passed for v in verdicts if v.asserted)
     assert calls == []
