@@ -12,9 +12,9 @@ use that uniqueness, so none of them builds a chain it does not need:
   a block of size s adds 1 to each of Gr_{k-s+1}, Gr_{k-s+3}, ...,
   Gr_{k+s-1}.
 * The conjugate Hodge chain of L_sbar (conjugate_hodge_check) and the
-  reindexed perverse chain of L_beta (crosscheck_perverse_weight) are
-  candidates given in advance, the first from the bigrading and the
-  second by the kernel-sum formula below.  Each is verified against both
+  perverse chain of L_beta (crosscheck_perverse_weight) are candidates
+  given in advance, the first from the bigrading and the second by the
+  kernel-sum formula below.  Each is verified against both
   defining properties (verify_graded_weight_filtration, which reads only
   the operator's blocks, never kernels of its powers), and by uniqueness
   it passes exactly when it is the weight filtration.  The check maps
@@ -27,9 +27,10 @@ The kernel-sum formula
 
 with Ker(N^e) read as 0 for e <= 0, is evaluated top down as
 W_{k+l} = Ker(N^(l+1)) + N W_{k+l+2} (_kernel_sum), adding only the images
-to the kernel's reduced rows (Subspace.plus).  graded_weight_filtration
-builds and verifies the whole chain this way; no verdict calls it, and the
-tests keep it as the reference for the rank table and the certificates.
+to the kernel's reduced rows (Subspace.plus), and _kernel_sum_chain builds
+the whole chain.  The perverse cross-check certifies it; so does
+graded_weight_filtration, which no verdict calls (the tests keep it as the
+reference for the rank table and the certificates).
 
 Every operator is graded: N maps degree d to d + offset, with offset 0 for
 the monodromy M and 2 for multiplication L_x by a degree-2 class, and the
@@ -37,8 +38,7 @@ kernel sum in degree d maps the slice of degree d - offset by one block of
 N.  Every function here takes the llv.GradedPowers of its operator (the
 operator itself is its .op), so the caller builds one power ladder per
 operator and the nilpotence index, the ranks, the kernel sums (memoised on
-the GradedPowers, so the weight filtration and the perverse chain of one
-operator share them) and the caller's own nilpotence profile share its
+the GradedPowers) and the caller's own nilpotence profile share its
 powers.  A single square matrix is the graded operator with one degree and
 offset 0 (weight_filtration).
 
@@ -51,8 +51,9 @@ The perverse chain of an isotropic degree-2 class beta on degree d is
     P_i H^d = sum_j beta^j . Ker(beta^{n-(d-2j)+i+1} : H^{d-2j} -> ...),
 
 the kernel sum of L_beta with k = n and l = i - d + n.  So the chain
-W_i H^d = P_{d+i-2n} H^d is the weight filtration of L_beta centred at n
-exactly when it passes the same verification, which is the cross-check.
+W_i H^d = P_{d+i-2n} H^d is the kernel-sum chain at l = i - n, and it is
+the weight filtration of L_beta exactly when it passes the verification,
+which is the cross-check.
 Isotropy of beta is read off the operator: L_beta^(n+1) = 0 exactly when
 q(beta) = 0, since otherwise beta^(2n) is a nonzero multiple of q(beta)^n.
 """
@@ -137,9 +138,8 @@ def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
 
     Built top down as Ker(op^(l+1)) + op W_{k+l+2}, the second term the
     image of the slice in degree d - offset under one block of op, and
-    memoised on `powers` (powers.sums), so the weight filtration and the
-    perverse chain of one operator share every slice.  The slice is the
-    whole space once l reaches the index of op on degree d.
+    memoised on `powers` (powers.sums).  The slice is the whole space once
+    l reaches the index of op on degree d.
     """
     key = (d, l)
     sub = powers.sums.get(key)
@@ -163,21 +163,27 @@ def _kernel_sum(powers: GradedPowers, d: int, l: int) -> Subspace:
     return sub
 
 
+def _kernel_sum_chain(powers: GradedPowers,
+                      centre: int) -> GradedWeightFiltration:
+    """W_i = the kernel sum at l = i - centre on every nonzero degree, not
+    verified."""
+    degrees = {d: m for d, m in powers.op.degrees.items() if m}
+    return GradedWeightFiltration(centre, degrees, {
+        d: tuple(_kernel_sum(powers, d, i - centre)
+                 for i in range(2 * centre + 1)) for d in degrees})
+
+
 def graded_weight_filtration(powers: GradedPowers,
                              centre: int) -> GradedWeightFiltration:
     """The unique weight filtration of a graded nilpotent operator op.
 
     Requires nilpotence index <= centre (otherwise the chain would need
-    negative indices).  W_i is the kernel sum with l = i - centre, verified
-    against both defining properties.
+    negative indices).  W_i is the kernel sum with l = i - centre
+    (_kernel_sum_chain), verified against both defining properties.
     """
-    op = powers.op
     _check_centre(powers, centre)
-    degrees = {d: m for d, m in op.degrees.items() if m}
-    wf = GradedWeightFiltration(centre, degrees, {
-        d: tuple(_kernel_sum(powers, d, i - centre)
-                 for i in range(2 * centre + 1)) for d in degrees})
-    if not verify_graded_weight_filtration(op, wf):
+    wf = _kernel_sum_chain(powers, centre)
+    if not verify_graded_weight_filtration(powers.op, wf):
         raise FiltrationError("graded filtration failed its own axioms")
     return wf
 
@@ -260,24 +266,13 @@ def perverse_filtration(powers: GradedPowers, n: int, d: int) -> dict:
 def crosscheck_perverse_weight(powers: GradedPowers, n: int) -> bool:
     """Whether the chain W_i H^d = P_{d+i-2n} H^d is the weight filtration
     of L_beta centred at n, certified by its two defining properties; the
-    weight filtration is unique, so this is the equality of the two."""
+    weight filtration is unique, so this is the equality of the two.
+    P_{d+i-2n} H^d is the kernel sum at l = i - n, so the chain certified
+    is _kernel_sum_chain's centred at n."""
     if graded_nilpotence_index(powers) > n:
         raise FiltrationError("perverse filtration needs an isotropic class")
-    degrees = {d: m for d, m in powers.op.degrees.items() if m}
-    slices = {}
-    for d in sorted(degrees):
-        chain = perverse_filtration(powers, n, d)
-        pmax = max(chain)
-        steps = []
-        for i in range(0, 2 * n + 1):
-            pidx = d + i - 2 * n
-            if pidx < -1:
-                steps.append(Subspace.zero(degrees[d]))
-            else:
-                steps.append(chain[min(pidx, pmax)])
-        slices[d] = tuple(steps)
-    return verify_graded_weight_filtration(
-        powers.op, GradedWeightFiltration(n, degrees, slices))
+    return verify_graded_weight_filtration(powers.op,
+                                           _kernel_sum_chain(powers, n))
 
 
 def conjugate_hodge_check(powers: GradedPowers, big: Bigrading,

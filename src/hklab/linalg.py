@@ -27,13 +27,12 @@ per entry.  Mat.det, not a span, runs its own fraction-free loop.  A
 Subspace stores only the primitive reduced rows, pivots positive, and forms
 its rational basis when vectors() is called.
 
-Brackets D X - X D' with diagonal D and D' are read off the diagonals,
-entry by entry, with no product (diagonal_bracket).  An identity between
-matrices is checked by accumulating and comparing, never by building the
-left side: lincomb_equals accumulates sum c_i a_i b_i as lincomb does and
-compares each row with the target's numerators by cross-multiplying, and
-diagonal_bracket_equals reads D X - X D' = c X off the diagonals at the
-nonzeros of X.  Joint eigenspaces of
+An identity between matrices is checked by accumulating and comparing,
+never by building the left side: lincomb_equals accumulates sum c_i a_i b_i
+as lincomb does and compares each row with the target's numerators by
+cross-multiplying; lincomb_ratio reads the c of sum = c t at t's first
+nonzero and certifies it so.  Only D X - X D' = c X with diagonal D and D'
+is read off the diagonals (diagonal_weight_holds).  Joint eigenspaces of
 diagonal operators are read off their diagonals; other commuting
 operators are refined eigenspace by eigenspace.  Eigenvalues are keyed as
 ints when integral and as QQ otherwise, so no lookup hashes an int
@@ -407,6 +406,22 @@ def lincomb_equals(rows: int, cols: int, terms: Sequence, c=1,
     return _rows_equal(acc, den, c, t)
 
 
+def lincomb_ratio(rows: int, cols: int, terms: Sequence, t: Mat):
+    """The c with the rows x cols sum over the lincomb terms equal to c * t,
+    or None when there is none or t is zero: c is read at t's first nonzero
+    and certified as lincomb_equals certifies."""
+    if t.shape != (rows, cols):
+        raise LinalgError(
+            f"target of shape {t.shape}, expected {(rows, cols)}")
+    i = next((i for i, r in enumerate(t.num) if r), None)
+    if i is None:
+        return None
+    acc, den = _accumulate(rows, terms)
+    j, y = t.num[i][0]
+    c = QQ(acc[i].get(j, 0) * t.den, y * den)
+    return c if _rows_equal(acc, den, c, t) else None
+
+
 def _rows_equal(acc: list, den: int, c, t: Optional[Mat]) -> bool:
     """Whether the matrix whose row i maps column j to acc[i][j] / den (a
     missing column or a zero numerator is a zero entry) is c * t, t None
@@ -441,56 +456,20 @@ def _over(pairs: Sequence, n: int, den: int) -> list:
     return out
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    if not a.rows == a.cols == b.rows == b.cols:
-        raise LinalgError(f"commutator of {a.shape} and {b.shape}")
-    return lincomb(a.rows, a.cols, [(1, a, b), (-1, b, a)])
-
-
-def _diagonals(left: Mat, right: Mat, x: Mat) -> tuple:
-    """(lv, rv, den): the diagonals of left and right, for a bracket with x,
-    as numerators over den = left.den * right.den."""
+def diagonal_weight_holds(left: Mat, right: Mat, x: Mat, c=1) -> bool:
+    """Whether left * x - x * right == c * x for diagonal left and right,
+    read off the diagonals at x's nonzeros, with no product and no matrix
+    formed: each needs left[i] - right[j] == c."""
     if left.shape != (x.rows, x.rows) or right.shape != (x.cols, x.cols):
         raise LinalgError(
             f"diagonal bracket of {left.shape}, {x.shape} and {right.shape}")
-    p, q = left.den, right.den
-    return ([r[0][1] * q if r else 0 for r in left.num],
-            [r[0][1] * p if r else 0 for r in right.num], p * q)
-
-
-def diagonal_bracket(left: Mat, right: Mat, x: Mat, sign: int = 1) -> Mat:
-    """sign * (left * x - x * right) for diagonal left and right, with no
-    product: entry (i, j) is sign * (left[i] - right[j]) * x[i, j], formed
-    in integers over the product of the three denominators and reduced, so
-    the result is the canonical form lincomb would give."""
-    lv, rv, den = _diagonals(left, right, x)
-    return Mat.from_num(x.rows, x.cols,
-                        [[(j, sign * (a - rv[j]) * y) for j, y in r
-                          if a != rv[j]] for a, r in zip(lv, x.num)],
-                        den * x.den)
-
-
-def diagonal_bracket_equals(left: Mat, right: Mat, x: Mat, c=1,
-                            t: Optional[Mat] = None) -> bool:
-    """Whether left * x - x * right == c * t for diagonal left and right,
-    t None for zero, with no product and no matrix formed.
-
-    When t is x itself only the diagonals are read, at x's nonzeros: each
-    needs left[i] - right[j] == c.  Otherwise the entries (left[i] - right[j])
-    x[i, j] are compared with t's row by row, as lincomb_equals does."""
-    lv, rv, den = _diagonals(left, right, x)
-    if t is x:
-        # (lv[i] - rv[j]) / den == p / q, cross-multiplied.
-        c = QQ(c)
-        q = int(c.denominator)
-        k = int(c.numerator) * den
-        rq = [y * q for y in rv]
-        return all(all(rq[j] == need for j, _ in r)
-                   for need, r in zip([a * q - k for a in lv], x.num) if r)
-    if t is not None and t.shape != x.shape:
-        raise LinalgError(f"target of shape {t.shape}, expected {x.shape}")
-    return _rows_equal([{j: (a - rv[j]) * y for j, y in r if a != rv[j]}
-                        for a, r in zip(lv, x.num)], den * x.den, c, t)
+    # left[i] - right[j] == c over the denominators p * q * c.denominator
+    c = QQ(c)
+    p, q, cq = left.den, right.den, int(c.denominator)
+    k = int(c.numerator) * p * q
+    lv = [(r[0][1] * q if r else 0) * cq - k for r in left.num]
+    rv = [(r[0][1] * p if r else 0) * cq for r in right.num]
+    return all(all(rv[j] == a for j, _ in r) for a, r in zip(lv, x.num) if r)
 
 
 # -- row reduction ----------------------------------------------------------

@@ -34,13 +34,13 @@ structure tensors are scaled to integers once per call, and the operator's
 blocks are integers over one denominator already); only a failing pair is
 turned into rational AlgebraElements.  Commutators and linear combinations
 accumulate the numerators of all their terms over one denominator
-(linalg.lincomb), except a commutator with a diagonal degree-0 operand D
-(h, and the Cartan operators at the canonical frame): [D, X] is read off
-the diagonals as (D[i] - D[j]) X_ij, with no product
-(linalg.diagonal_bracket).  Identities [A, B] = c T (the sl2 relations,
-the Lambda table's certificates, module validation) are checked by
-bracket_equals, which accumulates and compares and never builds the
-bracket or c T.  The bigrading splits a degree by the diagonal
+(linalg.lincomb).  Identities [A, B] = c T (the sl2 relations, the Lambda
+table's certificates, module validation) are checked by bracket_equals,
+which accumulates and compares, and the c of the M triple's bracket is
+read by bracket_ratio; neither builds the bracket.  Only the weight
+identity [D, X] = c X with a diagonal degree-0 D (h, and the Cartan
+operators at the canonical frame) is read off D's diagonals.  The
+bigrading splits a degree by the diagonal
 of the Cartan blocks when they are diagonal (the canonical frame) and
 refines eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
 
@@ -64,12 +64,12 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
-    diagonal_bracket,
-    diagonal_bracket_equals,
+    diagonal_weight_holds,
     invert,
     kernel_basis,
     lincomb,
     lincomb_equals,
+    lincomb_ratio,
     rref,
     simultaneous_eigenspaces,
     vec,
@@ -173,26 +173,6 @@ class GradedOperator:
     def __hash__(self):
         return hash((self.offset, tuple(sorted(self.degrees.items()))))
 
-    def proportionality(self, other: "GradedOperator"):
-        """Scalar c with self == c * other, or None."""
-        self._same_grading(other)
-        if self.offset != other.offset:
-            return None
-        c = None   # (p, q): the ratio p / q, compared by cross-multiplying
-        for d in sorted(self.degrees):
-            a, b = self.block(d), other.block(d)
-            for ra, rb in zip(a.num, b.num):
-                xs = dict(ra)
-                for j, y in rb:
-                    r = (xs.pop(j, 0) * b.den, y * a.den)
-                    if c is None:
-                        c = r
-                    elif r[0] * c[1] != c[0] * r[1]:
-                        return None
-                if xs:  # nonzero where other is zero
-                    return None
-        return None if c is None else QQ(*c)
-
 
 class GradedPowers:
     """Powers op^e of a graded operator from each source degree, their
@@ -257,56 +237,61 @@ def _derived(degrees: dict, offset: int, blocks: dict) -> GradedOperator:
     return op
 
 
+def _bracket_terms(a: GradedOperator, b: GradedOperator, d: int) -> list:
+    """The lincomb terms of the block of [a, b] at degree d: a b - b a."""
+    return [(1, a.block(d + b.offset), b.block(d)),
+            (-1, b.block(d + a.offset), a.block(d))]
+
+
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """[a, b].  When either operand is diagonal (GradedOperator.is_diagonal),
-    each block is read off the diagonals, [D, X]_ij = (D_{d+off}[i] -
-    D_d[j]) X_ij, with no product (linalg.diagonal_bracket; [X, D] is its
-    negation).  Otherwise each block holds both products in one integer
-    accumulator (linalg.lincomb).  Both routes give the canonical blocks."""
+    """[a, b], both products of a block in one accumulator (lincomb)."""
     a._same_grading(b)
     off = a.offset + b.offset
-    degs = [d for d in a.degrees if a.dim(d) and a.dim(d + off)]
-    for diag, x, sign in ((a, b, 1), (b, a, -1)):
-        if diag.is_diagonal():
-            return _derived(a.degrees, off, {
-                d: diagonal_bracket(diag.block(d + off), diag.block(d),
-                                    x.block(d), sign) for d in degs})
     return _derived(a.degrees, off, {
-        d: lincomb(a.dim(d + off), a.dim(d),
-                   [(1, a.block(d + b.offset), b.block(d)),
-                    (-1, b.block(d + a.offset), a.block(d))])
-        for d in degs})
+        d: lincomb(a.dim(d + off), a.dim(d), _bracket_terms(a, b, d))
+        for d in a.degrees if a.dim(d) and a.dim(d + off)})
 
 
 def bracket_equals(a: GradedOperator, b: GradedOperator, c=1,
                    t: Optional[GradedOperator] = None) -> bool:
     """Whether [a, b] == c * t exactly, t None for zero, with no bracket
-    formed.
-
-    Like commutator_op, raises OperatorError when a and b live on different
-    graded spaces; a t on another grading or of another offset is never
-    equal.  Each block is one integer check: when either operand is
-    diagonal (GradedOperator.is_diagonal) it reads the diagonals against
-    the other operand's nonzeros (linalg.diagonal_bracket_equals, with
-    [X, D] = c t checked as [D, X] = -c t); otherwise it accumulates both
-    products as commutator_op does and compares (linalg.lincomb_equals).
+    formed; raises OperatorError as commutator_op does, and a t of another
+    grading or offset is never equal.  The weight identity [D, X] = c X
+    with D diagonal (GradedOperator.is_diagonal) is read off D's diagonals
+    at X's nonzeros (linalg.diagonal_weight_holds; [X, D] = c X is
+    [D, X] = -c X); every other identity accumulates both products of
+    each block as commutator_op does and compares (linalg.lincomb_equals).
     """
     a._same_grading(b)
     off = a.offset + b.offset
     if t is not None and (t.degrees != a.degrees or t.offset != off):
         return False
-    target = {} if t is None else t.blocks
     degs = [d for d in a.degrees if a.dim(d) and a.dim(d + off)]
     for diag, x, sign in ((a, b, 1), (b, a, -1)):
-        if diag.is_diagonal():
-            return all(diagonal_bracket_equals(
-                diag.block(d + off), diag.block(d), x.block(d), sign * c,
-                target.get(d)) for d in degs)
-    return all(lincomb_equals(
-        a.dim(d + off), a.dim(d),
-        [(1, a.block(d + b.offset), b.block(d)),
-         (-1, b.block(d + a.offset), a.block(d))], c, target.get(d))
-        for d in degs)
+        if t is x and diag.is_diagonal():
+            return all(diagonal_weight_holds(
+                diag.block(d + off), diag.block(d), x.block(d), sign * c)
+                for d in degs)
+    target = {} if t is None else t.blocks
+    return all(lincomb_equals(a.dim(d + off), a.dim(d),
+                              _bracket_terms(a, b, d), c, target.get(d))
+               for d in degs)
+
+
+def bracket_ratio(a: GradedOperator, b: GradedOperator, t: GradedOperator):
+    """The c with [a, b] == c * t exactly, or None when there is none or t
+    is zero, with no bracket formed: c is read off t's first nonzero block
+    in ascending degree (linalg.lincomb_ratio) and certified by
+    bracket_equals, which raises as it does."""
+    a._same_grading(b)
+    off = a.offset + b.offset
+    d = next((d for d in sorted(t.blocks) if not t.blocks[d].is_zero()),
+             None)
+    if d is None or t.degrees != a.degrees or t.offset != off:
+        return None
+    c = lincomb_ratio(a.dim(d + off), a.dim(d), _bracket_terms(a, b, d),
+                      t.blocks[d])
+    return None if c is None or not bracket_equals(a, b, c, t) else c
 
 
 def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
@@ -686,7 +671,8 @@ def frame_calculus(module: "LLVModuleSpec", frame: HodgeFrame) -> FrameCalculus:
     F_M = 2[Lam_s, L_eta] follow the conventional doubling; with the linear
     Lambda normalisation their bracket is a *multiple* of
     H_M = H_beta - H_s, and the realised scalar (4 with these conventions)
-    is recorded in m_bracket_scalar rather than silently rescaled.
+    is recorded in m_bracket_scalar (read by bracket_ratio) rather than
+    silently rescaled.
     """
     names = ("s", "sbar", "beta", "eta")
     L = {v: module.l_of(getattr(frame, v)) for v in names}
@@ -698,7 +684,7 @@ def frame_calculus(module: "LLVModuleSpec", frame: HodgeFrame) -> FrameCalculus:
     E_M = M.scale(2)
     F_M = commutator_op(Lam["s"], L["eta"]).scale(2)
     H_M = H_beta - H_s
-    kappa = commutator_op(E_M, F_M).proportionality(H_M)
+    kappa = bracket_ratio(E_M, F_M, H_M)
     if kappa is None:
         raise OperatorError("[E_M, F_M] is not proportional to H_beta - H_s")
     return FrameCalculus(frame, L["s"], L["sbar"], L["beta"], L["eta"],

@@ -24,12 +24,12 @@ from hklab.linalg import (
     kernel_basis,
     image_basis,
     lincomb_equals,
+    lincomb_ratio,
     subspace_intersection,
 )
 from hklab.llv import (
     Bigrading,
     FrameCalculus,
-    GradedOperator,
     GradedPowers,
     HodgeFrame,
     OperatorError,
@@ -242,9 +242,7 @@ def check_m_degree2(fc: FrameCalculus) -> list:
     model = Mat.from_rows([[qb[j] * sbar[t] - qs[j] * beta[t]
                             for j in range(b2)] for t in range(b2)])
     m2 = fc.M.block(2)
-    gm = GradedOperator({2: b2}, 0, {2: m2})
-    gmodel = GradedOperator({2: b2}, 0, {2: model})
-    scal = gm.proportionality(gmodel)
+    scal = lincomb_ratio(b2, b2, [(1, m2, None)], model)
     verdicts.append(Verdict(
         claim="M on degree 2 is proportional to q(beta,.) sbar - q(sbar,.) beta",
         expected="proportional", observed=f"scalar {scal}",
@@ -279,8 +277,8 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
     - for sigma, sigma_bar and beta, h is the bracket [e, f] that
       frame_calculus computes (H_s, H_sbar, H_beta);
     - for eta, frame_triples computes h as [e, f];
-    - for m, frame_calculus certifies [E_M, F_M] = kappa H_M exactly, so
-      [E_M, F_M/kappa] = H_M.
+    - for m, frame_calculus reads kappa with llv.bracket_ratio, which
+      certifies [E_M, F_M] = kappa H_M exactly, so [E_M, F_M/kappa] = H_M.
     Each is checked by llv.bracket_equals, with no bracket formed; at the
     canonical frame every h is diagonal, so the check reads h's diagonal
     against the nonzeros of e and f.  llv.verify_sl2 keeps all three
@@ -290,7 +288,7 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
     times H_beta - H_s; the scalar is recorded and the bracket-normalised
     triple is the one verified.  The unnormalised literal pair is also
     reported (recorded, not asserted) for transparency.  Both are read off
-    kappa: frame_calculus certifies [E_M, F_M] = kappa H_M exactly, so
+    kappa: bracket_ratio certifies [E_M, F_M] = kappa H_M exactly, so
     [M, [Lam_s, L_eta]] = (kappa/4) H_M, and the literal pair differs from
     the 'm' triple only in its [e, f] = h identity, kappa H_M = H_M.  An
     identity c H_M = H_M holds exactly when c = 1 or H_M = 0.

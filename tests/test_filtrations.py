@@ -18,7 +18,7 @@ from hklab.filtrations import (
 from hklab.linalg import QQ, Mat, NotNilpotentError, Subspace
 from hklab.llv import Bigrading, GradedOperator, GradedPowers, lefschetz
 from hklab.quadforms import sample_isotropic
-from hklab.verifier import InstanceConfig, run_instance
+from hklab.verifier import DEFAULT_GRID, InstanceConfig, run_instance
 from jordan_reference import (
     graded_jordan_chains,
     jordan_weight_filtration,
@@ -360,16 +360,44 @@ def test_crosscheck_perverse_weight(calculus):
 
 
 def test_crosscheck_detects_shifted_perverse_chain(calculus, monkeypatch):
-    """The cross-check certifies the perverse chain it is given: one shifted
-    by one index is no weight filtration of L_beta."""
-    real = filtrations.perverse_filtration
-    monkeypatch.setattr(
-        filtrations, "perverse_filtration",
-        lambda powers, n, d: {i - 1: sub for i, sub
-                              in real(powers, n, d).items()})
+    """The cross-check certifies the chain it is given: the kernel-sum
+    chain shifted by one index, W_i H^d = P_{d+i-2n+1} H^d, is no weight
+    filtration of L_beta."""
+    real = filtrations._kernel_sum_chain
+
+    def shifted(powers, centre):
+        wf = real(powers, centre)
+        return GradedWeightFiltration(centre, wf.degrees, {
+            d: chain[1:] + chain[-1:] for d, chain in wf.slices.items()})
+
+    monkeypatch.setattr(filtrations, "_kernel_sum_chain", shifted)
     for key in [(1, 4), (2, 5)]:
         alg, frame, fc, big = calculus(*key)
         assert not crosscheck_perverse_weight(GradedPowers(fc.L_beta), alg.n)
+
+
+@pytest.mark.parametrize("frame_seed", [0, 1])
+def test_certified_chain_is_the_reindexed_perverse_chain(calculus,
+                                                         frame_seed):
+    """Slice i of the chain the cross-check certifies is P_{d+i-2n} H^d,
+    zero where d + i - 2n < -1 and the whole space where d + i - 2n is
+    past the perverse chain's last index 2n + 1, on every degree of the
+    default grid."""
+    for n, b2 in DEFAULT_GRID:
+        alg, frame, fc, big = calculus(n, b2, frame_seed=frame_seed)
+        powers = GradedPowers(fc.L_beta)
+        assert crosscheck_perverse_weight(powers, n)
+        wf = filtrations._kernel_sum_chain(powers, n)
+        for d in sorted(wf.degrees):
+            chain = perverse_filtration(powers, n, d)
+            for i, sub in enumerate(wf.slices[d]):
+                p = d + i - 2 * n
+                if p < -1:
+                    assert sub.is_zero(), (n, b2, d, i)
+                elif p in chain:
+                    assert sub == chain[p], (n, b2, d, i)
+                else:
+                    assert sub == Subspace.full(wf.degrees[d]), (n, b2, d, i)
 
 
 @pytest.mark.parametrize("frame_seed", [0, 1])

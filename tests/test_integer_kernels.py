@@ -21,7 +21,6 @@ from hklab.linalg import (
     LinalgError,
     Mat,
     Subspace,
-    commutator,
     eigenspace,
     invert,
     kernel_basis,
@@ -126,7 +125,7 @@ def _reference_eigenspaces(ops, values):
     n = ops[0].rows
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if not commutator(ops[i], ops[j]).is_zero():
+            if not (ops[i] * ops[j] - ops[j] * ops[i]).is_zero():
                 raise LinalgError("operators do not commute")
     pieces = {(): Subspace.full(n)}
     for level, op in enumerate(ops):

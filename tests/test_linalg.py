@@ -14,7 +14,6 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
-    commutator,
     eigenspace,
     image_basis,
     invert,
@@ -741,7 +740,7 @@ def test_integer_form_matches_a_dense_fraction_reference(case):
     assert_matches(ma - mb, dense_sub(a, b), n, n)
     assert_matches(ma.scale(x), dense_scale(x, a), n, n)
     assert_matches(ma.transpose(), [list(c) for c in zip(*a)], n, n)
-    assert_matches(commutator(ma, mb),
+    assert_matches(ma * mb - mb * ma,
                    dense_sub(dense_mul(a, b, n), dense_mul(b, a, n)), n, n)
     assert ma.times_vec(v) == dense_times_vec(a, v)
     # times_row on the integer row d * v is den * d times the image.
@@ -787,7 +786,7 @@ def test_integer_form_matches_a_dense_fraction_reference(case):
                         (ma.scale(3).scale(QQ(1, 3)), ma)):
         assert (left.num, left.den) == (right.num, right.den)
         assert left == right and hash(left) == hash(right)
-    for zero in (ma - ma, ma.scale(0), Mat.zeros(n, n), commutator(ma, ma),
+    for zero in (ma - ma, ma.scale(0), Mat.zeros(n, n), ma * ma - ma * ma,
                  Mat(n, n, [[QQ(0, 5)] * n for _ in range(n)])):
         assert zero.den == 1 and zero.is_zero() and zero == Mat.zeros(n, n)
 
@@ -861,11 +860,9 @@ def dense_graded_bracket(dims: dict, a: dict, a_off: int, b: dict,
 @settings(max_examples=80, deadline=None)
 @given(diagonal_and_graded())
 def test_diagonal_bracket_matches_a_dense_fraction_reference(case):
-    """A diagonal offset-0 operator brackets by its diagonals, in both
-    orders, with no product; one off-diagonal entry sends the same brackets
-    down the product route.  Both routes give the reference's canonical
-    blocks."""
-    from hklab import llv
+    """A diagonal offset-0 operator brackets, in both orders, to the
+    reference's canonical blocks, and so does the same operator with one
+    off-diagonal entry."""
     dims, diagonals, off, blocks = case
     diag = {d: [[v if i == j else _Z for j in range(len(vs))]
                 for i, v in enumerate(vs)] for d, vs in diagonals.items()}
@@ -881,16 +878,14 @@ def test_diagonal_bracket_matches_a_dense_fraction_reference(case):
     for d_blocks, is_diag in ((diag, True), (skewed, False)):
         dop = graded(d_blocks, 0)
         assert dop.is_diagonal() == is_diag
-        with mock.patch.object(llv, "lincomb", wraps=llv.lincomb) as spy:
-            for got, ref in (
-                    (commutator_op(dop, x),
-                     dense_graded_bracket(dims, d_blocks, 0, blocks, off)),
-                    (commutator_op(x, dop),
-                     dense_graded_bracket(dims, blocks, off, d_blocks, 0))):
-                assert got.offset == off and set(got.blocks) == set(ref)
-                for d, m in ref.items():
-                    assert_matches(got.block(d), m, dims[d + off], dims[d])
-        assert spy.called == (not is_diag and not x.is_diagonal())
+        for got, ref in (
+                (commutator_op(dop, x),
+                 dense_graded_bracket(dims, d_blocks, 0, blocks, off)),
+                (commutator_op(x, dop),
+                 dense_graded_bracket(dims, blocks, off, d_blocks, 0))):
+            assert got.offset == off and set(got.blocks) == set(ref)
+            for d, m in ref.items():
+                assert_matches(got.block(d), m, dims[d + off], dims[d])
 
 
 @st.composite
@@ -957,12 +952,24 @@ def bracket_case(draw) -> tuple:
     return a, b, c, (t.scale(1 / c) if c else t)
 
 
+def dense_ratio(values: list, targets: list):
+    """The c with values == c * targets entrywise, or None when there is
+    none or targets is zero."""
+    k = next((k for k, y in enumerate(targets) if y), None)
+    if k is None:
+        return None
+    c = values[k] / targets[k]
+    return c if all(v == c * y for v, y in zip(values, targets)) else None
+
+
 @settings(max_examples=300, deadline=None)
 @given(bracket_case())
 def test_bracket_equals_agrees_with_forming_the_bracket(case):
     """llv.bracket_equals decides [a, b] == c * t as forming the bracket
-    and comparing does, in both orders, and never accumulates products
-    when an operand is diagonal."""
+    and comparing does, in both orders, and accumulates no products for
+    the weight identity [D, X] = c X with D diagonal; llv.bracket_ratio
+    is the dense ratio of the formed bracket to t (None for a zero t, a t
+    of another offset or a t the bracket is no multiple of)."""
     from hklab import llv
     a, b, c, t = case
     for x, y, sign in ((a, b, 1), (b, a, -1)):
@@ -971,8 +978,18 @@ def test_bracket_equals_agrees_with_forming_the_bracket(case):
         with mock.patch.object(llv, "lincomb_equals",
                                wraps=llv.lincomb_equals) as spy:
             assert llv.bracket_equals(x, y, sign * c, t) == ref
-        if a.is_diagonal() or b.is_diagonal():
+        if (t is y and x.is_diagonal()) or (t is x and y.is_diagonal()):
             assert not spy.called
+        if t is None:
+            continue
+        ratio = None
+        if t.offset == bracket.offset:
+            degs = sorted(t.degrees)
+            ratio = dense_ratio(
+                [e for d in degs for r in bracket.block(d).data for e in r],
+                [e for d in degs for r in t.block(d).data for e in r])
+        got = llv.bracket_ratio(x, y, t)
+        assert got == ratio and (got is None or type(got) is QQ)
 
 
 @st.composite
@@ -996,12 +1013,15 @@ def lincomb_terms(draw) -> tuple:
 
 @settings(max_examples=200, deadline=None)
 @given(lincomb_terms(), st.sampled_from(["zero", "value", "one-entry",
-                                         "random"]), st.data())
+                                         "random", "zero-matrix"]),
+       st.data())
 def test_lincomb_equals_agrees_with_lincomb(case, target, data):
     """lincomb returns the canonical form (tuple rows, ascending columns
-    of nonzero ints, den coprime to them), and lincomb_equals decides
-    sum == c * t as comparing lincomb's value does."""
-    from hklab.linalg import lincomb, lincomb_equals
+    of nonzero ints, den coprime to them), lincomb_equals decides
+    sum == c * t as comparing lincomb's value does, and lincomb_ratio is
+    the dense ratio of the sum to t (None for a zero t, c = 0 for a zero
+    sum and a nonzero t)."""
+    from hklab.linalg import lincomb, lincomb_equals, lincomb_ratio
     rows, cols, terms, c = case
     got = lincomb(rows, cols, terms)
     assert type(got.num) is tuple and all(type(r) is tuple for r in got.num)
@@ -1020,6 +1040,11 @@ def test_lincomb_equals_agrees_with_lincomb(case, target, data):
         return
     if target == "random":
         t = Mat(rows, cols, data.draw(sparse_rows(rows, cols)))
+        cancelled = terms + [(-f, a, b) for f, a, b in terms]
+        assert lincomb_ratio(rows, cols, cancelled, t) == (
+            None if t.is_zero() else 0)
+    elif target == "zero-matrix":
+        t = Mat.zeros(rows, cols)
     else:
         value = [list(r) for r in ref]
         if target == "one-entry" and rows and cols:
@@ -1029,6 +1054,10 @@ def test_lincomb_equals_agrees_with_lincomb(case, target, data):
         t = Mat(rows, cols, value)
         t = t.scale(1 / c) if c else t
     assert lincomb_equals(rows, cols, terms, c, t) == (got == t.scale(c))
+    ratio = lincomb_ratio(rows, cols, terms, t)
+    assert ratio == dense_ratio([e for r in ref for e in r],
+                                [e for r in dense(t) for e in r])
+    assert ratio is None or type(ratio) is QQ
 
 
 @pytest.mark.parametrize("n", range(7))

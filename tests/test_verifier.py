@@ -191,6 +191,55 @@ def test_m_degree2_checks(calculus):
     assert all(v.passed for v in verdicts)
 
 
+_M2_CLAIMS = (
+    ("M on degree 2 is proportional to q(beta,.) sbar - q(sbar,.) beta",
+     "proportional"),
+    ("image of M on degree 2 is the isotropic plane <beta, sbar>",
+     "plane of dimension 2"),
+    ("M squared vanishes on degree 2", "0"),
+    ("q(Mv, w) + q(v, Mw) = 0 on degree 2", "skew-compatible"))
+
+
+def _moved_entry(m2: Mat) -> Mat:
+    """m2 with the first nonzero of its first nonzero row moved to the
+    first zero column of that row."""
+    num = [dict(r) for r in m2.num]
+    row = next(r for r in num if r)
+    free = next(c for c in range(m2.cols) if c not in row)
+    row[free] = row.pop(min(row))
+    return Mat.from_num(m2.rows, m2.cols, [sorted(r.items()) for r in num],
+                        m2.den)
+
+
+@pytest.mark.parametrize("damage, rows", [
+    ("zero", [("scalar 0", False, "not proportional"),
+              ("dimension 0", False,
+               "observed dimension 0, expected plane of dimension 2"),
+              ("0", True, ""), ("holds", True, "")]),
+    ("moved", [("scalar None", False, "not proportional"),
+               ("dimension 1", False,
+                "observed dimension 1, expected plane of dimension 2"),
+               ("0", True, ""),
+               ("fails", False, "observed fails, expected skew-compatible")]),
+    ("scaled", [("scalar -2/3", True, ""), ("dimension 2", True, ""),
+                ("0", True, ""), ("holds", True, "")]),
+])
+def test_m_degree2_verdicts_on_a_damaged_block(calculus, damage, rows):
+    """The four verdicts when the degree-2 block of M is zero, has one
+    entry moved off the model, or is scaled by 2/3 (recorded on (2,4) at
+    frame seed 0, where the scalar of M itself is -1)."""
+    import dataclasses
+    alg, frame, fc, big = calculus(2, 4)
+    m2 = fc.M.block(2)
+    block = {"zero": Mat.zeros(m2.rows, m2.cols), "moved": _moved_entry(m2),
+             "scaled": m2.scale(QQ(2, 3))}[damage]
+    damaged = dataclasses.replace(fc, M=GradedOperator(
+        fc.M.degrees, 0, {**fc.M.blocks, 2: block}))
+    assert [v.to_json() for v in check_m_degree2(damaged)] == [
+        dict(zip(_VERDICT_KEYS, claim + row + (True,)))
+        for claim, row in zip(_M2_CLAIMS, rows)]
+
+
 def test_sl2_suite_verdicts(calculus):
     alg, frame, fc, big = calculus(1, 4)
     verdicts = check_sl2_suite(fc)
@@ -224,6 +273,23 @@ def test_sl2_bracket_verdicts_read_off_kappa(built, t, kappa, bracket_holds):
         ("holds", True) if bracket else ("fails", False))
     assert got["literal doubled pair (2M, 2[Lam_s,L_eta], H_beta-H_s) "
                "as printed"] == ("not an sl2 triple", True)
+
+
+def test_frame_calculus_refuses_a_non_proportional_bracket(built):
+    """A Lambda table with one entry added to every Lambda_y (degree 2 to
+    degree 0) leaves [E_M, F_M] no multiple of H_beta - H_s."""
+    alg = built(1, 5)
+    spec = algebra_module(alg)
+    degrees = spec.degrees
+    entry = GradedOperator(degrees, -2, {2: Mat.from_sparse(
+        degrees[0], degrees[2], [{0: QQ(1)}] + [{}] * (degrees[0] - 1))})
+    perturbed = SimpleNamespace(
+        n=spec.n, degrees=degrees, l_of=spec.l_of,
+        lambda_of=lambda y: spec.lambda_of(y) + entry)
+    with pytest.raises(OperatorError) as exc:
+        frame_calculus(perturbed, build_frame(alg.space))
+    assert (type(exc.value), str(exc.value)) == (
+        OperatorError, "[E_M, F_M] is not proportional to H_beta - H_s")
 
 
 def test_check_odd_vacuous():
