@@ -15,8 +15,6 @@ A reconstructed value is only a candidate: a caller must certify it exactly.
 
 from __future__ import annotations
 
-from hklab.linalg import QQ
-
 # Primes just below 2**26: dot products of up to 2048 residue pairs then fit
 # int64 without intermediate reduction (2048 * (2**26)**2 < 2**63).
 PRIMES = (
@@ -130,17 +128,3 @@ def crt_combine(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
     inv = pow(mod_a % mod_b, -1, mod_b)
     t = ((res_b - res_a) * inv) % mod_b
     return res_a + mod_a * t
-
-
-def reconstruct_matrix(residues: np.ndarray, modulus: int):
-    """Entrywise rational reconstruction; None if any entry fails."""
-    out = []
-    for row in residues:
-        orow = []
-        for x in row:
-            rs = rational_reconstruct(int(x), modulus)
-            if rs is None:
-                return None
-            orow.append(QQ(rs[0], rs[1]))
-        out.append(orow)
-    return out

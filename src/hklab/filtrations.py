@@ -50,10 +50,12 @@ The perverse chain of an isotropic degree-2 class beta on degree d is
 
     P_i H^d = sum_j beta^j . Ker(beta^{n-(d-2j)+i+1} : H^{d-2j} -> ...),
 
-the kernel sum of L_beta with k = n and l = i - d + n.  So the chain
-W_i H^d = P_{d+i-2n} H^d is the kernel-sum chain at l = i - n, and it is
-the weight filtration of L_beta exactly when it passes the verification,
-which is the cross-check.
+the kernel sum of L_beta with k = n and l = i - d + n, for
+-1 <= i <= 2n + 1.  So the chain W_i H^d = P_{d+i-2n} H^d, read as zero
+below P_{-1} and as P_{2n+1} above it, is the kernel-sum chain at
+l = i - n exactly when that chain's slices outside the range are those,
+and it is the weight filtration of L_beta exactly when it then passes the
+verification, which is the cross-check.
 Isotropy of beta is read off the operator: L_beta^(n+1) = 0 exactly when
 q(beta) = 0, since otherwise beta^(2n) is a nonzero multiple of q(beta)^n.
 """
@@ -267,12 +269,20 @@ def crosscheck_perverse_weight(powers: GradedPowers, n: int) -> bool:
     """Whether the chain W_i H^d = P_{d+i-2n} H^d is the weight filtration
     of L_beta centred at n, certified by its two defining properties; the
     weight filtration is unique, so this is the equality of the two.
-    P_{d+i-2n} H^d is the kernel sum at l = i - n, so the chain certified
-    is _kernel_sum_chain's centred at n."""
+    For -1 <= d+i-2n <= 2n+1, P_{d+i-2n} H^d is the kernel sum at
+    l = i - n, slice i of _kernel_sum_chain centred at n; below that range
+    the chain is zero and above it P_{2n+1} H^d, so slice i must be those
+    there before the chain is certified."""
     if graded_nilpotence_index(powers) > n:
         raise FiltrationError("perverse filtration needs an isotropic class")
-    return verify_graded_weight_filtration(powers.op,
-                                           _kernel_sum_chain(powers, n))
+    wf = _kernel_sum_chain(powers, n)
+    for d, chain in wf.slices.items():
+        for i, sub in enumerate(chain):
+            p = d + i - 2 * n
+            if p < -1 and sub.dim or p > 2 * n + 1 and \
+                    sub != _kernel_sum(powers, d, 3 * n + 1 - d):
+                return False
+    return verify_graded_weight_filtration(powers.op, wf)
 
 
 def conjugate_hodge_check(powers: GradedPowers, big: Bigrading,
