@@ -15,18 +15,25 @@ as do the weight and perverse filtrations and the nilpotence profile of M.
 Scalar conventions.  The sl2 completion Lambda_x of (L_x, h) scales like
 1/x, so the assignment x -> Lambda_x is not linear; what is linear is
 x -> (q(x)/2) * Lambda_x, which agrees with Lambda_x exactly on the quadric
-q(x) = 2.  linear_dual_table implements that linear extension on one
-anisotropic basis.  It completes only the first vector x0; every other x
-gets the double bracket of the LLV relations (Looijenga-Lunts, Verbitsky)
+q(x) = 2.  linear_dual_table implements that linear extension as its
+values on the unit vectors.  It completes only the first vector x0 of an
+anisotropic basis; the double bracket of the LLV relations (Looijenga-Lunts,
+Verbitsky)
 
-    Lambda_lin(x) = ([[L_x, Lambda_lin(x0)], Lambda_lin(x0)]
-                     + 2 q(x0, x) Lambda_lin(x0)) / q(x0),
+    T(x) = ([[L_x, Lambda_lin(x0)], Lambda_lin(x0)]
+            + 2 q(x0, x) Lambda_lin(x0)) / q(x0)
 
-kept only if [L_x, Lambda_lin(x)] = (q(x)/2) h holds exactly (so it is the
-completion, by sl2 uniqueness) and replaced by the sl2 completion of L_x
-otherwise.  Every vector y of a second, differently chosen basis is then
-certified by the same bracket identity [L_y, Lambda_lin(y)] = (q(y)/2) h,
-which holds exactly when the extension does not depend on the basis.
+is linear in x, so its values T_s on the unit vectors, one per unit
+operator L_s, are the table.  T(x0) = Lambda_lin(x0) once the completion
+is certified, as [h, .] = -2 on every degree -2 operator; every other
+basis vector x is certified by [L_x, T(x)] = (q(x)/2) h, accumulated over
+the terms x_s x_t [L_s, T_t] (so T(x) is the completion, by sl2
+uniqueness).  A vector that fails is completed instead, and only then is
+the basis inverted, to correct the table by
+sum_i (B^-1)_{i,s} (v_i - T(x_i)) over the completed x_i.  Every
+vector y of a second, differently chosen basis is then certified by the
+same accumulated identity [L_y, Lambda_lin(y)] = (q(y)/2) h, which holds
+exactly when the extension does not depend on the basis.
 
 The derivation check verify_derivation samples random pairs and
 computes both sides as integer vectors over one denominator each (the
@@ -34,15 +41,16 @@ structure tensors are scaled to integers once per call, and the operator's
 blocks are integers over one denominator already); only a failing pair is
 turned into rational AlgebraElements.  Commutators and linear combinations
 accumulate the numerators of all their terms over one denominator
-(linalg.lincomb).  Identities [A, B] = c T (the sl2 relations, the Lambda
-table's certificates, module validation) are checked by bracket_equals,
-which accumulates and compares, and the c of the M triple's bracket is
-read by bracket_ratio; neither builds the bracket.  Only the weight
-identity [D, X] = c X with a diagonal degree-0 D (h, and the Cartan
-operators at the canonical frame) is read off D's diagonals.  The
-bigrading splits a degree by the diagonal
-of the Cartan blocks when they are diagonal (the canonical frame) and
-refines eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
+(linalg.lincomb).  Identities [A, B] = c T (the sl2 relations, module
+validation) are checked by bracket_equals, and sums of brackets (the
+Lambda table's certificates, the declared Lambdas of a module) by
+bracket_sum_equals, which accumulate and compare; the c of the M triple's
+bracket is read by bracket_ratio.  None of them builds a bracket.  Only
+the weight identity [D, X] = c X with a diagonal degree-0 D (h, and the
+Cartan operators at the canonical frame) is read off D's diagonals.  The
+bigrading splits a degree by the diagonal of the Cartan blocks when they
+are diagonal (the canonical frame) and refines eigenspaces otherwise (see
+linalg.simultaneous_eigenspaces).
 
 The frame calculus and the bigrading take an operator module (see
 module_io.LLVModuleSpec): a built algebra is analysed as the module
@@ -55,7 +63,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from hklab.linalg import (
     QQ,
@@ -189,17 +197,22 @@ class GradedPowers:
         self.sums: dict = {}
 
     def power(self, src_degree: int, e: int) -> Mat:
-        """Matrix of op^e starting at src_degree (zero map if targets vanish)."""
-        key = (src_degree, e)
-        m = self._powers.get(key)
-        if m is None:
-            if e == 0:
-                m = Mat.identity(self.op.dim(src_degree))
-            else:
-                m = (self.op.block(src_degree + self.op.offset * (e - 1))
-                     * self.power(src_degree, e - 1))
-            self._powers[key] = m
-        return m
+        """Matrix of op^e starting at src_degree (zero map if targets vanish).
+
+        The powers from each source degree are multiplied out in a loop,
+        from the highest one built, and only until one is zero: every
+        higher power is then the zero map of its shape."""
+        op = self.op
+        chain = self._powers.get(src_degree)
+        if chain is None:
+            chain = self._powers[src_degree] = [
+                Mat.identity(op.dim(src_degree))]
+        while len(chain) <= e and not chain[-1].is_zero():
+            chain.append(op.block(src_degree + op.offset * (len(chain) - 1))
+                         * chain[-1])
+        if e < len(chain):
+            return chain[e]
+        return Mat.zeros(op.dim(src_degree + op.offset * e), op.dim(src_degree))
 
     def kernel(self, src_degree: int, e: int) -> Subspace:
         key = (src_degree, e)
@@ -237,10 +250,16 @@ def _derived(degrees: dict, offset: int, blocks: dict) -> GradedOperator:
     return op
 
 
-def _bracket_terms(a: GradedOperator, b: GradedOperator, d: int) -> list:
-    """The lincomb terms of the block of [a, b] at degree d: a b - b a."""
-    return [(1, a.block(d + b.offset), b.block(d)),
-            (-1, b.block(d + a.offset), a.block(d))]
+def _bracket_terms(a: GradedOperator, b: GradedOperator, d: int,
+                   w=1) -> list:
+    """The lincomb terms of the block of w [a, b] at degree d, w a b - w b a;
+    a product with a missing (zero) block is left out."""
+    terms = []
+    for c, x, y in ((w, a, b), (-w, b, a)):
+        xm, ym = x.blocks.get(d + y.offset), y.blocks.get(d)
+        if xm is not None and ym is not None:
+            terms.append((c, xm, ym))
+    return terms
 
 
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -266,16 +285,41 @@ def bracket_equals(a: GradedOperator, b: GradedOperator, c=1,
     off = a.offset + b.offset
     if t is not None and (t.degrees != a.degrees or t.offset != off):
         return False
-    degs = [d for d in a.degrees if a.dim(d) and a.dim(d + off)]
     for diag, x, sign in ((a, b, 1), (b, a, -1)):
         if t is x and diag.is_diagonal():
             return all(diagonal_weight_holds(
                 diag.block(d + off), diag.block(d), x.block(d), sign * c)
-                for d in degs)
+                for d in a.degrees if a.dim(d) and a.dim(d + off))
+    return bracket_sum_equals([(1, a, b)], c, t)
+
+
+def bracket_sum_equals(terms: Sequence, c=1,
+                       t: Optional[GradedOperator] = None) -> bool:
+    """Whether the sum of w [a, b] over the terms (w, a, b) equals c * t
+    exactly, t None for zero: at each degree the products of every term
+    accumulate in one lincomb_equals, so no bracket and no sum is formed.
+    The operators share one grading and every a.offset + b.offset is the
+    same; t, if given, has that grading and offset."""
+    _, a, b = terms[0]
+    off = a.offset + b.offset
     target = {} if t is None else t.blocks
-    return all(lincomb_equals(a.dim(d + off), a.dim(d),
-                              _bracket_terms(a, b, d), c, target.get(d))
-               for d in degs)
+    return all(lincomb_equals(
+        a.dim(d + off), a.dim(d),
+        [term for w, x, y in terms for term in _bracket_terms(x, y, d, w)],
+        c, target.get(d))
+        for d in a.degrees if a.dim(d) and a.dim(d + off))
+
+
+def combine_equals(coeffs: Sequence, ops: Sequence, t: GradedOperator) -> bool:
+    """Whether combine(coeffs, ops) == t exactly, with no combination
+    formed: each block's terms accumulate in one lincomb_equals.  The ops
+    share t's grading and offset."""
+    off = t.offset
+    return all(lincomb_equals(
+        t.dim(d + off), t.dim(d),
+        [(QQ(x), op.blocks[d], None) for x, op in zip(coeffs, ops)
+         if x and d in op.blocks], 1, t.blocks.get(d))
+        for d in t.degrees if t.dim(d) and t.dim(d + off))
 
 
 def bracket_ratio(a: GradedOperator, b: GradedOperator, t: GradedOperator):
@@ -483,57 +527,82 @@ def _double_bracket_dual(lop: GradedOperator, lam0: GradedOperator,
                          q0, q0x) -> GradedOperator:
     """The candidate Lambda_lin(x) = ([[L_x, Lambda_lin(x0)], Lambda_lin(x0)]
     + 2 q(x0, x) Lambda_lin(x0)) / q(x0), from lop = L_x, lam0 =
-    Lambda_lin(x0), q0 = q(x0) and q0x = q(x0, x)."""
-    return combine([1 / q0, 2 * q0x / q0],
-                   [commutator_op(commutator_op(lop, lam0), lam0), lam0])
+    Lambda_lin(x0), q0 = q(x0) and q0x = q(x0, x): first C = [L_x, lam0],
+    then (C lam0 - lam0 C + 2 q0x lam0) / q0, one lincomb per block each."""
+    degrees = lop.degrees
+    live = [d for d, m in degrees.items() if m]
+    c = _derived(degrees, 0, {d: lincomb(degrees[d], degrees[d],
+                                         _bracket_terms(lop, lam0, d))
+                              for d in live})
+    inv = 1 / QQ(q0)
+    return _derived(degrees, -2, {
+        d: lincomb(degrees[d - 2], degrees[d],
+                   _bracket_terms(c, lam0, d, inv)
+                   + [(2 * q0x * inv, lam0.block(d), None)])
+        for d in live if degrees.get(d - 2)})
 
 
-def linear_dual_table(space: QuadraticSpace, n: int, l_of: Callable) -> list:
+def _certified(x: Sequence, l_actions: list, lams: list, h: GradedOperator,
+               c) -> bool:
+    """Whether [L_x, sum_t x_t lams[t]] == c h, L_x = sum_s x_s
+    l_actions[s], accumulated over the terms x_s x_t [L_s, lams[t]]
+    (bracket_sum_equals): neither L_x nor the combination is formed."""
+    sup = [(xs, s) for s, xs in enumerate(x) if xs]
+    return bracket_sum_equals([(xs * xt, l_actions[s], lams[t])
+                               for xs, s in sup for xt, t in sup], c, h)
+
+
+def linear_dual_table(space: QuadraticSpace, n: int, l_actions: list) -> list:
     """Linear dual-Lefschetz operators for the unit vectors of the space.
 
-    l_of(x) must return the raising operator of a degree-2 vector x.  Each
-    vector x of the variant-0 anisotropic basis contributes
-    Lambda_lin(x) = (q(x)/2) Lambda_x, Lambda_x its sl2 completion, and
-    the table is the linear extension of these values.
+    l_actions[s] is the raising operator L_s of the unit vector e_s.  The
+    table is the linear extension of Lambda_lin(x) = (q(x)/2) Lambda_x,
+    Lambda_x the sl2 completion of L_x, from the variant-0 anisotropic
+    basis x0, x1, ...  Only x0 is completed, and certified by
+    [L_x0, Lambda_x0] = h.  The double bracket T(x) (_double_bracket_dual)
+    is linear in x, so the table is its values T_s on the unit vectors.
+    T(x0) = Lambda_lin(x0) needs no check: [[L_x0, Lam0], Lam0] =
+    (q(x0)/2) [h, Lam0] = -q(x0) Lam0 once the completion is certified.
+    Every other x is certified by [L_x, T(x)] = (q(x)/2) h; the lowering
+    operator of an sl2 triple is unique given e and h, so T(x) is then
+    exactly Lambda_lin(x).  A vector that fails is completed as x0 is, so a
+    module that is not an LLV module gets the same table, or the same
+    error, in the same order; only then is the basis matrix B inverted, to
+    correct the table to table[s] = T_s + sum_i (B^-1)_{i,s} (v_i - T(x_i))
+    over the completed x_i and their values v_i (x0's term is zero).
 
-    Only the first vector x0 is completed by sl2_complete, checked by
-    [L_x0, Lambda_x0] = h.  Every other x gets the double-bracket
-    candidate of the LLV relations (_double_bracket_dual), accepted only if
-    [L_x, Lambda_lin(x)] = (q(x)/2) h holds exactly; the lowering operator
-    of an sl2 triple is unique given e and h (and [h, .] = -2 on every
-    degree -2 operator), so an accepted candidate is exactly (q(x)/2) times
-    the completion.  A candidate that fails falls back to sl2_complete and
-    its check, so a module that is not an LLV module gets the same table,
-    or the same error, in the same order.
-
-    Well-definedness is certified on the variant-1 basis: for each y there,
-    [L_y, Lambda_lin(y)] = (q(y)/2) h must hold exactly, which by the same
-    uniqueness holds exactly when the table built from the second basis
-    would agree with this one.
+    Well-definedness is certified on the variant-1 basis by the same
+    identity, which by the same uniqueness holds exactly when the table
+    built from the second basis would agree with this one.  Each
+    certificate accumulates x_s x_t [L_s, table_t] (_certified), so no L_x
+    and no Lambda_lin(x) is formed.
     """
     basis = anisotropic_basis(space, variant=0)
-    lops = [l_of(x) for x in basis]
-    h = grading(lops[0].degrees, n)
-    half_q = [space.quad(x) / 2 for x in basis]
-    q0 = 2 * half_q[0]
-    duals = []
-    for x, lop, hq in zip(basis, lops, half_q):
-        if duals:
-            lam = _double_bracket_dual(lop, duals[0], q0,
-                                       space.bilinear(basis[0], x))
-            if bracket_equals(lop, lam, hq, h):
-                duals.append(lam)
-                continue
+    h = grading(l_actions[0].degrees, n)
+
+    def completion(x):
+        lop = combine(x, l_actions)
         lam = sl2_complete(lop, n)
         if not bracket_equals(lop, lam, 1, h):
             raise NotLefschetzError("sl2 completion failed the bracket identity")
-        duals.append(lam.scale(hq))
-    # Column s of B^-1 holds the coordinates of the unit vector e_s.
-    binv = invert(Mat.from_cols(basis))
-    table = [combine(binv.col(s), duals) for s in range(space.dim)]
+        return lam.scale(space.quad(x) / 2)
+
+    x0 = basis[0]
+    completed = {0: completion(x0)}
+    units = [_double_bracket_dual(lop, completed[0], space.quad(x0), q0x)
+             for lop, q0x in zip(l_actions, space.gram.times_vec(x0))]
+    for i, x in enumerate(basis[1:], 1):
+        if not _certified(x, l_actions, units, h, space.quad(x) / 2):
+            completed[i] = completion(x)
+    table = units
+    if len(completed) > 1:
+        # Column s of B^-1 holds the coordinates of the unit vector e_s.
+        binv = invert(Mat.from_cols(basis))
+        fixes = [v - combine(basis[i], units) for i, v in completed.items()]
+        table = [combine([1, *(binv[i, s] for i in completed)], [t, *fixes])
+                 for s, t in enumerate(units)]
     for y in anisotropic_basis(space, variant=1):
-        if not bracket_equals(l_of(y), combine(y, table),
-                              space.quad(y) / 2, h):
+        if not _certified(y, l_actions, table, h, space.quad(y) / 2):
             raise OperatorError(
                 "linear extension of the dual Lefschetz is basis-dependent")
     return table

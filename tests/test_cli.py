@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -371,6 +372,28 @@ def test_validate_degrees_disagreeing_with_n(fixture_dir, tmp_path, capsys):
     assert "FAIL  dual-completions-and-linearity  [a ladder from degree 0 " \
         "leaves the module's degrees at 6]" in out
     assert out.endswith("result: FAILED\n")
+
+
+@pytest.mark.parametrize("n", [600, 10**6])
+@pytest.mark.parametrize("command", [("validate", "--in"),
+                                     ("verify", "--module")])
+def test_a_large_n_gives_the_report_of_a_small_one(fixture_dir, tmp_path,
+                                                   capsys, command, n):
+    """The powers of an operator are multiplied out in a loop that stops at
+    the zero map, so the sl2 completion at a large n fails as at n = 300:
+    the same report and exit 1, not a RecursionError, in well under a
+    second."""
+    got = {}
+    for m in (300, n):
+        path = _edited_fixture(fixture_dir, tmp_path,
+                               lambda obj: obj.update(n=m))
+        start = time.perf_counter()
+        got[m] = run(capsys, *command, str(path))
+        assert time.perf_counter() - start < 1
+    assert got[n] == got[300]
+    code, out, err = got[300]
+    assert code == 1 and err == ""
+    assert "leaves the module's degrees at 6" in out
 
 
 def test_verify_spin_module_runs_odd_checks(fixture_dir, capsys):

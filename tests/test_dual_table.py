@@ -1,24 +1,34 @@
 """The linear dual-Lefschetz table against the one-completion-per-vector loop.
 
 `llv.linear_dual_table` completes only the first basis vector x0 by
-`sl2_complete` and forms every other dual from the double bracket
-([[L_x, Lam(x0)], Lam(x0)] + 2 q(x0, x) Lam(x0)) / q(x0), certified by
-[L_x, Lam(x)] = (q(x)/2) h, with a fallback to the completion.
-`_reference_table` keeps the loop that completes every basis vector; the
-tables must be equal, and a module that is not an LLV module must give the
-same error.
+`sl2_complete` and takes the table from the double bracket
+T(x) = ([[L_x, Lam(x0)], Lam(x0)] + 2 q(x0, x) Lam(x0)) / q(x0), which is
+linear in x: T_s, its value on the unit vector e_s, is formed from the
+module's L_s.  T(x0) = Lam(x0) once the completion is certified, and every
+other basis vector x is certified by [L_x, T(x)] = (q(x)/2) h, accumulated
+over the terms x_s x_t [L_s, T_t].  A vector that fails is completed, and
+only then is the basis inverted, to correct the table by
+sum_i (B^-1)_{i,s} (v_i - T(x_i)) over the completed x_i.
+`_reference_table` keeps the loop that completes every basis vector and
+inverts the basis; the tables must be equal, and a module that is not an
+LLV module must give the same error.  The declared-Lambda checks of
+validation accumulate the same way and must agree with forming L_x and
+the table's combination.
 """
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hklab import llv
+from hklab import llv, module_io
 from hklab.linalg import QQ, IncrementalRref, Mat, invert
 from hklab.llv import (
     NotLefschetzError,
     OperatorError,
     anisotropic_basis,
+    bracket_equals,
     combine,
     commutator_op,
     grading,
@@ -26,7 +36,8 @@ from hklab.llv import (
     linear_dual_table,
     sl2_complete,
 )
-from hklab.module_io import algebra_module, load_module, make_spin_module
+from hklab.module_io import (
+    algebra_module, export_module, load_module, make_spin_module)
 from hklab.quadforms import QuadraticSpace, make_standard_space
 from hklab.verbitsky import build_verbitsky
 from hklab.verifier import DEFAULT_GRID
@@ -63,56 +74,69 @@ def _reference_table(space, n, l_of):
     return table
 
 
-def _outcome(table, spec):
+def _outcome(spec, reference=False):
     try:
-        return table(spec.space, spec.n, spec.l_of)
+        if reference:
+            return _reference_table(spec.space, spec.n, spec.l_of)
+        return linear_dual_table(spec.space, spec.n, spec.l_actions)
     except ValueError as exc:
         return type(exc), str(exc)
 
 
+def _spy(monkeypatch, name):
+    """The list of calls made through llv.<name>, recorded by argument."""
+    calls = []
+    real = getattr(llv, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(llv, name, counting)
+    return calls
+
+
 @pytest.fixture
 def completions(monkeypatch):
-    """The number of sl2_complete calls made through llv."""
-    calls = []
-    real = llv.sl2_complete
+    """The sl2_complete calls made through llv."""
+    return _spy(monkeypatch, "sl2_complete")
 
-    def counting(lop, n):
-        calls.append(lop)
-        return real(lop, n)
 
-    monkeypatch.setattr(llv, "sl2_complete", counting)
-    return calls
+@pytest.fixture
+def inversions(monkeypatch):
+    """The invert calls made through llv."""
+    return _spy(monkeypatch, "invert")
 
 
 @pytest.mark.parametrize("n,b2", DEFAULT_GRID)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_table_matches_the_reference_on_the_grid(built, completions,
-                                                 n, b2, seed):
+                                                 inversions, n, b2, seed):
     spec = algebra_module(built(n, b2, seed))
-    got = linear_dual_table(spec.space, spec.n, spec.l_of)
-    assert len(completions) == 1
+    got = linear_dual_table(spec.space, spec.n, spec.l_actions)
+    assert (len(completions), len(inversions)) == (1, 0)
     assert got == _reference_table(spec.space, spec.n, spec.l_of)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_table_matches_the_reference_on_the_fixtures(fixture_dir, name):
     spec = load_module(fixture_dir / f"{name}_module.json")
-    assert _outcome(linear_dual_table, spec) == \
-        _outcome(_reference_table, spec)
+    assert _outcome(spec) == _outcome(spec, reference=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_table_matches_the_reference_on_the_spin_module(completions, n):
+def test_table_matches_the_reference_on_the_spin_module(completions,
+                                                        inversions, n):
     spec = load_module(make_spin_module(n))
-    got = linear_dual_table(spec.space, spec.n, spec.l_of)
-    assert len(completions) == 1
+    got = linear_dual_table(spec.space, spec.n, spec.l_actions)
+    assert (len(completions), len(inversions)) == (1, 0)
     assert got == _reference_table(spec.space, spec.n, spec.l_of)
 
 
 def test_table_matches_the_reference_on_a_rational_gram(completions):
     space = QuadraticSpace(Mat.from_rows(RATIONAL_GRAM))
     spec = algebra_module(build_verbitsky(space, 2, seed=0))
-    got = linear_dual_table(spec.space, spec.n, spec.l_of)
+    got = linear_dual_table(spec.space, spec.n, spec.l_actions)
     assert len(completions) == 1
     assert got == _reference_table(spec.space, spec.n, spec.l_of)
 
@@ -121,7 +145,8 @@ def test_a_wrong_coefficient_falls_back_on_every_vector(monkeypatch,
                                                         completions):
     """With q(x0, x) in place of 2 q(x0, x) no candidate passes its
     certificate (every q(x0, x) is nonzero here), so every vector is
-    completed and the table is still the reference's."""
+    completed, the table is corrected on every vector, x0 included (whose
+    T(x0) is now zero), and is still the reference's."""
     real = llv._double_bracket_dual
     monkeypatch.setattr(
         llv, "_double_bracket_dual",
@@ -130,7 +155,7 @@ def test_a_wrong_coefficient_falls_back_on_every_vector(monkeypatch,
     basis = anisotropic_basis(space, variant=0)
     assert all(space.bilinear(basis[0], x) for x in basis)
     spec = algebra_module(build_verbitsky(space, 2, seed=0))
-    got = linear_dual_table(spec.space, spec.n, spec.l_of)
+    got = linear_dual_table(spec.space, spec.n, spec.l_actions)
     assert len(completions) == space.dim
     assert got == _reference_table(spec.space, spec.n, spec.l_of)
 
@@ -151,9 +176,9 @@ def test_a_non_lefschetz_second_vector_raises_the_completion_error(built):
                                    in zip(phi, spec.l_actions)])
     assert bad.l_of(basis[0]) == spec.l_of(basis[0])
     message = "ladders span 6 of 5 dimensions in degree 2"
-    assert _outcome(_reference_table, bad) == (NotLefschetzError, message)
+    assert _outcome(bad, reference=True) == (NotLefschetzError, message)
     with pytest.raises(NotLefschetzError) as info:
-        linear_dual_table(bad.space, bad.n, bad.l_of)
+        linear_dual_table(bad.space, bad.n, bad.l_actions)
     assert str(info.value) == message
 
 
@@ -188,3 +213,45 @@ def _reference_basis(space, variant):
 @pytest.mark.parametrize("variant", [0, 1])
 def test_anisotropic_basis_reads_norms_off_the_gram(space, variant):
     assert anisotropic_basis(space, variant) == _reference_basis(space, variant)
+
+
+_DECLARED_SPECS = {}
+
+
+def _declared_spec(name, built):
+    """A module with its table: an export of (1,4) or the spin module."""
+    if name not in _DECLARED_SPECS:
+        doc = export_module(built(1, 4)) if name == "export-1x4" \
+            else make_spin_module(2)
+        spec = load_module(doc)
+        _DECLARED_SPECS[name] = (spec, spec.lambda_table)
+    return _DECLARED_SPECS[name]
+
+
+_RATIONALS = st.builds(QQ, st.integers(-3, 3), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("name", ["export-1x4", "spin"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_accumulated_declared_checks_agree_with_forming(built, name, data):
+    """The declared-Lambda checks of validation, which accumulate, agree
+    with forming L_x and the table's combination, on a random rational x
+    and the Lambda of x with one cell moved by a random rational (often
+    zero)."""
+    spec, table = _declared_spec(name, built)
+    x = data.draw(st.lists(_RATIONALS, min_size=spec.space.dim,
+                           max_size=spec.space.dim))
+    lam = combine(x, table)
+    blocks = dict(lam.blocks)
+    d = data.draw(st.sampled_from(sorted(
+        e for e in lam.degrees if lam.dim(e) and lam.dim(e - 2))))
+    rows = [list(r) for r in lam.block(d).data]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] += data.draw(_RATIONALS)
+    blocks[d] = Mat.from_rows(rows)
+    lam = llv.GradedOperator(lam.degrees, lam.offset, blocks)
+    assert module_io._declared_bracket_holds(spec, x, lam) == bracket_equals(
+        spec.l_of(x), lam, spec.space.quad(x) / 2, spec.h_action)
+    assert llv.combine_equals(x, table, lam) == (combine(x, table) == lam)

@@ -357,3 +357,29 @@ def test_sl2_complete_ladder_leaving_the_degrees():
     lop = GradedOperator({0: 1, 2: 1}, 2, {0: one})
     with pytest.raises(NotLefschetzError, match="leaves the module's degrees"):
         sl2_complete(lop, 2)
+
+
+def _product_chain(op, src, e):
+    """op^e from src as the product of e blocks, the identity for e = 0."""
+    m = Mat.identity(op.dim(src))
+    for k in range(e):
+        m = op.block(src + op.offset * k) * m
+    return m
+
+
+@pytest.mark.parametrize("case", ["L_x", "gap"])
+def test_powers_equal_the_product_chain(built, case):
+    """GradedPowers builds each power in a loop and returns the zero map of
+    the target's shape once a power vanishes; that is the product chain's
+    value, also across a degree gap, where the target's dimension returns
+    after the chain has passed an empty degree."""
+    if case == "L_x":
+        alg = built(2, 4)
+        op = lefschetz(alg, [1, 2, 0, -1])
+    else:
+        degrees = {0: 2, 4: 3, 6: 1}
+        op = GradedOperator(degrees, 2, {4: Mat.from_rows([[1, 2, 3]])})
+    powers = GradedPowers(op)
+    for src in sorted(op.degrees):
+        for e in (7, 0, 3, 1, 12, 5):
+            assert powers.power(src, e) == _product_chain(op, src, e), (src, e)

@@ -483,6 +483,32 @@ def test_reader_rejects_what_the_schema_passes(built, change):
         load_module(obj)
 
 
+@pytest.mark.parametrize("cell", ["00", "-0", "0/5", "-00/7"])
+def test_zero_cells_in_other_spellings_read_as_zero(built, cell):
+    """The reader skips "0" cells before the rational lookup; every other
+    spelling of zero is looked up and still reads as zero."""
+    obj = export_module(built(1, 4))
+    want = dump_canonical(module_to_json(load_module(obj)))
+    obj["L_actions"][0]["2"][0] = [cell, "1", cell, cell]
+    assert dump_canonical(module_to_json(load_module(obj))) == want
+
+
+@pytest.mark.parametrize("row, message", [
+    (["0", 0, None, "0"], "0 is not a rational 'p' or 'p/q'"),
+    (["0", None, [], "0"], "None is not a rational 'p' or 'p/q'"),
+    (["0", [], 0, "0"], "a cell is not a string"),
+    (["0", "1", {}, "0"], "a cell is not a string"),
+])
+def test_a_bad_cell_after_zero_cells_is_named(built, row, message):
+    """Skipping "0" cells leaves the error at the first bad cell: a
+    non-string cell names itself, and an unhashable one is not a string."""
+    obj = export_module(built(1, 4))
+    obj["L_actions"][0]["2"][0] = row
+    with pytest.raises(SchemaError) as info:
+        load_module(obj)
+    assert str(info.value) == f"L_actions[0][2]: {message}"
+
+
 @pytest.mark.parametrize("where", ["degrees", "h_action", "L_actions"])
 @pytest.mark.parametrize("alias, message", [
     ("02", "degree 2 is named twice"),
