@@ -1,16 +1,12 @@
-"""Modular screening and rational reconstruction for big exact row reductions.
+"""Modular screening for big exact row reductions.
 
 No hklab module calls these routines; the module stays importable because
-perfbench/spans.py traces ModpReducer by name for its modp.* metrics.  The
-pipeline it implements is:
-
-1. reduce candidate rows incrementally modulo a fixed word-size prime with
-   numpy int64 arithmetic to find the rank profile (pivot / free columns),
-2. read the reduced rows modulo p straight off the reducer state,
-3. lift to exact rationals by rational reconstruction (CRT over more primes
-   when a single prime is not enough).
-
-A reconstructed value is only a candidate: a caller must certify it exactly.
+perfbench/spans.py traces ModpReducer by name for its modp.* metrics.
+ModpReducer reduces candidate rows incrementally modulo a fixed word-size
+prime with numpy int64 arithmetic, to find the rank profile (pivot and
+free columns), and the reduced rows modulo p are read straight off its
+state.  Values read modulo p are only candidates: a caller must certify
+them exactly.
 """
 
 from __future__ import annotations
@@ -94,37 +90,3 @@ class ModpReducer:
         order = sorted(range(self.rank), key=self.pivot_cols.__getitem__)
         return ([self.pivot_cols[i] for i in order], self.rows[order])
 
-
-def rational_reconstruct(u: int, m: int):
-    """Unique r/s with u*s = r mod m, |r| <= N, 0 < s <= D, gcd(s,m)=1.
-
-    Uses the balanced bound N = D = floor(sqrt(m/2)).  Returns None when no
-    such fraction exists (signal to add another prime).
-    """
-    u %= m
-    if u == 0:
-        return (0, 1)
-    bound = int((m // 2) ** 0.5)
-    r0, r1 = m, u
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or s1 == 0:
-        return None
-    from math import gcd
-    if gcd(abs(s1), m) != 1:
-        return None
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if gcd(abs(r1), s1) != 1:
-        return None
-    return (r1 if s1 > 0 else -r1, s1)
-
-
-def crt_combine(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
-    """Residue modulo mod_a*mod_b matching both inputs (moduli coprime)."""
-    inv = pow(mod_a % mod_b, -1, mod_b)
-    t = ((res_b - res_a) * inv) % mod_b
-    return res_a + mod_a * t

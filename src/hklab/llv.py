@@ -39,17 +39,20 @@ The derivation check verify_derivation samples random pairs and
 computes both sides as integer vectors over one denominator each (the
 structure tensors are scaled to integers once per call, and the operator's
 blocks are integers over one denominator already); only a failing pair is
-turned into rational AlgebraElements.  Commutators and linear combinations
-accumulate the numerators of all their terms over one denominator
-(linalg.lincomb).  Identities [A, B] = c T (the sl2 relations, module
-validation) are checked by bracket_equals, and sums of brackets (the
-Lambda table's certificates, the declared Lambdas of a module) by
-bracket_sum_equals, which accumulate and compare; the c of the M triple's
-bracket is read by bracket_ratio.  None of them builds a bracket.  Only
-the weight identity [D, X] = c X with a diagonal degree-0 D (h, and the
-Cartan operators at the canonical frame) is read off D's diagonals.  The
-bigrading splits a degree by the diagonal of the Cartan blocks when they
-are diagonal (the canonical frame) and refines eigenspaces otherwise (see
+turned into rational AlgebraElements.
+
+Every sum of graded operators is a list of terms (w, x, y), meaning w x y,
+or w x when y is None; bracket(a, b, w) is [(w, a, b), (-w, b, a)].  One
+reader (_block_terms) turns a term list into the linalg.lincomb terms of
+one block, and three consumers read it, one kernel call per block:
+operator_sum forms the sum (commutators, combinations, + and -),
+sum_equals decides sum == c T (the Lambda table's certificates, the
+declared Lambdas of a module, and every bracket_equals) and sum_ratio
+reads the c of the M triple's bracket.  Only the weight identity
+[D, X] = c X with a diagonal degree-0 D (h, and the Cartan operators at
+the canonical frame) is read off D's diagonals instead.  The bigrading
+splits a degree by the diagonal of the Cartan blocks when they are
+diagonal (the canonical frame) and refines eigenspaces otherwise (see
 linalg.simultaneous_eigenspaces).
 
 The frame calculus and the bigrading take an operator module (see
@@ -139,24 +142,11 @@ class GradedOperator:
 
     # -- algebra of operators ------------------------------------------------
 
-    def _same_grading(self, other: "GradedOperator") -> None:
-        if self.degrees != other.degrees:
-            raise OperatorError("operators live on different graded spaces")
-
-    def _blockwise(self, other: "GradedOperator", fn) -> "GradedOperator":
-        self._same_grading(other)
-        if self.offset != other.offset:
-            raise OperatorError("cannot combine operators of different offsets")
-        return _derived(
-            self.degrees, self.offset,
-            {d: fn(self.block(d), other.block(d)) for d in self.degrees
-             if self.dim(d) and self.dim(d + self.offset)})
-
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._blockwise(other, Mat.__add__)
+        return operator_sum([(1, self, None), (1, other, None)])
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._blockwise(other, Mat.__sub__)
+        return operator_sum([(1, self, None), (-1, other, None)])
 
     def scale(self, c) -> "GradedOperator":
         return _derived(self.degrees, self.offset,
@@ -250,119 +240,112 @@ def _derived(degrees: dict, offset: int, blocks: dict) -> GradedOperator:
     return op
 
 
-def _bracket_terms(a: GradedOperator, b: GradedOperator, d: int,
-                   w=1) -> list:
-    """The lincomb terms of the block of w [a, b] at degree d, w a b - w b a;
-    a product with a missing (zero) block is left out."""
-    terms = []
-    for c, x, y in ((w, a, b), (-w, b, a)):
-        xm, ym = x.blocks.get(d + y.offset), y.blocks.get(d)
-        if xm is not None and ym is not None:
-            terms.append((c, xm, ym))
-    return terms
+def bracket(a: GradedOperator, b: GradedOperator, w=1) -> list:
+    """The terms of w [a, b] = w a b - w b a."""
+    return [(w, a, b), (-w, b, a)]
+
+
+def _grading(terms: Sequence) -> tuple:
+    """(degrees, offset) of the sum of the terms (w, x, y); raises
+    OperatorError unless every operator has the first one's grading and
+    every term, x.offset plus y.offset, the first one's offset."""
+    _, x0, y0 = terms[0]
+    degrees, off = x0.degrees, x0.offset + (0 if y0 is None else y0.offset)
+    for _, x, y in terms:
+        if x.degrees != degrees or y is not None and y.degrees != degrees:
+            raise OperatorError("operators live on different graded spaces")
+        if x.offset + (0 if y is None else y.offset) != off:
+            raise OperatorError("cannot combine operators of different offsets")
+    return degrees, off
+
+
+def _live(degrees: dict, off: int) -> list:
+    """The degrees whose source and target d + off are both nonzero: the
+    blocks a formed sum stores."""
+    return [d for d, m in degrees.items() if m and degrees.get(d + off)]
+
+
+def _block_terms(terms: Sequence, d: int) -> list:
+    """The lincomb terms of the block at degree d of the sum of the terms
+    (w, x, y): (w, x's block at d + y.offset, y's block at d), or
+    (w, x's block at d, None) for y None.  A zero weight or a missing
+    (zero) block leaves its term out."""
+    out = []
+    for w, x, y in terms:
+        ym = None if y is None else y.blocks.get(d)
+        xm = x.blocks.get(d if y is None else d + y.offset)
+        if w and xm is not None and (y is None or ym is not None):
+            out.append((w, xm, ym))
+    return out
+
+
+def operator_sum(terms: Sequence) -> GradedOperator:
+    """The sum of the terms (w, x, y), w x y or w x for y None, one lincomb
+    per block.  Every operator shares one grading and every term one
+    offset (else OperatorError).  A block is stored at every degree whose
+    source and target are nonzero, and none when every weight is zero."""
+    degrees, off = _grading(terms)
+    if not any(w for w, _, _ in terms):
+        return _derived(degrees, off, {})
+    return _derived(degrees, off, {
+        d: lincomb(degrees[d + off], degrees[d], _block_terms(terms, d))
+        for d in _live(degrees, off)})
+
+
+def sum_equals(terms: Sequence, c=1,
+               t: Optional[GradedOperator] = None) -> bool:
+    """Whether operator_sum(terms) == c * t exactly, t None for zero, with
+    no sum formed: one lincomb_equals per block.  Raises as operator_sum
+    does; a t of another grading or offset is never equal."""
+    degrees, off = _grading(terms)
+    if t is not None and (t.degrees != degrees or t.offset != off):
+        return False
+    target = {} if t is None else t.blocks
+    return all(lincomb_equals(degrees[d + off], degrees[d],
+                              _block_terms(terms, d), c, target.get(d))
+               for d in _live(degrees, off))
+
+
+def sum_ratio(terms: Sequence, t: GradedOperator):
+    """The c with operator_sum(terms) == c * t exactly, or None when there
+    is none or t is zero, with no sum formed: c is read off t's first
+    nonzero block in ascending degree (linalg.lincomb_ratio) and certified
+    by sum_equals.  Raises as operator_sum does."""
+    degrees, off = _grading(terms)
+    d = next((d for d in sorted(t.blocks) if not t.blocks[d].is_zero()),
+             None)
+    if d is None or t.degrees != degrees or t.offset != off:
+        return None
+    c = lincomb_ratio(degrees[d + off], degrees[d], _block_terms(terms, d),
+                      t.blocks[d])
+    return None if c is None or not sum_equals(terms, c, t) else c
 
 
 def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """[a, b], both products of a block in one accumulator (lincomb)."""
-    a._same_grading(b)
-    off = a.offset + b.offset
-    return _derived(a.degrees, off, {
-        d: lincomb(a.dim(d + off), a.dim(d), _bracket_terms(a, b, d))
-        for d in a.degrees if a.dim(d) and a.dim(d + off)})
+    """[a, b], formed by operator_sum; the name stays because perfbench
+    traces it."""
+    return operator_sum(bracket(a, b))
 
 
 def bracket_equals(a: GradedOperator, b: GradedOperator, c=1,
                    t: Optional[GradedOperator] = None) -> bool:
     """Whether [a, b] == c * t exactly, t None for zero, with no bracket
-    formed; raises OperatorError as commutator_op does, and a t of another
-    grading or offset is never equal.  The weight identity [D, X] = c X
-    with D diagonal (GradedOperator.is_diagonal) is read off D's diagonals
-    at X's nonzeros (linalg.diagonal_weight_holds; [X, D] = c X is
-    [D, X] = -c X); every other identity accumulates both products of
-    each block as commutator_op does and compares (linalg.lincomb_equals).
-    """
-    a._same_grading(b)
-    off = a.offset + b.offset
-    if t is not None and (t.degrees != a.degrees or t.offset != off):
-        return False
+    formed.  The weight identity [D, X] = c X with D diagonal
+    (GradedOperator.is_diagonal) is read off D's diagonals at X's nonzeros
+    (linalg.diagonal_weight_holds; [X, D] = c X is [D, X] = -c X); every
+    other identity is sum_equals(bracket(a, b), c, t)."""
     for diag, x, sign in ((a, b, 1), (b, a, -1)):
         if t is x and diag.is_diagonal():
+            degrees, off = _grading(bracket(a, b))
             return all(diagonal_weight_holds(
                 diag.block(d + off), diag.block(d), x.block(d), sign * c)
-                for d in a.degrees if a.dim(d) and a.dim(d + off))
-    return bracket_sum_equals([(1, a, b)], c, t)
-
-
-def bracket_sum_equals(terms: Sequence, c=1,
-                       t: Optional[GradedOperator] = None) -> bool:
-    """Whether the sum of w [a, b] over the terms (w, a, b) equals c * t
-    exactly, t None for zero: at each degree the products of every term
-    accumulate in one lincomb_equals, so no bracket and no sum is formed.
-    The operators share one grading and every a.offset + b.offset is the
-    same; t, if given, has that grading and offset."""
-    _, a, b = terms[0]
-    off = a.offset + b.offset
-    target = {} if t is None else t.blocks
-    return all(lincomb_equals(
-        a.dim(d + off), a.dim(d),
-        [term for w, x, y in terms for term in _bracket_terms(x, y, d, w)],
-        c, target.get(d))
-        for d in a.degrees if a.dim(d) and a.dim(d + off))
-
-
-def combine_equals(coeffs: Sequence, ops: Sequence, t: GradedOperator) -> bool:
-    """Whether combine(coeffs, ops) == t exactly, with no combination
-    formed: each block's terms accumulate in one lincomb_equals.  The ops
-    share t's grading and offset."""
-    off = t.offset
-    return all(lincomb_equals(
-        t.dim(d + off), t.dim(d),
-        [(QQ(x), op.blocks[d], None) for x, op in zip(coeffs, ops)
-         if x and d in op.blocks], 1, t.blocks.get(d))
-        for d in t.degrees if t.dim(d) and t.dim(d + off))
-
-
-def bracket_ratio(a: GradedOperator, b: GradedOperator, t: GradedOperator):
-    """The c with [a, b] == c * t exactly, or None when there is none or t
-    is zero, with no bracket formed: c is read off t's first nonzero block
-    in ascending degree (linalg.lincomb_ratio) and certified by
-    bracket_equals, which raises as it does."""
-    a._same_grading(b)
-    off = a.offset + b.offset
-    d = next((d for d in sorted(t.blocks) if not t.blocks[d].is_zero()),
-             None)
-    if d is None or t.degrees != a.degrees or t.offset != off:
-        return None
-    c = lincomb_ratio(a.dim(d + off), a.dim(d), _bracket_terms(a, b, d),
-                      t.blocks[d])
-    return None if c is None or not bracket_equals(a, b, c, t) else c
+                for d in _live(degrees, off))
+    return sum_equals(bracket(a, b), c, t)
 
 
 def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
-    """The linear combination sum_i coeffs[i] * ops[i], in one pass.
-
-    All operators must share grading and offset.  Zero coefficients are
-    skipped, and no block is stored for a degree whose source or target is
-    zero-dimensional; the zero combination is the zero operator.
-    """
-    first = ops[0]
-    terms = []
-    for c, op in zip(coeffs, ops):
-        first._same_grading(op)
-        if op.offset != first.offset:
-            raise OperatorError("cannot combine operators of different offsets")
-        if c:
-            terms.append((QQ(c), op))
-    off = first.offset
-    blocks = {}
-    for d in first.degrees:
-        rows, cols = first.dim(d + off), first.dim(d)
-        if not (rows and cols):
-            continue
-        mats = [(c, op.blocks[d], None) for c, op in terms if d in op.blocks]
-        if mats:
-            blocks[d] = lincomb(rows, cols, mats)
-    return _derived(first.degrees, off, blocks)
+    """The linear combination sum_i coeffs[i] * ops[i], in one pass."""
+    return operator_sum([(c, op, None) for c, op in zip(coeffs, ops)])
 
 
 # -- basic operators ----------------------------------------------------------
@@ -469,9 +452,15 @@ def dual_lefschetz(alg: GradedAlgebra, x: Sequence) -> GradedOperator:
     x = vec(x)
     if alg.space.quad(x) == 0:
         raise NotLefschetzError("dual Lefschetz needs an anisotropic class")
-    lop = lefschetz(alg, x)
-    lam = sl2_complete(lop, alg.n)
-    if not bracket_equals(lop, lam, 1, grading(alg)):
+    return _completion(lefschetz(alg, x), alg.n, grading(alg))
+
+
+def _completion(lop: GradedOperator, n: int,
+                h: GradedOperator) -> GradedOperator:
+    """sl2_complete(lop, n), certified by [lop, Lambda] = h; raises
+    NotLefschetzError when the identity fails."""
+    lam = sl2_complete(lop, n)
+    if not bracket_equals(lop, lam, 1, h):
         raise NotLefschetzError("sl2 completion failed the bracket identity")
     return lam
 
@@ -528,28 +517,22 @@ def _double_bracket_dual(lop: GradedOperator, lam0: GradedOperator,
     """The candidate Lambda_lin(x) = ([[L_x, Lambda_lin(x0)], Lambda_lin(x0)]
     + 2 q(x0, x) Lambda_lin(x0)) / q(x0), from lop = L_x, lam0 =
     Lambda_lin(x0), q0 = q(x0) and q0x = q(x0, x): first C = [L_x, lam0],
-    then (C lam0 - lam0 C + 2 q0x lam0) / q0, one lincomb per block each."""
-    degrees = lop.degrees
-    live = [d for d, m in degrees.items() if m]
-    c = _derived(degrees, 0, {d: lincomb(degrees[d], degrees[d],
-                                         _bracket_terms(lop, lam0, d))
-                              for d in live})
+    then (C lam0 - lam0 C + 2 q0x lam0) / q0, one operator_sum each."""
+    c = operator_sum(bracket(lop, lam0))
     inv = 1 / QQ(q0)
-    return _derived(degrees, -2, {
-        d: lincomb(degrees[d - 2], degrees[d],
-                   _bracket_terms(c, lam0, d, inv)
-                   + [(2 * q0x * inv, lam0.block(d), None)])
-        for d in live if degrees.get(d - 2)})
+    return operator_sum([*bracket(c, lam0, inv), (2 * q0x * inv, lam0, None)])
 
 
-def _certified(x: Sequence, l_actions: list, lams: list, h: GradedOperator,
-               c) -> bool:
-    """Whether [L_x, sum_t x_t lams[t]] == c h, L_x = sum_s x_s
-    l_actions[s], accumulated over the terms x_s x_t [L_s, lams[t]]
-    (bracket_sum_equals): neither L_x nor the combination is formed."""
-    sup = [(xs, s) for s, xs in enumerate(x) if xs]
-    return bracket_sum_equals([(xs * xt, l_actions[s], lams[t])
-                               for xs, s in sup for xt, t in sup], c, h)
+def _certified(x: Sequence, l_actions: list, y: Sequence, lams: list,
+               h: GradedOperator, c) -> bool:
+    """Whether [sum_s x_s l_actions[s], sum_t y_t lams[t]] == c h, decided
+    by sum_equals over the brackets x_s y_t [l_actions[s], lams[t]], so
+    neither combination is formed.  With no terms (x or y zero) it holds
+    exactly when c = 0."""
+    terms = [term for s, xs in enumerate(x) if xs
+             for t, yt in enumerate(y) if yt
+             for term in bracket(l_actions[s], lams[t], xs * yt)]
+    return sum_equals(terms, c, h) if terms else c == 0
 
 
 def linear_dual_table(space: QuadraticSpace, n: int, l_actions: list) -> list:
@@ -581,18 +564,14 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_actions: list) -> list:
     h = grading(l_actions[0].degrees, n)
 
     def completion(x):
-        lop = combine(x, l_actions)
-        lam = sl2_complete(lop, n)
-        if not bracket_equals(lop, lam, 1, h):
-            raise NotLefschetzError("sl2 completion failed the bracket identity")
-        return lam.scale(space.quad(x) / 2)
+        return _completion(combine(x, l_actions), n, h).scale(space.quad(x) / 2)
 
     x0 = basis[0]
     completed = {0: completion(x0)}
     units = [_double_bracket_dual(lop, completed[0], space.quad(x0), q0x)
              for lop, q0x in zip(l_actions, space.gram.times_vec(x0))]
     for i, x in enumerate(basis[1:], 1):
-        if not _certified(x, l_actions, units, h, space.quad(x) / 2):
+        if not _certified(x, l_actions, x, units, h, space.quad(x) / 2):
             completed[i] = completion(x)
     table = units
     if len(completed) > 1:
@@ -602,7 +581,7 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_actions: list) -> list:
         table = [combine([1, *(binv[i, s] for i in completed)], [t, *fixes])
                  for s, t in enumerate(units)]
     for y in anisotropic_basis(space, variant=1):
-        if not _certified(y, l_actions, table, h, space.quad(y) / 2):
+        if not _certified(y, l_actions, y, table, h, space.quad(y) / 2):
             raise OperatorError(
                 "linear extension of the dual Lefschetz is basis-dependent")
     return table
@@ -740,8 +719,8 @@ def frame_calculus(module: "LLVModuleSpec", frame: HodgeFrame) -> FrameCalculus:
     F_M = 2[Lam_s, L_eta] follow the conventional doubling; with the linear
     Lambda normalisation their bracket is a *multiple* of
     H_M = H_beta - H_s, and the realised scalar (4 with these conventions)
-    is recorded in m_bracket_scalar (read by bracket_ratio) rather than
-    silently rescaled.
+    is recorded in m_bracket_scalar (read by sum_ratio over the terms of
+    [E_M, F_M]) rather than silently rescaled.
     """
     names = ("s", "sbar", "beta", "eta")
     L = {v: module.l_of(getattr(frame, v)) for v in names}
@@ -751,9 +730,9 @@ def frame_calculus(module: "LLVModuleSpec", frame: HodgeFrame) -> FrameCalculus:
     H_beta = commutator_op(L["beta"], Lam["eta"])
     M = commutator_op(L["beta"], Lam["sbar"])
     E_M = M.scale(2)
-    F_M = commutator_op(Lam["s"], L["eta"]).scale(2)
+    F_M = operator_sum(bracket(Lam["s"], L["eta"], 2))
     H_M = H_beta - H_s
-    kappa = bracket_ratio(E_M, F_M, H_M)
+    kappa = sum_ratio(bracket(E_M, F_M), H_M)
     if kappa is None:
         raise OperatorError("[E_M, F_M] is not proportional to H_beta - H_s")
     return FrameCalculus(frame, L["s"], L["sbar"], L["beta"], L["eta"],

@@ -41,15 +41,15 @@ from hklab.llv import (
     GradedOperator,
     NotLefschetzError,
     OperatorError,
+    _certified,
     anisotropic_basis,
     bracket_equals,
-    bracket_sum_equals,
     combine,
-    combine_equals,
     frame_calculus,
     grading,
     lefschetz,
     linear_dual_table,
+    sum_equals,
 )
 from hklab.quadforms import (QuadFormError, QuadraticSpace, json_fields,
                               make_standard_space, mukai_extension)
@@ -419,28 +419,20 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     if spec.lambda_actions is not None:
         ok, witness = True, ""
         for x, lam in zip(spec.lambda_basis, spec.lambda_actions):
-            if not _declared_bracket_holds(spec, x, lam):
+            if not _certified(x, spec.l_actions, [1], [lam], spec.h_action,
+                              spec.space.quad(x) / 2):
                 ok, witness = False, "declared Lambda fails [L_x, Lam_x] = (q(x)/2) h"
                 break
         rep.checks.append(Check("declared-lambda-brackets", ok, witness))
         if table is not None:
             ok, witness = True, ""
             for x, lam in zip(spec.lambda_basis, spec.lambda_actions):
-                if not combine_equals(x, table, lam):
+                if not sum_equals([(xs, t, None) for xs, t in zip(x, table)],
+                                  1, lam):
                     ok, witness = False, "declared Lambda differs from recomputed"
                     break
             rep.checks.append(Check("declared-lambda-agreement", ok, witness))
     return rep
-
-
-def _declared_bracket_holds(spec: LLVModuleSpec, x: Sequence,
-                            lam: GradedOperator) -> bool:
-    """Whether [L_x, lam] == (q(x)/2) h_action, accumulated over the terms
-    x_s [L_s, lam] (llv.bracket_sum_equals), with no L_x formed; for
-    x = 0 both sides are zero."""
-    terms = [(xs, l_s, lam) for xs, l_s in zip(x, spec.l_actions) if xs]
-    return not terms or bracket_sum_equals(terms, spec.space.quad(x) / 2,
-                                           spec.h_action)
 
 
 def module_frame_calculus(spec: LLVModuleSpec, frame):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab import llv, module_io
+from hklab import llv
 from hklab.linalg import QQ, IncrementalRref, Mat, invert
 from hklab.llv import (
     NotLefschetzError,
@@ -252,6 +252,8 @@ def test_accumulated_declared_checks_agree_with_forming(built, name, data):
     rows[i][j] += data.draw(_RATIONALS)
     blocks[d] = Mat.from_rows(rows)
     lam = llv.GradedOperator(lam.degrees, lam.offset, blocks)
-    assert module_io._declared_bracket_holds(spec, x, lam) == bracket_equals(
+    assert llv._certified(x, spec.l_actions, [1], [lam], spec.h_action,
+                          spec.space.quad(x) / 2) == bracket_equals(
         spec.l_of(x), lam, spec.space.quad(x) / 2, spec.h_action)
-    assert llv.combine_equals(x, table, lam) == (combine(x, table) == lam)
+    assert llv.sum_equals([(xs, t, None) for xs, t in zip(x, table)], 1,
+                          lam) == (combine(x, table) == lam)

@@ -967,9 +967,10 @@ def dense_ratio(values: list, targets: list):
 def test_bracket_equals_agrees_with_forming_the_bracket(case):
     """llv.bracket_equals decides [a, b] == c * t as forming the bracket
     and comparing does, in both orders, and accumulates no products for
-    the weight identity [D, X] = c X with D diagonal; llv.bracket_ratio
-    is the dense ratio of the formed bracket to t (None for a zero t, a t
-    of another offset or a t the bracket is no multiple of)."""
+    the weight identity [D, X] = c X with D diagonal; llv.sum_ratio of
+    the bracket's terms is the dense ratio of the formed bracket to t
+    (None for a zero t, a t of another offset or a t the bracket is no
+    multiple of)."""
     from hklab import llv
     a, b, c, t = case
     for x, y, sign in ((a, b, 1), (b, a, -1)):
@@ -988,8 +989,117 @@ def test_bracket_equals_agrees_with_forming_the_bracket(case):
             ratio = dense_ratio(
                 [e for d in degs for r in bracket.block(d).data for e in r],
                 [e for d in degs for r in t.block(d).data for e in r])
-        got = llv.bracket_ratio(x, y, t)
+        got = llv.sum_ratio(llv.bracket(x, y), t)
         assert got == ratio and (got is None or type(got) is QQ)
+
+
+@st.composite
+def term_lists(draw) -> tuple:
+    """Degree dims on 0, 2, 4 (any of them zero-dimensional), an offset and
+    a list of graded terms (w, x, y) of that offset, mixed as
+    llv._double_bracket_dual mixes them: single operators, products and
+    brackets of operators of offsets 0 and +-2, weights that may be zero,
+    operators shared between terms and blocks that may be missing."""
+    from hklab import llv
+    dims = {d: draw(st.integers(0, 3)) for d in (0, 2, 4)}
+    off = draw(st.sampled_from([-2, 0, 2]))
+    pool: dict = {}
+
+    def operator(o: int) -> GradedOperator:
+        if o in pool and draw(st.booleans()):
+            return pool[o]
+        pool[o] = GradedOperator(dims, o, {
+            d: Mat(dims[d + o], k, draw(sparse_rows(dims[d + o], k)))
+            for d, k in dims.items() if d + o in dims and draw(st.booleans())})
+        return pool[o]
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.one_of(st.just(QQ(0)), scalars))
+        kind = draw(st.sampled_from(["single", "product", "bracket"]))
+        if kind == "single":
+            terms.append((w, operator(off), None))
+            continue
+        yo = draw(st.sampled_from([o for o in (-2, 0, 2)
+                                   if off - o in (-2, 0, 2)]))
+        x, y = operator(off - yo), operator(yo)
+        terms += [(w, x, y)] if kind == "product" else llv.bracket(x, y, w)
+    return dims, off, terms
+
+
+def dense_term_sum(dims: dict, off: int, terms: list) -> dict:
+    """Dense blocks of the sum of the terms (w, x, y), folded term by term
+    over every degree whose source and target are nonzero."""
+    out = {}
+    for d, k in dims.items():
+        if not (k and dims.get(d + off)):
+            continue
+        acc = [[_Z] * k for _ in range(dims[d + off])]
+        for w, x, y in terms:
+            value = dense(x.block(d)) if y is None else dense_mul(
+                dense(x.block(d + y.offset)), dense(y.block(d)), k)
+            acc = dense_add(acc, dense_scale(w, value))
+        out[d] = acc
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists(), scalars, st.data())
+def test_graded_term_sums_agree_with_a_dense_fold(case, c, data):
+    """llv.operator_sum of a mixed term list is the dense Fraction fold,
+    with a block at every degree whose source and target are nonzero and
+    none when every weight is zero; sum_equals decides sum == c * t as
+    forming and comparing does, for t None, the sum, the sum with one cell
+    moved and an operator of another offset; sum_ratio is the dense ratio
+    of the sum to t.  A term of another offset or grading raises."""
+    from hklab import llv
+    dims, off, terms = case
+    ref = dense_term_sum(dims, off, terms)
+    got = llv.operator_sum(terms)
+    assert got.offset == off and got.degrees == dims
+    assert set(got.blocks) == (set(ref) if any(w for w, _, _ in terms)
+                               else set())
+    for d, m in ref.items():
+        assert_matches(got.block(d), m, dims[d + off], dims[d])
+
+    value = GradedOperator(dims, off, {
+        d: Mat(dims[d + off], dims[d], m) for d, m in ref.items()})
+    moved = {d: [list(r) for r in m] for d, m in ref.items()}
+    cells = [(d, i, j) for d, m in moved.items()
+             for i in range(len(m)) for j in range(len(m[0]))]
+    if cells:
+        d, i, j = data.draw(st.sampled_from(cells))
+        moved[d][i][j] += data.draw(scalars.filter(bool))
+    moved = GradedOperator(dims, off, {
+        d: Mat(dims[d + off], dims[d], m) for d, m in moved.items()})
+    shift = 2 if off < 2 else -2
+    other = GradedOperator(dims, off + shift, {
+        d: Mat(dims[d + off + shift], k,
+               data.draw(sparse_rows(dims[d + off + shift], k)))
+        for d, k in dims.items() if d + off + shift in dims})
+    for t in (None, value.scale(1 / c) if c else value,
+              moved.scale(1 / c) if c else moved, other):
+        expect = got.is_zero() if t is None else got == t.scale(c)
+        assert llv.sum_equals(terms, c, t) == expect
+        if t is None:
+            continue
+        ratio = None
+        if t.offset == off:
+            degs = sorted(dims)
+            ratio = dense_ratio(
+                [e for d in degs for r in got.block(d).data for e in r],
+                [e for d in degs for r in t.block(d).data for e in r])
+        got_ratio = llv.sum_ratio(terms, t)
+        assert got_ratio == ratio
+        assert got_ratio is None or type(got_ratio) is QQ
+
+    regraded = GradedOperator({**dims, 6: 1}, off, {})
+    for bad, message in (((1, other, None), "different offsets"),
+                         ((1, regraded, None), "different graded spaces")):
+        for consume in (llv.operator_sum, llv.sum_equals,
+                        lambda ts: llv.sum_ratio(ts, value)):
+            with pytest.raises(llv.OperatorError, match=message):
+                consume(terms + [bad])
 
 
 @st.composite

@@ -5,35 +5,6 @@ from hklab import _modp
 from hklab.linalg import Mat, rref
 
 
-def test_rational_reconstruct_basics():
-    p = _modp.PRIMES[0]
-    assert _modp.rational_reconstruct(0, p) == (0, 1)
-    assert _modp.rational_reconstruct(5, p) == (5, 1)
-    half = pow(2, p - 2, p)
-    assert _modp.rational_reconstruct(half, p) == (1, 2)
-    neg = (-3 * pow(7, p - 2, p)) % p
-    assert _modp.rational_reconstruct(neg, p) == (-3, 7)
-
-
-def test_rational_reconstruct_needs_enough_modulus():
-    p = _modp.PRIMES[0]
-    # denominator far above sqrt(p/2): single-prime reconstruction fails,
-    # the doubled modulus succeeds
-    num, den = 123457, 40009
-    res = (num * pow(den, -1, p)) % p
-    assert _modp.rational_reconstruct(res, p) != (num, den)
-    m = p * _modp.PRIMES[1]
-    res_big = (num * pow(den, -1, m)) % m
-    assert _modp.rational_reconstruct(res_big, m) == (num, den)
-
-
-def test_crt_combine():
-    p1, p2 = _modp.PRIMES[0], _modp.PRIMES[1]
-    x = 123456789
-    combined = _modp.crt_combine(x % p1, p1, x % p2, p2)
-    assert combined % p1 == x % p1 and combined % p2 == x % p2
-
-
 def test_reducer_matches_exact_rref():
     rows = [[2, 4, 6, 1], [1, 2, 3, 0], [0, 1, 1, 1], [3, 7, 10, 2]]
     p = _modp.PRIMES[0]
