@@ -34,9 +34,11 @@ cross-multiplying; lincomb_ratio reads the c of sum = c t at t's first
 nonzero and certifies it so.  Only D X - X D' = c X with diagonal D and D'
 is read off the diagonals (diagonal_weight_holds).  Joint eigenspaces of
 diagonal operators are read off their diagonals; other commuting
-operators are refined eigenspace by eigenspace.  Eigenvalues are keyed as
-ints when integral and as QQ otherwise, so no lookup hashes an int
-against a QQ.
+operators are refined on integer rows, one integer kernel per candidate
+value in a piece's own coordinates (its entries at the pivots), trying
+only the values that extend the piece's prefix and taking a piece on
+which the operator is scalar whole.  Eigenvalues are keyed as ints when
+integral and as QQ otherwise, so no lookup hashes an int against a QQ.
 """
 
 from __future__ import annotations
@@ -823,22 +825,6 @@ def image_basis(m: Mat) -> Subspace:
     return Subspace.from_rows(m.rows, (_dense(cols[c], m.rows) for c in pivots))
 
 
-def eigenspace(op: Mat, lam) -> Subspace:
-    if op.rows != op.cols:
-        raise LinalgError("eigenspace of a non-square matrix")
-    return kernel_basis(op - Mat.identity(op.rows).scale(lam))
-
-
-def restrict_operator(op: Mat, sub: Subspace) -> Mat:
-    """Matrix of op on an invariant subspace, in the basis sub.vectors()."""
-    img = [op.times_vec(v) for v in sub.vectors()]
-    if not all(sub.contains(w) for w in img):
-        raise LinalgError("subspace is not invariant under the operator")
-    # Basis vector t is 1 at pivot t and 0 at the other pivots, so the
-    # coordinates of a vector in the span are its pivot entries.
-    return Mat.from_cols([[w[c] for c in sub.pivots] for w in img])
-
-
 def simultaneous_eigenspaces(ops: Sequence[Mat], values: Sequence[tuple]) -> list:
     """Joint eigenspaces of commuting operators for the given value tuples.
 
@@ -912,28 +898,82 @@ def _diagonal_pieces(ops: Sequence[Mat]) -> dict:
 
 
 def _refined_pieces(ops: Sequence[Mat], values: Sequence[tuple]) -> dict:
-    """Value prefix -> joint eigenspace, refined level by level; distinct
-    prefixes index disjoint invariant pieces.  A piece stops trying
-    eigenvalues once its eigenspaces fill it."""
-    pieces = {(): Subspace.full(ops[0].rows)}
+    """Value prefix -> joint eigenspace, refined level by level on integer
+    rows; distinct prefixes index disjoint invariant pieces.
+
+    A piece tries only the values, at its level, of the candidate tuples
+    that extend its prefix; a piece under any other prefix is never looked
+    up.  Its canonical rows r are zero at each other's pivots, so op's
+    image of r, den * op(r) = times_row(r), has coordinates img_r[piv_r'] /
+    (den * lead_r') on the rows r', lead_r' the pivot entry of r'.  The
+    eigenspace of p/q is then the integer kernel of q * img_r[piv_r'] -
+    p * den * lead_r' * delta_rr', taken back to the rows as integer
+    combinations.  A piece on which op is one multiple of the identity is
+    that eigenspace whole, with no kernel (always so in dimension 1).  A
+    piece stops trying values once its eigenspaces fill it."""
+    if not values:
+        return {}
+    n = ops[0].rows
+    pieces = {(): Subspace.full(n)}
     for level, op in enumerate(ops):
+        lams: dict = {}
+        for t in values:
+            lams.setdefault(t[:level], set()).add(t[level])
         nxt = {}
-        lams = sorted({t[level] for t in values})
         for prefix, sub in pieces.items():
-            if sub.is_zero():
+            imgs = [op.times_row(r) for r in sub.rows]
+            lam = _scalar_on(imgs, sub, op.den)
+            if lam is not None:
+                if lam in lams[prefix]:
+                    nxt[prefix + (lam,)] = sub
                 continue
-            basis = Mat.from_cols(sub.vectors())
-            rest = restrict_operator(op, sub)
+            if not all(sub._holds(w) for w in imgs):
+                raise LinalgError("subspace is not invariant under the operator")
+            coords = [[w[c] for w in imgs] for c in sub.pivots]
+            scales = [op.den * r[c] for r, c in zip(sub.rows, sub.pivots)]
             filled = 0
-            for lam in lams:
-                es = eigenspace(rest, lam)
+            for lam in sorted(lams[prefix]):
+                p, q = (lam, 1) if type(lam) is int else (
+                    int(lam.numerator), int(lam.denominator))
+                rows = [[q * x for x in row] for row in coords]
+                for k, (row, s) in enumerate(zip(rows, scales)):
+                    row[k] -= p * s
+                es = _kernel(rows, len(rows))
                 if es.is_zero():
                     continue
-                vecs = [basis.times_vec(w) for w in es.vectors()]
-                nxt[prefix + (lam,)] = Subspace.from_vectors(sub.ambient_dim,
-                                                             vecs)
+                nxt[prefix + (lam,)] = _in_rows(es, sub)
                 filled += es.dim
                 if filled == sub.dim:
                     break
         pieces = nxt
     return pieces
+
+
+def _in_rows(coords: Subspace, sub: Subspace) -> Subspace:
+    """The subspace of vectors sum_k w[k] sub.rows[k], w in coords.  A row
+    w of coords leads at k and is zero at coords' other pivots, and each
+    row of sub is zero at the other rows' pivots, so the combination leads
+    at sub.pivots[k] and is zero at the other pivots of the result: the
+    combinations, made canonical, are its reduced rows."""
+    n = sub.ambient_dim
+    out = []
+    for w in coords.rows:
+        acc = [0] * n
+        for x, r in zip(w, sub.rows):
+            if x:
+                acc = [a + x * y for a, y in zip(acc, r)]
+        out.append(acc)
+    pivots = tuple(sub.pivots[k] for k in coords.pivots)
+    return Subspace(n, tuple(map(_canonical, out, pivots)), pivots)
+
+
+def _scalar_on(imgs: list, sub: Subspace, den: int):
+    """The lam, keyed as _value_key keys it, with imgs[k] = lam * den *
+    sub.rows[k] for every k, or None when there is none."""
+    r0, c0 = sub.rows[0], sub.pivots[0]
+    a, b = imgs[0][c0], den * r0[c0]
+    if not all(b * x == a * y for w, r in zip(imgs, sub.rows)
+               for x, y in zip(w, r)):
+        return None
+    g = gcd(a, b)
+    return a // g if g == b else QQ(a, b)

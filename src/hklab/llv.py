@@ -86,7 +86,7 @@ from hklab.linalg import (
     vec,
 )
 from hklab.quadforms import (
-    QuadraticSpace, hyperbolic_pair, orthogonal_complement, reflection)
+    QuadraticSpace, hyperbolic_pair, orthogonal_complement)
 from hklab.verbitsky import AlgebraElement, GradedAlgebra, contract
 
 if TYPE_CHECKING:
@@ -634,22 +634,32 @@ def build_frame(space: QuadraticSpace, seed: int = 0) -> HodgeFrame:
     e2, f2 = hyperbolic_pair(sub)
     beta = _unrestrict(comp, e2)
     eta = _unrestrict(comp, f2)
+    vs = [s, sbar, beta, eta]
     if seed:
         rng = random.Random(seed)
-        g = None
-        while g is None:
+        while True:
             u1 = [QQ(rng.randint(-2, 2)) for _ in range(space.dim)]
             u2 = [QQ(rng.randint(-2, 2)) for _ in range(space.dim)]
             if space.quad(u1) != 0 and space.quad(u2) != 0:
-                g = reflection(space, u1) * reflection(space, u2)
-        s, sbar = g.times_vec(s), g.times_vec(sbar)
-        beta, eta = g.times_vec(beta), g.times_vec(eta)
-    return HodgeFrame(space, s, sbar, beta, eta)
+                break
+        # The isometry R(u1) R(u2), applied vector by vector.
+        for u in (u2, u1):
+            k = 2 / space.quad(u)
+            vs = [_reflect(space, v, u, k) for v in vs]
+    return HodgeFrame(space, *vs)
+
+
+def _reflect(space: QuadraticSpace, v: list, u: list, k) -> list:
+    """v - k q(v, u) u, the reflection of v in u for k = 2 / q(u)."""
+    c = k * space.bilinear(v, u)
+    return [x - c * y for x, y in zip(v, u)] if c else v
 
 
 def _restricted_space(space: QuadraticSpace, basis: list) -> QuadraticSpace:
-    g = Mat.from_rows([[space.bilinear(a, b) for b in basis] for a in basis])
-    return QuadraticSpace(g)
+    """The form on the span of basis, in that basis: C G C^T for C the
+    matrix whose rows are the basis vectors."""
+    c = Mat.from_rows(basis)
+    return QuadraticSpace(c * space.gram * c.transpose())
 
 
 def _unrestrict(basis: list, coords: list) -> list:

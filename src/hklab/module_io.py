@@ -382,6 +382,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
             ok, witness = False, f"degree {d}: h block is not (d-2n) id"
             break
     rep.checks.append(Check("h-eigenvalues", ok, witness))
+    graded = ok
 
     ok, witness = True, ""
     for s, l_s in enumerate(spec.l_actions):
@@ -417,21 +418,32 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
         rep.checks.append(Check("h-Lambda-commutation", ok, witness))
 
     if spec.lambda_actions is not None:
+        declared = list(zip(spec.lambda_basis, spec.lambda_actions))
+        agrees, inherited = [False] * len(declared), []
+        if table is not None:
+            agrees = [sum_equals([(xs, t, None) for xs, t in zip(x, table)],
+                                 1, lam) for x, lam in declared]
+            # The table certified [L_x, T(x)] = (q(x)/2) h at the vectors
+            # of both anisotropic bases, against the grading, which h_action
+            # is when h-eigenvalues passes; a declared Lambda equal to T(x)
+            # there inherits that certificate.
+            if graded:
+                inherited = (anisotropic_basis(spec.space, variant=0)
+                             + anisotropic_basis(spec.space, variant=1))
         ok, witness = True, ""
-        for x, lam in zip(spec.lambda_basis, spec.lambda_actions):
+        for (x, lam), agree in zip(declared, agrees):
+            if agree and x in inherited:
+                continue
             if not _certified(x, spec.l_actions, [1], [lam], spec.h_action,
                               spec.space.quad(x) / 2):
                 ok, witness = False, "declared Lambda fails [L_x, Lam_x] = (q(x)/2) h"
                 break
         rep.checks.append(Check("declared-lambda-brackets", ok, witness))
         if table is not None:
-            ok, witness = True, ""
-            for x, lam in zip(spec.lambda_basis, spec.lambda_actions):
-                if not sum_equals([(xs, t, None) for xs, t in zip(x, table)],
-                                  1, lam):
-                    ok, witness = False, "declared Lambda differs from recomputed"
-                    break
-            rep.checks.append(Check("declared-lambda-agreement", ok, witness))
+            ok = all(agrees)
+            rep.checks.append(Check(
+                "declared-lambda-agreement", ok,
+                "" if ok else "declared Lambda differs from recomputed"))
     return rep
 
 

@@ -14,12 +14,10 @@ from hklab.linalg import (
     Mat,
     NotNilpotentError,
     Subspace,
-    eigenspace,
     image_basis,
     invert,
     kernel_basis,
     rank,
-    restrict_operator,
     rref,
     simultaneous_eigenspaces,
     solve,
@@ -30,6 +28,8 @@ from hklab.linalg import (
 from hklab.filtrations import graded_nilpotence_index
 from hklab.llv import GradedOperator, GradedPowers, combine, commutator_op
 from hklab.quadforms import QuadraticSpace
+
+from eigen_reference import eigenspace, restrict_operator
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
