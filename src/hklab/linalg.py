@@ -36,8 +36,7 @@ is read off the diagonals (diagonal_weight_holds).  Joint eigenspaces of
 diagonal operators are read off their diagonals; other commuting
 operators are refined on integer rows, one integer kernel per candidate
 value in a piece's own coordinates (its entries at the pivots), trying
-only the values that extend the piece's prefix and taking a piece on
-which the operator is scalar whole.  Eigenvalues are keyed as ints when
+only the values that extend the piece's prefix.  Eigenvalues are keyed as ints when
 integral and as QQ otherwise, so no lookup hashes an int against a QQ.
 """
 
@@ -908,9 +907,8 @@ def _refined_pieces(ops: Sequence[Mat], values: Sequence[tuple]) -> dict:
     (den * lead_r') on the rows r', lead_r' the pivot entry of r'.  The
     eigenspace of p/q is then the integer kernel of q * img_r[piv_r'] -
     p * den * lead_r' * delta_rr', taken back to the rows as integer
-    combinations.  A piece on which op is one multiple of the identity is
-    that eigenspace whole, with no kernel (always so in dimension 1).  A
-    piece stops trying values once its eigenspaces fill it."""
+    combinations.  A piece stops trying values once its eigenspaces fill
+    it."""
     if not values:
         return {}
     n = ops[0].rows
@@ -922,11 +920,6 @@ def _refined_pieces(ops: Sequence[Mat], values: Sequence[tuple]) -> dict:
         nxt = {}
         for prefix, sub in pieces.items():
             imgs = [op.times_row(r) for r in sub.rows]
-            lam = _scalar_on(imgs, sub, op.den)
-            if lam is not None:
-                if lam in lams[prefix]:
-                    nxt[prefix + (lam,)] = sub
-                continue
             if not all(sub._holds(w) for w in imgs):
                 raise LinalgError("subspace is not invariant under the operator")
             coords = [[w[c] for w in imgs] for c in sub.pivots]
@@ -965,15 +958,3 @@ def _in_rows(coords: Subspace, sub: Subspace) -> Subspace:
         out.append(acc)
     pivots = tuple(sub.pivots[k] for k in coords.pivots)
     return Subspace(n, tuple(map(_canonical, out, pivots)), pivots)
-
-
-def _scalar_on(imgs: list, sub: Subspace, den: int):
-    """The lam, keyed as _value_key keys it, with imgs[k] = lam * den *
-    sub.rows[k] for every k, or None when there is none."""
-    r0, c0 = sub.rows[0], sub.pivots[0]
-    a, b = imgs[0][c0], den * r0[c0]
-    if not all(b * x == a * y for w, r in zip(imgs, sub.rows)
-               for x, y in zip(w, r)):
-        return None
-    g = gcd(a, b)
-    return a // g if g == b else QQ(a, b)

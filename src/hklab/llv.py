@@ -560,7 +560,7 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_actions: list) -> list:
     certificate accumulates x_s x_t [L_s, table_t] (_certified), so no L_x
     and no Lambda_lin(x) is formed.
     """
-    basis = anisotropic_basis(space, variant=0)
+    basis, checks = _table_bases(space)
     h = grading(l_actions[0].degrees, n)
 
     def completion(x):
@@ -580,11 +580,29 @@ def linear_dual_table(space: QuadraticSpace, n: int, l_actions: list) -> list:
         fixes = [v - combine(basis[i], units) for i, v in completed.items()]
         table = [combine([1, *(binv[i, s] for i in completed)], [t, *fixes])
                  for s, t in enumerate(units)]
-    for y in anisotropic_basis(space, variant=1):
+    for y in checks:
         if not _certified(y, l_actions, y, table, h, space.quad(y) / 2):
             raise OperatorError(
                 "linear extension of the dual Lefschetz is basis-dependent")
     return table
+
+
+def _table_bases(space: QuadraticSpace) -> tuple:
+    """The basis linear_dual_table extends from and the basis it certifies
+    well-definedness on."""
+    return anisotropic_basis(space, variant=0), anisotropic_basis(space, variant=1)
+
+
+def table_certified_at(space: QuadraticSpace, n: int, l_actions: list,
+                       h: GradedOperator) -> list:
+    """The vectors x at which the table T = linear_dual_table(space, n,
+    l_actions) is certified to satisfy [L_x, T(x)] = (q(x)/2) h: every
+    vector of both of its bases (_table_bases) when h is the grading its
+    certificates run against, and none otherwise."""
+    if h != grading(l_actions[0].degrees, n):
+        return []
+    basis, checks = _table_bases(space)
+    return basis + checks
 
 
 # -- frames -------------------------------------------------------------------

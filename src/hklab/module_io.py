@@ -50,6 +50,7 @@ from hklab.llv import (
     lefschetz,
     linear_dual_table,
     sum_equals,
+    table_certified_at,
 )
 from hklab.quadforms import (QuadFormError, QuadraticSpace, json_fields,
                               make_standard_space, mukai_extension)
@@ -382,7 +383,6 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
             ok, witness = False, f"degree {d}: h block is not (d-2n) id"
             break
     rep.checks.append(Check("h-eigenvalues", ok, witness))
-    graded = ok
 
     ok, witness = True, ""
     for s, l_s in enumerate(spec.l_actions):
@@ -423,13 +423,10 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
         if table is not None:
             agrees = [sum_equals([(xs, t, None) for xs, t in zip(x, table)],
                                  1, lam) for x, lam in declared]
-            # The table certified [L_x, T(x)] = (q(x)/2) h at the vectors
-            # of both anisotropic bases, against the grading, which h_action
-            # is when h-eigenvalues passes; a declared Lambda equal to T(x)
-            # there inherits that certificate.
-            if graded:
-                inherited = (anisotropic_basis(spec.space, variant=0)
-                             + anisotropic_basis(spec.space, variant=1))
+            # A declared Lambda equal to T(x) where the table certified
+            # [L_x, T(x)] = (q(x)/2) h inherits that certificate.
+            inherited = table_certified_at(spec.space, n, spec.l_actions,
+                                           spec.h_action)
         ok, witness = True, ""
         for (x, lam), agree in zip(declared, agrees):
             if agree and x in inherited:

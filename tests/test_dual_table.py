@@ -160,6 +160,31 @@ def test_a_wrong_coefficient_falls_back_on_every_vector(monkeypatch,
     assert got == _reference_table(spec.space, spec.n, spec.l_of)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_certified_at_lists_where_the_certificates_ran(monkeypatch,
+                                                            n):
+    """Validation skips a declared Lambda's certificate at the vectors
+    table_certified_at lists, so they must be the table's: x0, certified
+    by its completion, and every vector _certified ran at.  Against any
+    operator but the grading, no vector is listed."""
+    spec = load_module(make_spin_module(n))
+    ran = []
+    real = llv._certified
+
+    def spy(x, *rest):
+        ran.append(tuple(x))
+        return real(x, *rest)
+
+    monkeypatch.setattr(llv, "_certified", spy)
+    linear_dual_table(spec.space, spec.n, spec.l_actions)
+    listed = llv.table_certified_at(spec.space, spec.n, spec.l_actions,
+                                    spec.h_action)
+    assert listed[0] == anisotropic_basis(spec.space, variant=0)[0]
+    assert sorted(map(tuple, listed[1:])) == sorted(ran)
+    assert llv.table_certified_at(spec.space, spec.n, spec.l_actions,
+                                  spec.h_action.scale(2)) == []
+
+
 def test_a_non_lefschetz_second_vector_raises_the_completion_error(built):
     """L'(x) = L(x) + phi(x) (L(z) - L(x1)), phi(x0) = 0 and phi(x1) = 1,
     keeps L'(x0) = L(x0) and puts L'(x1) = L(z) for the isotropic z = e0,
