@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from hklab.linalg import qq
 from hklab.llv import bigrading, build_frame, frame_calculus
@@ -176,15 +177,9 @@ def _load_algebra(args) -> GradedAlgebra:
     return build_instance(_instance_config(args))
 
 
-def _load_module(path: str):
-    """The operator module in the file at path, whatever its name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_module(fh.read())
-
-
 def _cmd_verify(args) -> int:
     if args.module:
-        spec = _load_module(args.module)
+        spec = load_module(Path(args.module))
         report = validate(spec)
         payload = {"module": args.module, "validation": report.to_json()}
         code = 0 if report.all_passed else 1
@@ -285,7 +280,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_module(args.in_path)
+    spec = load_module(Path(args.in_path))
     report = validate(spec)
     if args.format == "json":
         _write(canonical_json(report.to_json()), args.out)

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hklab.linalg import IncrementalRref, Mat, Subspace, rank
+from hklab.linalg import Mat, Subspace, rank
 from hklab.llv import Bigrading, GradedOperator, GradedPowers
 
 
@@ -204,9 +204,10 @@ def verify_graded_weight_filtration(op: GradedOperator,
     Once W_{i-1} <= W_i is checked, N W_i <= W_{i-2} is tested on the
     fresh rows of W_i only (_fresh_rows): N W_{i-1} <= W_{i-3} <= W_{i-2}
     by induction on i and the nesting in degree d + offset.  The fresh rows
-    of W_{k+i} represent Gr_{k+i}, and N^i : Gr_{k+i} -> Gr_{k-i} is
-    bijective when their images lie in W_{k-i}, independent modulo
-    W_{k-i-1}, and the dimensions agree.  A mis-sized slice fails.
+    of W_{k+i} represent Gr_{k+i}, and their N^i images lie in W_{k-i} by
+    the first property, so N^i : Gr_{k+i} -> Gr_{k-i} is bijective when
+    the dimensions agree and W_{k-i-1} plus the images is W_{k-i}, a
+    comparison of canonical forms.  A mis-sized slice fails.
     """
     k = wf.centre
     off = op.offset
@@ -230,7 +231,7 @@ def verify_graded_weight_filtration(op: GradedOperator,
                 img = op.block(d).times_row(row)
                 if any(img) and not tgt._holds(img):
                     return False
-    # op^i : Gr_{k+i} -> Gr_{k-i} bijective, checked by rank accounting.
+    # op^i : Gr_{k+i} -> Gr_{k-i} bijective, checked by spans.
     for i in range(1, k + 1):
         for d in degrees:
             d2 = d + off * i
@@ -238,13 +239,13 @@ def verify_graded_weight_filtration(op: GradedOperator,
             reps = fresh[d, k + i]
             if len(reps) != lo.dim - lo_prev.dim:
                 return False
-            state = IncrementalRref(lo_prev.ambient_dim, lo_prev.rows,
-                                    lo_prev.pivots)
+            images = []
             for v in reps:
                 for step in range(i):
                     v = op.block(d + off * step).times_row(v)
-                if not state.insert_row(v) or not lo._holds(v):
-                    return False
+                images.append(v)
+            if lo_prev.plus(images) != lo:
+                return False
     return True
 
 

@@ -14,30 +14,30 @@ ints, and a subspace hands out its reduced integer rows.  Matrices are
 immutable (the index is tuples and attributes cannot be rebound), and all
 operations are pure.
 
-Every span elimination (rref, rank, kernels, images, solves, inverses,
-subspaces and IncrementalRref) is forward insertion (_insert) of integer
-rows: a matrix's numerators (scaling rows does not change a row space), or a
-vector scaled by the lcm of its denominators.  Rows are combined as
-p*row - f*lead and kept primitive (divided by the gcd of their entries).
-Where a reduced form is needed, back-substitution (_back) follows, and a
-rational result is formed once at the end by dividing each row by its
-pivot.  Since the reduced row echelon form of a matrix is unique, this gives
-the same values as elimination in the rationals, with no rational arithmetic
-per entry.  Mat.det, not a span, runs its own fraction-free loop.  A
-Subspace stores only the primitive reduced rows, pivots positive, and forms
-its rational basis when vectors() is called.
+Every span elimination (rref, rank, kernels, images, solves, inverses
+and subspaces) is forward insertion (_insert) of integer rows: a matrix's
+numerators (scaling rows does not change a row space), or a vector scaled
+by the lcm of its denominators.  Rows are combined as p*row - f*lead and
+kept primitive (divided by the gcd of their entries).  Where a reduced
+form is needed, back-substitution (_back) follows, and a rational result
+is formed once at the end by dividing each row by its pivot.  Since the
+reduced row echelon form of a matrix is unique, this gives the same values
+as elimination in the rationals, with no rational arithmetic per entry.
+Mat.det, not a span, runs its own fraction-free loop.  A Subspace stores
+only the primitive reduced rows, pivots positive, and forms its rational
+basis when vectors() is called.  A caller that needs only the rank or the
+accepted rows keeps its own (rows, pivots) lists and calls _insert.
 
 An identity between matrices is checked by accumulating and comparing,
 never by building the left side: lincomb_equals accumulates sum c_i a_i b_i
 as lincomb does and compares each row with the target's numerators by
 cross-multiplying; lincomb_ratio reads the c of sum = c t at t's first
-nonzero and certifies it so.  Only D X - X D' = c X with diagonal D and D'
-is read off the diagonals (diagonal_weight_holds).  Joint eigenspaces of
-diagonal operators are read off their diagonals; other commuting
-operators are refined on integer rows, one integer kernel per candidate
-value in a piece's own coordinates (its entries at the pivots), trying
-only the values that extend the piece's prefix.  Eigenvalues are keyed as ints when
-integral and as QQ otherwise, so no lookup hashes an int against a QQ.
+nonzero and certifies it so.  Joint eigenspaces of diagonal operators are
+read off their diagonals; other commuting operators are refined on integer
+rows, one integer kernel per candidate value in a piece's own coordinates
+(its entries at the pivots), trying only the values that extend the
+piece's prefix.  Eigenvalues are keyed as ints when integral and as QQ
+otherwise, so no lookup hashes an int against a QQ.
 """
 
 from __future__ import annotations
@@ -457,22 +457,6 @@ def _over(pairs: Sequence, n: int, den: int) -> list:
     return out
 
 
-def diagonal_weight_holds(left: Mat, right: Mat, x: Mat, c=1) -> bool:
-    """Whether left * x - x * right == c * x for diagonal left and right,
-    read off the diagonals at x's nonzeros, with no product and no matrix
-    formed: each needs left[i] - right[j] == c."""
-    if left.shape != (x.rows, x.rows) or right.shape != (x.cols, x.cols):
-        raise LinalgError(
-            f"diagonal bracket of {left.shape}, {x.shape} and {right.shape}")
-    # left[i] - right[j] == c over the denominators p * q * c.denominator
-    c = QQ(c)
-    p, q, cq = left.den, right.den, int(c.denominator)
-    k = int(c.numerator) * p * q
-    lv = [(r[0][1] * q if r else 0) * cq - k for r in left.num]
-    rv = [(r[0][1] * p if r else 0) * cq for r in right.num]
-    return all(all(rv[j] == a for j, _ in r) for a, r in zip(lv, x.num) if r)
-
-
 # -- row reduction ----------------------------------------------------------
 
 def _int_row(v: Sequence) -> tuple:
@@ -613,37 +597,6 @@ def invert(m: Mat) -> Mat:
     if out is None:
         raise LinalgError("matrix is singular")
     return out
-
-
-class IncrementalRref:
-    """Row echelon state accepting one row at a time.
-
-    Rows dependent on the current state are rejected.  The state is that
-    of forward insertion (_insert): each accepted row is an integer row
-    zero at the pivots of the rows accepted before it, so insertion and
-    membership both cost one reduction pass in integers.  The rows and
-    pivots of a Subspace are such a state.
-    """
-
-    def __init__(self, ncols: int, rows: Sequence = (), pivots: Sequence = ()):
-        self.ncols = ncols
-        self.rows: list = list(rows)
-        self.pivots: list = list(pivots)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def contains(self, v: Sequence) -> bool:
-        return not _insert(list(self.rows), list(self.pivots),
-                           (_int_row(v)[0],), self.ncols)
-
-    def insert(self, v: Sequence) -> bool:
-        return self.insert_row(_int_row(v)[0])
-
-    def insert_row(self, row: Sequence) -> bool:
-        """insert for an integer row of length ncols."""
-        return bool(_insert(self.rows, self.pivots, (row,), self.ncols))
 
 
 # -- subspaces ---------------------------------------------------------------

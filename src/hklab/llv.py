@@ -46,14 +46,12 @@ or w x when y is None; bracket(a, b, w) is [(w, a, b), (-w, b, a)].  One
 reader (_block_terms) turns a term list into the linalg.lincomb terms of
 one block, and three consumers read it, one kernel call per block:
 operator_sum forms the sum (commutators, combinations, + and -),
-sum_equals decides sum == c T (the Lambda table's certificates, the
-declared Lambdas of a module, and every bracket_equals) and sum_ratio
-reads the c of the M triple's bracket.  Only the weight identity
-[D, X] = c X with a diagonal degree-0 D (h, and the Cartan operators at
-the canonical frame) is read off D's diagonals instead.  The bigrading
-splits a degree by the diagonal of the Cartan blocks when they are
-diagonal (the canonical frame) and refines eigenspaces otherwise (see
-linalg.simultaneous_eigenspaces).
+sum_equals decides sum == c T (every operator identity: the Lambda
+table's certificates, the declared Lambdas of a module, the sl2 weights
+and a module's commutation checks) and sum_ratio reads the c of the M
+triple's bracket.  The bigrading splits a degree by the diagonal of the
+Cartan blocks when they are diagonal (the canonical frame) and refines
+eigenspaces otherwise (see linalg.simultaneous_eigenspaces).
 
 The frame calculus and the bigrading take an operator module (see
 module_io.LLVModuleSpec): a built algebra is analysed as the module
@@ -71,11 +69,10 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from hklab.linalg import (
     QQ,
     EigenDefectError,
-    IncrementalRref,
     Mat,
     NotNilpotentError,
     Subspace,
-    diagonal_weight_holds,
+    _insert,
     invert,
     kernel_basis,
     lincomb,
@@ -93,7 +90,6 @@ if TYPE_CHECKING:
     from hklab.module_io import LLVModuleSpec
 
 _ZERO = QQ(0)
-_ONE = QQ(1)
 
 
 class OperatorError(ValueError):
@@ -154,12 +150,6 @@ class GradedOperator:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
-
-    def is_diagonal(self) -> bool:
-        """Whether the operator has offset 0 and every block is diagonal,
-        as the Cartan operators are at the canonical frame."""
-        return self.offset == 0 and all(
-            m.is_diagonal() for m in self.blocks.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedOperator):
@@ -327,22 +317,6 @@ def commutator_op(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return operator_sum(bracket(a, b))
 
 
-def bracket_equals(a: GradedOperator, b: GradedOperator, c=1,
-                   t: Optional[GradedOperator] = None) -> bool:
-    """Whether [a, b] == c * t exactly, t None for zero, with no bracket
-    formed.  The weight identity [D, X] = c X with D diagonal
-    (GradedOperator.is_diagonal) is read off D's diagonals at X's nonzeros
-    (linalg.diagonal_weight_holds; [X, D] = c X is [D, X] = -c X); every
-    other identity is sum_equals(bracket(a, b), c, t)."""
-    for diag, x, sign in ((a, b, 1), (b, a, -1)):
-        if t is x and diag.is_diagonal():
-            degrees, off = _grading(bracket(a, b))
-            return all(diagonal_weight_holds(
-                diag.block(d + off), diag.block(d), x.block(d), sign * c)
-                for d in _live(degrees, off))
-    return sum_equals(bracket(a, b), c, t)
-
-
 def combine(coeffs: Sequence, ops: Sequence) -> GradedOperator:
     """The linear combination sum_i coeffs[i] * ops[i], in one pass."""
     return operator_sum([(c, op, None) for c, op in zip(coeffs, ops)])
@@ -460,7 +434,7 @@ def _completion(lop: GradedOperator, n: int,
     """sl2_complete(lop, n), certified by [lop, Lambda] = h; raises
     NotLefschetzError when the identity fails."""
     lam = sl2_complete(lop, n)
-    if not bracket_equals(lop, lam, 1, h):
+    if not sum_equals(bracket(lop, lam), 1, h):
         raise NotLefschetzError("sl2 completion failed the bracket identity")
     return lam
 
@@ -493,19 +467,21 @@ def anisotropic_basis(space: QuadraticSpace, variant: int = 0) -> list:
                 yield c, j, gii + 2 * c * g[i].get(j, 0) + c * c * g[j].get(j, 0)
         yield 0, i, gii
 
-    # insert accepts a candidate exactly when it is independent of the
-    # vectors chosen so far.
-    state = IncrementalRref(n)
+    # _insert accepts the integer row e_i + c e_j exactly when it is
+    # independent of the rows chosen so far.
+    rows: list = []
+    pivots: list = []
     chosen: list = []
     for i in range(n):
         for c, j, norm in candidates(i):
             if not norm:
                 continue
-            cand = [_ONE if k == i else _ZERO for k in range(n)]
+            row = [0] * n
+            row[i] = 1
             if c:
-                cand[j] = QQ(c)
-            if state.insert(cand):
-                chosen.append(cand)
+                row[j] = c
+            if _insert(rows, pivots, (row,), n):
+                chosen.append([QQ(x) if x else _ZERO for x in row])
                 break
         else:
             raise OperatorError("could not assemble an anisotropic basis")
@@ -705,14 +681,14 @@ class SL2Triple:
 
 def verify_sl2(t: SL2Triple) -> bool:
     """Exact check of [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    return bracket_equals(t.e, t.f, 1, t.h) and _weights_hold(t)
+    return sum_equals(bracket(t.e, t.f), 1, t.h) and _weights_hold(t)
 
 
 def _weights_hold(t: SL2Triple) -> bool:
     """Exact check of [h,e] = 2e and [h,f] = -2f, the identities of an sl2
     triple besides [e,f] = h."""
-    return (bracket_equals(t.h, t.e, 2, t.e)
-            and bracket_equals(t.h, t.f, -2, t.f))
+    return (sum_equals(bracket(t.h, t.e), 2, t.e)
+            and sum_equals(bracket(t.h, t.f), -2, t.f))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from hklab.llv import (
     OperatorError,
     _certified,
     anisotropic_basis,
-    bracket_equals,
+    bracket,
     combine,
     frame_calculus,
     grading,
@@ -386,7 +386,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
 
     ok, witness = True, ""
     for s, l_s in enumerate(spec.l_actions):
-        if not bracket_equals(spec.h_action, l_s, 2, l_s):
+        if not sum_equals(bracket(spec.h_action, l_s), 2, l_s):
             ok, witness = False, f"[h, L_{s}] != 2 L_{s}"
             break
     rep.checks.append(Check("h-L-commutation", ok, witness))
@@ -394,7 +394,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     ok, witness = True, ""
     for s in range(len(spec.l_actions)):
         for t in range(s + 1, len(spec.l_actions)):
-            if not bracket_equals(spec.l_actions[s], spec.l_actions[t]):
+            if not sum_equals(bracket(spec.l_actions[s], spec.l_actions[t])):
                 ok, witness = False, f"[L_{s}, L_{t}] != 0"
                 break
         if not ok:
@@ -412,7 +412,7 @@ def _run_checks(spec: LLVModuleSpec) -> ValidationReport:
     if table is not None:
         ok, witness = True, ""
         for s, lam_s in enumerate(table):
-            if not bracket_equals(spec.h_action, lam_s, -2, lam_s):
+            if not sum_equals(bracket(spec.h_action, lam_s), -2, lam_s):
                 ok, witness = False, f"[h, Lambda_{s}] != -2 Lambda_{s}"
                 break
         rep.checks.append(Check("h-Lambda-commutation", ok, witness))

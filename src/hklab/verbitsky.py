@@ -33,8 +33,8 @@ from itertools import (chain, combinations, combinations_with_replacement,
 from math import factorial, prod
 from typing import Optional, Sequence
 
-from hklab.linalg import (QQ, IncrementalRref, LinalgError, Mat, _dense,
-                          _int_row, _integers, invert, qq, vec)
+from hklab.linalg import (QQ, LinalgError, Mat, _dense, _insert, _int_row,
+                          _integers, invert, qq, vec)
 from hklab.quadforms import QuadraticSpace, json_fields, json_scalar
 
 _ZERO = QQ(0)
@@ -452,15 +452,16 @@ def _ideal_projection(weights: list, columns: dict, n: int, k: int) -> tuple:
     for c in nonzero:
         rows[c].sort()
     target = len(columns)
-    echelon = IncrementalRref(target)
+    echelon: list = []
+    pivots: list = []
     free = []
     for c in reversed(nonzero):
-        if echelon.insert_row(_dense(rows[c], target)):
+        if _insert(echelon, pivots, (_dense(rows[c], target),), target):
             free.append(c)
-            if echelon.rank == target:
+            if len(echelon) == target:
                 break
-    if echelon.rank < target:
-        raise BuildError(f"degree {2 * k}: catalecticant rank {echelon.rank} "
+    if len(echelon) < target:
+        raise BuildError(f"degree {2 * k}: catalecticant rank {len(echelon)} "
                          f"is below the target {target}")
     free.reverse()
     cosets = {c: {j: _ONE} for j, c in enumerate(free)}

@@ -280,10 +280,9 @@ def check_sl2_suite(fc: FrameCalculus) -> list:
     - for m, frame_calculus reads kappa with llv.sum_ratio over the terms
       llv.bracket(E_M, F_M), which certifies [E_M, F_M] = kappa H_M
       exactly, so [E_M, F_M/kappa] = H_M.
-    Each is checked by llv.bracket_equals, with no bracket formed; at the
-    canonical frame every h is diagonal, so the check reads h's diagonal
-    against the nonzeros of e and f.  llv.verify_sl2 keeps all three
-    identities for triples from elsewhere.
+    Each is checked by llv.sum_equals over the terms llv.bracket(h, e)
+    and llv.bracket(h, f), with no bracket formed.  llv.verify_sl2 keeps
+    all three identities for triples from elsewhere.
 
     The doubled pair (2M, 2[Lam_s, L_eta]) brackets to m_bracket_scalar
     times H_beta - H_s; the scalar is recorded and the bracket-normalised

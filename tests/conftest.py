@@ -1,5 +1,6 @@
 import pathlib
 import time
+from math import comb
 
 import pytest
 
@@ -13,6 +14,13 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 _ALGS = {}
 _CALC = {}
 _BUILD_TIMES = {}
+
+
+def sh_dims(n: int, b2: int) -> dict:
+    """Closed form of the graded dimensions of SH for (n, b2):
+    dim SH^(2k) = dim Sym^min(k, 2n-k) V with dim V = b2."""
+    return {2 * k: comb(min(k, 2 * n - k) + b2 - 1, b2 - 1)
+            for k in range(2 * n + 1)}
 
 
 def _space(b2):

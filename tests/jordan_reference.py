@@ -12,14 +12,19 @@ centre+l-1, centre+l-3, ..., centre-l+1.
 """
 
 from hklab.filtrations import GradedWeightFiltration, graded_nilpotence_index
-from hklab.linalg import IncrementalRref, Subspace
+from hklab.linalg import Subspace
 from hklab.llv import GradedOperator, GradedPowers
 
 
 def _complement_in(sub: Subspace, within) -> list:
     """The rows of `within` completing a basis of `sub` in their joint span."""
-    state = IncrementalRref(sub.ambient_dim, sub.rows, sub.pivots)
-    return [row for row in within if state.insert_row(row)]
+    out = []
+    for row in within:
+        grown = sub.plus((row,))
+        if grown.dim > sub.dim:
+            out.append(row)
+            sub = grown
+    return out
 
 
 def graded_jordan_chains(powers: GradedPowers) -> list:

@@ -23,12 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklab import llv
-from hklab.linalg import QQ, IncrementalRref, Mat, invert
+from hklab.linalg import QQ, Mat, invert
 from hklab.llv import (
     NotLefschetzError,
     OperatorError,
     anisotropic_basis,
-    bracket_equals,
     combine,
     commutator_op,
     grading,
@@ -208,7 +207,8 @@ def test_a_non_lefschetz_second_vector_raises_the_completion_error(built):
 
 
 def _reference_basis(space, variant):
-    """anisotropic_basis with each candidate's norm from QuadraticSpace.quad."""
+    """anisotropic_basis with each candidate's norm from QuadraticSpace.quad
+    and its independence from sympy's rank."""
     n = space.dim
     coeff_order = (1, 2, -1, -2, 3) if variant == 0 else (-1, -2, 1, 2, 3)
 
@@ -223,10 +223,18 @@ def _reference_basis(space, variant):
                 yield cand
         yield unit
 
-    state = IncrementalRref(n)
-    return [next(cand for cand in candidates(i)
-                 if space.quad(cand) != 0 and state.insert(cand))
-            for i in range(n)]
+    def independent(cand):
+        """Whether cand raises the sympy rank of the vectors chosen."""
+        rows = [[sympy.Rational(int(x.numerator), int(x.denominator))
+                 for x in v] for v in chosen + [cand]]
+        return sympy.Matrix(rows).rank() == len(rows)
+
+    sympy = pytest.importorskip("sympy")
+    chosen = []
+    for i in range(n):
+        chosen.append(next(cand for cand in candidates(i)
+                           if space.quad(cand) != 0 and independent(cand)))
+    return chosen
 
 
 @pytest.mark.parametrize("space", [
@@ -278,7 +286,8 @@ def test_accumulated_declared_checks_agree_with_forming(built, name, data):
     blocks[d] = Mat.from_rows(rows)
     lam = llv.GradedOperator(lam.degrees, lam.offset, blocks)
     assert llv._certified(x, spec.l_actions, [1], [lam], spec.h_action,
-                          spec.space.quad(x) / 2) == bracket_equals(
-        spec.l_of(x), lam, spec.space.quad(x) / 2, spec.h_action)
+                          spec.space.quad(x) / 2) == llv.sum_equals(
+        llv.bracket(spec.l_of(x), lam), spec.space.quad(x) / 2,
+        spec.h_action)
     assert llv.sum_equals([(xs, t, None) for xs, t in zip(x, table)], 1,
                           lam) == (combine(x, table) == lam)

@@ -1,6 +1,5 @@
 import random
 from math import gcd, lcm
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from hklab.linalg import (
     QQ,
     EigenDefectError,
-    IncrementalRref,
     LinalgError,
     Mat,
     NotNilpotentError,
@@ -196,17 +194,6 @@ def test_subspace_contains_matches_solve():
     assert not a.contains([0, 0, 1])
     assert Subspace.zero(3).contains([0, 0, 0])
     assert not Subspace.zero(3).contains([1, 0, 0])
-
-
-def test_incremental_rref_matches_batch():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    state = IncrementalRref(3)
-    accepted = [r for r in rows if state.insert(r)]
-    _, pivots = ref_rref([[QQ(x) for x in r] for r in rows], 3)
-    assert len(accepted) == len(pivots) == state.rank
-    assert sorted(state.pivots) == pivots
-    assert state.contains([3, 7, 10])
-    assert not state.contains([0, 0, 1])
 
 
 def test_simultaneous_eigenspaces_identity():
@@ -875,9 +862,8 @@ def test_diagonal_bracket_matches_a_dense_fraction_reference(case):
             d: Mat(dims[d + o], dims[d], m) for d, m in bl.items()})
 
     x = graded(blocks, off)
-    for d_blocks, is_diag in ((diag, True), (skewed, False)):
+    for d_blocks in (diag, skewed):
         dop = graded(d_blocks, 0)
-        assert dop.is_diagonal() == is_diag
         for got, ref in (
                 (commutator_op(dop, x),
                  dense_graded_bracket(dims, d_blocks, 0, blocks, off)),
@@ -965,22 +951,17 @@ def dense_ratio(values: list, targets: list):
 @settings(max_examples=300, deadline=None)
 @given(bracket_case())
 def test_bracket_equals_agrees_with_forming_the_bracket(case):
-    """llv.bracket_equals decides [a, b] == c * t as forming the bracket
-    and comparing does, in both orders, and accumulates no products for
-    the weight identity [D, X] = c X with D diagonal; llv.sum_ratio of
-    the bracket's terms is the dense ratio of the formed bracket to t
-    (None for a zero t, a t of another offset or a t the bracket is no
-    multiple of)."""
+    """llv.sum_equals over the terms llv.bracket(a, b) decides
+    [a, b] == c * t as forming the bracket and comparing does, in both
+    orders; llv.sum_ratio of the bracket's terms is the dense ratio of the
+    formed bracket to t (None for a zero t, a t of another offset or a t
+    the bracket is no multiple of)."""
     from hklab import llv
     a, b, c, t = case
     for x, y, sign in ((a, b, 1), (b, a, -1)):
         bracket = commutator_op(x, y)
         ref = bracket.is_zero() if t is None else bracket == t.scale(sign * c)
-        with mock.patch.object(llv, "lincomb_equals",
-                               wraps=llv.lincomb_equals) as spy:
-            assert llv.bracket_equals(x, y, sign * c, t) == ref
-        if (t is y and x.is_diagonal()) or (t is x and y.is_diagonal()):
-            assert not spy.called
+        assert llv.sum_equals(llv.bracket(x, y), sign * c, t) == ref
         if t is None:
             continue
         ratio = None

@@ -2,10 +2,11 @@
 
 sympy is a test-only oracle: random small rational matrices of low rank,
 with zero rows, zero columns and empty shapes, go through rref, rank,
-kernel_basis, image_basis, solve_matrix, invert, Mat.det, IncrementalRref,
-Subspace.from_rows, Subspace.plus and subspace_intersection and are
-compared with sympy's exact results; a subspace is compared through the
-canonical basis sympy's rref gives its spanning vectors.  Random conjugated nilpotent matrices go through the
+kernel_basis, image_basis, solve_matrix, invert, Mat.det, forward
+insertion (_insert), Subspace.from_rows, Subspace.plus and
+subspace_intersection and are compared with sympy's exact results; a
+subspace is compared through the canonical basis sympy's rref gives its
+spanning vectors.  Random conjugated nilpotent matrices go through the
 Jordan chains and the weight filtration and are compared with sympy's
 Jordan form.
 """
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 from hklab.filtrations import weight_filtration
 from hklab.linalg import (
     QQ,
-    IncrementalRref,
     LinalgError,
     Mat,
     Subspace,
+    _insert,
+    _int_row,
     image_basis,
     invert,
     kernel_basis,
@@ -151,15 +153,18 @@ def test_invert_and_det_match_sympy(case):
 @settings(max_examples=150, deadline=None)
 @given(low_rank_rows())
 def test_incremental_rref_accepts_exactly_the_rank_increases(case):
+    """Forward insertion (_insert) of one row at a time accepts a row
+    exactly when it raises the rank, and then holds every row."""
     rows, ncols = case
-    state = IncrementalRref(ncols)
-    accepted = [state.insert(row) for row in rows]
+    ints = [_int_row(row)[0] for row in rows]
+    echelon, pivots = [], []
+    accepted = [bool(_insert(echelon, pivots, (row,), ncols)) for row in ints]
     ref = [as_sympy(rows[:i + 1], ncols).rank()
            > as_sympy(rows[:i], ncols).rank() for i in range(len(rows))]
     assert accepted == ref
-    assert state.rank == sum(ref)
-    for row in rows:
-        assert state.contains(row)
+    assert len(echelon) == len(pivots) == sum(ref)
+    for row in ints:
+        assert not _insert(list(echelon), list(pivots), (row,), ncols)
 
 
 @settings(max_examples=150, deadline=None)

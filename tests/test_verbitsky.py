@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hklab import verbitsky
 from hklab.linalg import (
     QQ,
-    IncrementalRref,
     LinalgError,
     Mat,
+    _insert,
     invert,
     qq,
     rank,
@@ -33,10 +33,7 @@ from hklab.verbitsky import (
     _multisets,
 )
 from hklab.verifier import InstanceConfig, run_instance
-
-
-def expected_dims(n, b2):
-    return [comb(min(k, 2 * n - k) + b2 - 1, b2 - 1) for k in range(2 * n + 1)]
+from conftest import sh_dims
 
 
 def test_monomials_grevlex_order():
@@ -175,7 +172,7 @@ def test_multinomial_and_power_coeffs():
 @pytest.mark.parametrize("n,b2", [(1, 4), (1, 5), (2, 4), (2, 5), (2, 6)])
 def test_dimension_table(built, n, b2):
     alg = built(n, b2)
-    assert list(alg.dims().values()) == expected_dims(n, b2)
+    assert alg.dims() == sh_dims(n, b2)
 
 
 @pytest.mark.parametrize("n,b2", [(1, 5), (2, 4), (2, 5), (3, 4)])
@@ -215,21 +212,21 @@ def test_brute_force_ideal_oracle(built, n, b2):
 
 def _reference_projection(weights, b2, n, k):
     """Dense reference for degree k > n: every catalecticant cell from the
-    exponent tuple m + g, every row through IncrementalRref, and every coset
-    as its own sums over C_F^(-1)."""
+    exponent tuple m + g, every row through forward insertion (_insert),
+    and every coset as its own sums over C_F^(-1)."""
     monos = monomials(b2, k)
     duals = monomials(b2, 2 * n - k)
     rows = [[weights.get(tuple(a + b for a, b in zip(m, g)), 0)
              for g in duals] for m in monos]
     target = len(duals)
-    echelon = IncrementalRref(target)
+    echelon, pivots = [], []
     free = []
     for c in range(len(monos) - 1, -1, -1):
-        if echelon.insert(rows[c]):
+        if _insert(echelon, pivots, (rows[c],), target):
             free.append(c)
-            if echelon.rank == target:
+            if len(echelon) == target:
                 break
-    assert echelon.rank == target
+    assert len(echelon) == target
     free.reverse()
     inv = invert(Mat.from_rows([rows[c] for c in free])).data
     free_pos = {c: j for j, c in enumerate(free)}
@@ -346,7 +343,7 @@ def test_build_lists_monomials_only_up_to_n(monkeypatch):
 
     monkeypatch.setattr(verbitsky, "_multisets", counted)
     alg = build_verbitsky(make_standard_space(14, standard_tail(14)), 2)
-    assert list(alg.dims().values()) == expected_dims(2, 14)
+    assert alg.dims() == sh_dims(2, 14)
     assert degrees and max(degrees) <= 2
 
 
@@ -370,7 +367,7 @@ def test_every_from_num_input_is_canonical(monkeypatch):
 
     monkeypatch.setattr(Mat, "from_num", staticmethod(checked))
     alg = build_verbitsky(_space_named("dense5-b", 5), 3)
-    assert list(alg.dims().values()) == expected_dims(3, 5)
+    assert alg.dims() == sh_dims(3, 5)
     assert run_instance(InstanceConfig(n=3, b2=4)).all_asserted_passed
     assert calls
 
@@ -574,7 +571,7 @@ def test_invalid_parameters():
 def test_frontier_build_dims(n, b2):
     """Sym^4 has 2380 and 14950 monomials here."""
     alg = build_verbitsky(make_standard_space(b2, standard_tail(b2)), n)
-    assert list(alg.dims().values()) == expected_dims(n, b2)
+    assert alg.dims() == sh_dims(n, b2)
 
 
 def test_build_determinism():
