@@ -209,6 +209,7 @@ def test_a_non_lefschetz_second_vector_raises_the_completion_error(built):
 def _reference_basis(space, variant):
     """anisotropic_basis with each candidate's norm from QuadraticSpace.quad
     and its independence from sympy's rank."""
+    sympy = pytest.importorskip("sympy")
     n = space.dim
     coeff_order = (1, 2, -1, -2, 3) if variant == 0 else (-1, -2, 1, 2, 3)
 
@@ -229,7 +230,6 @@ def _reference_basis(space, variant):
                  for x in v] for v in chosen + [cand]]
         return sympy.Matrix(rows).rank() == len(rows)
 
-    sympy = pytest.importorskip("sympy")
     chosen = []
     for i in range(n):
         chosen.append(next(cand for cand in candidates(i)
